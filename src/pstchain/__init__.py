@@ -23,7 +23,7 @@ from .fermionic import (BogoliubovModes, QuadraticFermionHamiltonian, SlaterStat
                         dense_evolve, dense_hamiltonian, entanglement_distribution_sim,
                         entanglement_generation, evolve_slater, initfree_transfer,
                         ising_from_pst, sequential_storage_sim, slater_state,
-                        slater_to_dense, sort_to_site_order, two_boson_transfer)
+                        sort_to_site_order, two_boson_transfer)
 from .noise import (BathSpec, bath_model, bath_operator, bath_transfer_amplitude,
                     dephasing_avg_fidelity, raw_bath_operator)
 from .networks import (AmplifierResult, ClockProgram, NetworkSpec, amplifier_sim,

@@ -188,7 +188,7 @@ def certify_pst(spec: ChainSpec, tol: float = 1e-9,
     )
 
 
-def end_weights(spectrum) -> np.ndarray:
+def end_weights(spectrum, log: bool = False) -> np.ndarray:
     """End-site weights |alpha_n|^2 of the mirror-symmetric chain with the
     given spectrum, computed from the characteristic polynomial derivative
     B'(lambda_n) alone.
@@ -196,7 +196,9 @@ def end_weights(spectrum) -> np.ndarray:
     ``(-1)^n B'(lambda_n)`` carries a constant sign for an ascending
     spectrum, so the weights reduce to normalized reciprocals of
     ``|B'(lambda_n)|``; they are evaluated in log space to keep large
-    spectra inside the floating-point range.
+    spectra inside the floating-point range. With ``log=True`` the natural
+    logarithms of the weights are returned, which stay finite where the
+    weights themselves underflow.
     """
     lam = np.asarray(spectrum, dtype=float)
     if lam.ndim != 1 or lam.size < 1:
@@ -205,13 +207,15 @@ def end_weights(spectrum) -> np.ndarray:
         raise DegenerateSpectrumError("spectrum must be strictly ascending")
     n = lam.size
     if n == 1:
-        return np.array([1.0])
+        return np.zeros(1) if log else np.array([1.0])
     diff = lam[:, None] - lam[None, :]
     np.fill_diagonal(diff, 1.0)
     logb = np.sum(np.log(np.abs(diff)), axis=1)
     logw = -logb
     logw -= logw.max()
     w = np.exp(logw)
+    if log:
+        return logw - np.log(w.sum())
     return w / w.sum()
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .certify import certify_pst, end_weights
-from .chain import ChainSpec, chain, uniform_chain
+from .chain import ChainSpec, chain, mirror_symmetry_check, uniform_chain
 from .spectral import DegenerateSpectrumError, diagonalize
 
 
@@ -62,14 +62,6 @@ def sequential_storage_chain(n: int) -> ChainSpec:
     k = np.arange(1, n)
     j_sq = k ** 2 * (n - k) * (n + k) / ((2 * k - 1.0) * (2 * k + 1.0))
     return chain(np.sqrt(j_sq))
-
-
-STORAGE_T0 = math.pi / 2.0
-
-
-def storage_cycle_times(n: int) -> tuple[float, float]:
-    """(t_r, full cycle 2*t0) for the sequential storage chain."""
-    return math.pi / n, 2.0 * STORAGE_T0
 
 
 @dataclass(frozen=True)
@@ -125,7 +117,7 @@ def _lanczos_from_weights(lam: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, n
         if j < n - 1:
             norm = np.linalg.norm(v)
             if norm < 1e-13 * max(1.0, np.max(np.abs(lam))):
-                raise ReconstructionError("recurrence broke down (near-degenerate target)")
+                raise ReconstructionError(f"recurrence broke down at step {j + 1}")
             beta[j] = norm
             q[:, j + 1] = v / norm
     return alpha, beta
@@ -136,11 +128,19 @@ def chain_from_spectrum(target: TargetSpectrum) -> ChainSpec:
 
     End weights come from the characteristic-polynomial derivative; the
     orthogonal-polynomial recursion then recovers the tridiagonal entries.
-    The reconstruction is verified by re-diagonalization before returning.
+    The reconstruction is verified by re-diagonalization and by the mirror
+    check of :func:`certify_pst`; errors name the smallest end weight, as
+    weights below the smallest normal double defeat an exact reconstruction.
     """
     lam = np.asarray(target.eigenvalues, dtype=float)
     w = end_weights(lam)
-    alpha, beta = _lanczos_from_weights(lam, w)
+    try:
+        alpha, beta = _lanczos_from_weights(lam, w)
+    except ReconstructionError as exc:
+        log10_min = _log10_smallest_weight(lam)
+        cause = (f"end weights underflow: smallest 10^{log10_min:.1f}"
+                 if log10_min < math.log10(np.finfo(float).tiny) else "near-degenerate target")
+        raise ReconstructionError(f"{exc} ({cause})") from None
     spread = lam[-1] - lam[0]
     if target.antisymmetric:
         worst = float(np.max(np.abs(alpha)))
@@ -152,7 +152,18 @@ def chain_from_spectrum(target: TargetSpectrum) -> ChainSpec:
     residual = float(np.max(np.abs(achieved - lam)))
     if residual > 1e-8 * max(1.0, spread):
         raise ReconstructionError(f"spectrum residual {residual:.3e} too large")
+    mirror = mirror_symmetry_check(result)
+    if not mirror:
+        raise ReconstructionError(
+            f"reconstructed chain is not mirror symmetric (max violation "
+            f"{mirror.max_violation:.3e}; smallest end weight "
+            f"10^{_log10_smallest_weight(lam):.1f})")
     return result
+
+
+def _log10_smallest_weight(lam: np.ndarray) -> float:
+    """log10 of the smallest end weight, finite even where the weight underflows."""
+    return float(np.min(end_weights(lam, log=True))) / math.log(10.0)
 
 
 def _snap(value: float, parity: int) -> int:

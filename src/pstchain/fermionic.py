@@ -4,13 +4,18 @@ The excitation-preserving chain maps onto non-interacting fermions, so a
 k-excitation state is a wedge (Slater) combination of single-particle
 amplitude vectors and evolves orbital by orbital under the one-excitation
 propagator, up to exchange signs. This module carries that calculus, the
-2^N brute-force oracle used to validate it, the protocol simulations built
-on top (entanglement generation, initialization-free transfer, sequential
-storage, entanglement distribution), and the pairing transformation that
-diagonalizes general quadratic fermion Hamiltonians, including the
-transverse-Ising identification.
+protocol simulations built on top (entanglement generation,
+initialization-free transfer, sequential storage, entanglement
+distribution), and the pairing transformation that diagonalizes general
+quadratic fermion Hamiltonians, including the transverse-Ising
+identification.
 
-Dense-oracle sizes are capped at ``PST_DENSE_CAP`` sites (default 12).
+Entanglement generation and initialization-free transfer run in their
+excitation sectors: the evolved state is read off N-component orbitals, so
+they work at any chain length. Only sequential storage, whose external
+registers make a joint state, builds the 2^N matrix (``dense_hamiltonian``),
+which is capped at ``PST_DENSE_CAP`` sites (default 12). ``dense_evolve``
+propagates by full diagonalization, as a brute-force check.
 
 Basis convention for dense 2^N vectors: site 1 is the most significant bit,
 so the basis index of a configuration with excited site set S is
@@ -20,7 +25,6 @@ onto computational basis states with no extra sign.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -29,7 +33,7 @@ import numpy as np
 
 from .certify import PstCertificate, certify_pst
 from .chain import ChainSpec
-from .spectral import diagonalize, gamma
+from .spectral import amplitude_profile, diagonalize, gamma
 
 DEFAULT_DENSE_CAP = 12
 
@@ -196,37 +200,9 @@ def evolve_slater(spec: ChainSpec, state: SlaterState, t: float) -> SlaterState:
     return SlaterState(orbitals=orbitals, coefficient=state.coefficient)
 
 
-def slater_to_dense(state: SlaterState) -> np.ndarray:
-    """Expand a Slater state into the 2^N computational-basis vector.
-
-    The amplitude on excited-site set S (ascending) is the coefficient times
-    the determinant of the orbital components on S.
-    """
-    n = state.n_sites
-    _check_cap(n)
-    k = state.n_orbitals
-    psi = np.zeros(1 << n, dtype=complex)
-    if state.is_zero:
-        return psi
-    if k == 0:
-        psi[0] = state.coefficient
-        return psi
-    for subset in itertools.combinations(range(n), k):
-        amp = np.linalg.det(state.orbitals[:, subset])
-        if amp != 0:
-            idx = sum(1 << (n - 1 - s) for s in subset)
-            psi[idx] = state.coefficient * amp
-    return psi
-
-
 # ---------------------------------------------------------------------------
-# Dense 2^N oracle
+# Dense 2^N evolution
 # ---------------------------------------------------------------------------
-
-def basis_index(n: int, sites) -> int:
-    """Index of the configuration with the given 1-based sites excited."""
-    return sum(1 << (n - s) for s in sites)
-
 
 def dense_hamiltonian(spec: ChainSpec) -> np.ndarray:
     """Full 2^N matrix of the chain Hamiltonian in the number convention
@@ -271,16 +247,6 @@ def dense_evolve(spec_or_matrix, psi, t: float) -> np.ndarray:
     return u @ (np.exp(-1j * w * t) * (u.conj().T @ psi))
 
 
-def reduced_density_matrix(psi: np.ndarray, keep_sites, n: int) -> np.ndarray:
-    """Partial trace of |psi><psi| down to the given 1-based sites."""
-    keep = [s - 1 for s in keep_sites]
-    tensor = np.asarray(psi, dtype=complex).reshape((2,) * n)
-    rest = [a for a in range(n) if a not in keep]
-    tensor = np.transpose(tensor, keep + rest)
-    mat = tensor.reshape(1 << len(keep), -1)
-    return mat @ mat.conj().T
-
-
 def entanglement_entropy_bits(rho: np.ndarray) -> float:
     """Von Neumann entropy in bits of a density matrix."""
     evals = np.linalg.eigvalsh(rho)
@@ -314,25 +280,39 @@ def entanglement_generation(spec: ChainSpec, t: float | None = None) -> Entangle
     component picks up the exchange sign, leaving the end pair in the
     maximally entangled state (|00>+|01>+|10>-|11>)/2 up to the local
     arrival phases, which are undone before the fidelity is computed.
+
+    The state holds at most two excitations. With u1 and uN the propagated
+    orbitals of sites 1 and N, its amplitude is 1/2 on the vacuum,
+    (u1_i + uN_i)/2 on site i and the Slater determinant
+    (u1_i uN_j - uN_i u1_j)/2 on sites i < j. The end-pair density matrix
+    (basis index 2 b_1 + b_N) sums these over the O(N^2) configurations of
+    the middle sites, so any chain length runs.
     """
     cert = _require_perfect(spec)
     n = spec.n
-    _check_cap(n)
     if t is None:
         t = cert.t0
-    psi = np.zeros(1 << n, dtype=complex)
-    psi[0] = 0.5
-    psi[basis_index(n, [1])] = 0.5
-    psi[basis_index(n, [n])] = 0.5
-    psi[basis_index(n, [1, n])] = 0.5
-    out = dense_evolve(spec, psi, t)
-    rho = reduced_density_matrix(out, [1, n], n)
+    sd = diagonalize(spec)
+    u1 = amplitude_profile(sd, 1, t)
+    un = amplitude_profile(sd, n, t)
+    single = 0.5 * (u1 + un)
+    pair = 0.5 * (np.outer(u1, un) - np.outer(un, u1))
+    # one row per middle configuration (empty, then site r), columns 2 b_1 + b_N
+    rows = np.zeros((n - 1, 4), dtype=complex)
+    rows[0] = (0.5, single[-1], single[0], pair[0, -1])
+    rows[1:, 0] = single[1:-1]
+    rows[1:, 1] = pair[1:-1, -1]
+    rows[1:, 2] = pair[0, 1:-1]
+    rho = rows.T @ rows.conj()
+    # both excitations in the middle; the antisymmetric sum counts each pair twice
+    rho[0, 0] += 0.5 * np.sum(np.abs(pair[1:-1, 1:-1]) ** 2)
     phase = np.conj(cert.arrival_phase)
     correction = np.kron(np.diag([1.0, phase]), np.diag([1.0, phase]))
     rho_fixed = correction @ rho @ correction.conj().T
     target = 0.5 * np.array([1, 1, 1, -1], dtype=complex)
     fidelity = float(np.real(target.conj() @ rho_fixed @ target))
-    entropy = entanglement_entropy_bits(reduced_density_matrix(out, [1], n))
+    site1 = np.trace(rho.reshape(2, 2, 2, 2), axis1=1, axis2=3)
+    entropy = entanglement_entropy_bits(site1)
     return EntanglementReport(t0=cert.t0, end_pair_rho=rho,
                               entropy_bits=entropy, target_fidelity=fidelity)
 
@@ -355,23 +335,26 @@ def initfree_transfer(spec: ChainSpec, alpha: complex, beta: complex,
     register are common and the encoded qubit arrives clean on sites
     (N-1, N). Readout measures site N-1 in the X basis and applies Z on
     site N for the minus outcome; both outcomes are decoded and reported.
+
+    The Slater state is evolved orbital by orbital and the readout acts on
+    the 4x4 density matrix of sites (N-1, N), which the one-body
+    correlations of the orbitals give in O(kN) for k excitations.
     """
     cert = _require_perfect(spec)
     n = spec.n
-    _check_cap(n)
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
         raise ValueError("input amplitudes must be normalized")
     bits = [int(b) for b in junk]
     if len(bits) != n - 2 or any(b not in (0, 1) for b in bits):
         raise ValueError("junk must be a bit string of length n - 2")
-    junk_sites = [s + 3 for s, b in enumerate(bits) if b]
+    junk_rows = [s + 2 for s, b in enumerate(bits) if b]  # sites 3..N, 0-based
 
     first = np.zeros(n, dtype=complex)
     first[1] = alpha
     first[0] = beta
-    vectors = [first] + [_unit(n, s) for s in junk_sites]
+    vectors = [first, *np.eye(n, dtype=complex)[junk_rows]]
     state = evolve_slater(spec, slater_state(vectors), cert.t0)
-    psi = slater_to_dense(state)
+    rho = _adjacent_pair_rho(state, n - 1).reshape(2, 2, 2, 2)
 
     # The arrival phase and the exchange sign against the junk register are
     # common to both encoded components, hence global; no correction needed.
@@ -379,38 +362,37 @@ def initfree_transfer(spec: ChainSpec, alpha: complex, beta: complex,
     fids = []
     probs = []
     for outcome in (+1, -1):
-        proj = _x_projector(psi, site=n - 1, n=n, outcome=outcome)
-        prob = float(np.vdot(proj, proj).real)
+        proj = 0.5 * np.array([[1.0, outcome], [outcome, 1.0]])
+        correction = np.diag([1.0, outcome])
+        # X projection on site N-1 with that site traced out, then Z on N for -1
+        site_n = correction @ np.einsum("ji,ikjl->kl", proj, rho) @ correction
+        prob = float(np.trace(site_n).real)
         probs.append(prob)
         if prob < 1e-14:
             fids.append(1.0)
             continue
-        proj = proj / math.sqrt(prob)
-        if outcome == -1:
-            proj = _apply_z(proj, site=n, n=n)
-        rho = reduced_density_matrix(proj, [n], n)
-        fids.append(float(np.real(target.conj() @ rho @ target)))
+        fids.append(float(np.real(target.conj() @ site_n @ target)) / prob)
     return InitFreeReport(fidelity=min(fids), fidelity_by_outcome=tuple(fids),
                           outcome_probabilities=tuple(probs))
 
 
-def _unit(n: int, site: int) -> np.ndarray:
-    e = np.zeros(n, dtype=complex)
-    e[site - 1] = 1.0
-    return e
+def _adjacent_pair_rho(state: SlaterState, site: int) -> np.ndarray:
+    """Density matrix of sites (site, site + 1), basis index 2 b_site + b_{site+1}.
 
-
-def _x_projector(psi: np.ndarray, site: int, n: int, outcome: int) -> np.ndarray:
-    mask = 1 << (n - site)
-    idx = np.arange(psi.size)
-    flipped = psi[idx ^ mask]
-    return 0.5 * (psi + outcome * flipped)
-
-
-def _apply_z(psi: np.ndarray, site: int, n: int) -> np.ndarray:
-    mask = 1 << (n - site)
-    signs = np.where(np.arange(psi.size) & mask, -1.0, 1.0)
-    return psi * signs
+    With C = Phi^T conj(Phi) the one-body correlation matrix of the
+    orthonormal orbital rows Phi, Wick's theorem gives
+    P(11) = C_aa C_bb - |C_ab|^2, and the coherence from |01> to |10> is
+    C_ab. The Jordan-Wigner strings of two adjacent sites cancel, and the
+    excitation number is conserved, so no other entry survives.
+    """
+    phi = state.orbitals[:, site - 1:site + 1]
+    c = phi.T @ phi.conj()
+    caa, cbb, cab = c[0, 0].real, c[1, 1].real, c[0, 1]
+    p11 = caa * cbb - abs(cab) ** 2
+    rho = np.diag([1.0 - caa - cbb + p11, cbb - p11, caa - p11, p11]).astype(complex)
+    rho[2, 1] = cab
+    rho[1, 2] = np.conj(cab)
+    return abs(state.coefficient) ** 2 * rho
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ matrix exponentials, deliberately avoiding the library's own bit-twiddling
 Hamiltonian builders and spectral propagator.
 """
 
+import itertools
+
 import numpy as np
 import scipy.linalg
 
@@ -74,8 +76,45 @@ def one_excitation_block(h_dense, n):
     return h_dense[np.ix_(idx, idx)]
 
 
+def basis_index(n, sites):
+    """Index of the configuration with the given 1-based sites excited."""
+    return sum(1 << (n - s) for s in sites)
+
+
+def reduced_density_matrix(psi, keep_sites, n):
+    """Density matrix of the given 1-based sites (in the order given) of the
+    pure 2^n state psi, site 1 on the leftmost factor."""
+    keep = [s - 1 for s in keep_sites]
+    tensor = np.moveaxis(np.asarray(psi, dtype=complex).reshape((2,) * n),
+                         keep, range(len(keep)))
+    mat = tensor.reshape(1 << len(keep), -1)
+    return mat @ mat.conj().T
+
+
 def expm_evolve(h, psi, t):
     return scipy.linalg.expm(-1j * t * np.asarray(h, dtype=complex)) @ psi
+
+
+def slater_to_dense(state):
+    """Expand a Slater state into the 2^N computational-basis vector.
+
+    The amplitude on excited-site set S (ascending, site 1 = MSB) is the
+    coefficient times the determinant of the orbital components on S.
+    """
+    n = state.n_sites
+    k = state.n_orbitals
+    psi = np.zeros(1 << n, dtype=complex)
+    if state.is_zero:
+        return psi
+    if k == 0:
+        psi[0] = state.coefficient
+        return psi
+    for subset in itertools.combinations(range(n), k):
+        amp = np.linalg.det(state.orbitals[:, subset])
+        if amp != 0:
+            idx = sum(1 << (n - 1 - s) for s in subset)
+            psi[idx] = state.coefficient * amp
+    return psi
 
 
 def jw_majorana_ops(n):

@@ -17,15 +17,16 @@ from pstchain import (BathSpec, ClockProgram, amplifier_sim, analytic_chain,
                       ising_from_pst, near_uniform_chain, network_operator,
                       newton_iep, optimality_report, product_network,
                       sequential_storage_chain, sequential_storage_sim,
-                      slater_state, slater_to_dense, star_network,
+                      slater_state, star_network,
                       target_spectrum, theta_entangler, uniform_chain)
 from pstchain.certify import ARRIVAL_TOL
 from pstchain.design import TargetSpectrum
-from pstchain.fermionic import entanglement_entropy_bits, reduced_density_matrix
+from pstchain.fermionic import entanglement_entropy_bits
 from pstchain.networks import amplifier_dense_check
 
 from test_noise import _kraus_oracle
-from oracles import random_pst_chain, uniform_path_gamma
+from oracles import (random_pst_chain, reduced_density_matrix, slater_to_dense,
+                     uniform_path_gamma)
 
 
 # Agreement the library's amplitude must reach with a closed-form oracle.

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -200,3 +203,17 @@ def test_report_amplifier_manifest_flag(tmp_path, capsys):
     assert doc["peak_probability"] >= 1.0 - 1e-8
     manifest = json.loads((tmp_path / "amp100.csv.manifest.json").read_text())
     assert manifest["dense_check_skipped"] is True
+
+
+def test_import_does_not_load_scipy_sparse():
+    # every pst process pays for what `import pstchain` loads; scipy.sparse is
+    # needed only by the amplifier's 2^N check, which imports it itself
+    import pstchain
+
+    root = os.path.dirname(os.path.dirname(pstchain.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, pstchain, pstchain.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

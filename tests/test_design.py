@@ -8,7 +8,7 @@ from pstchain import (analytic_chain, certify_pst, chain_from_spectrum,
                       mirror_symmetry_check, near_uniform_chain, newton_iep,
                       nnn_coupling_family, sequential_storage_chain, target_spectrum,
                       uniform_chain, validate_family)
-from pstchain.design import ParametrizedFamily, TargetSpectrum
+from pstchain.design import ParametrizedFamily, ReconstructionError, TargetSpectrum
 
 
 # --- analytic family ------------------------------------------------------
@@ -148,6 +148,48 @@ def test_reconstruction_matches_moment_oracle(n):
     j_oracle, b_oracle = _moment_reconstruct(lam, end_weights(lam))
     assert np.max(np.abs(spec.coupling_array() - j_oracle)) < 1e-6
     assert np.max(np.abs(spec.field_array() - b_oracle)) < 1e-6
+
+
+def _odd_gap_spectrum(n, rng):
+    """Antisymmetric spectrum of even length with gaps 1 or 3 (centre gap 1)."""
+    half = rng.choice((1.0, 3.0), size=n // 2 - 1)
+    gaps = np.concatenate((half[::-1], [1.0], half))
+    lam = np.concatenate(([0.0], np.cumsum(gaps)))
+    return lam - lam[-1] / 2.0
+
+
+def test_reconstruction_refuses_chain_off_mirror_from_subnormal_weights():
+    # smallest end weight ~1e-319: the recurrence returns a chain whose
+    # spectrum is right to 1e-8 but which is off mirror symmetry by ~2e-5
+    lam = _odd_gap_spectrum(1000, np.random.default_rng(20))
+    assert np.min(end_weights(lam, log=True)) < math.log(np.finfo(float).tiny)
+    with pytest.raises(ReconstructionError,
+                       match=r"not mirror symmetric \(max violation .*; smallest end "
+                             r"weight 10\^-318\.9\)"):
+        chain_from_spectrum(target_spectrum(lam, antisymmetric=True))
+
+
+def test_reconstruction_breakdown_names_underflowed_weights():
+    # smallest end weight ~1e-330 rounds to zero and the recurrence breaks down
+    lam = _odd_gap_spectrum(1000, np.random.default_rng(8))
+    with pytest.raises(ReconstructionError,
+                       match=r"recurrence broke down at step \d+ \(end weights underflow: "
+                             r"smallest 10\^-329\.9\)"):
+        chain_from_spectrum(target_spectrum(lam, antisymmetric=True))
+
+
+def test_reconstruction_keeps_equal_gap_chain_with_subnormal_weights():
+    lam = np.arange(1060.0) - 529.5
+    assert end_weights(lam).min() < np.finfo(float).tiny
+    spec = chain_from_spectrum(target_spectrum(lam, antisymmetric=True))
+    assert mirror_symmetry_check(spec, tol=1e-10).symmetric
+    expected = analytic_chain(1060).coupling_array()
+    assert np.max(np.abs(spec.coupling_array() - expected)) < 1e-10
+
+
+def test_end_weights_log_matches_weights():
+    lam = np.array([-1.5, -0.2, 0.4, 2.0])
+    assert np.allclose(np.exp(end_weights(lam, log=True)), end_weights(lam), rtol=1e-14)
 
 
 # --- near-uniform design ---------------------------------------------------

@@ -9,12 +9,11 @@ from pstchain import (QuadraticFermionHamiltonian, analytic_chain, basis_slater,
                       entanglement_distribution_sim, entanglement_generation,
                       evolve_slater, initfree_transfer, ising_from_pst,
                       sequential_storage_chain, sequential_storage_sim, slater_state,
-                      slater_to_dense, sort_to_site_order, two_boson_transfer,
-                      uniform_chain)
-from pstchain.fermionic import (basis_index, entanglement_entropy_bits,
-                                reduced_density_matrix)
+                      sort_to_site_order, two_boson_transfer, uniform_chain)
+from pstchain.fermionic import entanglement_entropy_bits
 
-from oracles import expm_evolve, quadratic_dense, xx_dense
+from oracles import (SX, SZ, basis_index, expm_evolve, op_at, quadratic_dense,
+                     random_pst_chain, reduced_density_matrix, slater_to_dense, xx_dense)
 
 
 # --- Slater calculus -------------------------------------------------------
@@ -168,6 +167,41 @@ def test_entanglement_generation_two_sites_vs_dense_oracle():
     assert rep.entropy_bits == pytest.approx(1.0, abs=1e-6)
 
 
+def _entgen_oracle(spec, t):
+    """End-pair rho, site-1 entropy and phase-corrected target fidelity of
+    |+>|0..0>|+> evolved by the Kronecker-product Hamiltonian."""
+    n = spec.n
+    psi = np.zeros(1 << n, dtype=complex)
+    for sites in ((), (1,), (n,), (1, n)):
+        psi[basis_index(n, sites)] = 0.5
+    out = expm_evolve(xx_dense(spec.couplings, spec.fields), psi, t)
+    rho = reduced_density_matrix(out, [1, n], n)
+    evals = np.linalg.eigvalsh(reduced_density_matrix(out, [1], n))
+    evals = evals[evals > 1e-15]
+    entropy = float(-np.sum(evals * np.log2(evals)))
+    phase = np.conj(certify_pst(spec).arrival_phase)
+    fix = np.diag([1.0, phase, phase, phase ** 2])
+    target = 0.5 * np.array([1, 1, 1, -1], dtype=complex)
+    fidelity = float(np.real(target.conj() @ fix @ rho @ fix.conj().T @ target))
+    return rho, entropy, fidelity
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_entanglement_generation_matches_kronecker_oracle(n):
+    rng = np.random.default_rng(40 + n)
+    fielded = random_pst_chain(rng, n)
+    while np.max(np.abs(fielded.field_array())) < 1e-3:  # a symmetric draw has none
+        fielded = random_pst_chain(rng, n)
+    for spec in (analytic_chain(n), fielded):
+        t0 = certify_pst(spec).t0
+        for t in (t0, 0.37 * t0, 1.9 * t0):
+            rep = entanglement_generation(spec, t=t)
+            rho, entropy, fidelity = _entgen_oracle(spec, t)
+            assert np.max(np.abs(rep.end_pair_rho - rho)) <= 1e-10
+            assert abs(rep.entropy_bits - entropy) <= 1e-10
+            assert abs(rep.target_fidelity - fidelity) <= 1e-10
+
+
 def test_entanglement_generation_half_time_entropy_below_one():
     rep = entanglement_generation(analytic_chain(6), t=math.pi / 2.0)
     assert rep.entropy_bits < 1.0 - 1e-3
@@ -197,6 +231,54 @@ def test_initfree_all_junk_states_random_inputs():
         z /= np.linalg.norm(z)
         rep = initfree_transfer(spec, z[0], z[1], bits)
         assert rep.fidelity >= 1.0 - 1e-8
+
+
+def _initfree_oracle(spec, alpha, beta, bits):
+    """Outcome probabilities and per-outcome fidelities of the readout on the
+    full 2^N state evolved by the Kronecker-product Hamiltonian."""
+    n = spec.n
+    junk = [s for s, b in enumerate(bits, start=3) if b]
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[basis_index(n, [1] + junk)] = beta   # ascending creation order: no sign
+    psi[basis_index(n, [2] + junk)] = alpha
+    out = expm_evolve(xx_dense(spec.couplings, spec.fields), psi, certify_pst(spec).t0)
+    target = np.array([alpha, beta], dtype=complex)
+    probs, fids = [], []
+    for outcome in (+1, -1):
+        proj = 0.5 * (out + outcome * op_at(SX, n - 1, n) @ out)
+        prob = float(np.vdot(proj, proj).real)
+        if outcome == -1:
+            proj = op_at(SZ, n, n) @ proj
+        rho = reduced_density_matrix(proj, [n], n) / prob
+        probs.append(prob)
+        fids.append(float(np.real(target.conj() @ rho @ target)))
+    return probs, fids
+
+
+@pytest.mark.parametrize("n", (5, 6))
+def test_initfree_matches_dense_oracle_every_junk_string(n):
+    spec = analytic_chain(n)
+    rng = np.random.default_rng(50 + n)
+    for pattern in range(1 << (n - 2)):
+        bits = [(pattern >> i) & 1 for i in range(n - 2)]
+        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        z /= np.linalg.norm(z)
+        rep = initfree_transfer(spec, z[0], z[1], bits)
+        probs, fids = _initfree_oracle(spec, z[0], z[1], bits)
+        assert np.max(np.abs(np.subtract(rep.outcome_probabilities, probs))) <= 1e-10
+        assert np.max(np.abs(np.subtract(rep.fidelity_by_outcome, fids))) <= 1e-10
+
+
+def test_protocols_run_beyond_the_dense_cap():
+    spec = analytic_chain(200)
+    rep = entanglement_generation(spec)
+    assert abs(rep.entropy_bits - 1.0) <= 1e-8
+    assert rep.target_fidelity >= 1.0 - 1e-8
+    rng = np.random.default_rng(9)
+    z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    z /= np.linalg.norm(z)
+    junk = rng.integers(0, 2, size=198)
+    assert initfree_transfer(spec, z[0], z[1], junk).fidelity >= 1.0 - 1e-8
 
 
 def test_initfree_validates_amplitudes():

@@ -198,6 +198,25 @@ def test_amplifier_wall_basis_matches_dense():
     assert worst < 1e-9
 
 
+def test_amplifier_dense_check_detects_wrong_wall_amplitudes(monkeypatch):
+    import pstchain.networks as networks
+
+    true_sim = networks.amplifier_sim
+
+    def skewed(*args):
+        res = true_sim(*args)
+        amps = res.wall_amplitudes.copy()
+        amps[:, 2] *= np.exp(1e-6j)
+        return networks.AmplifierResult(res.times, amps, res.target_probability,
+                                        res.mean_signal, res.majority_probability)
+
+    times = np.asarray([0.7, 1.9])
+    spec = analytic_chain(6)
+    assert amplifier_dense_check(spec, 1, times) < 1e-12
+    monkeypatch.setattr(networks, "amplifier_sim", skewed)
+    assert amplifier_dense_check(spec, 1, times) > 1e-8
+
+
 def test_amplifier_dense_closure():
     # the full Hamiltonian never maps a wall state out of the wall ladder
     j = analytic_chain(6).coupling_array()
