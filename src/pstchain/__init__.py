@@ -12,7 +12,7 @@ from .spectral import (DegenerateSpectrumError, SpectralDecomposition,
                        propagate)
 from .certify import (OptimalityReport, PstCertificate, RateReport, certify_pst,
                       end_weights, optimality_report, rate_condition,
-                      revival_rate_report, timing_window)
+                      require_perfect, revival_rate_report, timing_window)
 from .design import (DesignError, NewtonResult, ParametrizedFamily,
                      ReconstructionError, TargetSpectrum, analytic_chain,
                      chain_from_spectrum, coupling_family, near_uniform_chain,
@@ -20,7 +20,7 @@ from .design import (DesignError, NewtonResult, ParametrizedFamily,
                      target_spectrum, validate_family)
 from .fermionic import (BogoliubovModes, QuadraticFermionHamiltonian, SlaterState,
                         basis_slater, bell_fidelity_curve, bogoliubov_modes,
-                        dense_evolve, dense_hamiltonian, entanglement_distribution_sim,
+                        dense_hamiltonian, entanglement_distribution_sim,
                         entanglement_generation, evolve_slater, initfree_transfer,
                         ising_from_pst, sequential_storage_sim, slater_state,
                         sort_to_site_order, two_boson_transfer)

@@ -33,11 +33,12 @@ class PstCertificate:
 
     For a perfect verdict, gap ``i`` of the spectrum equals
     ``(2 * odd_integers[i] + 1) * pi / t0`` and ``t0`` is minimal.
-    ``end_weights`` are the squared first components of the eigenvectors.
+    ``end_weights`` are the squared first components of the eigenvectors
+    held in ``spectrum``, the decomposition the verdict was reached on.
     """
 
     verdict: str  # "perfect" | "imperfect" | "degenerate-spectrum"
-    eigenvalues: np.ndarray
+    spectrum: SpectralDecomposition
     end_weights: np.ndarray
     t0: float | None = None
     arrival_phase: complex | None = None
@@ -47,8 +48,11 @@ class PstCertificate:
     reason: str | None = None
 
     def __post_init__(self):
-        self.eigenvalues.flags.writeable = False
         self.end_weights.flags.writeable = False
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.spectrum.eigenvalues
 
     @property
     def perfect(self) -> bool:
@@ -120,7 +124,7 @@ def certify_pst(spec: ChainSpec, tol: float = 1e-9,
     weights = np.abs(sd.eigenvectors[0, :]) ** 2
 
     def fail(verdict: str, reason: str, residual: float | None = None) -> PstCertificate:
-        return PstCertificate(verdict=verdict, eigenvalues=lam, end_weights=weights,
+        return PstCertificate(verdict=verdict, spectrum=sd, end_weights=weights,
                               reason=reason, worst_gap_residual=residual)
 
     scale = max(1.0, max(abs(j) for j in spec.couplings),
@@ -178,7 +182,7 @@ def certify_pst(spec: ChainSpec, tol: float = 1e-9,
 
     return PstCertificate(
         verdict="perfect",
-        eigenvalues=lam,
+        spectrum=sd,
         end_weights=weights,
         t0=t0,
         arrival_phase=amp / abs(amp),
@@ -186,6 +190,15 @@ def certify_pst(spec: ChainSpec, tol: float = 1e-9,
         worst_gap_residual=residual,
         revival_magnitude=revival,
     )
+
+
+def require_perfect(spec: ChainSpec) -> PstCertificate:
+    """Certificate of a chain that must transfer perfectly; a chain that
+    does not raises ``ValueError`` naming the reason."""
+    cert = certify_pst(spec)
+    if not cert.perfect:
+        raise ValueError(f"chain does not transfer perfectly: {cert.reason}")
+    return cert
 
 
 def end_weights(spectrum, log: bool = False) -> np.ndarray:
@@ -295,7 +308,7 @@ def timing_window(spec: ChainSpec, cert: PstCertificate, epsilon: float,
         raise ValueError("timing window requires a perfect certificate")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    sd = diagonalize(spec)
+    sd = cert.spectrum
     t0 = cert.t0
     level = 1.0 - epsilon
 

@@ -24,13 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, serialize
-from .certify import certify_pst
+from .certify import certify_pst, require_perfect
 from .chain import (ChainFormatError, ChainSpec, chain_to_dict, read_chain,
                     rescale, uniform_chain)
 from .design import (analytic_chain, near_uniform_chain, sequential_storage_chain,
                      target_spectrum, chain_from_spectrum)
-from .fermionic import (dense_cap, entanglement_generation, initfree_transfer,
-                        ising_from_pst, sequential_storage_sim)
+from .fermionic import (entanglement_generation, initfree_transfer, ising_from_pst,
+                        sequential_storage_sim)
 from .networks import (ClockProgram, amplifier_sim, clock_computer, hypercube,
                        network_to_dict, product_network, star_network,
                        theta_entangler)
@@ -51,7 +51,6 @@ class _Manifest:
         self.argv = list(argv)
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
-        self.flags: dict = {}
         self.started = time.monotonic()
 
     def add_input(self, path) -> None:
@@ -69,7 +68,6 @@ class _Manifest:
             "outputs": self.outputs,
             "elapsed_seconds": time.monotonic() - self.started,
         }
-        doc.update(self.flags)
         path = Path(str(out_path) + ".manifest.json")
         path.write_text(serialize.dumps(doc) + "\n", encoding="utf-8")
 
@@ -227,14 +225,12 @@ def _cmd_noise(args, manifest):
     spec = _load_chain(ns.chain, manifest)
     if ns.model == "dephase":
         pval = _require(ns.p, "--p")
-        cert = certify_pst(spec)
-        if not cert.perfect:
-            raise ValueError(f"chain does not transfer perfectly: {cert.reason}")
+        cert = require_perfect(spec)
         t = ns.t if ns.t is not None else cert.t0 / 2.0
         rep = dephasing_avg_fidelity(spec, pval, t)
         if ns.out:
             kicks = np.linspace(0.0, cert.t0, ns.steps + 1)
-            curve = [dephasing_avg_fidelity(spec, pval, tk).avg_fidelity for tk in kicks]
+            curve = dephasing_avg_fidelity(spec, pval, kicks).avg_fidelity
             serialize.write_csv(ns.out, ["t", "avg_fidelity"], [kicks, curve])
             manifest.add_output(ns.out)
             manifest.write(ns.out)
@@ -316,25 +312,21 @@ def _cmd_gadget(args, manifest):
     if ns.kind == "amp":
         if ns.chain:
             spec = _load_chain(ns.chain, manifest)
-            couplings = spec.coupling_array()
+            t0 = require_perfect(spec).t0
         else:
-            n = _require(ns.n, "--n")
-            k = np.arange(1, n)
-            couplings = np.sqrt(k * (n - k))
-        n = couplings.size + 1
-        t0 = math.pi / 2.0 if not ns.chain else certify_pst(spec).t0
+            spec = rescale(analytic_chain(_require(ns.n, "--n")), 2.0)
+            t0 = math.pi / 2.0
         tmax = ns.tmax if ns.tmax is not None else 4.0 * t0
         times = np.linspace(0.0, tmax, ns.steps + 1)
-        res = amplifier_sim(couplings, 1, times)
+        res = amplifier_sim(spec, 1, times)
         if ns.out:
             serialize.write_csv(
                 ns.out, ["t", "target_probability", "mean_signal", "majority_probability"],
                 [times, res.target_probability, res.mean_signal,
                  res.majority_probability])
             manifest.add_output(ns.out)
-            manifest.flags["dense_check_skipped"] = n > dense_cap()
             manifest.write(ns.out)
-        _emit({"gadget": "amp", "n": int(n),
+        _emit({"gadget": "amp", "n": spec.n,
                "peak_probability": float(np.max(res.target_probability)),
                "peak_time": float(times[int(np.argmax(res.target_probability))])})
     else:
@@ -373,16 +365,13 @@ def _cmd_report(args, manifest):
     ns = p.parse_args(args)
     if ns.figure == "amplifier":
         n = ns.n
-        k = np.arange(1, n)
-        couplings = np.sqrt(k * (n - k))
         t0 = math.pi / 2.0
         times = np.linspace(0.0, 4.0 * t0, ns.steps + 1)
-        res = amplifier_sim(couplings, 1, times)
+        res = amplifier_sim(rescale(analytic_chain(n), 2.0), 1, times)
         header = ["t", "t_over_t0", "target_probability", "mean_signal",
                   "majority_probability"]
         columns = [times, times / t0, res.target_probability, res.mean_signal,
                    res.majority_probability]
-        manifest.flags["dense_check_skipped"] = n > dense_cap()
         summary = {"figure": "amplifier", "n": n, "t0": t0,
                    "peak_probability": float(np.max(res.target_probability))}
     else:

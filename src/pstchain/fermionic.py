@@ -14,8 +14,8 @@ Entanglement generation and initialization-free transfer run in their
 excitation sectors: the evolved state is read off N-component orbitals, so
 they work at any chain length. Only sequential storage, whose external
 registers make a joint state, builds the 2^N matrix (``dense_hamiltonian``),
-which is capped at ``PST_DENSE_CAP`` sites (default 12). ``dense_evolve``
-propagates by full diagonalization, as a brute-force check.
+which is capped at ``PST_DENSE_CAP`` sites (default 12). Every time
+evolution goes through ``spectral.propagate``.
 
 Basis convention for dense 2^N vectors: site 1 is the most significant bit,
 so the basis index of a configuration with excited site set S is
@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import PstCertificate, certify_pst
-from .chain import ChainSpec
-from .spectral import amplitude_profile, diagonalize, gamma
+from .certify import require_perfect
+from .chain import ChainSpec, build_h1
+from .spectral import amplitude_profile, diagonalize, gamma, propagate
 
 DEFAULT_DENSE_CAP = 12
 
@@ -193,10 +193,7 @@ def evolve_slater(spec: ChainSpec, state: SlaterState, t: float) -> SlaterState:
         raise ValueError("orbital length must match the chain")
     if state.is_zero:
         return state
-    sd = diagonalize(spec)
-    phases = np.exp(-1j * sd.eigenvalues * t)
-    v = sd.eigenvectors
-    orbitals = (v @ (phases[:, None] * (v.conj().T @ state.orbitals.T))).T
+    orbitals = propagate(diagonalize(spec), state.orbitals.T, t).T
     return SlaterState(orbitals=orbitals, coefficient=state.coefficient)
 
 
@@ -230,23 +227,6 @@ def dense_hamiltonian(spec: ChainSpec) -> np.ndarray:
     return h
 
 
-def dense_evolve(spec_or_matrix, psi, t: float) -> np.ndarray:
-    """Brute-force evolution by full diagonalization.
-
-    Accepts a chain (its 2^N matrix is built on the fly) or any dense
-    Hermitian matrix; norm is preserved to eigensolver accuracy.
-    """
-    if isinstance(spec_or_matrix, ChainSpec):
-        h = dense_hamiltonian(spec_or_matrix)
-    else:
-        h = np.asarray(spec_or_matrix)
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (h.shape[0],):
-        raise ValueError("state dimension does not match the Hamiltonian")
-    w, u = np.linalg.eigh(h)
-    return u @ (np.exp(-1j * w * t) * (u.conj().T @ psi))
-
-
 def entanglement_entropy_bits(rho: np.ndarray) -> float:
     """Von Neumann entropy in bits of a density matrix."""
     evals = np.linalg.eigvalsh(rho)
@@ -257,13 +237,6 @@ def entanglement_entropy_bits(rho: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Protocols
 # ---------------------------------------------------------------------------
-
-def _require_perfect(spec: ChainSpec) -> PstCertificate:
-    cert = certify_pst(spec)
-    if not cert.perfect:
-        raise ValueError(f"chain does not transfer perfectly: {cert.reason}")
-    return cert
-
 
 @dataclass(frozen=True)
 class EntanglementReport:
@@ -288,13 +261,12 @@ def entanglement_generation(spec: ChainSpec, t: float | None = None) -> Entangle
     (basis index 2 b_1 + b_N) sums these over the O(N^2) configurations of
     the middle sites, so any chain length runs.
     """
-    cert = _require_perfect(spec)
+    cert = require_perfect(spec)
     n = spec.n
     if t is None:
         t = cert.t0
-    sd = diagonalize(spec)
-    u1 = amplitude_profile(sd, 1, t)
-    un = amplitude_profile(sd, n, t)
+    u1 = amplitude_profile(cert.spectrum, 1, t)
+    un = amplitude_profile(cert.spectrum, n, t)
     single = 0.5 * (u1 + un)
     pair = 0.5 * (np.outer(u1, un) - np.outer(un, u1))
     # one row per middle configuration (empty, then site r), columns 2 b_1 + b_N
@@ -340,7 +312,8 @@ def initfree_transfer(spec: ChainSpec, alpha: complex, beta: complex,
     the 4x4 density matrix of sites (N-1, N), which the one-body
     correlations of the orbitals give in O(kN) for k excitations.
     """
-    cert = _require_perfect(spec)
+    _require_fermionic(spec)
+    cert = require_perfect(spec)
     n = spec.n
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
         raise ValueError("input amplitudes must be normalized")
@@ -353,7 +326,9 @@ def initfree_transfer(spec: ChainSpec, alpha: complex, beta: complex,
     first[1] = alpha
     first[0] = beta
     vectors = [first, *np.eye(n, dtype=complex)[junk_rows]]
-    state = evolve_slater(spec, slater_state(vectors), cert.t0)
+    start = slater_state(vectors)
+    state = SlaterState(orbitals=propagate(cert.spectrum, start.orbitals.T, cert.t0).T,
+                        coefficient=start.coefficient)
     rho = _adjacent_pair_rho(state, n - 1).reshape(2, 2, 2, 2)
 
     # The arrival phase and the exchange sign against the junk register are
@@ -451,8 +426,7 @@ def sequential_storage_sim(spec: ChainSpec, inputs, readout_order) -> StorageSim
     for j, s in enumerate(states):
         joint = _write_register(joint, j, s, k)
 
-    w, u = np.linalg.eigh(dense_hamiltonian(spec))
-    u_step = u @ (np.exp(-1j * w * t_r)[:, None] * u.conj().T)
+    u_step = propagate(diagonalize(dense_hamiltonian(spec)), np.eye(dim_chain), t_r)
 
     def evolve_steps(m: int) -> None:
         nonlocal joint
@@ -558,9 +532,9 @@ def entanglement_distribution_sim(spec: ChainSpec) -> DistributionReport:
     ancilla. Works in the {vacuum, one-excitation} sector, so any chain
     length is fine.
     """
-    cert = _require_perfect(spec)
-    fid = bell_fidelity_curve(spec, np.asarray([cert.t0]))[0]
-    return DistributionReport(bell_fidelity=float(fid), t0=cert.t0,
+    cert = require_perfect(spec)
+    amp = abs(gamma(cert.spectrum, 1, spec.n, cert.t0))
+    return DistributionReport(bell_fidelity=((1.0 + amp) / 2.0) ** 2, t0=cert.t0,
                               arrival_phase=cert.arrival_phase)
 
 
@@ -587,8 +561,6 @@ def two_boson_transfer(spec: ChainSpec, source_pair, target_pair, t: float) -> c
     n = spec.n
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     index = {p: a for a, p in enumerate(pairs)}
-    from .chain import build_h1
-
     h1 = build_h1(spec).to_dense()
 
     def weight(p):
@@ -604,13 +576,11 @@ def two_boson_transfer(spec: ChainSpec, source_pair, target_pair, t: float) -> c
                 p = (min(x, y), max(x, y))
                 h2[index[p], a] += coef * weight(p) / weight((i, j))
     h2 = 0.5 * (h2 + h2.T)
-    w, u = np.linalg.eigh(h2)
     src = index[(min(source_pair) - 1, max(source_pair) - 1)]
     tgt = index[(min(target_pair) - 1, max(target_pair) - 1)]
     vec = np.zeros(dim, dtype=complex)
     vec[src] = 1.0
-    evolved = u @ (np.exp(-1j * w * t) * (u.conj().T @ vec))
-    return complex(evolved[tgt])
+    return complex(propagate(diagonalize(h2), vec, t)[tgt])
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +710,7 @@ def ising_from_pst(spec: ChainSpec) -> IsingFromPstResult:
         raise ValueError("the source chain must have even length")
     if np.max(np.abs(spec.field_array())) > 1e-12:
         raise ValueError("the source chain must have zero fields")
-    cert = _require_perfect(spec)
+    cert = require_perfect(spec)
     n = spec.n // 2
     k = spec.coupling_array()
     fields = k[0::2]
@@ -754,13 +724,11 @@ def ising_from_pst(spec: ChainSpec) -> IsingFromPstResult:
         bm[idx, idx + 1] = couplings
         bm[idx + 1, idx] = -couplings
     quad = QuadraticFermionHamiltonian(a=a, b=bm)
-    m = quad.block_matrix()
-    w, u = np.linalg.eigh(m)
     start = np.zeros(2 * n, dtype=complex)
     start[0] = start[n] = 1.0 / math.sqrt(2.0)
     target = np.zeros(2 * n, dtype=complex)
     target[n - 1] = target[2 * n - 1] = 1.0 / math.sqrt(2.0)
-    evolved = u @ (np.exp(-1j * w * cert.t0) * (u.conj().T @ start))
+    evolved = propagate(diagonalize(quad.block_matrix()), start, cert.t0)
     overlap = complex(np.vdot(target, evolved))
     fidelity = abs(overlap) ** 2
     if fidelity < 1.0 - 1e-8:

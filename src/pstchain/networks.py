@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import PstCertificate, certify_pst
+from .certify import require_perfect
 from .chain import ChainSpec
-from .fermionic import dense_cap, dense_evolve
+from .fermionic import dense_cap
 from .spectral import diagonalize, propagate
 
 
@@ -69,15 +69,6 @@ def network_to_dict(net: NetworkSpec) -> dict:
     }
 
 
-def _require_perfect_zero_field(spec: ChainSpec, who: str) -> PstCertificate:
-    if np.max(np.abs(spec.field_array()), initial=0.0) > 1e-12:
-        raise ValueError(f"{who} requires zero fields")
-    cert = certify_pst(spec)
-    if not cert.perfect:
-        raise ValueError(f"{who}: chain does not transfer perfectly ({cert.reason})")
-    return cert
-
-
 def _verify_transfer(op: np.ndarray, source: int, target: int, t0: float,
                      what: str) -> complex:
     sd = diagonalize(op)
@@ -96,8 +87,10 @@ def product_network(a: ChainSpec, b: ChainSpec) -> NetworkSpec:
     sum), so an excitation at (i, j) reaches the diagonally opposite vertex
     at t0. Vertex (i, j) (0-based) maps to index i * M + j.
     """
-    cert_a = _require_perfect_zero_field(a, "product_network")
-    cert_b = _require_perfect_zero_field(b, "product_network")
+    for spec in (a, b):
+        if np.max(np.abs(spec.field_array()), initial=0.0) > 1e-12:
+            raise ValueError("product_network requires zero fields")
+    cert_a, cert_b = require_perfect(a), require_perfect(b)
     if abs(cert_a.t0 - cert_b.t0) > 1e-9 * cert_a.t0:
         raise ValueError(f"transfer times differ: {cert_a.t0} vs {cert_b.t0}")
     n, m = a.n, b.n
@@ -153,9 +146,7 @@ def star_network(branch: ChainSpec, m: int) -> StarReport:
     """
     if m < 1:
         raise ValueError("need at least one branch")
-    cert = certify_pst(branch)
-    if not cert.perfect:
-        raise ValueError(f"branch chain does not transfer perfectly ({cert.reason})")
+    cert = require_perfect(branch)
     n = branch.n
     edges = []
     potentials = [branch.fields[0]]
@@ -241,9 +232,7 @@ def theta_entangler(spec: ChainSpec, theta: float) -> ThetaEntanglerReport:
         raise ValueError("the base chain must have odd length")
     if not 0.0 < theta < math.pi / 2.0:
         raise ValueError("theta must lie in (0, pi/2)")
-    cert = certify_pst(spec)
-    if not cert.perfect:
-        raise ValueError(f"base chain does not transfer perfectly ({cert.reason})")
+    cert = require_perfect(spec)
     half = (spec.n - 1) // 2
     j = list(spec.couplings)
     j[half - 1] = math.sqrt(2.0) * math.cos(theta) * spec.couplings[half - 1]
@@ -312,9 +301,7 @@ def amplifier_sim(spec_or_couplings, input_state, times) -> AmplifierResult:
         if psi0.shape != (n + 1,):
             raise ValueError(f"wall superposition must have length {n + 1}")
     times = np.asarray(times, dtype=float)
-    w, u = np.linalg.eigh(op)
-    coeff = u.conj().T @ psi0
-    amps = np.exp(-1j * np.multiply.outer(times, w)) * coeff[None, :] @ u.T
+    amps = propagate(diagonalize(op), psi0, np.atleast_1d(times))
     probs = np.abs(amps) ** 2
     walls = np.arange(n + 1)
     return AmplifierResult(
@@ -326,25 +313,26 @@ def amplifier_sim(spec_or_couplings, input_state, times) -> AmplifierResult:
     )
 
 
-def amplifier_dense_hamiltonian(spec_or_couplings) -> np.ndarray:
-    """Full 2^N matrix of the amplifier Hamiltonian
+def amplifier_dense_hamiltonian(spec_or_couplings):
+    """Full 2^N matrix, in CSR form, of the amplifier Hamiltonian
     sum_n J_n K_{n+1}, K_m = X_m (1 - Z_{m-1} Z_{m+1}) / 2 with Z_{N+1} = 1."""
+    # imported here: scipy.sparse would add to the start-up of every pst process
+    from scipy.sparse import csr_matrix
+
     j = amplifier_couplings(spec_or_couplings)
     n = j.size + 1
     if n > dense_cap():
         raise ValueError(f"{n} sites exceed the dense cap ({dense_cap()})")
     dim = 1 << n
-    h = np.zeros((dim, dim))
-    for idx in range(dim):
-        bits = [(idx >> (n - 1 - s)) & 1 for s in range(n)]
-        for m in range(2, n + 1):  # K_m weighted by J_{m-1}
-            zl = 1 - 2 * bits[m - 2]
-            zr = 1 - 2 * bits[m] if m < n else 1
-            factor = 0.5 * (1 - zl * zr)
-            if factor != 0.0:
-                jdx = idx ^ (1 << (n - m))
-                h[jdx, idx] += j[m - 2] * factor
-    if np.max(np.abs(h - h.T)) > 1e-12 * max(1.0, np.max(np.abs(h))):
+    idx = np.arange(dim)
+    m = np.arange(2, n + 1)[:, None]  # K_m weighted by J_{m-1}; site s is bit n - s
+    left = (idx >> (n - m + 1)) & 1
+    right = np.where(m < n, (idx >> np.maximum(n - m - 1, 0)) & 1, 0)
+    term, cols = np.nonzero(left != right)  # K_m flips site m where its neighbours differ
+    h = csr_matrix((j[term], (cols ^ (1 << (n - 2 - term)), cols)), shape=(dim, dim))
+    h.eliminate_zeros()
+    h.sort_indices()
+    if abs(h - h.T).max() > 1e-12 * max(1.0, abs(h).max()):
         raise ArithmeticError("amplifier Hamiltonian failed to come out symmetric")
     return h
 
@@ -360,13 +348,11 @@ def amplifier_dense_check(spec_or_couplings, input_wall: int, times) -> float:
     """Max deviation between wall-basis evolution and the full 2^N evolution,
     propagated by ``expm_multiply`` on the sparse 2^N Hamiltonian; weight
     outside the wall ladder counts as deviation too."""
-    # imported here: scipy.sparse would add to the start-up of every pst process
-    from scipy.sparse import csr_matrix
     from scipy.sparse.linalg import expm_multiply
 
     j = amplifier_couplings(spec_or_couplings)
     n = j.size + 1
-    h = csr_matrix(amplifier_dense_hamiltonian(j))
+    h = amplifier_dense_hamiltonian(j)
     result = amplifier_sim(j, input_wall, times)
     ladder = (1 << n) - (1 << (n - np.arange(n + 1)))  # index of 1^w 0^(N-w)
     start = wall_basis_vector(n, input_wall)
@@ -437,18 +423,15 @@ def clock_computer(prog: ClockProgram, psi_in) -> ClockResult:
     alone and applies the accumulated product. For register sizes up to
     N d = 512 the result is verified against direct dense evolution.
     """
-    cert = certify_pst(prog.chain)
-    if not cert.perfect:
-        raise ValueError(f"clock chain does not transfer perfectly ({cert.reason})")
+    cert = require_perfect(prog.chain)
     psi_in = np.asarray(psi_in, dtype=complex)
     d = prog.register_dim
     if psi_in.shape != (d,) or abs(np.linalg.norm(psi_in) - 1.0) > 1e-10:
         raise ValueError("register input must be a normalized d-vector")
     n = prog.chain.n
-    sd = diagonalize(prog.chain)
     e1 = np.zeros(n, dtype=complex)
     e1[0] = 1.0
-    clock_amps = propagate(sd, e1, cert.t0)
+    clock_amps = propagate(cert.spectrum, e1, cert.t0)
     products = [np.eye(d, dtype=complex)]
     for g in prog.gates:
         products.append(g @ products[-1])
@@ -466,7 +449,7 @@ def clock_computer(prog: ClockProgram, psi_in) -> ClockResult:
         h = clock_hamiltonian(prog)
         start = np.zeros(n * d, dtype=complex)
         start[:d] = psi_in
-        direct = dense_evolve(h, start, cert.t0)
+        direct = propagate(diagonalize(h), start, cert.t0)
         if np.max(np.abs(direct - total)) > 1e-8:
             raise ArithmeticError("clock fast path disagrees with dense evolution")
         dense_verified = True

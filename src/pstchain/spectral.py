@@ -19,6 +19,11 @@ from .chain import ChainSpec, SingleExcitationMatrix, build_h1
 
 SYMMETRY_TOL = 1e-12
 DEGENERACY_RTOL = 1e-9
+# Columns per step of the sign fix and the residual check. Whole-matrix
+# temporaries would add several N x N arrays to each eigensolve, and how much
+# of that the allocator keeps resident depends on the order of earlier calls;
+# blocks keep them at N x 128.
+_BLOCK = 128
 
 
 class DegenerateSpectrumError(ValueError):
@@ -46,18 +51,17 @@ class SpectralDecomposition:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    v = vectors.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        mags = np.abs(col)
-        top = mags.max()
-        idx = int(np.argmax(mags > 1e-8 * top))
-        pivot = col[idx]
-        if np.iscomplexobj(v):
-            v[:, k] = col * (np.conj(pivot) / abs(pivot))
-        elif pivot < 0:
-            v[:, k] = -col
-    return v
+    """Give each column the sign convention in place, a block of columns at a time."""
+    for c in range(0, vectors.shape[1], _BLOCK):
+        block = vectors[:, c:c + _BLOCK]
+        mags = np.abs(block)
+        first = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
+        pivot = block[first, np.arange(block.shape[1])]
+        if np.iscomplexobj(block):
+            block *= np.conj(pivot) / np.abs(pivot)
+        else:
+            block *= np.where(pivot < 0, -1.0, 1.0)
+    return vectors
 
 
 def diagonalize(operator) -> SpectralDecomposition:
@@ -77,19 +81,28 @@ def diagonalize(operator) -> SpectralDecomposition:
             vec = np.ones((1, 1))
         else:
             lam, vec = scipy.linalg.eigh_tridiagonal(diag, off)
-        dense = operator.to_dense()
+        vec = _fix_signs(vec)
+        scale = max(np.max(np.abs(diag)), np.max(np.abs(off), initial=0.0))
+        # M V from the three diagonals, O(N^2), a block of columns at a time
+        residual = 0.0
+        for c in range(0, vec.shape[1], _BLOCK):
+            v = vec[:, c:c + _BLOCK]
+            r = diag[:, None] * v
+            r -= v * lam[None, c:c + _BLOCK]
+            r[:-1] += off[:, None] * v[1:]
+            r[1:] += off[:, None] * v[:-1]
+            residual = max(residual, float(np.max(np.abs(r))))
     else:
         dense = np.asarray(operator)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValueError("operator must be a square matrix")
-        scale = max(1.0, float(np.max(np.abs(dense))))
-        if np.max(np.abs(dense - dense.conj().T)) > SYMMETRY_TOL * scale:
+        scale = np.max(np.abs(dense))
+        if np.max(np.abs(dense - dense.conj().T)) > SYMMETRY_TOL * max(1.0, scale):
             raise ValueError("operator is not symmetric/Hermitian")
         lam, vec = np.linalg.eigh(dense)
-    vec = _fix_signs(vec)
-    scale = max(np.max(np.abs(dense)), 1e-300)
-    residual = np.max(np.abs(dense @ vec - vec * lam[None, :]))
-    if residual > 1e-10 * scale:
+        vec = _fix_signs(vec)
+        residual = np.max(np.abs(dense @ vec - vec * lam[None, :]))
+    if residual > 1e-10 * max(scale, 1e-300):
         raise ArithmeticError(f"eigendecomposition residual {residual:.3e} too large")
     lam = np.ascontiguousarray(lam, dtype=float)
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=vec)
@@ -109,14 +122,29 @@ def is_degenerate(sd: SpectralDecomposition, rtol: float = DEGENERACY_RTOL) -> b
     return bool(degenerate_gaps(sd, rtol))
 
 
-def propagate(sd: SpectralDecomposition, v, t: float) -> np.ndarray:
-    """Evolve amplitude vector ``v`` for time ``t``: V exp(-i L t) V^dag v."""
+def propagate(sd: SpectralDecomposition, v, t) -> np.ndarray:
+    """Evolve amplitudes ``v`` for time ``t``: V exp(-i L t) V^dag v.
+
+    ``v`` of shape (n,) or (n, k) (one state per column) at a scalar ``t``,
+    or ``v`` of shape (n,) at a 1-D array of times, one row per time.
+    """
     v = np.asarray(v, dtype=complex)
-    if v.shape != (sd.dimension,):
-        raise ValueError(f"amplitude vector must have length {sd.dimension}")
-    phases = np.exp(-1j * sd.eigenvalues * t)
+    n = sd.dimension
     vec = sd.eigenvectors
-    return vec @ (phases * (vec.conj().T @ v))
+    if np.ndim(t) == 0:
+        if v.ndim not in (1, 2) or v.shape[0] != n:
+            raise ValueError(f"amplitudes must have {n} rows")
+        phases = np.exp(-1j * sd.eigenvalues * t)
+        if v.ndim == 2:
+            phases = phases[:, None]
+        return vec @ (phases * (vec.conj().T @ v))
+    times = np.asarray(t, dtype=float)
+    if v.shape != (n,) or times.ndim != 1:
+        raise ValueError(f"an array of times needs one amplitude vector of length {n}")
+    # rounds differently from the scalar path, in the last bit; the written
+    # amplifier curves come from this product and the dephasing curve from that one
+    coeff = vec.conj().T @ v
+    return np.exp(-1j * np.multiply.outer(times, sd.eigenvalues)) * coeff[None, :] @ vec.T
 
 
 def gamma(sd: SpectralDecomposition, source: int, target: int, t):

@@ -51,6 +51,18 @@ def xx_dense(couplings, fields):
     return h
 
 
+def amplifier_dense(couplings):
+    """Signal-amplifier Hamiltonian
+    sum_{m=2}^{N} J_{m-1} X_m (1 - Z_{m-1} Z_{m+1}) / 2 with Z_{N+1} = 1."""
+    n = len(couplings) + 1
+    dim = 1 << n
+    h = np.zeros((dim, dim), dtype=complex)
+    for m in range(2, n + 1):
+        zz = two_site(SZ, m - 1, SZ, m + 1, n) if m < n else op_at(SZ, m - 1, n)
+        h += 0.5 * couplings[m - 2] * op_at(SX, m, n) @ (np.eye(dim) - zz)
+    return h
+
+
 def heisenberg_dense(couplings, anisotropies, fields):
     """Anisotropic Heisenberg Hamiltonian in the normalization matching the
     package's field convention:

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from pstchain import (analytic_chain, certify_pst, chain, diagonalize, end_weights,
-                      gamma, near_uniform_chain, optimality_report, rate_condition,
-                      rescale, revival_rate_report, sequential_storage_chain,
-                      timing_window, uniform_chain)
+from pstchain import (ClockProgram, analytic_chain, certify_pst, chain, clock_computer,
+                      dephasing_avg_fidelity, diagonalize, end_weights,
+                      entanglement_distribution_sim, entanglement_generation, gamma,
+                      initfree_transfer, near_uniform_chain, optimality_report,
+                      rate_condition, require_perfect, rescale, revival_rate_report,
+                      sequential_storage_chain, timing_window, uniform_chain)
 from pstchain.spectral import DegenerateSpectrumError
 
 
@@ -249,3 +252,53 @@ def test_timing_window_epsilon_validation():
         timing_window(spec, cert, 0.0)
     with pytest.raises(ValueError):
         timing_window(spec, cert, 1.0)
+
+
+# --- one eigensolve per certified chain ---------------------------------------
+
+@pytest.fixture
+def tridiagonal_solves(monkeypatch):
+    """Sizes of the matrices passed to the tridiagonal eigensolver."""
+    sizes = []
+    true_solver = scipy.linalg.eigh_tridiagonal
+
+    def counted(diag, off, *args, **kwargs):
+        sizes.append(len(diag))
+        return true_solver(diag, off, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    return sizes
+
+
+def _clock():
+    gates = tuple(np.eye(2)[::-1] for _ in range(7))
+    return clock_computer(ClockProgram(chain=analytic_chain(8), gates=gates),
+                          np.array([1.0, 0.0]))
+
+
+def _window():
+    spec = analytic_chain(8)
+    return timing_window(spec, certify_pst(spec), 1e-3)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: entanglement_generation(analytic_chain(8)),
+    lambda: initfree_transfer(analytic_chain(8), 0.6, 0.8, "101100"),
+    lambda: entanglement_distribution_sim(analytic_chain(8)),
+    _clock,
+    lambda: dephasing_avg_fidelity(analytic_chain(8), 0.1, np.linspace(0.0, math.pi, 5)),
+    _window,
+], ids=["entanglement_generation", "initfree_transfer", "entanglement_distribution_sim",
+        "clock_computer", "dephasing_avg_fidelity", "certify_pst+timing_window"])
+def test_certified_chain_is_diagonalized_once(tridiagonal_solves, run):
+    run()
+    assert tridiagonal_solves == [8]
+
+
+def test_require_perfect_returns_the_certificate_or_names_the_reason():
+    cert = require_perfect(analytic_chain(5))
+    assert cert.perfect and cert.t0 == pytest.approx(math.pi)
+    reason = certify_pst(uniform_chain(5)).reason
+    with pytest.raises(ValueError, match="does not transfer perfectly") as info:
+        require_perfect(uniform_chain(5))
+    assert str(info.value).endswith(reason)

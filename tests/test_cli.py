@@ -194,7 +194,22 @@ def test_report_timing_31_uniform_peaks_below_one(tmp_path, capsys):
     assert np.max(data[:, 2]) >= 1.0 - 1e-6
 
 
+def test_gadget_amp_rejects_bad_chains(tmp_path, capsys):
+    from pstchain import analytic_chain, chain, uniform_chain, write_chain
+
+    imperfect = tmp_path / "uniform.json"
+    write_chain(uniform_chain(6), imperfect)
+    fielded = tmp_path / "fielded.json"
+    write_chain(chain(analytic_chain(6).couplings, [0.3] * 6), fielded)
+    for path in (imperfect, fielded):
+        code, out, err = run(capsys, "gadget", "amp", "--chain", str(path))
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith("error: validation: ")
+
+
 def test_report_amplifier_manifest_flag(tmp_path, capsys):
+    # neither amplifier command runs the 2^N check, so no manifest reports on it
     out_csv = tmp_path / "amp100.csv"
     code, out, _ = run(capsys, "report", "--figure", "amplifier", "--n", "100",
                        "--steps", "300", "--out", str(out_csv))
@@ -202,7 +217,12 @@ def test_report_amplifier_manifest_flag(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["peak_probability"] >= 1.0 - 1e-8
     manifest = json.loads((tmp_path / "amp100.csv.manifest.json").read_text())
-    assert manifest["dense_check_skipped"] is True
+    assert "dense_check_skipped" not in manifest
+    out_csv = tmp_path / "amp8.csv"
+    code, _, _ = run(capsys, "gadget", "amp", "--n", "8", "--out", str(out_csv))
+    assert code == 0
+    manifest = json.loads((tmp_path / "amp8.csv.manifest.json").read_text())
+    assert "dense_check_skipped" not in manifest
 
 
 def test_import_does_not_load_scipy_sparse():

@@ -5,7 +5,7 @@ import pytest
 
 from pstchain import (QuadraticFermionHamiltonian, analytic_chain, basis_slater,
                       bell_fidelity_curve, bogoliubov_modes, build_h1, certify_pst,
-                      chain, dense_evolve, dense_hamiltonian, diagonalize,
+                      chain, dense_hamiltonian, diagonalize,
                       entanglement_distribution_sim, entanglement_generation,
                       evolve_slater, initfree_transfer, ising_from_pst,
                       sequential_storage_chain, sequential_storage_sim, slater_state,
@@ -99,29 +99,27 @@ def test_dense_hamiltonian_matches_pauli_construction():
                              - xx_dense(spec.couplings, spec.fields))) < 1e-14
 
 
-def test_dense_evolve_vacuum_is_stationary():
+def test_dense_hamiltonian_vacuum_is_stationary():
     spec = chain([0.7], [0.3, 0.3])
     psi = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    out = dense_evolve(spec, psi, 2.1)
+    out = expm_evolve(dense_hamiltonian(spec), psi, 2.1)
     assert abs(out[0] - 1.0) < 1e-12  # vacuum energy is exactly zero here
 
 
-def test_dense_evolve_single_excitation_closed_form():
+def test_dense_hamiltonian_single_excitation_closed_form():
     spec = chain([0.5])
     psi = np.zeros(4, dtype=complex)
     psi[basis_index(2, [1])] = 1.0
-    out = dense_evolve(spec, psi, math.pi)
+    out = expm_evolve(dense_hamiltonian(spec), psi, math.pi)
     # e^{-i (X/2) pi} = -i X on the one-excitation block
     assert abs(out[basis_index(2, [2])] - (-1j)) < 1e-12
 
 
-def test_dense_evolve_full_band_matches_expm():
+def test_dense_hamiltonian_full_band_is_stationary():
     spec = chain([0.5], [0.2, -0.4])
-    h = dense_hamiltonian(spec)
     psi = np.zeros(4, dtype=complex)
     psi[basis_index(2, [1, 2])] = 1.0
-    out = dense_evolve(spec, psi, 1.3)
-    assert np.max(np.abs(out - expm_evolve(h, psi, 1.3))) < 1e-12
+    out = expm_evolve(dense_hamiltonian(spec), psi, 1.3)
     assert abs(abs(out[basis_index(2, [1, 2])]) - 1.0) < 1e-12
 
 
@@ -145,7 +143,7 @@ def test_slater_agrees_with_dense_on_random_cases():
             continue
         t = float(rng.uniform(0.0, 8.0))
         lhs = slater_to_dense(evolve_slater(spec, state, t))
-        rhs = dense_evolve(spec, slater_to_dense(state), t)
+        rhs = expm_evolve(xx_dense(spec.couplings, spec.fields), slater_to_dense(state), t)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 

@@ -11,7 +11,7 @@ from pstchain.networks import (amplifier_dense_check, amplifier_dense_hamiltonia
                                clock_hamiltonian, star_symmetric_sector,
                                w_phase_rotation, wall_basis_vector)
 
-from oracles import expm_evolve
+from oracles import amplifier_dense, expm_evolve
 
 
 # --- product lattices ---------------------------------------------------------
@@ -215,6 +215,15 @@ def test_amplifier_dense_check_detects_wrong_wall_amplitudes(monkeypatch):
     assert amplifier_dense_check(spec, 1, times) < 1e-12
     monkeypatch.setattr(networks, "amplifier_sim", skewed)
     assert amplifier_dense_check(spec, 1, times) > 1e-8
+
+
+def test_amplifier_dense_hamiltonian_matches_pauli_construction():
+    rng = np.random.default_rng(11)
+    for n in range(3, 8):
+        j = rng.uniform(0.3, 1.5, n - 1)
+        h = amplifier_dense_hamiltonian(j)
+        assert h.format == "csr"
+        assert np.max(np.abs(h.toarray() - amplifier_dense(j))) < 1e-14
 
 
 def test_amplifier_dense_closure():

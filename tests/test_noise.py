@@ -86,6 +86,19 @@ def test_dephasing_closed_form_matches_oracle_random():
         assert rep.lower_bound - 1e-12 <= rep.avg_fidelity <= rep.upper_bound + 1e-12
 
 
+def test_dephasing_array_of_kicks_matches_scalar_calls_bitwise():
+    spec = analytic_chain(64)
+    kicks = np.linspace(0.0, math.pi, 201)
+    rep = dephasing_avg_fidelity(spec, 0.15, kicks)
+    assert rep.avg_fidelity.shape == rep.gamma_fourth_sum.shape == kicks.shape
+    assert np.array_equal(rep.t, kicks)
+    for i, t in enumerate(kicks):
+        one = dephasing_avg_fidelity(spec, 0.15, t)
+        assert rep.avg_fidelity[i] == one.avg_fidelity
+        assert rep.gamma_fourth_sum[i] == one.gamma_fourth_sum
+        assert (rep.lower_bound, rep.upper_bound) == (one.lower_bound, one.upper_bound)
+
+
 def test_dephasing_validates_inputs():
     spec = analytic_chain(3)
     with pytest.raises(ValueError):
@@ -94,6 +107,8 @@ def test_dephasing_validates_inputs():
         dephasing_avg_fidelity(spec, 0.5, 100.0)
     with pytest.raises(ValueError):
         dephasing_avg_fidelity(uniform_chain(4), 0.5, 0.5)
+    with pytest.raises(ValueError):
+        dephasing_avg_fidelity(spec, 0.5, np.array([0.5, 100.0]))
 
 
 # --- independent baths -------------------------------------------------------

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
-from pstchain import (analytic_chain, amplitude_profile, build_h1, chain, diagonalize,
-                      gamma, is_degenerate, propagate, uniform_chain)
+from pstchain import (analytic_chain, amplitude_profile, build_h1, certify_pst, chain,
+                      diagonalize, gamma, is_degenerate, propagate, uniform_chain)
 
 from oracles import expm_evolve
 
@@ -47,6 +49,48 @@ def test_reconstruction_quality():
     sd = diagonalize(spec)
     recon = sd.eigenvectors @ np.diag(sd.eigenvalues) @ sd.eigenvectors.T
     assert np.max(np.abs(recon - m)) <= 1e-10 * np.max(np.abs(m))
+
+
+def _fix_signs_by_column(vectors):
+    """Column-by-column reference for the sign convention of diagonalize."""
+    v = vectors.copy()
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        mags = np.abs(col)
+        pivot = col[int(np.argmax(mags > 1e-8 * mags.max()))]
+        if np.iscomplexobj(v):
+            v[:, k] = col * (np.conj(pivot) / abs(pivot))
+        elif pivot < 0:
+            v[:, k] = -col
+    return v
+
+
+def test_sign_convention_matches_the_column_loop_bitwise():
+    from pstchain.spectral import _fix_signs
+
+    rng = np.random.default_rng(12)
+    for trial in range(60):
+        n = int(rng.integers(1, 40))
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = a + a.conj().T
+        _, vec = np.linalg.eigh(a.real if trial % 2 else a)
+        assert _fix_signs(vec.copy()).tobytes() == _fix_signs_by_column(vec).tobytes()
+
+
+def test_residual_check_rejects_a_perturbed_eigenvector(monkeypatch):
+    true_solver = scipy.linalg.eigh_tridiagonal
+
+    def perturbed(diag, off):
+        lam, vec = true_solver(diag, off)
+        vec = vec.copy()
+        vec[2, 3] += 1e-6
+        return lam, vec
+
+    spec = analytic_chain(8)
+    diagonalize(spec)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
+    with pytest.raises(ArithmeticError, match="residual"):
+        diagonalize(spec)
 
 
 def test_dense_input_requires_symmetry():
@@ -139,3 +183,62 @@ def test_out_of_range_site_raises():
         gamma(sd, 0, 3, 1.0)
     with pytest.raises(ValueError):
         gamma(sd, 1, 4, 1.0)
+
+
+# --- propagate: properties on random fielded chains --------------------------
+
+fielded_chains = st.integers(2, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(0.2, 2.0), min_size=n - 1, max_size=n - 1),
+    st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n)))
+times = st.floats(-15.0, 15.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fielded_chains, times, times)
+def test_propagate_is_unitary_and_composes(params, t1, t2):
+    spec = chain(*params)
+    sd = diagonalize(spec)
+    eye = np.eye(spec.n)
+    u1 = propagate(sd, eye, t1)
+    assert np.max(np.abs(u1.conj().T @ u1 - eye)) < 1e-12
+    assert np.max(np.abs(propagate(sd, u1, t2) - propagate(sd, eye, t1 + t2))) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(fielded_chains, times, st.integers(0, 2 ** 32 - 1))
+def test_propagate_batched_shapes_match_the_scalar_path(params, t, seed):
+    spec = chain(*params)
+    sd = diagonalize(spec)
+    n = spec.n
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    out = propagate(sd, block, t)
+    assert out.shape == (n, 3)
+    for k in range(3):
+        assert np.max(np.abs(out[:, k] - propagate(sd, block[:, k], t))) < 1e-13
+    grid = t + np.linspace(0.0, 2.0, 5)
+    rows = propagate(sd, block[:, 0], grid)
+    assert rows.shape == (5, n)
+    for i, tk in enumerate(grid):
+        assert np.max(np.abs(rows[i] - propagate(sd, block[:, 0], tk))) < 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(fielded_chains)
+def test_certificate_carries_the_decomposition(params):
+    spec = chain(*params)
+    cert = certify_pst(spec)
+    sd = diagonalize(spec)
+    assert np.array_equal(cert.spectrum.eigenvalues, sd.eigenvalues)
+    assert np.array_equal(cert.spectrum.eigenvectors, sd.eigenvectors)
+    assert cert.eigenvalues is cert.spectrum.eigenvalues
+
+
+def test_propagate_rejects_mismatched_shapes():
+    sd = diagonalize(analytic_chain(4))
+    with pytest.raises(ValueError):
+        propagate(sd, np.ones(3), 1.0)
+    with pytest.raises(ValueError):
+        propagate(sd, np.ones((4, 2)), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError):
+        propagate(sd, np.ones(4), np.ones((2, 2)))
