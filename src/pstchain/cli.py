@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__, serialize
 from .certify import certify_pst, require_perfect
-from .chain import (ChainFormatError, ChainSpec, chain_to_dict, read_chain,
-                    rescale, uniform_chain)
+from .chain import (ChainFormatError, ChainSpec, chain_from_dict, chain_to_dict,
+                    read_chain, rescale, uniform_chain)
 from .design import (analytic_chain, near_uniform_chain, sequential_storage_chain,
                      target_spectrum, chain_from_spectrum)
 from .fermionic import (entanglement_generation, initfree_transfer, ising_from_pst,
@@ -57,10 +57,11 @@ class _Manifest:
         digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         self.inputs[str(path)] = digest
 
-    def add_output(self, path) -> None:
+    def write_csv(self, path, header, columns) -> None:
+        """Write a CSV curve, then this manifest beside it as
+        ``<path>.manifest.json``."""
+        serialize.write_csv(path, header, columns)
         self.outputs.append(str(path))
-
-    def write(self, out_path) -> None:
         doc = {
             "command": ["pst"] + self.argv,
             "version": __version__,
@@ -68,8 +69,8 @@ class _Manifest:
             "outputs": self.outputs,
             "elapsed_seconds": time.monotonic() - self.started,
         }
-        path = Path(str(out_path) + ".manifest.json")
-        path.write_text(serialize.dumps(doc) + "\n", encoding="utf-8")
+        Path(str(path) + ".manifest.json").write_text(serialize.dumps(doc) + "\n",
+                                                      encoding="utf-8")
 
 
 def _emit(doc) -> None:
@@ -162,10 +163,8 @@ def _cmd_simulate(args, manifest):
         "peak_time": float(times[int(np.argmax(np.abs(amps)))]),
     }
     if ns.out:
-        serialize.write_csv(ns.out, ["t", "re", "im", "abs2"],
-                            [times, amps.real, amps.imag, np.abs(amps) ** 2])
-        manifest.add_output(ns.out)
-        manifest.write(ns.out)
+        manifest.write_csv(ns.out, ["t", "re", "im", "abs2"],
+                           [times, amps.real, amps.imag, np.abs(amps) ** 2])
     _emit(summary)
     return EXIT_OK
 
@@ -231,9 +230,7 @@ def _cmd_noise(args, manifest):
         if ns.out:
             kicks = np.linspace(0.0, cert.t0, ns.steps + 1)
             curve = dephasing_avg_fidelity(spec, pval, kicks).avg_fidelity
-            serialize.write_csv(ns.out, ["t", "avg_fidelity"], [kicks, curve])
-            manifest.add_output(ns.out)
-            manifest.write(ns.out)
+            manifest.write_csv(ns.out, ["t", "avg_fidelity"], [kicks, curve])
         _emit({"model": "dephase", "p": rep.p, "t": rep.t,
                "avg_fidelity": rep.avg_fidelity, "lower_bound": rep.lower_bound,
                "upper_bound": rep.upper_bound, "gamma_fourth_sum": rep.gamma_fourth_sum})
@@ -243,14 +240,12 @@ def _cmd_noise(args, manifest):
         times = np.linspace(0.0, tmax, ns.steps + 1)
         rep = bath_transfer_amplitude(BathSpec(chain=spec, coupling=g), times)
         if ns.out:
-            serialize.write_csv(
+            manifest.write_csv(
                 ns.out,
                 ["t", "re", "im", "abs2", "re_strong", "im_strong", "abs2_strong"],
                 [times, rep.gamma_exact.real, rep.gamma_exact.imag,
                  np.abs(rep.gamma_exact) ** 2, rep.strong_prediction.real,
                  rep.strong_prediction.imag, np.abs(rep.strong_prediction) ** 2])
-            manifest.add_output(ns.out)
-            manifest.write(ns.out)
         _emit({"model": "bath", "G": g,
                "max_strong_deviation": rep.max_strong_deviation,
                "max_weak_deviation": rep.max_weak_deviation})
@@ -320,12 +315,10 @@ def _cmd_gadget(args, manifest):
         times = np.linspace(0.0, tmax, ns.steps + 1)
         res = amplifier_sim(spec, 1, times)
         if ns.out:
-            serialize.write_csv(
+            manifest.write_csv(
                 ns.out, ["t", "target_probability", "mean_signal", "majority_probability"],
                 [times, res.target_probability, res.mean_signal,
                  res.majority_probability])
-            manifest.add_output(ns.out)
-            manifest.write(ns.out)
         _emit({"gadget": "amp", "n": spec.n,
                "peak_probability": float(np.max(res.target_probability)),
                "peak_time": float(times[int(np.argmax(res.target_probability))])})
@@ -334,8 +327,6 @@ def _cmd_gadget(args, manifest):
             with open(ns.program, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
             manifest.add_input(ns.program)
-            from .chain import chain_from_dict
-
             spec = chain_from_dict(doc["chain"])
             gates = [np.asarray(g["re"]) + 1j * np.asarray(g["im"])
                      for g in doc["gates"]]
@@ -399,9 +390,7 @@ def _cmd_report(args, manifest):
                    "uniform_peak_fidelity": float(np.max(cols["uniform"])),
                    "analytic_peak_fidelity": float(np.max(cols["analytic"]))}
     if ns.out:
-        serialize.write_csv(ns.out, header, columns)
-        manifest.add_output(ns.out)
-        manifest.write(ns.out)
+        manifest.write_csv(ns.out, header, columns)
     _emit(summary)
     return EXIT_OK
 

@@ -191,9 +191,8 @@ def near_uniform_chain(n: int, slack: float) -> tuple[ChainSpec, float]:
         raise ValueError("n must be at least 2")
     if not 0.0 < slack <= 1.0:
         raise ValueError("slack must lie in (0, 1]")
-    base = uniform_chain(n)
-    if certify_pst(base).perfect:
-        return base, 0.0
+    if n <= 3:
+        return uniform_chain(n), 0.0
     lam = -2.0 * np.cos(np.arange(1, n + 1) * math.pi / (n + 1))
     delta = float(np.min(np.diff(lam)))
     unit = slack * delta

@@ -90,7 +90,8 @@ def product_network(a: ChainSpec, b: ChainSpec) -> NetworkSpec:
     for spec in (a, b):
         if np.max(np.abs(spec.field_array()), initial=0.0) > 1e-12:
             raise ValueError("product_network requires zero fields")
-    cert_a, cert_b = require_perfect(a), require_perfect(b)
+    cert_a = require_perfect(a)
+    cert_b = cert_a if b == a else require_perfect(b)
     if abs(cert_a.t0 - cert_b.t0) > 1e-9 * cert_a.t0:
         raise ValueError(f"transfer times differ: {cert_a.t0} vs {cert_b.t0}")
     n, m = a.n, b.n

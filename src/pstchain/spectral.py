@@ -108,18 +108,13 @@ def diagonalize(operator) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=vec)
 
 
-def degenerate_gaps(sd: SpectralDecomposition, rtol: float = DEGENERACY_RTOL) -> list[int]:
-    """Indices i where eigenvalues i and i+1 are closer than rtol * spread."""
+def is_degenerate(sd: SpectralDecomposition, rtol: float = DEGENERACY_RTOL) -> bool:
+    """Whether two adjacent eigenvalues are closer than rtol * spread."""
     lam = sd.eigenvalues
     spread = lam[-1] - lam[0]
     if spread <= 0:
-        return list(range(len(lam) - 1))
-    gaps = np.diff(lam)
-    return [int(i) for i in np.nonzero(gaps < rtol * spread)[0]]
-
-
-def is_degenerate(sd: SpectralDecomposition, rtol: float = DEGENERACY_RTOL) -> bool:
-    return bool(degenerate_gaps(sd, rtol))
+        return lam.size > 1
+    return bool(np.any(np.diff(lam) < rtol * spread))
 
 
 def propagate(sd: SpectralDecomposition, v, t) -> np.ndarray:

@@ -8,8 +8,9 @@ from pstchain import (ClockProgram, analytic_chain, certify_pst, chain, clock_co
                       dephasing_avg_fidelity, diagonalize, end_weights,
                       entanglement_distribution_sim, entanglement_generation, gamma,
                       initfree_transfer, near_uniform_chain, optimality_report,
-                      rate_condition, require_perfect, rescale, revival_rate_report,
-                      sequential_storage_chain, timing_window, uniform_chain)
+                      product_network, rate_condition, require_perfect, rescale,
+                      revival_rate_report, sequential_storage_chain, timing_window,
+                      uniform_chain)
 from pstchain.spectral import DegenerateSpectrumError
 
 
@@ -288,8 +289,10 @@ def _window():
     _clock,
     lambda: dephasing_avg_fidelity(analytic_chain(8), 0.1, np.linspace(0.0, math.pi, 5)),
     _window,
+    lambda: product_network(analytic_chain(8), analytic_chain(8)),
 ], ids=["entanglement_generation", "initfree_transfer", "entanglement_distribution_sim",
-        "clock_computer", "dephasing_avg_fidelity", "certify_pst+timing_window"])
+        "clock_computer", "dephasing_avg_fidelity", "certify_pst+timing_window",
+        "product_network"])
 def test_certified_chain_is_diagonalized_once(tridiagonal_solves, run):
     run()
     assert tridiagonal_solves == [8]

@@ -194,10 +194,12 @@ def test_end_weights_log_matches_weights():
 
 # --- near-uniform design ---------------------------------------------------
 
-def test_near_uniform_two_sites_already_uniform():
-    spec, deviation = near_uniform_chain(2, 0.37)
-    assert spec == uniform_chain(2)
+@pytest.mark.parametrize("n", [2, 3])
+def test_near_uniform_returns_the_perfect_uniform_chain(n):
+    spec, deviation = near_uniform_chain(n, 0.37)
+    assert spec == uniform_chain(n)
     assert deviation == 0.0
+    assert certify_pst(spec).perfect
 
 
 def test_near_uniform_five_sites():

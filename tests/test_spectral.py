@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from pstchain import (analytic_chain, amplitude_profile, build_h1, certify_pst, chain,
                       diagonalize, gamma, is_degenerate, propagate, uniform_chain)
+from pstchain.certify import ARRIVAL_TOL
 
-from oracles import expm_evolve
+from oracles import expm_evolve, random_pst_chain
 
 
 def test_two_level_eigenvalues():
@@ -103,6 +104,9 @@ def test_degeneracy_detection():
     m = np.kron(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert is_degenerate(diagonalize(m))
     assert not is_degenerate(diagonalize(uniform_chain(5)))
+    # one level has no gap to close; repeated levels with no spread are degenerate
+    assert not is_degenerate(diagonalize(np.array([[0.7]])))
+    assert is_degenerate(diagonalize(0.7 * np.eye(3)))
 
 
 def test_propagate_identity_at_time_zero():
@@ -242,3 +246,57 @@ def test_propagate_rejects_mismatched_shapes():
         propagate(sd, np.ones((4, 2)), np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         propagate(sd, np.ones(4), np.ones((2, 2)))
+
+
+# --- the mirror theorem: alternating eigenvector symmetry --------------------
+
+def _mirrored(half_j, half_b, n):
+    """Chain of n sites whose couplings and fields repeat in mirror order."""
+    j = list(half_j[:n // 2]) + list(half_j[:(n - 1) // 2])[::-1]
+    b = list(half_b[:(n + 1) // 2]) + list(half_b[:n // 2])[::-1]
+    return chain(j, b)
+
+
+def _symmetrized(spec):
+    """The exact mirror image average of a designed, nearly mirror chain."""
+    j = np.array(spec.couplings)
+    b = np.array(spec.fields)
+    return chain(0.5 * (j + j[::-1]), 0.5 * (b + b[::-1]))
+
+
+random_mirror_chains = st.integers(2, 40).flatmap(lambda n: st.builds(
+    _mirrored,
+    st.lists(st.floats(0.2, 2.0), min_size=n // 2, max_size=n // 2),
+    st.lists(st.floats(-1.5, 1.5), min_size=(n + 1) // 2, max_size=(n + 1) // 2),
+    st.just(n)))
+lattice_chains = st.builds(
+    lambda seed, n: _symmetrized(random_pst_chain(np.random.default_rng(seed), n)),
+    st.integers(0, 2 ** 32 - 1), st.integers(2, 40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_mirror_chains, lattice_chains))
+def test_mirror_chains_have_alternating_eigenvectors(spec):
+    # Hochstadt 1974, Hald 1976: the eigenvector of the k-th lowest of the N
+    # eigenvalues is symmetric when N - 1 - k is even and antisymmetric when
+    # it is odd; certify_pst relies on this instead of checking it.
+    assert spec.couplings == spec.couplings[::-1] and spec.fields == spec.fields[::-1]
+    sd = diagonalize(spec)
+    lam = sd.eigenvalues
+    n = spec.n
+    # an eigenvector is accurate to eps * |H| / gap, so a level closer than
+    # 1e-5 * spread to a neighbour (edge pairs of dimerized chains) is skipped
+    gaps = np.diff(lam)
+    nearest = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+    resolved = nearest > 1e-5 * (lam[-1] - lam[0])
+    parity = (-1.0) ** (n - 1 - np.arange(n))
+    asym = np.max(np.abs(sd.eigenvectors[::-1, :] - parity * sd.eigenvectors), axis=0)
+    assert np.all(asym[resolved] < 1e-9)
+    if resolved[-1]:
+        top = sd.eigenvectors[:, -1]
+        assert np.max(np.abs(top[::-1] - top)) < 1e-9
+    cert = certify_pst(spec)
+    if cert.perfect:
+        e1 = np.eye(n)[:, 0]
+        arrival = expm_evolve(build_h1(spec).to_dense(), e1, cert.t0)[-1]
+        assert abs(arrival) >= 1.0 - ARRIVAL_TOL
