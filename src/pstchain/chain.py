@@ -17,6 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -213,6 +214,12 @@ def chain_from_dict(doc) -> ChainSpec:
     missing = {"n", "couplings", "fields"} - set(doc)
     if missing:
         raise ChainFormatError(f"chain document missing keys: {sorted(missing)}")
+    if not isinstance(doc["n"], numbers.Integral) or isinstance(doc["n"], bool):
+        raise ChainFormatError(f"n must be an integer, got {doc['n']!r}")
+    for key in ("couplings", "fields"):
+        if not isinstance(doc[key], list) or not all(
+                isinstance(x, numbers.Real) and not isinstance(x, bool) for x in doc[key]):
+            raise ChainFormatError(f"{key} must be a list of real numbers")
     try:
         return ChainSpec(
             n=int(doc["n"]),
@@ -224,12 +231,17 @@ def chain_from_dict(doc) -> ChainSpec:
         raise ChainFormatError(f"invalid chain document: {exc}") from exc
 
 
+def _parse_int(text: str):
+    # write_chain renders -0.0 as "-0"; read it back as a float to keep its sign
+    return -0.0 if text == "-0" else int(text)
+
+
 def read_chain(path) -> ChainSpec:
     import json
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_parse_int)
     except (OSError, json.JSONDecodeError) as exc:
         raise ChainFormatError(f"cannot parse chain file {path}: {exc}") from exc
     return chain_from_dict(doc)

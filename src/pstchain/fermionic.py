@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import require_perfect
-from .chain import ChainSpec, build_h1
+from .chain import ChainSpec
 from .spectral import amplitude_profile, diagonalize, gamma, propagate
 
 DEFAULT_DENSE_CAP = 12
@@ -551,36 +551,22 @@ def bell_fidelity_curve(spec: ChainSpec, times) -> np.ndarray:
 
 def two_boson_transfer(spec: ChainSpec, source_pair, target_pair, t: float) -> complex:
     """Amplitude between normalized two-boson states |i,j> under the
-    harmonic-oscillator chain, by direct propagation in the symmetric
-    two-excitation subspace.
+    harmonic-oscillator chain.
 
-    With sigma_ij = a_i^dag a_j^dag |0> and |ij> = sigma_ij / sqrt(1+d_ij),
-    the chain acts as H sigma_ij = sum_m h_mi sigma_mj + h_mj sigma_im; the
-    square-root occupation factors enter through the normalization.
+    Free bosons evolve creation operator by creation operator,
+    a_i^dag -> sum_k U_ki a_k^dag with U = exp(-i H t), so with
+    |ij> = a_i^dag a_j^dag |0> / sqrt(1+d_ij) the amplitude is the
+    permanent (U_ki U_lj + U_kj U_li) / sqrt((1+d_ij)(1+d_kl)), read from
+    the two propagated columns i and j.
     """
     n = spec.n
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    index = {p: a for a, p in enumerate(pairs)}
-    h1 = build_h1(spec).to_dense()
-
-    def weight(p):
-        return math.sqrt(2.0) if p[0] == p[1] else 1.0
-
-    dim = len(pairs)
-    h2 = np.zeros((dim, dim))
-    for a, (i, j) in enumerate(pairs):
-        for m in range(n):
-            for x, y, coef in ((m, j, h1[m, i]), (i, m, h1[m, j])):
-                if coef == 0.0:
-                    continue
-                p = (min(x, y), max(x, y))
-                h2[index[p], a] += coef * weight(p) / weight((i, j))
-    h2 = 0.5 * (h2 + h2.T)
-    src = index[(min(source_pair) - 1, max(source_pair) - 1)]
-    tgt = index[(min(target_pair) - 1, max(target_pair) - 1)]
-    vec = np.zeros(dim, dtype=complex)
-    vec[src] = 1.0
-    return complex(propagate(diagonalize(h2), vec, t)[tgt])
+    i, j = source_pair
+    k, l = target_pair
+    if not all(1 <= s <= n for s in (i, j, k, l)):
+        raise ValueError(f"sites must lie in 1..{n}")
+    u = propagate(diagonalize(spec), np.eye(n)[:, [i - 1, j - 1]], t)
+    perm = u[k - 1, 0] * u[l - 1, 1] + u[l - 1, 0] * u[k - 1, 1]
+    return complex(perm / math.sqrt((1.0 + (i == j)) * (1.0 + (k == l))))
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,14 @@ time evolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .certify import require_perfect
-from .chain import ChainSpec
+from .chain import ChainSpec, SingleExcitationMatrix, chain
 from .fermionic import dense_cap
-from .spectral import diagonalize, propagate
+from .spectral import amplitude_profile, diagonalize, gamma, propagate
 
 
 @dataclass(frozen=True)
@@ -69,23 +69,18 @@ def network_to_dict(net: NetworkSpec) -> dict:
     }
 
 
-def _verify_transfer(op: np.ndarray, source: int, target: int, t0: float,
-                     what: str) -> complex:
-    sd = diagonalize(op)
-    e = np.zeros(op.shape[0], dtype=complex)
-    e[source] = 1.0
-    amp = propagate(sd, e, t0)[target]
+def _verify_transfer(amp: complex, what: str) -> None:
     if abs(amp) < 1.0 - 1e-8:
         raise ArithmeticError(f"{what}: transfer verification failed (|amp| = {abs(amp):.12f})")
-    return complex(amp)
 
 
 def product_network(a: ChainSpec, b: ChainSpec) -> NetworkSpec:
     """Grid of two perfect chains sharing a transfer time.
 
-    The two directions evolve independently (the spectrum is the pairwise
-    sum), so an excitation at (i, j) reaches the diagonally opposite vertex
-    at t0. Vertex (i, j) (0-based) maps to index i * M + j.
+    The two directions evolve independently, so the corner-to-corner
+    amplitude is gamma_a(t0) gamma_b(t0), read from the two certificates,
+    and an excitation at (i, j) reaches the diagonally opposite vertex at
+    t0. Vertex (i, j) (0-based) maps to index i * M + j.
     """
     for spec in (a, b):
         if np.max(np.abs(spec.field_array()), initial=0.0) > 1e-12:
@@ -105,17 +100,21 @@ def product_network(a: ChainSpec, b: ChainSpec) -> NetworkSpec:
     net = NetworkSpec(n_vertices=n * m, edges=tuple(edges),
                       potentials=(0.0,) * (n * m),
                       labels={"input": 0, "output": n * m - 1})
-    _verify_transfer(network_operator(net), 0, n * m - 1, cert_a.t0, "product_network")
+    _verify_transfer(gamma(cert_a.spectrum, 1, n, cert_a.t0)
+                      * gamma(cert_b.spectrum, 1, m, cert_a.t0), "product_network")
     return net
 
 
 def hypercube(d: int) -> NetworkSpec:
     """d-fold product of the two-site chain: a uniformly coupled hypercube
-    with all edge weights 1/2 and antipodal transfer at pi."""
+    with all edge weights 1/2 and antipodal transfer at pi, of amplitude
+    gamma(pi)^d of the certified two-site chain (Christandl et al., PRL 92,
+    187902, 2004). The dense cap bounds only the size of the edge list."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
     if d > dense_cap():
         raise ValueError(f"2^{d} vertices exceed the dense cap ({dense_cap()})")
+    cert = require_perfect(chain([0.5]))
     dim = 1 << d
     edges = []
     for v in range(dim):
@@ -125,7 +124,7 @@ def hypercube(d: int) -> NetworkSpec:
                 edges.append((v, u, 0.5 + 0.0j))
     net = NetworkSpec(n_vertices=dim, edges=tuple(edges), potentials=(0.0,) * dim,
                       labels={"input": 0, "output": dim - 1})
-    _verify_transfer(network_operator(net), 0, dim - 1, math.pi, "hypercube")
+    _verify_transfer(gamma(cert.spectrum, 1, 2, cert.t0) ** d, "hypercube")
     return net
 
 
@@ -143,7 +142,8 @@ def star_network(branch: ChainSpec, m: int) -> StarReport:
     The shared hub couples to each branch with J_1 / sqrt(M); the symmetric
     sector then reproduces the branch chain exactly, so a hub excitation
     becomes the uniform superposition over the M branch ends at t0 (a Bell
-    state for M = 2, a W state in general).
+    state for M = 2, a W state in general): each leaf carries
+    gamma_N(t0) / sqrt(M) of the branch certificate.
     """
     if m < 1:
         raise ValueError("need at least one branch")
@@ -168,12 +168,7 @@ def star_network(branch: ChainSpec, m: int) -> StarReport:
     net = NetworkSpec(n_vertices=1 + m * (n - 1), edges=tuple(edges),
                       potentials=tuple(potentials),
                       labels={"hub": 0, **{f"end_{b}": e for b, e in enumerate(ends)}})
-    op = network_operator(net)
-    sd = diagonalize(op)
-    e = np.zeros(net.n_vertices, dtype=complex)
-    e[0] = 1.0
-    final = propagate(sd, e, cert.t0)
-    leaf = final[ends]
+    leaf = np.full(m, gamma(cert.spectrum, 1, n, cert.t0) / math.sqrt(m))
     w_target = np.full(m, 1.0 / math.sqrt(m))
     fidelity = float(abs(w_target @ leaf) ** 2)
     if fidelity < 1.0 - 1e-8:
@@ -227,7 +222,8 @@ def theta_entangler(spec: ChainSpec, theta: float) -> ThetaEntanglerReport:
     chains unchanged, so after t0 an excitation on site 1 ends as
     cos(2 theta) on site 1 plus sin(2 theta) on site 2N+1 (global phase
     aside). theta = pi/4 restores plain transfer; theta = pi/8 leaves a
-    maximally entangled pair of ends.
+    maximally entangled pair of ends. The split chain is evolved as a
+    chain, on the tridiagonal path.
     """
     if spec.n % 2 == 0:
         raise ValueError("the base chain must have odd length")
@@ -241,10 +237,7 @@ def theta_entangler(spec: ChainSpec, theta: float) -> ThetaEntanglerReport:
     edges = tuple((i, i + 1, complex(w)) for i, w in enumerate(j))
     net = NetworkSpec(n_vertices=spec.n, edges=edges, potentials=spec.fields,
                       labels={"input": 0, "output": spec.n - 1})
-    op = network_operator(net)
-    e = np.zeros(spec.n, dtype=complex)
-    e[0] = 1.0
-    final = propagate(diagonalize(op), e, cert.t0)
+    final = amplitude_profile(diagonalize(replace(spec, couplings=tuple(j))), 1, cert.t0)
     middle = np.delete(final, [0, spec.n - 1])
     return ThetaEntanglerReport(network=net, t0=cert.t0, theta=theta,
                                 amplitude_first=complex(final[0]),
@@ -265,16 +258,6 @@ class AmplifierResult:
     majority_probability: np.ndarray
 
 
-def _wall_operator(couplings: np.ndarray) -> np.ndarray:
-    """Hopping operator on the domain-wall ladder 0..N; the empty state is
-    decoupled and the 1..N block is the zero-field chain."""
-    n = couplings.size + 1
-    op = np.zeros((n + 1, n + 1))
-    for i in range(1, n):
-        op[i, i + 1] = op[i + 1, i] = couplings[i - 1]
-    return op
-
-
 def amplifier_couplings(spec_or_couplings) -> np.ndarray:
     if isinstance(spec_or_couplings, ChainSpec):
         if np.max(np.abs(spec_or_couplings.field_array()), initial=0.0) > 1e-12:
@@ -288,12 +271,14 @@ def amplifier_sim(spec_or_couplings, input_state, times) -> AmplifierResult:
 
     Walls |~n> = 1^n 0^(N-n) form a ladder the Hamiltonian hops along with
     the chain couplings, so a one-site signal |~1> grows to the fully
-    flipped |~N> at t0. ``input_state`` is a wall index (0..N) or an
-    (N+1)-vector of wall amplitudes.
+    flipped |~N> at t0. The ladder 0..N is the zero-field chain on walls
+    1..N plus the decoupled empty wall 0: a tridiagonal matrix with
+    off-diagonal (0, J_1..J_{N-1}). ``input_state`` is a wall index (0..N)
+    or an (N+1)-vector of wall amplitudes.
     """
     j = amplifier_couplings(spec_or_couplings)
     n = j.size + 1
-    op = _wall_operator(j)
+    ladder = SingleExcitationMatrix(n + 1, (0.0,) * (n + 1), (0.0, *j))
     if np.isscalar(input_state):
         psi0 = np.zeros(n + 1, dtype=complex)
         psi0[int(input_state)] = 1.0
@@ -302,7 +287,7 @@ def amplifier_sim(spec_or_couplings, input_state, times) -> AmplifierResult:
         if psi0.shape != (n + 1,):
             raise ValueError(f"wall superposition must have length {n + 1}")
     times = np.asarray(times, dtype=float)
-    amps = propagate(diagonalize(op), psi0, np.atleast_1d(times))
+    amps = propagate(diagonalize(ladder), psi0, np.atleast_1d(times))
     probs = np.abs(amps) ** 2
     walls = np.arange(n + 1)
     return AmplifierResult(

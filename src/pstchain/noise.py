@@ -157,15 +157,27 @@ class BathTransferReport:
 def bath_transfer_amplitude(b: BathSpec, times) -> BathTransferReport:
     """End-to-end amplitude of the bath-coupled chain over a time grid,
     compared against the bare chain and the strong-coupling prediction
-    cos(G t) gamma_N(t/2)."""
+    cos(G t) gamma_N(t/2).
+
+    With a common G the effective operator splits into one 2x2 block
+    [[lambda_k, G], [G, 0]] per chain mode, so from one decomposition of the
+    chain gamma(t) = sum_k v_Nk v_1k e^(-i lambda_k t/2) (cos(Omega_k t)
+    - i lambda_k / (2 Omega_k) sin(Omega_k t)), Omega_k = sqrt(lambda_k^2 + 4G^2)/2.
+    """
     times = np.asarray(times, dtype=float)
     g = b.common_coupling()
     n = b.chain.n
-    sd_eff = diagonalize(bath_operator(b))
-    sd_bare = diagonalize(build_h1(b.chain))
-    exact = gamma(sd_eff, 1, n, times)
-    bare = gamma(sd_bare, 1, n, times)
-    strong = np.cos(g * times) * gamma(sd_bare, 1, n, times / 2.0)
+    sd = diagonalize(b.chain)
+    lam = sd.eigenvalues
+    omega = 0.5 * np.sqrt(lam ** 2 + 4.0 * g * g)
+    # Omega_k = 0 only where lambda_k = G = 0; the block is then zero
+    ratio = np.divide(0.5 * lam, omega, out=np.zeros_like(lam), where=omega > 0.0)
+    wt = np.multiply.outer(times, omega)
+    block = (np.exp(-0.5j * np.multiply.outer(times, lam))
+             * (np.cos(wt) - 1j * ratio * np.sin(wt)))
+    exact = block @ (sd.eigenvectors[n - 1, :] * sd.eigenvectors[0, :])
+    bare = gamma(sd, 1, n, times)
+    strong = np.cos(g * times) * gamma(sd, 1, n, times / 2.0)
     return BathTransferReport(
         times=times, gamma_exact=exact, gamma_bare=bare, strong_prediction=strong,
         max_strong_deviation=float(np.max(np.abs(exact - strong))),

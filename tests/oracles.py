@@ -177,3 +177,51 @@ def uniform_path_gamma(n, source, target, t):
     lam = 2.0 * np.cos(theta)
     w = (2.0 / (n + 1)) * np.sin(source * theta) * np.sin(target * theta)
     return np.exp(-1j * np.multiply.outer(np.asarray(t, dtype=float), lam)) @ w
+
+
+def tridiagonal_dense(couplings, fields):
+    """Dense one-excitation matrix tridiag(fields, couplings), built by hand."""
+    n = len(fields)
+    h = np.diag(np.asarray(fields, dtype=float))
+    for b, j in enumerate(couplings):
+        h[b, b + 1] = h[b + 1, b] = j
+    return h
+
+
+def bath_dense(couplings, fields, g):
+    """2N x 2N one-excitation operator of a chain with one bath spin per
+    site, each coupled with strength g: system sites first, then baths."""
+    n = len(fields)
+    op = np.zeros((2 * n, 2 * n))
+    op[:n, :n] = tridiagonal_dense(couplings, fields)
+    for s in range(n):
+        op[s, n + s] = op[n + s, s] = g
+    return op
+
+
+def two_boson_dense(h1):
+    """Operator of the one-body matrix h1 on the symmetric two-excitation
+    subspace, in the normalized basis |ij> = a_i^dag a_j^dag |0> / sqrt(1+d_ij),
+    i <= j (0-based), with the index of each pair.
+
+    The chain acts as H sigma_ij = sum_m h_mi sigma_mj + h_mj sigma_im on
+    sigma_ij = a_i^dag a_j^dag |0>; the square-root occupation factors enter
+    through the normalization.
+    """
+    n = h1.shape[0]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    index = {p: a for a, p in enumerate(pairs)}
+
+    def weight(p):
+        return np.sqrt(2.0) if p[0] == p[1] else 1.0
+
+    dim = len(pairs)
+    h2 = np.zeros((dim, dim))
+    for a, (i, j) in enumerate(pairs):
+        for m in range(n):
+            for x, y, coef in ((m, j, h1[m, i]), (i, m, h1[m, j])):
+                if coef == 0.0:
+                    continue
+                p = (min(x, y), max(x, y))
+                h2[index[p], a] += coef * weight(p) / weight((i, j))
+    return 0.5 * (h2 + h2.T), index

@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
-from pstchain import (ClockProgram, analytic_chain, certify_pst, chain, clock_computer,
+from pstchain import (BathSpec, ClockProgram, amplifier_sim, analytic_chain,
+                      bath_transfer_amplitude, certify_pst, chain, clock_computer,
                       dephasing_avg_fidelity, diagonalize, end_weights,
                       entanglement_distribution_sim, entanglement_generation, gamma,
-                      initfree_transfer, near_uniform_chain, optimality_report,
+                      hypercube, initfree_transfer, near_uniform_chain, optimality_report,
                       product_network, rate_condition, require_perfect, rescale,
-                      revival_rate_report, sequential_storage_chain, timing_window,
-                      uniform_chain)
+                      revival_rate_report, sequential_storage_chain, star_network,
+                      theta_entangler, timing_window, two_boson_transfer, uniform_chain)
 from pstchain.spectral import DegenerateSpectrumError
+
+from oracles import random_pst_chain
 
 
 def test_analytic_chain_certifies_with_unit_gaps():
@@ -298,6 +302,45 @@ def test_certified_chain_is_diagonalized_once(tridiagonal_solves, run):
     assert tridiagonal_solves == [8]
 
 
+@pytest.fixture
+def dense_solves(monkeypatch):
+    """Sizes of the matrices passed to numpy's dense Hermitian eigensolvers."""
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        true_solver = getattr(np.linalg, name)
+
+        def counted(a, *args, _solver=true_solver, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return sizes
+
+
+_TIMES = np.linspace(0.0, 2.0 * math.pi, 7)
+
+
+@pytest.mark.parametrize("run, solves", [
+    (lambda: product_network(analytic_chain(8), analytic_chain(6)), [8, 6]),
+    (lambda: hypercube(4), [2]),
+    (lambda: star_network(analytic_chain(8), 3), [8]),
+    (lambda: theta_entangler(analytic_chain(9), 0.3), [9, 9]),
+    (lambda: amplifier_sim(analytic_chain(8), 1, _TIMES), [9]),
+    (lambda: bath_transfer_amplitude(BathSpec(chain=analytic_chain(8), coupling=1.3),
+                                     _TIMES), [8]),
+    (lambda: two_boson_transfer(chain(analytic_chain(8).couplings, statistics="bosonic"),
+                                (1, 2), (7, 8), math.pi), [8]),
+], ids=["product_network", "hypercube", "star_network", "theta_entangler",
+        "amplifier_sim", "bath_transfer_amplitude", "two_boson_transfer"])
+def test_structured_amplitudes_come_from_the_chain(dense_solves, tridiagonal_solves,
+                                                   run, solves):
+    """Each construction reads its amplitude from the chain it is built of:
+    one tridiagonal solve per distinct chain and no dense eigensolve."""
+    run()
+    assert dense_solves == []
+    assert tridiagonal_solves == solves
+
+
 def test_require_perfect_returns_the_certificate_or_names_the_reason():
     cert = require_perfect(analytic_chain(5))
     assert cert.perfect and cert.t0 == pytest.approx(math.pi)
@@ -305,3 +348,44 @@ def test_require_perfect_returns_the_certificate_or_names_the_reason():
     with pytest.raises(ValueError, match="does not transfer perfectly") as info:
         require_perfect(uniform_chain(5))
     assert str(info.value).endswith(reason)
+
+
+# --- properties over random PST chains --------------------------------------
+
+pst_chains = st.builds(lambda seed, n: random_pst_chain(np.random.default_rng(seed), n),
+                       st.integers(0, 2 ** 32 - 1), st.integers(2, 24))
+
+
+def _reversed(spec):
+    return chain(spec.couplings[::-1], spec.fields[::-1])
+
+
+def _detuned(spec, seed):
+    """The chain with one coupling of its first half scaled by a random factor
+    in [1.05, 1.5], which breaks its mirror symmetry."""
+    rng = np.random.default_rng(seed)
+    j = list(spec.couplings)
+    j[int(rng.integers(len(j) // 2))] *= rng.uniform(1.05, 1.5)
+    return chain(j, spec.fields)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pst_chains, st.floats(0.05, 20.0))
+def test_scaling_a_chain_by_kappa_divides_t0_by_kappa(spec, kappa):
+    cert = certify_pst(spec)
+    scaled = certify_pst(rescale(spec, kappa))
+    assert cert.perfect and scaled.perfect
+    assert scaled.t0 == pytest.approx(cert.t0 / kappa, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pst_chains, st.integers(0, 2 ** 32 - 1))
+def test_reversing_a_chain_leaves_verdict_and_t0_unchanged(spec, seed):
+    cert, rev = certify_pst(spec), certify_pst(_reversed(spec))
+    assert cert.perfect and rev.perfect
+    assert rev.t0 == pytest.approx(cert.t0, rel=1e-9)
+    if spec.n > 2:
+        off = _detuned(spec, seed)
+        cert, rev = certify_pst(off), certify_pst(_reversed(off))
+        assert not cert.perfect
+        assert (rev.verdict, rev.reason) == (cert.verdict, cert.reason)

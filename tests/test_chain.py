@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pstchain import (ChainSpec, HeisenbergSpec, analytic_chain, build_h1, chain,
                       heisenberg_to_h1, mirror_symmetry_check, read_chain, rescale,
@@ -95,6 +96,24 @@ def test_chain_file_round_trip(tmp_path):
     assert read_chain(path) == spec
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+any_chains = st.integers(1, 30).flatmap(lambda n: st.builds(
+    chain, st.lists(finite, min_size=n - 1, max_size=n - 1),
+    st.lists(finite, min_size=n, max_size=n), st.sampled_from(["fermionic", "bosonic"])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_chains)
+@example(chain([-0.0], [0.0, -0.0]))  # written as "-0", which JSON reads as the int 0
+def test_chain_file_round_trips_byte_for_byte(tmp_path_factory, spec):
+    folder = tmp_path_factory.mktemp("round_trip")
+    write_chain(spec, folder / "a.json")
+    again = read_chain(folder / "a.json")
+    assert again == spec
+    write_chain(again, folder / "b.json")
+    assert (folder / "b.json").read_bytes() == (folder / "a.json").read_bytes()
+
+
 def test_read_chain_rejects_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 3, "couplings": [1.0]}')
@@ -103,6 +122,22 @@ def test_read_chain_rejects_malformed(tmp_path):
     path.write_text("not json")
     with pytest.raises(ChainFormatError):
         read_chain(path)
+    for doc in ('{"n": 3.9, "couplings": [1.0, 1.0], "fields": [0, 0, 0]}',
+                '{"n": true, "couplings": [], "fields": [0]}',
+                '{"n": "3", "couplings": [1.0, 1.0], "fields": [0, 0, 0]}',
+                '{"n": 3, "couplings": "11", "fields": "000"}',
+                '{"n": 3, "couplings": [1.0, 1.0], "fields": "000"}',
+                '{"n": 3, "couplings": ["1", 1.0], "fields": [0, 0, 0]}',
+                '{"n": 3, "couplings": [1.0, true], "fields": [0, 0, 0]}',
+                '{"n": 3, "couplings": [1.0, null], "fields": [0, 0, 0]}',
+                '{"n": 3, "couplings": {"a": 1.0}, "fields": [0, 0, 0]}',
+                '{"n": 3, "couplings": [1.0, [1.0]], "fields": [0, 0, 0]}'):
+        path.write_text(doc)
+        with pytest.raises(ChainFormatError):
+            read_chain(path)
+    # integers are real numbers
+    path.write_text('{"n": 3, "couplings": [1, 2], "fields": [0, 0, 0]}')
+    assert read_chain(path) == chain([1.0, 2.0])
 
 
 def test_rescale_scales_spectrum():

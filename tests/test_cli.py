@@ -90,6 +90,18 @@ def test_malformed_chain_exit_65(tmp_path, capsys):
     assert "bad-chain-file" in err
 
 
+@pytest.mark.parametrize("doc", ['{"n": 3, "couplings": "11", "fields": "000"}',
+                                 '{"n": 3.9, "couplings": [1.0, 1.0], "fields": [0, 0, 0]}',
+                                 '{"n": true, "couplings": [], "fields": [0]}'])
+def test_mistyped_chain_file_exit_65(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc)
+    code, out, err = run(capsys, "certify", str(bad))
+    assert code == 65
+    assert out == ""
+    assert "bad-chain-file" in err
+
+
 def test_validation_error_exit_2(capsys):
     code, _, err = run(capsys, "design", "analytic", "--n", "1")
     assert code == 2

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pstchain import (QuadraticFermionHamiltonian, analytic_chain, basis_slater,
                       bell_fidelity_curve, bogoliubov_modes, build_h1, certify_pst,
@@ -13,7 +14,8 @@ from pstchain import (QuadraticFermionHamiltonian, analytic_chain, basis_slater,
 from pstchain.fermionic import entanglement_entropy_bits
 
 from oracles import (SX, SZ, basis_index, expm_evolve, op_at, quadratic_dense,
-                     random_pst_chain, reduced_density_matrix, slater_to_dense, xx_dense)
+                     random_pst_chain, reduced_density_matrix, slater_to_dense,
+                     two_boson_dense, xx_dense)
 
 
 # --- Slater calculus -------------------------------------------------------
@@ -435,6 +437,33 @@ def test_two_boson_norm_conservation():
         for j in range(i, 5):
             total += abs(two_boson_transfer(spec, (1, 2), (i, j), 1.7)) ** 2
     assert total == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_two_boson_matches_symmetric_subspace_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    spec = chain(rng.uniform(0.3, 1.5, n - 1), rng.uniform(-0.8, 0.8, n),
+                 statistics="bosonic")
+    h2, index = two_boson_dense(build_h1(spec).to_dense())
+    pairs = [(1, 1), (1, 2), (1, n), (n, n)]
+    for t in (0.4, 1.7, 5.3):
+        u2 = scipy.linalg.expm(-1j * t * h2)
+        for src in pairs:
+            for tgt in pairs:
+                expected = u2[index[(tgt[0] - 1, tgt[1] - 1)], index[(src[0] - 1, src[1] - 1)]]
+                got = two_boson_transfer(spec, src, tgt, t)
+                assert abs(got - expected) <= 1e-12
+                # pair order does not matter
+                assert abs(two_boson_transfer(spec, src[::-1], tgt[::-1], t) - got) <= 1e-14
+
+
+@pytest.mark.parametrize("source, target", [((0, 1), (1, 2)), ((-1, 2), (1, 2)),
+                                            ((1, 5), (1, 2)), ((1, 2), (2, -1)),
+                                            ((1, 2), (4, 5))])
+def test_two_boson_rejects_sites_outside_the_chain(source, target):
+    spec = chain([0.9, 1.2, 0.7], statistics="bosonic")
+    with pytest.raises(ValueError, match="sites must lie in 1..4"):
+        two_boson_transfer(spec, source, target, 1.0)
 
 
 # --- Bogoliubov ------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pstchain import (ClockProgram, NetworkSpec, amplifier_sim, analytic_chain,
-                      chain, clock_computer, diagonalize, hypercube,
+                      chain, clock_computer, diagonalize, gamma, hypercube,
                       network_operator, product_network, rescale, star_network,
                       theta_entangler)
 from pstchain.networks import (amplifier_dense_check, amplifier_dense_hamiltonian,
@@ -47,6 +47,18 @@ def test_product_spectrum_additivity():
     assert np.max(np.abs(got - expected)) < 1e-10
 
 
+@pytest.mark.parametrize("n, m", [(3, 4), (10, 10)])
+def test_product_corner_amplitude_is_the_product_of_chain_amplitudes(n, m):
+    net = product_network(analytic_chain(n), analytic_chain(m))
+    e = np.zeros(n * m, dtype=complex)
+    e[0] = 1.0
+    corner = expm_evolve(network_operator(net), e, math.pi)[-1]
+    expected = (gamma(diagonalize(analytic_chain(n)), 1, n, math.pi)
+                * gamma(diagonalize(analytic_chain(m)), 1, m, math.pi))
+    assert abs(corner - expected) <= 1e-12
+    assert abs(abs(corner) - 1.0) < 1e-8
+
+
 def test_product_rejects_mismatched_t0():
     fast = rescale(analytic_chain(2), 2.0)  # t0 = pi/2
     with pytest.raises(ValueError):
@@ -72,6 +84,16 @@ def test_hypercube_d3_antipodal_transfer():
     e[0] = 1.0
     out = expm_evolve(op, e, math.pi)
     assert abs(abs(out[7]) - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_hypercube_antipodal_amplitude_is_the_two_site_amplitude_to_the_d(d):
+    net = hypercube(d)
+    e = np.zeros(1 << d, dtype=complex)
+    e[0] = 1.0
+    antipode = expm_evolve(network_operator(net), e, math.pi)[-1]
+    assert abs(antipode - gamma(diagonalize(chain([0.5])), 1, 2, math.pi) ** d) <= 1e-12
+    assert abs(abs(antipode) - 1.0) < 1e-8
 
 
 def test_hypercube_cap(monkeypatch):
@@ -104,6 +126,19 @@ def test_star_three_branches_w_state_expm_oracle():
     out = expm_evolve(op, e, math.pi)
     assert np.allclose(np.abs(out[1:]), 1.0 / math.sqrt(3.0), atol=1e-8)
     assert abs(out[0]) < 1e-8
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (5, 4), (10, 3)])
+def test_star_leaf_amplitudes_match_expm_oracle(n, m):
+    rep = star_network(analytic_chain(n), m)
+    net = rep.network
+    e = np.zeros(net.n_vertices, dtype=complex)
+    e[0] = 1.0
+    out = expm_evolve(network_operator(net), e, rep.t0)
+    ends = [net.labels[f"end_{b}"] for b in range(m)]
+    assert np.max(np.abs(rep.leaf_amplitudes - out[ends])) <= 1e-12
+    assert rep.w_state_fidelity == pytest.approx(
+        abs(np.sum(out[ends])) ** 2 / m, abs=1e-12)
 
 
 def test_star_w_phase_rotation_traps_state():
@@ -167,6 +202,17 @@ def test_theta_general_angle_amplitudes_and_oracle():
     # the two amplitudes share the global phase: their ratio is real positive
     ratio = rep.amplitude_last / rep.amplitude_first
     assert abs(ratio.imag) < 1e-8
+
+
+@pytest.mark.parametrize("n, theta", [(5, 0.3), (11, 0.3), (11, 1.2)])
+def test_theta_amplitudes_match_expm_oracle(n, theta):
+    rep = theta_entangler(analytic_chain(n), theta)
+    e = np.zeros(n, dtype=complex)
+    e[0] = 1.0
+    out = expm_evolve(network_operator(rep.network), e, rep.t0)
+    assert abs(out[0] - rep.amplitude_first) <= 1e-12
+    assert abs(out[-1] - rep.amplitude_last) <= 1e-12
+    assert abs(np.max(np.abs(out[1:-1])) - rep.residual_elsewhere) <= 1e-12
 
 
 def test_theta_rejects_even_chains():

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pstchain import (BathSpec, analytic_chain, bath_model, bath_operator,
                       bath_transfer_amplitude, build_h1, certify_pst, chain,
                       dephasing_avg_fidelity, diagonalize, raw_bath_operator,
                       uniform_chain)
 
-from oracles import expm_evolve, random_pst_chain
+from oracles import bath_dense, expm_evolve, random_pst_chain
 
 
 # --- dephasing: Kraus-channel oracle ----------------------------------------
@@ -218,3 +219,23 @@ def test_bath_spec_validation():
         BathSpec(chain=spec, coupling=1.0, raw_couplings=((1.0,), (1.0,)))
     with pytest.raises(ValueError):
         BathSpec(chain=spec, coupling=-1.0)
+
+
+BATH_CHAINS = {
+    "analytic-6": lambda: analytic_chain(6),
+    "analytic-9": lambda: analytic_chain(9),
+    "random-pst-5": lambda: random_pst_chain(np.random.default_rng(5), 5),
+    "random-pst-8": lambda: random_pst_chain(np.random.default_rng(8), 8),
+}
+
+
+@pytest.mark.parametrize("g", [0.0, 0.01, 1.3, 50.0])
+@pytest.mark.parametrize("name", sorted(BATH_CHAINS))
+def test_bath_transfer_matches_expm_oracle(name, g):
+    spec = BATH_CHAINS[name]()
+    n = spec.n
+    op = bath_dense(spec.couplings, spec.fields, g)
+    times = np.concatenate((np.linspace(0.0, 2.0 * math.pi, 9), [0.37 * math.pi]))
+    rep = bath_transfer_amplitude(BathSpec(chain=spec, coupling=g), times)
+    oracle = np.array([scipy.linalg.expm(-1j * t * op)[n - 1, 0] for t in times])
+    assert np.max(np.abs(rep.gamma_exact - oracle)) <= 1e-12
