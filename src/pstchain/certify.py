@@ -8,10 +8,19 @@ integer multiples of a common unit pi/t0. The eigenvectors of such a
 Jacobi matrix alternate between symmetric and antisymmetric down the
 spectrum (Hochstadt 1974; Hald 1976), so the review's alternation
 condition follows from mirror symmetry and is not checked separately.
-Floating-point spectra are never exactly rational, so commensurability is
-decided by continued-fraction rationalization of gap ratios followed by a
-phase-residual test at the candidate t0, and every "perfect" verdict is
-re-verified by direct propagation before the certificate is issued.
+
+The O(N) checks (mirror symmetry, zero and negative couplings) run first,
+and the rest needs the eigenvalues alone, O(N^2) in time and O(N) in
+memory. Floating-point spectra are never exactly rational, so
+commensurability is decided by continued-fraction rationalization of gap
+ratios followed by a phase-residual test at the candidate t0, and every
+"perfect" verdict is re-verified through the end-product amplitude before
+the certificate is issued: for any Jacobi matrix
+``v_1k v_Nk = prod_i J_i / prod_{m != k} (lambda_k - lambda_m)`` (Parlett,
+*The Symmetric Eigenvalue Problem*, ch. 7), so ``gamma_N(t)`` is a sum over
+these end products, and on a mirror-symmetric chain ``gamma_1(t)`` is the
+same sum over their magnitudes. Eigenvectors are computed only when a
+caller reads :attr:`PstCertificate.spectrum`.
 """
 
 from __future__ import annotations
@@ -19,12 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .chain import ChainSpec, mirror_symmetry_check
-from .spectral import (DegenerateSpectrumError, SpectralDecomposition,
-                       diagonalize, gamma, is_degenerate)
+from .spectral import (_BLOCK, DegenerateSpectrumError, SpectralDecomposition,
+                       chain_eigenvalues, diagonalize, is_degenerate, sturm_newton)
 
 ARRIVAL_TOL = 1e-8
 _MULTIPLIER_GUARD = 1 << 52
@@ -34,16 +44,21 @@ _MULTIPLIER_GUARD = 1 << 52
 class PstCertificate:
     """Verdict plus the quantities that witness it.
 
-    For a perfect verdict, gap ``i`` of the spectrum equals
-    ``(2 * odd_integers[i] + 1) * pi / t0`` and ``t0`` is minimal.
-    ``end_weights`` are the squared first components of the eigenvectors
-    held in ``spectrum``, the decomposition the verdict was reached on.
+    For a perfect verdict, gap ``i`` of ``eigenvalues`` equals
+    ``(2 * odd_integers[i] + 1) * pi / t0`` and ``t0`` is minimal;
+    ``end_products`` holds the signed ``v_1k v_Nk`` the arrival was verified
+    on, and ``arrival_amplitude`` is ``gamma_N(t0)``. ``eigenvalues`` is
+    ``None`` when the chain was rejected before the eigenvalue solve (off
+    mirror symmetry, a zero or a negative coupling). ``spectrum``, the full
+    decomposition of ``chain``, is computed on first access.
     """
 
     verdict: str  # "perfect" | "imperfect" | "degenerate-spectrum"
-    spectrum: SpectralDecomposition
-    end_weights: np.ndarray
+    chain: ChainSpec
+    eigenvalues: np.ndarray | None = None
+    end_products: np.ndarray | None = None
     t0: float | None = None
+    arrival_amplitude: complex | None = None
     arrival_phase: complex | None = None
     odd_integers: tuple[int, ...] | None = None
     worst_gap_residual: float | None = None
@@ -51,11 +66,24 @@ class PstCertificate:
     reason: str | None = None
 
     def __post_init__(self):
-        self.end_weights.flags.writeable = False
+        for values in (self.eigenvalues, self.end_products):
+            if values is not None:
+                values.flags.writeable = False
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.spectrum.eigenvalues
+    @cached_property
+    def spectrum(self) -> SpectralDecomposition:
+        return diagonalize(self.chain)
+
+    @cached_property
+    def end_weights(self) -> np.ndarray:
+        """End-site weights |v_1k|^2: the magnitudes of the end products on a
+        perfect chain, else the first row of the decomposition."""
+        if self.perfect:
+            w = np.abs(self.end_products)
+        else:
+            w = np.abs(self.spectrum.eigenvectors[0, :]) ** 2
+        w.flags.writeable = False
+        return w
 
     @property
     def perfect(self) -> bool:
@@ -83,27 +111,68 @@ class OptimalityReport:
     timing_sensitivity: float
 
 
+def _gap_fractions(ratios: np.ndarray, max_denominator: int) -> list[Fraction]:
+    """``Fraction(r).limit_denominator(max_denominator)`` of every ratio.
+
+    A ratio within ``1 / (2 max_denominator)`` of an integer m is closer to
+    m than to any other fraction p/q with q <= max_denominator (those lie at
+    least 1/q from m), so it is m/1 without the continued fraction.
+    """
+    nearest = np.rint(ratios)
+    near = np.abs(ratios - nearest) < 0.5 / max_denominator
+    return [Fraction(int(m)) if ok else Fraction(r).limit_denominator(max_denominator)
+            for r, m, ok in zip(ratios.tolist(), nearest.tolist(), near.tolist())]
+
+
+def _log_abs_derivatives(lam: np.ndarray) -> np.ndarray:
+    """``sum_{m != k} log|lambda_k - lambda_m|`` for every k, the log of
+    ``|B'(lambda_k)|``, a block of rows at a time."""
+    n = lam.size
+    out = np.empty(n)
+    for r in range(0, n, _BLOCK):
+        rows = lam[r:r + _BLOCK]
+        diff = rows[:, None] - lam[None, :]
+        diff.ravel()[r::n + 1] = 1.0        # the entries m = k
+        out[r:r + rows.size] = np.sum(np.log(np.abs(diff)), axis=1)
+    return out
+
+
+def end_products(spec: ChainSpec, eigenvalues) -> np.ndarray:
+    """Signed end products ``v_1k v_Nk = prod_i J_i / prod_{m != k}
+    (lambda_k - lambda_m)`` of a chain with positive couplings, from its
+    ascending eigenvalues, evaluated in log space.
+
+    The denominator has the sign ``(-1)^(N-1-k)`` (k 0-based), so the
+    products alternate in sign down the spectrum.
+    """
+    lam = np.asarray(eigenvalues, dtype=float)
+    products = np.exp(np.sum(np.log(spec.coupling_array())) - _log_abs_derivatives(lam))
+    products[-2::-2] *= -1.0
+    return products
+
+
 def certify_pst(spec: ChainSpec, tol: float = 1e-9,
                 max_denominator: int = 10 ** 6) -> PstCertificate:
     """Certify perfect state transfer from site 1 to site N.
 
     ``tol`` bounds the per-gap phase residual ``|gap * t0 / pi - odd|`` at
     the candidate transfer time; ``max_denominator`` limits the continued
-    fraction rationalization of gap ratios.
+    fraction rationalization of gap ratios. Where the a-priori error of the
+    eigenvalues, ``N * eps * max|T|`` over the smallest gap, could reach
+    ``tol / 1000``, they get one Newton step on the characteristic
+    polynomial before the gaps are rationalized.
     """
     if spec.n < 2:
         raise ValueError("transfer needs at least two sites")
-    sd = diagonalize(spec)
-    lam = sd.eigenvalues
-    weights = np.abs(sd.eigenvectors[0, :]) ** 2
+
+    lam = None  # the O(N) rejections come before the eigenvalue solve
 
     def fail(verdict: str, reason: str, residual: float | None = None) -> PstCertificate:
-        return PstCertificate(verdict=verdict, spectrum=sd, end_weights=weights,
+        return PstCertificate(verdict=verdict, chain=spec, eigenvalues=lam,
                               reason=reason, worst_gap_residual=residual)
 
-    scale = max(1.0, max(abs(j) for j in spec.couplings),
-                max(abs(b) for b in spec.fields))
-    mirror = mirror_symmetry_check(spec, tol=tol * scale)
+    t_max = max(max(abs(j) for j in spec.couplings), max(abs(b) for b in spec.fields))
+    mirror = mirror_symmetry_check(spec, tol=tol * max(1.0, t_max))
     if not mirror:
         return fail("imperfect",
                     f"not mirror symmetric (max violation {mirror.max_violation:.3e})")
@@ -113,12 +182,15 @@ def certify_pst(spec: ChainSpec, tol: float = 1e-9,
         # signs only shift arrival phases; certification works on the
         # positive-coupling representative of the phase class
         return fail("imperfect", "negative coupling (use the positive-J convention)")
-    if is_degenerate(sd):
+    lam = chain_eigenvalues(spec)
+    if is_degenerate(lam):
         return fail("degenerate-spectrum", "spectrum has (near-)degenerate eigenvalues")
 
+    error = spec.n * np.finfo(float).eps * t_max
+    if error / float(np.diff(lam).min()) > 1e-3 * tol:
+        lam = sturm_newton(spec, lam, error)
     gaps = np.diff(lam)
-    gmin = float(gaps.min())
-    fracs = [Fraction(float(g / gmin)).limit_denominator(max_denominator) for g in gaps]
+    fracs = _gap_fractions(gaps / gaps.min(), max_denominator)
     lcm = 1
     for f in fracs:
         lcm = math.lcm(lcm, f.denominator)
@@ -140,12 +212,14 @@ def certify_pst(spec: ChainSpec, tol: float = 1e-9,
         return fail("imperfect", f"even gap multiplier at gap index {even[0]}", residual)
     t0 = math.pi / unit
 
-    amp = gamma(sd, 1, spec.n, t0)
+    products = end_products(spec, lam)
+    amp = complex(np.exp(-1j * lam * t0) @ products)
     if abs(amp) < 1.0 - ARRIVAL_TOL:
         return fail("imperfect",
                     f"arrival verification failed (|gamma_N(t0)| = {abs(amp):.12f})",
                     residual)
-    revival = abs(gamma(sd, 1, 1, 2.0 * t0))
+    # mirror symmetry makes |v_1k|^2 = |v_1k v_Nk|
+    revival = abs(complex(np.exp(-2j * lam * t0) @ np.abs(products)))
     if revival < 1.0 - ARRIVAL_TOL:
         return fail("imperfect",
                     f"revival verification failed (|gamma_1(2 t0)| = {revival:.12f})",
@@ -153,9 +227,11 @@ def certify_pst(spec: ChainSpec, tol: float = 1e-9,
 
     return PstCertificate(
         verdict="perfect",
-        spectrum=sd,
-        end_weights=weights,
+        chain=spec,
+        eigenvalues=lam,
+        end_products=products,
         t0=t0,
+        arrival_amplitude=amp,
         arrival_phase=amp / abs(amp),
         odd_integers=tuple((m - 1) // 2 for m in mult),
         worst_gap_residual=residual,
@@ -189,13 +265,9 @@ def end_weights(spectrum, log: bool = False) -> np.ndarray:
         raise ValueError("spectrum must be a non-empty 1-D sequence")
     if np.any(np.diff(lam) <= 0):
         raise DegenerateSpectrumError("spectrum must be strictly ascending")
-    n = lam.size
-    if n == 1:
+    if lam.size == 1:
         return np.zeros(1) if log else np.array([1.0])
-    diff = lam[:, None] - lam[None, :]
-    np.fill_diagonal(diff, 1.0)
-    logb = np.sum(np.log(np.abs(diff)), axis=1)
-    logw = -logb
+    logw = -_log_abs_derivatives(lam)
     logw -= logw.max()
     w = np.exp(logw)
     if log:
@@ -273,20 +345,20 @@ def timing_window(spec: ChainSpec, cert: PstCertificate, epsilon: float,
     """Largest window w with |gamma_N(t)|^2 >= 1 - epsilon for |t - t0| <= w/2.
 
     The arrival peak is bracketed on a grid and the crossing refined by
-    bisection. Mirror symmetry makes the window symmetric about t0.
+    bisection; gamma_N is summed over the certificate's end products.
+    Mirror symmetry makes the window symmetric about t0.
     """
     if not cert.perfect:
         raise ValueError("timing window requires a perfect certificate")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    sd = cert.spectrum
+    lam, products = cert.eigenvalues, cert.end_products
     t0 = cert.t0
     level = 1.0 - epsilon
 
     def height(delta: float) -> float:
-        lo = abs(gamma(sd, 1, spec.n, t0 - delta)) ** 2
-        hi = abs(gamma(sd, 1, spec.n, t0 + delta)) ** 2
-        return min(lo, hi)
+        amps = np.exp(-1j * np.multiply.outer((t0 - delta, t0 + delta), lam)) @ products
+        return float(np.min(np.abs(amps) ** 2))
 
     deltas = np.linspace(0.0, t0, grid + 1)
     above = height(0.0) >= level

@@ -17,7 +17,7 @@ import numpy as np
 
 from .certify import certify_pst, end_weights
 from .chain import ChainSpec, chain, mirror_symmetry_check, uniform_chain
-from .spectral import DegenerateSpectrumError, diagonalize
+from .spectral import DegenerateSpectrumError, chain_eigenvalues, diagonalize
 
 
 class ReconstructionError(ValueError):
@@ -148,7 +148,7 @@ def chain_from_spectrum(target: TargetSpectrum) -> ChainSpec:
             raise ReconstructionError(f"fields failed to vanish (max {worst:.3e})")
         alpha = np.zeros_like(alpha)
     result = chain(beta, alpha)
-    achieved = diagonalize(result).eigenvalues
+    achieved = chain_eigenvalues(result)
     residual = float(np.max(np.abs(achieved - lam)))
     if residual > 1e-8 * max(1.0, spread):
         raise ReconstructionError(f"spectrum residual {residual:.3e} too large")

@@ -533,7 +533,7 @@ def entanglement_distribution_sim(spec: ChainSpec) -> DistributionReport:
     length is fine.
     """
     cert = require_perfect(spec)
-    amp = abs(gamma(cert.spectrum, 1, spec.n, cert.t0))
+    amp = abs(cert.arrival_amplitude)
     return DistributionReport(bell_fidelity=((1.0 + amp) / 2.0) ** 2, t0=cert.t0,
                               arrival_phase=cert.arrival_phase)
 
@@ -559,6 +559,9 @@ def two_boson_transfer(spec: ChainSpec, source_pair, target_pair, t: float) -> c
     permanent (U_ki U_lj + U_kj U_li) / sqrt((1+d_ij)(1+d_kl)), read from
     the two propagated columns i and j.
     """
+    if spec.statistics != "bosonic":
+        raise ValueError("two-boson transfer requires bosonic statistics "
+                         "(fermions pick up exchange signs; use evolve_slater)")
     n = spec.n
     i, j = source_pair
     k, l = target_pair

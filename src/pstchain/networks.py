@@ -15,7 +15,7 @@ import numpy as np
 from .certify import require_perfect
 from .chain import ChainSpec, SingleExcitationMatrix, chain
 from .fermionic import dense_cap
-from .spectral import amplitude_profile, diagonalize, gamma, propagate
+from .spectral import amplitude_profile, diagonalize, propagate
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,8 @@ def product_network(a: ChainSpec, b: ChainSpec) -> NetworkSpec:
     net = NetworkSpec(n_vertices=n * m, edges=tuple(edges),
                       potentials=(0.0,) * (n * m),
                       labels={"input": 0, "output": n * m - 1})
-    _verify_transfer(gamma(cert_a.spectrum, 1, n, cert_a.t0)
-                      * gamma(cert_b.spectrum, 1, m, cert_a.t0), "product_network")
+    _verify_transfer(cert_a.arrival_amplitude * cert_b.arrival_amplitude,
+                     "product_network")
     return net
 
 
@@ -124,7 +124,7 @@ def hypercube(d: int) -> NetworkSpec:
                 edges.append((v, u, 0.5 + 0.0j))
     net = NetworkSpec(n_vertices=dim, edges=tuple(edges), potentials=(0.0,) * dim,
                       labels={"input": 0, "output": dim - 1})
-    _verify_transfer(gamma(cert.spectrum, 1, 2, cert.t0) ** d, "hypercube")
+    _verify_transfer(cert.arrival_amplitude ** d, "hypercube")
     return net
 
 
@@ -168,7 +168,7 @@ def star_network(branch: ChainSpec, m: int) -> StarReport:
     net = NetworkSpec(n_vertices=1 + m * (n - 1), edges=tuple(edges),
                       potentials=tuple(potentials),
                       labels={"hub": 0, **{f"end_{b}": e for b, e in enumerate(ends)}})
-    leaf = np.full(m, gamma(cert.spectrum, 1, n, cert.t0) / math.sqrt(m))
+    leaf = np.full(m, cert.arrival_amplitude / math.sqrt(m))
     w_target = np.full(m, 1.0 / math.sqrt(m))
     fidelity = float(abs(w_target @ leaf) ** 2)
     if fidelity < 1.0 - 1e-8:

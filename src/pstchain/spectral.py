@@ -5,7 +5,8 @@ The spectral form ``exp(-i H t) = V exp(-i L t) V^dag`` is exact, so all
 transfer amplitudes produced here are limited only by the accuracy of the
 eigensolver. Tridiagonal operators take a dedicated fast path; dense
 symmetric (or Hermitian, for phased networks) operators fall back to a
-general solver.
+general solver. ``scipy.linalg`` is imported by the functions that solve,
+since importing it is most of the start-up of a process that never does.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .chain import ChainSpec, SingleExcitationMatrix, build_h1
 
@@ -80,6 +80,7 @@ def diagonalize(operator) -> SpectralDecomposition:
             lam = diag.copy()
             vec = np.ones((1, 1))
         else:
+            import scipy.linalg
             lam, vec = scipy.linalg.eigh_tridiagonal(diag, off)
         vec = _fix_signs(vec)
         scale = max(np.max(np.abs(diag)), np.max(np.abs(off), initial=0.0))
@@ -108,9 +109,59 @@ def diagonalize(operator) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=vec)
 
 
-def is_degenerate(sd: SpectralDecomposition, rtol: float = DEGENERACY_RTOL) -> bool:
-    """Whether two adjacent eigenvalues are closer than rtol * spread."""
-    lam = sd.eigenvalues
+def chain_eigenvalues(spec: ChainSpec) -> np.ndarray:
+    """Ascending eigenvalues of a chain's single-excitation matrix, without
+    eigenvectors.
+
+    LAPACK ``sterf`` works in O(N^2) time and O(N) memory; its eigenvalues
+    carry an absolute error of order ``N * eps * max|T|``, which
+    :func:`sturm_newton` can reduce.
+    """
+    import scipy.linalg
+    # a ChainSpec holds finite values only
+    return scipy.linalg.eigvalsh_tridiagonal(spec.field_array(), spec.coupling_array(),
+                                             lapack_driver="sterf", check_finite=False)
+
+
+def sturm_newton(spec: ChainSpec, eigenvalues, max_step: float) -> np.ndarray:
+    """One Newton step ``lambda - p(lambda) / p'(lambda)`` on the characteristic
+    polynomial of a chain's single-excitation matrix, for every eigenvalue at
+    once.
+
+    ``p'/p`` is the sum of ``d_i'/d_i`` over the pivots of the Sturm (LDL^T)
+    recurrence ``d_i = (B_i - lambda) - J_{i-1}^2 / d_{i-1}``, O(N) per
+    eigenvalue. The step is guarded: an eigenvalue moves only where the step
+    is finite and at most ``max_step``, and the eigenvalues are returned
+    unchanged if the refined ones are not strictly ascending.
+    """
+    diag = spec.field_array()
+    b2 = spec.coupling_array() ** 2
+    lam = np.asarray(eigenvalues, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = diag[0] - lam
+        ratio = -1.0 / d                    # d_1' / d_1, with d_1' = -1
+        total = ratio.copy()
+        r = np.empty_like(lam)
+        dd = np.empty_like(lam)
+        for a, bb in zip(diag[1:].tolist(), b2.tolist()):
+            np.divide(bb, d, out=r)
+            np.multiply(r, ratio, out=dd)   # d_i' = J^2 d_{i-1}' / d_{i-1}^2 - 1
+            dd -= 1.0
+            np.subtract(a, lam, out=d)
+            d -= r
+            np.divide(dd, d, out=ratio)
+            total += ratio
+        step = 1.0 / total
+    ok = np.isfinite(step) & (np.abs(step) <= max_step)
+    refined = np.where(ok, lam - step, lam)
+    if np.any(np.diff(refined) <= 0):
+        return lam
+    return refined
+
+
+def is_degenerate(eigenvalues, rtol: float = DEGENERACY_RTOL) -> bool:
+    """Whether two adjacent ascending eigenvalues are closer than rtol * spread."""
+    lam = np.asarray(eigenvalues, dtype=float)
     spread = lam[-1] - lam[0]
     if spread <= 0:
         return lam.size > 1

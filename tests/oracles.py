@@ -225,3 +225,70 @@ def two_boson_dense(h1):
                 p = (min(x, y), max(x, y))
                 h2[index[p], a] += coef * weight(p) / weight((i, j))
     return 0.5 * (h2 + h2.T), index
+
+
+def certify_by_eigenvectors(spec, tol=1e-9, max_denominator=10 ** 6):
+    """Certification from the full eigendecomposition, the way the library
+    did it before it certified from the spectrum alone: every check after the
+    eigensolve, and arrival and revival from the eigenvector end rows through
+    ``gamma``. Returns a dict of verdict, reason, t0, odd_integers,
+    worst_gap_residual and arrival_amplitude."""
+    import math
+    from fractions import Fraction
+
+    from pstchain import diagonalize, gamma, is_degenerate, mirror_symmetry_check
+    from pstchain.certify import ARRIVAL_TOL
+
+    guard = 1 << 52
+    sd = diagonalize(spec)
+    lam = sd.eigenvalues
+    out = dict(verdict="imperfect", reason=None, t0=None, odd_integers=None,
+               worst_gap_residual=None, arrival_amplitude=None)
+
+    def fail(reason, verdict="imperfect", residual=None):
+        out.update(verdict=verdict, reason=reason, worst_gap_residual=residual)
+        return out
+
+    scale = max(1.0, max(abs(j) for j in spec.couplings), max(abs(b) for b in spec.fields))
+    mirror = mirror_symmetry_check(spec, tol=tol * scale)
+    if not mirror:
+        return fail(f"not mirror symmetric (max violation {mirror.max_violation:.3e})")
+    if spec.has_zero_coupling:
+        return fail("zero coupling disconnects the chain")
+    if any(j < 0 for j in spec.couplings):
+        return fail("negative coupling (use the positive-J convention)")
+    if is_degenerate(lam):
+        return fail("spectrum has (near-)degenerate eigenvalues", "degenerate-spectrum")
+    gaps = np.diff(lam)
+    gmin = float(gaps.min())
+    fracs = [Fraction(float(g / gmin)).limit_denominator(max_denominator) for g in gaps]
+    lcm = 1
+    for f in fracs:
+        lcm = math.lcm(lcm, f.denominator)
+        if lcm > guard:
+            return fail("no commensurate gap structure within max_denominator")
+    mult = [f.numerator * (lcm // f.denominator) for f in fracs]
+    g = math.gcd(*mult)
+    mult = [m // g for m in mult]
+    if max(mult) > guard:
+        return fail("no commensurate gap structure within max_denominator")
+    k = np.asarray(mult, dtype=float)
+    unit = float(np.dot(gaps, k) / np.dot(k, k))
+    residual = float(np.max(np.abs(gaps / unit - k)))
+    if residual > tol:
+        return fail(f"gap residual {residual:.3e} exceeds tol", residual=residual)
+    even = [i for i, m in enumerate(mult) if m % 2 == 0]
+    if even:
+        return fail(f"even gap multiplier at gap index {even[0]}", residual=residual)
+    t0 = math.pi / unit
+    amp = gamma(sd, 1, spec.n, t0)
+    if abs(amp) < 1.0 - ARRIVAL_TOL:
+        return fail(f"arrival verification failed (|gamma_N(t0)| = {abs(amp):.12f})",
+                    residual=residual)
+    revival = abs(gamma(sd, 1, 1, 2.0 * t0))
+    if revival < 1.0 - ARRIVAL_TOL:
+        return fail(f"revival verification failed (|gamma_1(2 t0)| = {revival:.12f})",
+                    residual=residual)
+    out.update(verdict="perfect", t0=t0, odd_integers=tuple((m - 1) // 2 for m in mult),
+               worst_gap_residual=residual, arrival_amplitude=amp)
+    return out

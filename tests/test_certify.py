@@ -1,4 +1,7 @@
 import math
+import re
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,9 +16,10 @@ from pstchain import (BathSpec, ClockProgram, amplifier_sim, analytic_chain,
                       product_network, rate_condition, require_perfect, rescale,
                       revival_rate_report, sequential_storage_chain, star_network,
                       theta_entangler, timing_window, two_boson_transfer, uniform_chain)
+from pstchain.certify import _gap_fractions, end_products
 from pstchain.spectral import DegenerateSpectrumError
 
-from oracles import random_pst_chain
+from oracles import certify_by_eigenvectors, random_pst_chain
 
 
 def test_analytic_chain_certifies_with_unit_gaps():
@@ -261,18 +265,29 @@ def test_timing_window_epsilon_validation():
 
 # --- one eigensolve per certified chain ---------------------------------------
 
-@pytest.fixture
-def tridiagonal_solves(monkeypatch):
-    """Sizes of the matrices passed to the tridiagonal eigensolver."""
+def _counted_solver(monkeypatch, name):
+    """Sizes of the matrices passed to ``scipy.linalg.<name>``."""
     sizes = []
-    true_solver = scipy.linalg.eigh_tridiagonal
+    true_solver = getattr(scipy.linalg, name)
 
     def counted(diag, off, *args, **kwargs):
         sizes.append(len(diag))
         return true_solver(diag, off, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(scipy.linalg, name, counted)
     return sizes
+
+
+@pytest.fixture
+def tridiagonal_solves(monkeypatch):
+    """Sizes of the matrices passed to the tridiagonal eigensolver."""
+    return _counted_solver(monkeypatch, "eigh_tridiagonal")
+
+
+@pytest.fixture
+def eigenvalue_solves(monkeypatch):
+    """Sizes of the matrices passed to the eigenvalue-only tridiagonal solver."""
+    return _counted_solver(monkeypatch, "eigvalsh_tridiagonal")
 
 
 def _clock():
@@ -286,20 +301,25 @@ def _window():
     return timing_window(spec, certify_pst(spec), 1e-3)
 
 
-@pytest.mark.parametrize("run", [
-    lambda: entanglement_generation(analytic_chain(8)),
-    lambda: initfree_transfer(analytic_chain(8), 0.6, 0.8, "101100"),
-    lambda: entanglement_distribution_sim(analytic_chain(8)),
-    _clock,
-    lambda: dephasing_avg_fidelity(analytic_chain(8), 0.1, np.linspace(0.0, math.pi, 5)),
-    _window,
-    lambda: product_network(analytic_chain(8), analytic_chain(8)),
+@pytest.mark.parametrize("run, vector_solves", [
+    (lambda: entanglement_generation(analytic_chain(8)), [8]),
+    (lambda: initfree_transfer(analytic_chain(8), 0.6, 0.8, "101100"), [8]),
+    (lambda: entanglement_distribution_sim(analytic_chain(8)), []),
+    (_clock, [8]),
+    (lambda: dephasing_avg_fidelity(analytic_chain(8), 0.1, np.linspace(0.0, math.pi, 5)),
+     [8]),
+    (_window, []),
+    (lambda: product_network(analytic_chain(8), analytic_chain(8)), []),
 ], ids=["entanglement_generation", "initfree_transfer", "entanglement_distribution_sim",
         "clock_computer", "dephasing_avg_fidelity", "certify_pst+timing_window",
         "product_network"])
-def test_certified_chain_is_diagonalized_once(tridiagonal_solves, run):
+def test_certified_chain_is_diagonalized_once(tridiagonal_solves, eigenvalue_solves, run,
+                                              vector_solves):
+    """The chain is certified from one eigenvalue-only solve; its eigenvectors
+    are computed once, and only by the protocols that propagate states."""
     run()
-    assert tridiagonal_solves == [8]
+    assert eigenvalue_solves == [8]
+    assert tridiagonal_solves == vector_solves
 
 
 @pytest.fixture
@@ -320,25 +340,27 @@ def dense_solves(monkeypatch):
 _TIMES = np.linspace(0.0, 2.0 * math.pi, 7)
 
 
-@pytest.mark.parametrize("run, solves", [
-    (lambda: product_network(analytic_chain(8), analytic_chain(6)), [8, 6]),
-    (lambda: hypercube(4), [2]),
-    (lambda: star_network(analytic_chain(8), 3), [8]),
-    (lambda: theta_entangler(analytic_chain(9), 0.3), [9, 9]),
-    (lambda: amplifier_sim(analytic_chain(8), 1, _TIMES), [9]),
+@pytest.mark.parametrize("run, solves, certified", [
+    (lambda: product_network(analytic_chain(8), analytic_chain(6)), [], [8, 6]),
+    (lambda: hypercube(4), [], [2]),
+    (lambda: star_network(analytic_chain(8), 3), [], [8]),
+    (lambda: theta_entangler(analytic_chain(9), 0.3), [9], [9]),
+    (lambda: amplifier_sim(analytic_chain(8), 1, _TIMES), [9], []),
     (lambda: bath_transfer_amplitude(BathSpec(chain=analytic_chain(8), coupling=1.3),
-                                     _TIMES), [8]),
+                                     _TIMES), [8], []),
     (lambda: two_boson_transfer(chain(analytic_chain(8).couplings, statistics="bosonic"),
-                                (1, 2), (7, 8), math.pi), [8]),
+                                (1, 2), (7, 8), math.pi), [8], []),
 ], ids=["product_network", "hypercube", "star_network", "theta_entangler",
         "amplifier_sim", "bath_transfer_amplitude", "two_boson_transfer"])
 def test_structured_amplitudes_come_from_the_chain(dense_solves, tridiagonal_solves,
-                                                   run, solves):
+                                                   eigenvalue_solves, run, solves, certified):
     """Each construction reads its amplitude from the chain it is built of:
-    one tridiagonal solve per distinct chain and no dense eigensolve."""
+    one tridiagonal solve per distinct chain and no dense eigensolve. The
+    amplitude at t0 comes from the certificate, with no eigenvectors."""
     run()
     assert dense_solves == []
     assert tridiagonal_solves == solves
+    assert eigenvalue_solves == certified
 
 
 def test_require_perfect_returns_the_certificate_or_names_the_reason():
@@ -389,3 +411,151 @@ def test_reversing_a_chain_leaves_verdict_and_t0_unchanged(spec, seed):
         cert, rev = certify_pst(off), certify_pst(_reversed(off))
         assert not cert.perfect
         assert (rev.verdict, rev.reason) == (cert.verdict, cert.reason)
+
+
+# --- certification from the spectrum ------------------------------------------
+
+def _mirrored(spec):
+    """The chain made exactly mirror symmetric by averaging it with its reverse."""
+    j, b = np.asarray(spec.couplings), np.asarray(spec.fields)
+    return chain((j + j[::-1]) / 2.0, (b + b[::-1]) / 2.0)
+
+
+def _mirror_detuned(spec, fraction, seed):
+    """The chain with one coupling of its first half moved by ``fraction`` of
+    the mirror tolerance of ``certify_pst``, so it still passes the mirror check."""
+    rng = np.random.default_rng(seed)
+    j = list(spec.couplings)
+    scale = max(1.0, max(map(abs, spec.couplings)), max(map(abs, spec.fields)))
+    j[int(rng.integers((len(j) + 1) // 2))] += fraction * 1e-9 * scale * rng.choice((-1, 1))
+    return chain(j, spec.fields)
+
+
+def _random_mirror_chain(seed, n):
+    rng = np.random.default_rng(seed)
+    return _mirrored(chain(rng.uniform(0.2, 2.0, n - 1), rng.uniform(-1.5, 1.5, n)))
+
+
+def _figures_masked(reason):
+    return None if reason is None else re.sub(r"\d\.\d+(e[-+]\d+)?", "#", reason)
+
+
+oracle_cases = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(2, 24),
+                         st.sampled_from(["pst", "exact-mirror", "detuned-0.45",
+                                          "detuned-0.9", "random-mirror"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_cases)
+def test_certify_agrees_with_the_eigenvector_oracle(case):
+    """Certifying from the eigenvalues alone reaches the verdict, reason and
+    multipliers of certifying from the full decomposition. The figures in a
+    reason are compared apart: a gap residual scaled by large multipliers
+    moves in its printed digits with the last bits of the eigenvalues."""
+    seed, n, kind = case
+    if kind == "random-mirror":
+        spec = _random_mirror_chain(seed, n)
+    else:
+        spec = random_pst_chain(np.random.default_rng(seed), n)
+        if kind == "exact-mirror":
+            spec = _mirrored(spec)
+        elif kind.startswith("detuned"):
+            spec = _mirror_detuned(spec, float(kind.split("-")[1]), seed)
+    cert, want = certify_pst(spec), certify_by_eigenvectors(spec)
+    assert (cert.verdict, cert.odd_integers) == (want["verdict"], want["odd_integers"])
+    assert _figures_masked(cert.reason) == _figures_masked(want["reason"])
+    if kind != "random-mirror" and want["worst_gap_residual"] is not None:
+        assert cert.worst_gap_residual == pytest.approx(want["worst_gap_residual"], abs=1e-12)
+    if cert.perfect:
+        assert cert.t0 == pytest.approx(want["t0"], rel=1e-13)
+        assert abs(cert.arrival_amplitude - want["arrival_amplitude"]) < 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.booleans())
+def test_end_products_match_the_eigenvector_end_rows(seed, n, mirror):
+    """v_1k v_Nk = prod J / prod_{m != k} (lambda_k - lambda_m) on any chain
+    with positive couplings, mirror symmetric or not. Both sides lose
+    accuracy as eps * max|T| / (smallest gap), the eigenvectors of a close
+    pair most of all."""
+    rng = np.random.default_rng(seed)
+    spec = chain(rng.uniform(0.2, 2.0, n - 1), rng.uniform(-1.5, 1.5, n))
+    if mirror:
+        spec = _mirrored(spec)
+    sd = diagonalize(spec)
+    want = sd.eigenvectors[0, :] * sd.eigenvectors[-1, :]
+    conditioning = max(1.0, 2.0 / float(np.min(np.diff(sd.eigenvalues))))
+    assert np.max(np.abs(end_products(spec, sd.eigenvalues) - want)) < 1e-13 * conditioning
+
+
+ratios = st.one_of(
+    st.floats(1.0, 1e6),
+    st.builds(lambda m, off: m + off, st.integers(1, 10 ** 6), st.floats(-1e-6, 1e-6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ratios, min_size=1, max_size=12), st.integers(1, 10 ** 7))
+def test_gap_fractions_are_limit_denominator(values, max_denominator):
+    got = _gap_fractions(np.asarray(values), max_denominator)
+    assert got == [Fraction(v).limit_denominator(max_denominator) for v in values]
+
+
+@pytest.fixture
+def any_solves(tridiagonal_solves, eigenvalue_solves, dense_solves):
+    return tridiagonal_solves, eigenvalue_solves, dense_solves
+
+
+@pytest.mark.parametrize("couplings, reason", [
+    (lambda j: j[:3] + [j[3] * 1.01] + j[4:], "not mirror symmetric"),
+    (lambda j: j[:4999] + [0.0] + j[5000:], "zero coupling"),
+    (lambda j: [-x for x in j], "negative coupling"),
+], ids=["off-mirror", "zero-coupling", "negative-coupling"])
+def test_o_n_rejections_solve_nothing(any_solves, couplings, reason):
+    spec = chain(couplings(list(analytic_chain(10 ** 4).couplings)))
+    cert = certify_pst(spec)
+    assert cert.verdict == "imperfect" and cert.reason.startswith(reason)
+    assert cert.eigenvalues is None
+    assert any_solves == ([], [], [])
+
+
+@pytest.mark.parametrize("n, full_solve_residual", [(1000, 1.7e-13), (2000, 4.5e-13)])
+def test_refined_gap_residual_is_no_larger_than_the_full_eigensolve(n, full_solve_residual):
+    """The full eigensolve (LAPACK stevd, eigenvectors included) left these
+    gap residuals on the analytic chain."""
+    cert = certify_pst(analytic_chain(n))
+    assert cert.perfect
+    assert cert.worst_gap_residual <= full_solve_residual
+
+
+def test_ten_thousand_sites_certify_in_linear_memory(eigenvalue_solves, tridiagonal_solves):
+    spec = analytic_chain(10 ** 4)
+    tracemalloc.start()
+    try:
+        cert = certify_pst(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.perfect
+    assert cert.t0 == pytest.approx(math.pi, abs=1e-12)
+    assert cert.worst_gap_residual <= 1e-12
+    assert abs(cert.arrival_amplitude) >= 1.0 - 1e-10
+    assert peak < 100e6
+    assert (eigenvalue_solves, tridiagonal_solves) == ([10 ** 4], [])
+
+
+def test_perfect_certificate_reports_closed_form_weights():
+    """The end weights of the analytic chain are binomial(N-1, k) / 2^(N-1),
+    far below what the eigenvector entries resolve."""
+    n = 200
+    cert = certify_pst(analytic_chain(n))
+    exact = np.array([math.comb(n - 1, k) for k in range(n)], dtype=float) / 2.0 ** (n - 1)
+    assert np.max(np.abs(cert.end_weights / exact - 1.0)) < 1e-11
+    assert np.array_equal(cert.end_weights, np.abs(cert.end_products))
+
+
+def test_rejected_certificate_reads_weights_from_the_decomposition(tridiagonal_solves):
+    spec = uniform_chain(7)
+    cert = certify_pst(spec)
+    assert not cert.perfect and tridiagonal_solves == []
+    assert np.array_equal(cert.end_weights, np.abs(diagonalize(spec).eigenvectors[0]) ** 2)
+    assert tridiagonal_solves == [7, 7]

@@ -249,3 +249,19 @@ def test_import_does_not_load_scipy_sparse():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+
+def test_import_and_design_do_not_load_scipy_linalg():
+    # scipy.linalg is most of the start-up of a pst process; only the commands
+    # that solve a chain import it
+    import pstchain
+
+    root = os.path.dirname(os.path.dirname(pstchain.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, pstchain, pstchain.cli; loaded = 'scipy.linalg' in sys.modules; "
+            "pstchain.cli.main(['design', 'analytic', '--n', '64']); "
+            "print(loaded, 'scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip().splitlines()[-1] == "False False"

@@ -457,6 +457,12 @@ def test_two_boson_matches_symmetric_subspace_oracle(n):
                 assert abs(two_boson_transfer(spec, src[::-1], tgt[::-1], t) - got) <= 1e-14
 
 
+def test_two_boson_transfer_refuses_a_fermionic_chain():
+    # the bosonic amplitude on analytic_chain(4) is -1 where the fermionic one is +1
+    with pytest.raises(ValueError, match="requires bosonic statistics"):
+        two_boson_transfer(analytic_chain(4), (1, 2), (3, 4), math.pi)
+
+
 @pytest.mark.parametrize("source, target", [((0, 1), (1, 2)), ((-1, 2), (1, 2)),
                                             ((1, 5), (1, 2)), ((1, 2), (2, -1)),
                                             ((1, 2), (4, 5))])

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from pstchain import (analytic_chain, amplitude_profile, build_h1, certify_pst, chain,
                       diagonalize, gamma, is_degenerate, propagate, uniform_chain)
 from pstchain.certify import ARRIVAL_TOL
+from pstchain.spectral import chain_eigenvalues, sturm_newton
 
 from oracles import expm_evolve, random_pst_chain
 
@@ -102,11 +103,32 @@ def test_dense_input_requires_symmetry():
 def test_degeneracy_detection():
     # two identical decoupled blocks share their spectrum
     m = np.kron(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert is_degenerate(diagonalize(m))
-    assert not is_degenerate(diagonalize(uniform_chain(5)))
+    assert is_degenerate(diagonalize(m).eigenvalues)
+    assert not is_degenerate(diagonalize(uniform_chain(5)).eigenvalues)
     # one level has no gap to close; repeated levels with no spread are degenerate
-    assert not is_degenerate(diagonalize(np.array([[0.7]])))
-    assert is_degenerate(diagonalize(0.7 * np.eye(3)))
+    assert not is_degenerate([0.7])
+    assert is_degenerate([0.7, 0.7, 0.7])
+
+
+def test_chain_eigenvalues_match_the_decomposition():
+    for spec in (chain([], [0.7]), analytic_chain(2),
+                 chain([0.9, 1.3, 0.4], [0.2, -1.0, 0.5, 0.1])):
+        lam = chain_eigenvalues(spec)
+        assert np.allclose(lam, diagonalize(spec).eigenvalues, rtol=0.0, atol=1e-14)
+
+
+def test_sturm_newton_refines_to_the_exact_spectrum():
+    """The analytic chain has the half-integer spectrum -(N-1)/2 .. (N-1)/2."""
+    n = 1000
+    spec = analytic_chain(n)
+    exact = np.arange(n) - (n - 1) / 2.0
+    lam = chain_eigenvalues(spec)
+    bound = n * np.finfo(float).eps * max(spec.couplings)
+    refined = sturm_newton(spec, lam, bound)
+    assert np.max(np.abs(refined - exact)) < 0.1 * np.max(np.abs(lam - exact))
+    assert np.max(np.abs(refined - exact)) < 1e-13
+    # the guard: no eigenvalue moves further than the step bound
+    assert np.array_equal(sturm_newton(spec, lam, 0.0), lam)
 
 
 def test_propagate_identity_at_time_zero():
@@ -235,7 +257,6 @@ def test_certificate_carries_the_decomposition(params):
     sd = diagonalize(spec)
     assert np.array_equal(cert.spectrum.eigenvalues, sd.eigenvalues)
     assert np.array_equal(cert.spectrum.eigenvectors, sd.eigenvectors)
-    assert cert.eigenvalues is cert.spectrum.eigenvalues
 
 
 def test_propagate_rejects_mismatched_shapes():
