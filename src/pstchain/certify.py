@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -111,8 +112,9 @@ class OptimalityReport:
     timing_sensitivity: float
 
 
-def _gap_fractions(ratios: np.ndarray, max_denominator: int) -> list[Fraction]:
-    """``Fraction(r).limit_denominator(max_denominator)`` of every ratio.
+def _gap_fractions(ratios: np.ndarray, max_denominator: int) -> Iterator[Fraction]:
+    """``Fraction(r).limit_denominator(max_denominator)`` of each ratio in
+    turn, computed as the caller asks for it.
 
     A ratio within ``1 / (2 max_denominator)`` of an integer m is closer to
     m than to any other fraction p/q with q <= max_denominator (those lie at
@@ -120,8 +122,8 @@ def _gap_fractions(ratios: np.ndarray, max_denominator: int) -> list[Fraction]:
     """
     nearest = np.rint(ratios)
     near = np.abs(ratios - nearest) < 0.5 / max_denominator
-    return [Fraction(int(m)) if ok else Fraction(r).limit_denominator(max_denominator)
-            for r, m, ok in zip(ratios.tolist(), nearest.tolist(), near.tolist())]
+    for r, m, ok in zip(ratios.tolist(), nearest.tolist(), near.tolist()):
+        yield Fraction(int(m)) if ok else Fraction(r).limit_denominator(max_denominator)
 
 
 def _log_abs_derivatives(lam: np.ndarray) -> np.ndarray:
@@ -190,12 +192,13 @@ def certify_pst(spec: ChainSpec, tol: float = 1e-9,
     if error / float(np.diff(lam).min()) > 1e-3 * tol:
         lam = sturm_newton(spec, lam, error)
     gaps = np.diff(lam)
-    fracs = _gap_fractions(gaps / gaps.min(), max_denominator)
+    fracs = []
     lcm = 1
-    for f in fracs:
+    for f in _gap_fractions(gaps / gaps.min(), max_denominator):
         lcm = math.lcm(lcm, f.denominator)
         if lcm > _MULTIPLIER_GUARD:
             return fail("imperfect", "no commensurate gap structure within max_denominator")
+        fracs.append(f)
     mult = [f.numerator * (lcm // f.denominator) for f in fracs]
     g = math.gcd(*mult)
     mult = [m // g for m in mult]

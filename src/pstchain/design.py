@@ -94,53 +94,87 @@ def target_spectrum(values, antisymmetric: bool | None = None) -> TargetSpectrum
     return TargetSpectrum(eigenvalues=tuple(lam), antisymmetric=antisymmetric)
 
 
-def _lanczos_from_weights(lam: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobi matrix with spectrum ``lam`` and end weights ``w``.
+def _givens_insertion(lam: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fields and couplings of the Jacobi matrix with eigenvalues ``lam``
+    whose eigenvectors start with ``q`` (Gragg and Harrod, Numer. Math. 44,
+    1984), in O(N^2) time and O(N) memory.
 
-    Three-term recurrence on the diagonal operator seeded with sqrt(w),
-    with full reorthogonalization (loss of orthogonality is the known
-    failure mode of the bare recursion).
+    The matrix is the tridiagonal reduction of the bordered matrix
+    ``[[0, q^T], [q, diag(lam)]]`` that keeps the border row. Pairs
+    ``(lam_i, q_i)`` are inserted one at a time between the border and the
+    Jacobi matrix of the pairs before; each insertion leaves one bulge two
+    places off the diagonal, which Givens rotations chase down and off the
+    end. The arrays hold the final (N+1)-square matrix with the border in
+    row 0, and the pairs inserted so far occupy its last rows, so insertion
+    i puts the border in row N - i and chases through the planes (p, p+1),
+    p = N - i + 1, ..., N - 1. A rotation in plane p touches the slots
+    p-1..p+2 only, so with insertion i started two steps after insertion
+    i-1 its chase runs three planes behind, each slot sees its updates in
+    the serial order, and all active chases advance together in one step on
+    stride-3 slices: about 3N steps of O(N) work each.
     """
     n = lam.size
-    q = np.zeros((n, n))
-    q[:, 0] = np.sqrt(w)
-    alpha = np.zeros(n)
-    beta = np.zeros(n - 1)
-    for j in range(n):
-        v = lam * q[:, j]
-        alpha[j] = q[:, j] @ v
-        v = v - alpha[j] * q[:, j]
-        if j > 0:
-            v = v - beta[j - 1] * q[:, j - 1]
-        for _ in range(2):
-            v -= q[:, : j + 1] @ (q[:, : j + 1].T @ v)
-        if j < n - 1:
-            norm = np.linalg.norm(v)
-            if norm < 1e-13 * max(1.0, np.max(np.abs(lam))):
-                raise ReconstructionError(f"recurrence broke down at step {j + 1}")
-            beta[j] = norm
-            q[:, j + 1] = v / norm
-    return alpha, beta
+    d = np.zeros(n + 1)        # d[j] = A[j, j]
+    e = np.zeros(n + 1)        # e[j] = A[j, j + 1]; e[n] stays 0
+    bulge = np.zeros(n + 1)    # bulge[p] = A[p - 1, p + 1], removed by plane p
+    for step in range(3 * n - 3):   # the last chase ends at step 3N - 4
+        i = step // 2 + 1
+        if step % 2 == 0 and i <= n:
+            top = n - i        # the border moves up one row
+            e[top] = q[i - 1]
+            d[top + 1] = lam[i - 1]
+            bulge[top + 1] = e[top + 1]
+            e[top + 1] = 0.0
+        lo = n + 3 + step - 3 * min(i, n)   # plane of the newest active chase
+        if lo > n - 1:
+            continue
+        x = e[lo - 1:n - 1:3]
+        b = bulge[lo:n:3]
+        r = np.hypot(x, b)
+        if r.all():
+            c = x / r
+            s = b / r
+        else:                  # both entries zero: the identity rotation
+            safe = np.where(r > 0.0, r, 1.0)
+            c = np.where(r > 0.0, x / safe, 1.0)
+            s = b / safe
+        x[...] = r
+        p = d[lo:n:3]
+        g = d[lo + 1:n + 1:3]
+        u = e[lo:n:3]
+        h = s * (g - p)
+        cu = c * u
+        h += cu
+        h += cu
+        shift = s * h
+        np.subtract(c * h, u, out=u)
+        p += shift
+        g -= shift
+        below = e[lo + 1:n + 1:3]
+        np.multiply(s, below, out=bulge[lo + 1:n + 1:3])
+        below *= c
+    return d[1:], np.abs(e[1:n])
 
 
 def chain_from_spectrum(target: TargetSpectrum) -> ChainSpec:
     """Unique mirror-symmetric positive-coupling chain with the given spectrum.
 
-    End weights come from the characteristic-polynomial derivative; the
-    orthogonal-polynomial recursion then recovers the tridiagonal entries.
-    The reconstruction is verified by re-diagonalization and by the mirror
-    check of :func:`certify_pst`; errors name the smallest end weight, as
-    weights below the smallest normal double defeat an exact reconstruction.
+    End weights come from the characteristic-polynomial derivative, in log
+    space; the Gragg-Harrod Givens insertion (Numer. Math. 44, 1984) then
+    builds the tridiagonal entries from the eigenvalues and the square roots
+    of the weights in O(N^2) time and O(N) memory. The reconstruction is
+    verified by its eigenvalues and by the mirror check of
+    :func:`certify_pst`. Errors name the smallest end weight; where its
+    square root underflows to zero the target is refused before any
+    reconstruction.
     """
     lam = np.asarray(target.eigenvalues, dtype=float)
-    w = end_weights(lam)
-    try:
-        alpha, beta = _lanczos_from_weights(lam, w)
-    except ReconstructionError as exc:
-        log10_min = _log10_smallest_weight(lam)
-        cause = (f"end weights underflow: smallest 10^{log10_min:.1f}"
-                 if log10_min < math.log10(np.finfo(float).tiny) else "near-degenerate target")
-        raise ReconstructionError(f"{exc} ({cause})") from None
+    log_w = end_weights(lam, log=True)
+    log10_min = float(np.min(log_w)) / math.log(10.0)
+    root_w = np.exp(0.5 * log_w)
+    if not np.all(root_w > 0.0):
+        raise ReconstructionError(f"end weights underflow: smallest 10^{log10_min:.1f}")
+    alpha, beta = _givens_insertion(lam, root_w)
     spread = lam[-1] - lam[0]
     if target.antisymmetric:
         worst = float(np.max(np.abs(alpha)))
@@ -156,14 +190,8 @@ def chain_from_spectrum(target: TargetSpectrum) -> ChainSpec:
     if not mirror:
         raise ReconstructionError(
             f"reconstructed chain is not mirror symmetric (max violation "
-            f"{mirror.max_violation:.3e}; smallest end weight "
-            f"10^{_log10_smallest_weight(lam):.1f})")
+            f"{mirror.max_violation:.3e}; smallest end weight 10^{log10_min:.1f})")
     return result
-
-
-def _log10_smallest_weight(lam: np.ndarray) -> float:
-    """log10 of the smallest end weight, finite even where the weight underflows."""
-    return float(np.min(end_weights(lam, log=True))) / math.log(10.0)
 
 
 def _snap(value: float, parity: int) -> int:

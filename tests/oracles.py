@@ -168,6 +168,37 @@ def random_pst_chain(rng, n):
     return chain_from_spectrum(target_spectrum(lam, antisymmetric=False))
 
 
+def _lanczos_from_weights(lam, w):
+    """Jacobi matrix with spectrum ``lam`` and end weights ``w``, the way the
+    library reconstructed it before the Givens insertion: the three-term
+    recurrence on the diagonal operator seeded with sqrt(w), with full
+    reorthogonalization (loss of orthogonality is the known failure mode of
+    the bare recursion). O(N^3) time and an N x N basis. Returns the fields
+    and the couplings."""
+    from pstchain.design import ReconstructionError
+
+    n = lam.size
+    q = np.zeros((n, n))
+    q[:, 0] = np.sqrt(w)
+    alpha = np.zeros(n)
+    beta = np.zeros(n - 1)
+    for j in range(n):
+        v = lam * q[:, j]
+        alpha[j] = q[:, j] @ v
+        v = v - alpha[j] * q[:, j]
+        if j > 0:
+            v = v - beta[j - 1] * q[:, j - 1]
+        for _ in range(2):
+            v -= q[:, : j + 1] @ (q[:, : j + 1].T @ v)
+        if j < n - 1:
+            norm = np.linalg.norm(v)
+            if norm < 1e-13 * max(1.0, np.max(np.abs(lam))):
+                raise ReconstructionError(f"recurrence broke down at step {j + 1}")
+            beta[j] = norm
+            q[:, j + 1] = v / norm
+    return alpha, beta
+
+
 def uniform_path_gamma(n, source, target, t):
     """Closed-form transfer amplitude <target| exp(-i H t) |source> of the
     uniform path with unit couplings: eigenvalues 2 cos(k pi / (n + 1)) and

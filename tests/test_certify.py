@@ -496,8 +496,22 @@ ratios = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(ratios, min_size=1, max_size=12), st.integers(1, 10 ** 7))
 def test_gap_fractions_are_limit_denominator(values, max_denominator):
-    got = _gap_fractions(np.asarray(values), max_denominator)
+    got = list(_gap_fractions(np.asarray(values), max_denominator))
     assert got == [Fraction(v).limit_denominator(max_denominator) for v in values]
+
+
+def test_rationalizing_stops_where_the_multiplier_guard_trips(monkeypatch):
+    drawn = []
+
+    def counted(ratios, max_denominator):
+        for f in _gap_fractions(ratios, max_denominator):
+            drawn.append(f)
+            yield f
+
+    monkeypatch.setattr("pstchain.certify._gap_fractions", counted)
+    cert = certify_pst(uniform_chain(1000))
+    assert cert.reason == "no commensurate gap structure within max_denominator"
+    assert 0 < len(drawn) < 10      # of 999 gaps
 
 
 @pytest.fixture

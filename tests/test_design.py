@@ -1,14 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pstchain import (analytic_chain, certify_pst, chain_from_spectrum,
                       coupling_family, diagonalize, end_weights, gamma,
                       mirror_symmetry_check, near_uniform_chain, newton_iep,
                       nnn_coupling_family, sequential_storage_chain, target_spectrum,
                       uniform_chain, validate_family)
-from pstchain.design import ParametrizedFamily, ReconstructionError, TargetSpectrum
+from pstchain.design import (ParametrizedFamily, ReconstructionError, TargetSpectrum,
+                             _givens_insertion)
+from pstchain.spectral import chain_eigenvalues
+
+from oracles import _lanczos_from_weights
 
 
 # --- analytic family ------------------------------------------------------
@@ -158,24 +164,43 @@ def _odd_gap_spectrum(n, rng):
     return lam - lam[-1] / 2.0
 
 
-def test_reconstruction_refuses_chain_off_mirror_from_subnormal_weights():
-    # smallest end weight ~1e-319: the recurrence returns a chain whose
-    # spectrum is right to 1e-8 but which is off mirror symmetry by ~2e-5
+def _assert_perfect_odd_gap_chain(spec, lam):
+    assert mirror_symmetry_check(spec, tol=1e-9 * np.max(spec.coupling_array())).symmetric
+    assert np.max(np.abs(chain_eigenvalues(spec) - lam)) <= 1e-8 * (lam[-1] - lam[0])
+    cert = certify_pst(spec)
+    assert cert.perfect
+    assert abs(cert.t0 - math.pi) <= 1e-12
+
+
+def test_reconstruction_of_subnormal_weights_certifies_perfect():
+    # smallest end weight ~1e-319, a subnormal double; its square root is normal
     lam = _odd_gap_spectrum(1000, np.random.default_rng(20))
-    assert np.min(end_weights(lam, log=True)) < math.log(np.finfo(float).tiny)
-    with pytest.raises(ReconstructionError,
-                       match=r"not mirror symmetric \(max violation .*; smallest end "
-                             r"weight 10\^-318\.9\)"):
-        chain_from_spectrum(target_spectrum(lam, antisymmetric=True))
+    assert 0.0 < end_weights(lam).min() < np.finfo(float).tiny
+    spec = chain_from_spectrum(target_spectrum(lam, antisymmetric=True))
+    _assert_perfect_odd_gap_chain(spec, lam)
 
 
-def test_reconstruction_breakdown_names_underflowed_weights():
-    # smallest end weight ~1e-330 rounds to zero and the recurrence breaks down
+def test_reconstruction_of_underflowed_weights_certifies_perfect():
+    # smallest end weight ~1e-330 rounds to zero; its square root is normal
     lam = _odd_gap_spectrum(1000, np.random.default_rng(8))
+    assert end_weights(lam).min() == 0.0
+    spec = chain_from_spectrum(target_spectrum(lam, antisymmetric=True))
+    _assert_perfect_odd_gap_chain(spec, lam)
+
+
+def test_reconstruction_refuses_weights_whose_roots_underflow():
+    lam = np.arange(2200.0) - 1099.5
     with pytest.raises(ReconstructionError,
-                       match=r"recurrence broke down at step \d+ \(end weights underflow: "
-                             r"smallest 10\^-329\.9\)"):
+                       match=r"^end weights underflow: smallest 10\^-662\.0$"):
         chain_from_spectrum(target_spectrum(lam, antisymmetric=True))
+
+
+def test_reconstruction_keeps_equal_gap_chain_at_2000_sites():
+    # smallest end weight ~1e-602: only its square root is a double
+    lam = np.arange(2000.0) - 999.5
+    spec = chain_from_spectrum(target_spectrum(lam, antisymmetric=True))
+    expected = analytic_chain(2000).coupling_array()
+    assert np.max(np.abs(spec.coupling_array() - expected)) <= 1e-10
 
 
 def test_reconstruction_keeps_equal_gap_chain_with_subnormal_weights():
@@ -190,6 +215,64 @@ def test_reconstruction_keeps_equal_gap_chain_with_subnormal_weights():
 def test_end_weights_log_matches_weights():
     lam = np.array([-1.5, -0.2, 0.4, 2.0])
     assert np.allclose(np.exp(end_weights(lam, log=True)), end_weights(lam), rtol=1e-14)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=59), st.floats(0.1, 10.0),
+       st.floats(-5.0, 5.0), st.booleans())
+def test_givens_insertion_matches_lanczos_oracle(gaps, scale, offset, antisymmetric):
+    n = len(gaps) + 1
+    if antisymmetric:   # the upper half of the levels, reflected about 0
+        half = scale * np.cumsum(gaps[: n // 2])
+        lam = np.concatenate((-half[::-1], [0.0] * (n % 2), half))
+    else:
+        lam = offset + scale * np.concatenate(([0.0], np.cumsum(gaps)))
+    spec = chain_from_spectrum(TargetSpectrum(tuple(lam), antisymmetric=antisymmetric))
+    fields, couplings = _lanczos_from_weights(lam, end_weights(lam))
+    if antisymmetric:
+        fields = np.zeros_like(fields)
+    spread = lam[-1] - lam[0]
+    assert np.max(np.abs(spec.coupling_array() - couplings)) <= 1e-9 * spread
+    assert np.max(np.abs(spec.field_array() - fields)) <= 1e-9 * spread
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=0, max_size=198), st.integers(0, 198),
+       st.integers(-3, 3))
+def test_odd_gap_spectra_round_trip_to_perfect_chains(multipliers, where, shift):
+    multipliers.insert(where % (len(multipliers) + 1), 0)   # one unit gap: t0 = pi
+    lam = np.concatenate(([0.0], np.cumsum([2 * k + 1 for k in multipliers])))
+    lam += shift - 0.5 * lam[-1]
+    spec = chain_from_spectrum(target_spectrum(lam, antisymmetric=False))
+    cert = certify_pst(spec)
+    assert cert.perfect
+    assert abs(cert.t0 - math.pi) <= 1e-12
+    assert cert.odd_integers == tuple(multipliers)
+    assert np.max(np.abs(chain_eigenvalues(spec) - lam)) <= 1e-8 * (lam[-1] - lam[0])
+
+
+def test_thousand_site_odd_gap_chain_matches_lanczos_oracle_in_linear_memory():
+    lam = _odd_gap_spectrum(1000, np.random.default_rng(10))
+    target = target_spectrum(lam, antisymmetric=True)
+    tracemalloc.start()
+    try:
+        spec = chain_from_spectrum(target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20      # an N x N array of doubles alone is 7.6 MB
+    _, couplings = _lanczos_from_weights(lam, end_weights(lam))
+    assert np.max(np.abs(spec.coupling_array() - couplings)) <= 1e-10 * np.max(couplings)
+
+
+def test_givens_insertion_passes_over_pairs_of_zero_weight():
+    # with two leading zero weights a chase meets planes where the coupling and
+    # the bulge are both zero; there is nothing to rotate and nothing to divide by
+    lam = np.array([-2.0, -0.5, 0.3, 1.0, 2.5, 3.0])
+    fields, couplings = _givens_insertion(lam, np.array([0.0, 0.0, 0.5, 0.5, 0.5, 0.5]))
+    assert np.all(np.isfinite(fields)) and np.all(np.isfinite(couplings))
+    jacobi = np.diag(fields) + np.diag(couplings, 1) + np.diag(couplings, -1)
+    assert np.max(np.abs(np.linalg.eigvalsh(jacobi) - lam)) < 1e-14
 
 
 # --- near-uniform design ---------------------------------------------------
