@@ -142,6 +142,8 @@ def _givens_insertion(lam: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nd
         p = d[lo:n:3]
         g = d[lo + 1:n + 1:3]
         u = e[lo:n:3]
+        # [[p, u], [u, g]] rotated: p + s h, g - s h and c h - u, where
+        # h = s (g - p) + 2 c u (c^2 + s^2 = 1)
         h = s * (g - p)
         cu = c * u
         h += cu
