@@ -112,11 +112,20 @@ def _givens_insertion(lam: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nd
     i-1 its chase runs three planes behind, each slot sees its updates in
     the serial order, and all active chases advance together in one step on
     stride-3 slices: about 3N steps of O(N) work each.
+
+    The rotations run in ``np.longdouble`` (a 64-bit significand on x86-64;
+    where it is plain double, so are they) and the entries are rounded to
+    doubles at the end. Each entry takes the rounding of up to N rotations:
+    in double precision that moves the edge eigenvalues of a 2000-site
+    near-uniform chain by 8e-15, while certifying it on its lattice (unit
+    3.7e-6, ``tol`` 1e-9) needs its gaps to 4e-15.
     """
     n = lam.size
-    d = np.zeros(n + 1)        # d[j] = A[j, j]
-    e = np.zeros(n + 1)        # e[j] = A[j, j + 1]; e[n] stays 0
-    bulge = np.zeros(n + 1)    # bulge[p] = A[p - 1, p + 1], removed by plane p
+    lam = lam.astype(np.longdouble)
+    q = q.astype(np.longdouble)
+    d = np.zeros(n + 1, np.longdouble)      # d[j] = A[j, j]
+    e = np.zeros(n + 1, np.longdouble)      # e[j] = A[j, j + 1]; e[n] stays 0
+    bulge = np.zeros(n + 1, np.longdouble)  # bulge[p] = A[p - 1, p + 1], removed by plane p
     for step in range(3 * n - 3):   # the last chase ends at step 3N - 4
         i = step // 2 + 1
         if step % 2 == 0 and i <= n:
@@ -131,13 +140,10 @@ def _givens_insertion(lam: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nd
         x = e[lo - 1:n - 1:3]
         b = bulge[lo:n:3]
         r = np.hypot(x, b)
-        if r.all():
-            c = x / r
-            s = b / r
-        else:                  # both entries zero: the identity rotation
-            safe = np.where(r > 0.0, r, 1.0)
-            c = np.where(r > 0.0, x / safe, 1.0)
-            s = b / safe
+        nonzero = r > 0.0      # where both entries are zero: the identity rotation
+        safe = np.where(nonzero, r, 1.0)
+        c = np.where(nonzero, x / safe, 1.0)
+        s = b / safe
         x[...] = r
         p = d[lo:n:3]
         g = d[lo + 1:n + 1:3]
@@ -155,7 +161,7 @@ def _givens_insertion(lam: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nd
         below = e[lo + 1:n + 1:3]
         np.multiply(s, below, out=bulge[lo + 1:n + 1:3])
         below *= c
-    return d[1:], np.abs(e[1:n])
+    return d[1:].astype(float), np.abs(e[1:n]).astype(float)
 
 
 def chain_from_spectrum(target: TargetSpectrum) -> ChainSpec:
@@ -164,11 +170,11 @@ def chain_from_spectrum(target: TargetSpectrum) -> ChainSpec:
     End weights come from the characteristic-polynomial derivative, in log
     space; the Gragg-Harrod Givens insertion (Numer. Math. 44, 1984) then
     builds the tridiagonal entries from the eigenvalues and the square roots
-    of the weights in O(N^2) time and O(N) memory. The reconstruction is
-    verified by its eigenvalues and by the mirror check of
-    :func:`certify_pst`. Errors name the smallest end weight; where its
-    square root underflows to zero the target is refused before any
-    reconstruction.
+    of the weights in O(N^2) time and O(N) memory, with the rotations in
+    extended precision. The reconstruction is verified by its eigenvalues
+    and by the mirror check of :func:`certify_pst`. Errors name the
+    smallest end weight; where its square root underflows to zero the
+    target is refused before any reconstruction.
     """
     lam = np.asarray(target.eigenvalues, dtype=float)
     log_w = end_weights(lam, log=True)

@@ -195,6 +195,17 @@ def test_reconstruction_refuses_weights_whose_roots_underflow():
         chain_from_spectrum(target_spectrum(lam, antisymmetric=True))
 
 
+def test_reconstruction_refuses_chain_off_mirror_from_subnormal_roots():
+    # smallest end weight ~1e-638: its square root is a subnormal double with
+    # too few bits to place the far end of the chain
+    lam = np.arange(2120.0) - 1059.5
+    assert 0.0 < np.exp(0.5 * end_weights(lam, log=True)).min() < np.finfo(float).tiny
+    with pytest.raises(ReconstructionError,
+                       match=r"^reconstructed chain is not mirror symmetric \(max violation "
+                             r"[0-9.e+-]+; smallest end weight 10\^-637\.9\)$"):
+        chain_from_spectrum(target_spectrum(lam, antisymmetric=True))
+
+
 def test_reconstruction_keeps_equal_gap_chain_at_2000_sites():
     # smallest end weight ~1e-602: only its square root is a double
     lam = np.arange(2000.0) - 999.5
@@ -300,6 +311,17 @@ def test_near_uniform_31_reproduces_figure_chain():
     assert cert.perfect
     sd = diagonalize(spec)
     assert abs(gamma(sd, 1, 31, cert.t0)) >= 1.0 - 1e-8
+    assert deviation < 0.5
+
+
+@pytest.mark.parametrize("slack", [0.25, 0.5])
+def test_near_uniform_certifies_at_2000_sites(slack):
+    # the lattice unit is 3.7e-6 * slack / 0.5, so the reconstruction has to
+    # place the edge eigenvalues to a few ulp
+    spec, deviation = near_uniform_chain(2000, slack)
+    cert = certify_pst(spec)
+    assert cert.perfect
+    assert cert.worst_gap_residual <= 1e-9
     assert deviation < 0.5
 
 
