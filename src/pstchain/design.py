@@ -171,10 +171,14 @@ def chain_from_spectrum(target: TargetSpectrum) -> ChainSpec:
     space; the Gragg-Harrod Givens insertion (Numer. Math. 44, 1984) then
     builds the tridiagonal entries from the eigenvalues and the square roots
     of the weights in O(N^2) time and O(N) memory, with the rotations in
-    extended precision. The reconstruction is verified by its eigenvalues
-    and by the mirror check of :func:`certify_pst`. Errors name the
-    smallest end weight; where its square root underflows to zero the
-    target is refused before any reconstruction.
+    extended precision. A reconstruction off mirror symmetry (the tolerance
+    of :func:`mirror_symmetry_check`) is refused; otherwise the exact mirror
+    average ``(J + J[::-1]) / 2`` (fields likewise) is returned, so the
+    chain is exactly mirror symmetric and its eigensolves take the
+    two-block fold of :mod:`pstchain.spectral` (Cantoni and Butler, Linear
+    Algebra Appl. 13, 1976). The returned chain is verified by its
+    eigenvalues. Errors name the smallest end weight; where its square root
+    underflows to zero the target is refused before any reconstruction.
     """
     lam = np.asarray(target.eigenvalues, dtype=float)
     log_w = end_weights(lam, log=True)
@@ -189,16 +193,18 @@ def chain_from_spectrum(target: TargetSpectrum) -> ChainSpec:
         if worst > 1e-9 * spread:
             raise ReconstructionError(f"fields failed to vanish (max {worst:.3e})")
         alpha = np.zeros_like(alpha)
-    result = chain(beta, alpha)
-    achieved = chain_eigenvalues(result)
-    residual = float(np.max(np.abs(achieved - lam)))
-    if residual > 1e-8 * max(1.0, spread):
-        raise ReconstructionError(f"spectrum residual {residual:.3e} too large")
-    mirror = mirror_symmetry_check(result)
+    mirror = mirror_symmetry_check(chain(beta, alpha))
     if not mirror:
         raise ReconstructionError(
             f"reconstructed chain is not mirror symmetric (max violation "
             f"{mirror.max_violation:.3e}; smallest end weight 10^{log10_min:.1f})")
+    # the exact mirror average: it drops only the antisymmetric rounding part,
+    # which moves no eigenvalue at first order, and lets the solvers fold
+    result = chain(0.5 * (beta + beta[::-1]), 0.5 * (alpha + alpha[::-1]))
+    achieved = chain_eigenvalues(result)
+    residual = float(np.max(np.abs(achieved - lam)))
+    if residual > 1e-8 * max(1.0, spread):
+        raise ReconstructionError(f"spectrum residual {residual:.3e} too large")
     return result
 
 

@@ -7,10 +7,18 @@ eigensolver. Tridiagonal operators take a dedicated fast path; dense
 symmetric (or Hermitian, for phased networks) operators fall back to a
 general solver. ``scipy.linalg`` is imported by the functions that solve,
 since importing it is most of the start-up of a process that never does.
+
+A perfect chain is mirror symmetric, and a mirror-symmetric (persymmetric)
+tridiagonal matrix is orthogonally similar to the direct sum of two
+half-size tridiagonal matrices, one acting on the symmetric and one on the
+antisymmetric vectors (Cantoni and Butler, Linear Algebra Appl. 13, 1976).
+The tridiagonal solves stack the two blocks into one matrix with an exact
+zero coupling between them, where LAPACK splits the problem in two.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +44,13 @@ class SpectralDecomposition:
 
     The sign convention (first significant component of each eigenvector is
     real positive) makes end amplitudes reproducible across platforms.
+    ``residual`` is the ``max|M v - lambda v|`` that the eigensolve was
+    checked by.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    residual: float
 
     def __post_init__(self):
         self.eigenvalues.flags.writeable = False
@@ -64,12 +75,73 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
+def _fold(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The two mirror blocks of an exactly mirror-symmetric tridiagonal
+    matrix, stacked into one matrix of the same size with a zero coupling
+    between them; ``None`` unless ``diag`` and ``off`` equal their reverses
+    bitwise (the split must be exact, so no tolerance is allowed).
+
+    With N = 2m the symmetric block is the leading m x m block with ``J_m``
+    added to its last diagonal entry and the antisymmetric block the same
+    with ``J_m`` subtracted. With N = 2m + 1 the symmetric block is the
+    leading (m+1)-block with its last coupling scaled by sqrt 2 and the
+    antisymmetric block the leading m x m block. The symmetric block comes
+    first.
+    """
+    n = diag.size
+    if (n < 2 or diag.tobytes() != diag[::-1].tobytes()
+            or off.tobytes() != off[::-1].tobytes()):
+        return None
+    m = n // 2
+    s = n - m       # the size of the symmetric block
+    fdiag = np.concatenate((diag[:s], diag[:m]))
+    foff = np.concatenate((off[:s - 1], (0.0,), off[:m - 1]))
+    if n % 2:
+        foff[m - 1] *= math.sqrt(2.0)
+    else:
+        fdiag[m - 1] += off[m - 1]
+        fdiag[n - 1] -= off[m - 1]
+    return fdiag, foff
+
+
+def _unfold(vectors: np.ndarray) -> np.ndarray:
+    """Eigenvectors of a mirror-symmetric matrix from those of its
+    :func:`_fold`, in place, a block of columns at a time.
+
+    Each column lies in one row block of the fold (the solver splits at the
+    zero coupling) and is exactly zero in the other, so the top half of the
+    unfolded column is the sum of the two row blocks times sqrt(1/2) and the
+    bottom half is the mirror of their difference times sqrt(1/2): the
+    symmetric block's column is mirrored with a plus, the antisymmetric
+    block's with a minus. The centre entry of an odd chain is the symmetric
+    block's last entry, and stays where it is.
+    """
+    n = vectors.shape[0]
+    m = n // 2
+    half = math.sqrt(0.5)
+    for c in range(0, vectors.shape[1], _BLOCK):
+        sym = vectors[:m, c:c + _BLOCK]
+        anti = vectors[n - m:, c:c + _BLOCK]
+        top = sym + anti
+        bottom = (sym - anti)[::-1]
+        np.multiply(top, half, out=sym)
+        np.multiply(bottom, half, out=anti)
+    return vectors
+
+
 def diagonalize(operator) -> SpectralDecomposition:
     """Diagonalize a single-excitation operator.
 
     Accepts a :class:`SingleExcitationMatrix` (tridiagonal fast path), a
     :class:`ChainSpec`, or a dense symmetric/Hermitian ndarray. The residual
-    ``max|M v - lambda v|`` is checked against ``1e-10 * max|M|``.
+    ``max|M v - lambda v|`` is checked against ``1e-10 * max|M|`` and kept on
+    the result.
+
+    A tridiagonal operator goes to LAPACK ``stevd`` (divide and conquer,
+    O(N^3) in the worst case); an exactly mirror-symmetric one goes as its
+    :func:`_fold`, which ``stevd`` solves as two N/2 problems, and the
+    eigenvectors are unfolded before the sign fix and the residual check,
+    which see the caller's operator.
     """
     if isinstance(operator, ChainSpec):
         operator = build_h1(operator)
@@ -81,7 +153,11 @@ def diagonalize(operator) -> SpectralDecomposition:
             vec = np.ones((1, 1))
         else:
             import scipy.linalg
-            lam, vec = scipy.linalg.eigh_tridiagonal(diag, off)
+            fold = _fold(diag, off)
+            lam, vec = scipy.linalg.eigh_tridiagonal(*(fold or (diag, off)),
+                                                     lapack_driver="stevd")
+            if fold is not None:
+                _unfold(vec)
         vec = _fix_signs(vec)
         scale = max(np.max(np.abs(diag)), np.max(np.abs(off), initial=0.0))
         # M V from the three diagonals, O(N^2), a block of columns at a time
@@ -102,11 +178,11 @@ def diagonalize(operator) -> SpectralDecomposition:
             raise ValueError("operator is not symmetric/Hermitian")
         lam, vec = np.linalg.eigh(dense)
         vec = _fix_signs(vec)
-        residual = np.max(np.abs(dense @ vec - vec * lam[None, :]))
+        residual = float(np.max(np.abs(dense @ vec - vec * lam[None, :])))
     if residual > 1e-10 * max(scale, 1e-300):
         raise ArithmeticError(f"eigendecomposition residual {residual:.3e} too large")
     lam = np.ascontiguousarray(lam, dtype=float)
-    return SpectralDecomposition(eigenvalues=lam, eigenvectors=vec)
+    return SpectralDecomposition(eigenvalues=lam, eigenvectors=vec, residual=residual)
 
 
 def chain_eigenvalues(spec: ChainSpec) -> np.ndarray:
@@ -115,11 +191,13 @@ def chain_eigenvalues(spec: ChainSpec) -> np.ndarray:
 
     LAPACK ``sterf`` works in O(N^2) time and O(N) memory; its eigenvalues
     carry an absolute error of order ``N * eps * max|T|``, which
-    :func:`sturm_newton` can reduce.
+    :func:`sturm_newton` can reduce. An exactly mirror-symmetric chain goes
+    as its :func:`_fold`, two N/2 problems, which halves the work.
     """
     import scipy.linalg
+    diag, off = spec.field_array(), spec.coupling_array()
     # a ChainSpec holds finite values only
-    return scipy.linalg.eigvalsh_tridiagonal(spec.field_array(), spec.coupling_array(),
+    return scipy.linalg.eigvalsh_tridiagonal(*(_fold(diag, off) or (diag, off)),
                                              lapack_driver="sterf", check_finite=False)
 
 

@@ -199,6 +199,25 @@ def _lanczos_from_weights(lam, w):
     return alpha, beta
 
 
+def unfolded_decomposition(spec):
+    """Eigenvalues and eigenvectors of a chain from one LAPACK ``stevd`` solve
+    of its whole single-excitation matrix, with the library's sign
+    convention: the way the library diagonalized every chain before it
+    folded mirror-symmetric ones into two half-size blocks."""
+    from pstchain.spectral import _fix_signs
+
+    lam, vec = scipy.linalg.eigh_tridiagonal(spec.field_array(), spec.coupling_array(),
+                                             lapack_driver="stevd")
+    return lam, _fix_signs(vec)
+
+
+def unfolded_eigenvalues(spec):
+    """Eigenvalues of a chain from one LAPACK ``sterf`` solve of its whole
+    single-excitation matrix."""
+    return scipy.linalg.eigvalsh_tridiagonal(spec.field_array(), spec.coupling_array(),
+                                             lapack_driver="sterf")
+
+
 def uniform_path_gamma(n, source, target, t):
     """Closed-form transfer amplitude <target| exp(-i H t) |source> of the
     uniform path with unit couplings: eigenvalues 2 cos(k pi / (n + 1)) and

@@ -17,7 +17,7 @@ from pstchain import (BathSpec, ClockProgram, amplifier_sim, analytic_chain,
                       revival_rate_report, sequential_storage_chain, star_network,
                       theta_entangler, timing_window, two_boson_transfer, uniform_chain)
 from pstchain.certify import _gap_fractions, end_products
-from pstchain.spectral import DegenerateSpectrumError
+from pstchain.spectral import DegenerateSpectrumError, chain_eigenvalues
 
 from oracles import certify_by_eigenvectors, random_pst_chain
 
@@ -265,17 +265,27 @@ def test_timing_window_epsilon_validation():
 
 # --- one eigensolve per certified chain ---------------------------------------
 
+class _Solves(list):
+    """Sizes of the matrices passed to a solver, with their off-diagonals in
+    ``offdiagonals``."""
+
+    def __init__(self):
+        super().__init__()
+        self.offdiagonals = []
+
+
 def _counted_solver(monkeypatch, name):
-    """Sizes of the matrices passed to ``scipy.linalg.<name>``."""
-    sizes = []
+    """Sizes and off-diagonals of the matrices passed to ``scipy.linalg.<name>``."""
+    solves = _Solves()
     true_solver = getattr(scipy.linalg, name)
 
     def counted(diag, off, *args, **kwargs):
-        sizes.append(len(diag))
+        solves.append(len(diag))
+        solves.offdiagonals.append(np.array(off))
         return true_solver(diag, off, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, name, counted)
-    return sizes
+    return solves
 
 
 @pytest.fixture
@@ -288,6 +298,33 @@ def tridiagonal_solves(monkeypatch):
 def eigenvalue_solves(monkeypatch):
     """Sizes of the matrices passed to the eigenvalue-only tridiagonal solver."""
     return _counted_solver(monkeypatch, "eigvalsh_tridiagonal")
+
+
+def _nudged(spec):
+    """The chain with its second coupling moved up by one unit in the last place:
+    mirror symmetric to within any tolerance, but not exactly."""
+    j = list(spec.couplings)
+    j[1] = float(np.nextafter(j[1], np.inf))
+    return chain(j, spec.fields)
+
+
+def test_exactly_mirror_chain_reaches_the_solvers_folded(tridiagonal_solves,
+                                                          eigenvalue_solves):
+    diagonalize(analytic_chain(8))
+    chain_eigenvalues(analytic_chain(8))
+    for solves in (tridiagonal_solves, eigenvalue_solves):
+        assert solves == [8]
+        assert np.flatnonzero(solves.offdiagonals[0] == 0.0).tolist() == [3]
+
+
+@pytest.mark.parametrize("spec", [sequential_storage_chain(8), _nudged(analytic_chain(8))],
+                         ids=["storage", "nudged-analytic"])
+def test_other_chains_reach_the_solvers_unfolded(tridiagonal_solves, eigenvalue_solves, spec):
+    diagonalize(spec)
+    chain_eigenvalues(spec)
+    for solves in (tridiagonal_solves, eigenvalue_solves):
+        assert solves == [8]
+        assert np.array_equal(solves.offdiagonals[0], spec.coupling_array())
 
 
 def _clock():

@@ -255,6 +255,7 @@ def test_odd_gap_spectra_round_trip_to_perfect_chains(multipliers, where, shift)
     lam = np.concatenate(([0.0], np.cumsum([2 * k + 1 for k in multipliers])))
     lam += shift - 0.5 * lam[-1]
     spec = chain_from_spectrum(target_spectrum(lam, antisymmetric=False))
+    assert spec.couplings == spec.couplings[::-1] and spec.fields == spec.fields[::-1]
     cert = certify_pst(spec)
     assert cert.perfect
     assert abs(cert.t0 - math.pi) <= 1e-12

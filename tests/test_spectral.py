@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pstchain import (analytic_chain, amplitude_profile, build_h1, certify_pst, chain,
                       diagonalize, gamma, is_degenerate, propagate, uniform_chain)
 from pstchain.certify import ARRIVAL_TOL
 from pstchain.spectral import chain_eigenvalues, sturm_newton
 
-from oracles import expm_evolve, random_pst_chain
+from oracles import (expm_evolve, random_pst_chain, unfolded_decomposition,
+                     unfolded_eigenvalues)
 
 
 def test_two_level_eigenvalues():
@@ -82,8 +83,8 @@ def test_sign_convention_matches_the_column_loop_bitwise():
 def test_residual_check_rejects_a_perturbed_eigenvector(monkeypatch):
     true_solver = scipy.linalg.eigh_tridiagonal
 
-    def perturbed(diag, off):
-        lam, vec = true_solver(diag, off)
+    def perturbed(diag, off, **kwargs):
+        lam, vec = true_solver(diag, off, **kwargs)
         vec = vec.copy()
         vec[2, 3] += 1e-6
         return lam, vec
@@ -278,20 +279,17 @@ def _mirrored(half_j, half_b, n):
     return chain(j, b)
 
 
-def _symmetrized(spec):
-    """The exact mirror image average of a designed, nearly mirror chain."""
-    j = np.array(spec.couplings)
-    b = np.array(spec.fields)
-    return chain(0.5 * (j + j[::-1]), 0.5 * (b + b[::-1]))
+def _random_mirror_chains(sizes):
+    return sizes.flatmap(lambda n: st.builds(
+        _mirrored,
+        st.lists(st.floats(0.2, 2.0), min_size=n // 2, max_size=n // 2),
+        st.lists(st.floats(-1.5, 1.5), min_size=(n + 1) // 2, max_size=(n + 1) // 2),
+        st.just(n)))
 
 
-random_mirror_chains = st.integers(2, 40).flatmap(lambda n: st.builds(
-    _mirrored,
-    st.lists(st.floats(0.2, 2.0), min_size=n // 2, max_size=n // 2),
-    st.lists(st.floats(-1.5, 1.5), min_size=(n + 1) // 2, max_size=(n + 1) // 2),
-    st.just(n)))
+random_mirror_chains = _random_mirror_chains(st.integers(2, 40))
 lattice_chains = st.builds(
-    lambda seed, n: _symmetrized(random_pst_chain(np.random.default_rng(seed), n)),
+    lambda seed, n: random_pst_chain(np.random.default_rng(seed), n),
     st.integers(0, 2 ** 32 - 1), st.integers(2, 40))
 
 
@@ -321,3 +319,57 @@ def test_mirror_chains_have_alternating_eigenvectors(spec):
         e1 = np.eye(n)[:, 0]
         arrival = expm_evolve(build_h1(spec).to_dense(), e1, cert.t0)[-1]
         assert abs(arrival) >= 1.0 - ARRIVAL_TOL
+
+
+# --- the two-block fold of mirror-symmetric chains ----------------------------
+
+def _cut(spec, k):
+    """The chain with coupling ``k`` and its mirror image set to zero."""
+    j = list(spec.couplings)
+    j[k] = j[-1 - k] = 0.0
+    return chain(j, spec.fields)
+
+
+cut_mirror_chains = st.one_of(random_mirror_chains, lattice_chains).flatmap(
+    lambda spec: st.builds(_cut, st.just(spec), st.integers(0, spec.n - 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_mirror_chains, _random_mirror_chains(st.integers(2, 3)),
+                 lattice_chains, cut_mirror_chains))
+# the top two levels lie 2e-15 apart and come back with the antisymmetric one
+# last, against the parity order of the mirror theorem
+@example(_mirrored([2.0, 1.0, 1.0, 0.25, 0.25, 0.25, 0.25, 0.25, 0.5, 0.25],
+                   [1.0] + [0.0] * 10, 21))
+def test_folded_solves_match_the_unfolded_oracle(spec):
+    lam, vec = unfolded_decomposition(spec)
+    sd = diagonalize(spec)
+    scale = max(np.max(np.abs(spec.coupling_array())), np.max(np.abs(spec.field_array())))
+    assert np.max(np.abs(sd.eigenvalues - lam)) <= 1e-12 * scale
+    # the resolved-level rule of test_mirror_chains_have_alternating_eigenvectors
+    gaps = np.diff(lam)
+    nearest = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+    resolved = nearest > 1e-5 * (lam[-1] - lam[0])
+    error = np.max(np.abs(sd.eigenvectors - vec), axis=0)
+    assert np.all(error[resolved] <= 1e-9)
+    # each sterf solve is off by up to about N eps ||T||; at N = 3 the unfolded
+    # one alone exceeds N eps max|T|, so the bound takes the row-sum norm
+    rows = np.abs(spec.field_array())
+    rows[:-1] += np.abs(spec.coupling_array())
+    rows[1:] += np.abs(spec.coupling_array())
+    values = chain_eigenvalues(spec)
+    assert np.max(np.abs(values - unfolded_eigenvalues(spec))) <= (
+        2 * spec.n * np.finfo(float).eps * np.max(rows))
+
+
+def test_decomposition_keeps_the_residual_it_was_checked_by():
+    spec = analytic_chain(64)
+    sd = diagonalize(spec)
+    diag, off = spec.field_array(), spec.coupling_array()
+    v, lam = sd.eigenvectors, sd.eigenvalues
+    r = diag[:, None] * v
+    r -= v * lam[None, :]
+    r[:-1] += off[:, None] * v[1:]
+    r[1:] += off[:, None] * v[:-1]
+    assert sd.residual == float(np.max(np.abs(r)))
+    assert sd.residual <= 1e-10 * np.max(off)
