@@ -104,7 +104,7 @@ def _fold(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray] | 
     return fdiag, foff
 
 
-def _unfold(vectors: np.ndarray) -> np.ndarray:
+def _unfold(vectors: np.ndarray) -> None:
     """Eigenvectors of a mirror-symmetric matrix from those of its
     :func:`_fold`, in place, a block of columns at a time.
 
@@ -126,7 +126,6 @@ def _unfold(vectors: np.ndarray) -> np.ndarray:
         bottom = (sym - anti)[::-1]
         np.multiply(top, half, out=sym)
         np.multiply(bottom, half, out=anti)
-    return vectors
 
 
 def diagonalize(operator) -> SpectralDecomposition:
