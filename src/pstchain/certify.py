@@ -34,7 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from .chain import ChainSpec, mirror_symmetry_check
-from .spectral import (_BLOCK, DegenerateSpectrumError, SpectralDecomposition,
+from .spectral import (_BLOCK, DegenerateSpectrumError, SpectralDecomposition, _phase_sum,
                        chain_eigenvalues, diagonalize, is_degenerate, sturm_newton)
 
 ARRIVAL_TOL = 1e-8
@@ -284,7 +284,7 @@ def revival_rate_report(eigenvalues, weights, t0: float, M: int) -> RateReport:
     Splits the spectrum into residue classes ``(t0/pi)(lambda_n - lambda_1)
     mod M`` and sums the end weights per class; the rate ``M / (2 t0)`` is
     achievable iff all class sums are equal. The verdict is cross-checked
-    against direct evaluation of gamma_1 at the sub-multiple times.
+    against gamma_1 summed over the spectrum at the sub-multiple times.
     """
     if M < 1:
         raise ValueError("M must be a positive integer")
@@ -300,7 +300,7 @@ def revival_rate_report(eigenvalues, weights, t0: float, M: int) -> RateReport:
     spread = float(sums.max() - sums.min())
     equal = spread <= 1e-9 * max(abs(sums).max(), 1e-300)
     times = 2.0 * t0 * np.arange(1, M) / M
-    g1 = np.exp(-1j * np.multiply.outer(times, lam)) @ w if M > 1 else np.zeros(0)
+    g1 = _phase_sum(lam, w, times)
     gmax = float(np.max(np.abs(g1), initial=0.0))
     return RateReport(M=M, residue_sums=sums, equal=equal,
                       achievable_rate=(M / (2.0 * t0) if equal else None),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .certify import require_perfect
 from .chain import ChainSpec, build_h1
-from .spectral import diagonalize, gamma, propagate
+from .spectral import _phase_sum, diagonalize, gamma, propagate
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,11 @@ def bath_transfer_amplitude(b: BathSpec, times) -> BathTransferReport:
     With a common G the effective operator splits into one 2x2 block
     [[lambda_k, G], [G, 0]] per chain mode, so from one decomposition of the
     chain gamma(t) = sum_k v_Nk v_1k e^(-i lambda_k t/2) (cos(Omega_k t)
-    - i lambda_k / (2 Omega_k) sin(Omega_k t)), Omega_k = sqrt(lambda_k^2 + 4G^2)/2.
+    - i r_k sin(Omega_k t)), Omega_k = sqrt(lambda_k^2 + 4G^2)/2 and
+    r_k = lambda_k / (2 Omega_k). Each term is the sum of two phases, one per
+    level of the block,
+    (1 - r_k)/2 e^(-i (lambda_k/2 - Omega_k) t) + (1 + r_k)/2 e^(-i (lambda_k/2 + Omega_k) t),
+    so the amplitude is one phase sum over 2N levels.
     """
     times = np.asarray(times, dtype=float)
     g = b.common_coupling()
@@ -172,10 +176,9 @@ def bath_transfer_amplitude(b: BathSpec, times) -> BathTransferReport:
     omega = 0.5 * np.sqrt(lam ** 2 + 4.0 * g * g)
     # Omega_k = 0 only where lambda_k = G = 0; the block is then zero
     ratio = np.divide(0.5 * lam, omega, out=np.zeros_like(lam), where=omega > 0.0)
-    wt = np.multiply.outer(times, omega)
-    block = (np.exp(-0.5j * np.multiply.outer(times, lam))
-             * (np.cos(wt) - 1j * ratio * np.sin(wt)))
-    exact = block @ (sd.eigenvectors[n - 1, :] * sd.eigenvectors[0, :])
+    w = 0.5 * sd.eigenvectors[n - 1, :] * sd.eigenvectors[0, :]
+    exact = _phase_sum(np.concatenate((0.5 * lam - omega, 0.5 * lam + omega)),
+                       np.concatenate((w * (1.0 - ratio), w * (1.0 + ratio))), times)
     bare = gamma(sd, 1, n, times)
     strong = np.cos(g * times) * gamma(sd, 1, n, times / 2.0)
     return BathTransferReport(

@@ -270,18 +270,57 @@ def propagate(sd: SpectralDecomposition, v, t) -> np.ndarray:
     return np.exp(-1j * np.multiply.outer(times, sd.eigenvalues)) * coeff[None, :] @ vec.T
 
 
+def _phase_sum(lam, weights, times) -> np.ndarray:
+    """``sum_k w_k exp(-i lambda_k t)`` for every time in ``times``, in its shape.
+
+    A 1-D array of T >= 2 finite times that are evenly spaced to within
+    rounding (``|t_j - t_0 - j D| <= 4 eps max|t|``) is evaluated from two
+    small tables. With ``j = a B + b`` and ``B = ceil(sqrt(T))``, the tables
+    are ``E[b, k] = exp(-i lambda_k b D)`` (B x N) and
+    ``F[a, k] = w_k exp(-i lambda_k t_{aB})`` (A x N), and the sums are the
+    entries of the one product ``F E^T``, read row by row. That takes
+    (A + B) N ~ 2 sqrt(T) N exponentials in place of T N, and builds no
+    T x N array. ``F`` takes its phases from the grid's own times, so only the
+    short offsets ``b D`` carry the rounding of ``D``. Any other ``times`` (a
+    scalar, a multi-dimensional array, uneven or non-finite times) is summed
+    directly, one exponential per time and eigenvalue.
+    """
+    t = np.asarray(times, dtype=float)
+    count = t.size
+    if t.ndim == 1 and count >= 2:
+        step = (t[-1] - t[0]) / (count - 1)
+        j = np.arange(count)
+        with np.errstate(invalid="ignore", over="ignore"):
+            dev = np.max(np.abs(t - (t[0] + j * step)))
+        tol = 4.0 * np.finfo(float).eps * max(abs(t[0]), abs(t[-1]))
+        # NaN in dev fails the comparison, so non-finite times are summed directly
+        if dev <= tol:
+            cols = math.isqrt(count - 1) + 1       # ceil(sqrt(T)) for T >= 2
+            inner = np.exp(-1j * np.multiply.outer(j[:cols] * step, lam))
+            outer = np.exp(-1j * np.multiply.outer(t[::cols], lam))
+            outer *= weights
+            return (outer @ inner.T).ravel()[:count]
+    return np.exp(-1j * np.multiply.outer(t, lam)) @ weights
+
+
 def gamma(sd: SpectralDecomposition, source: int, target: int, t):
     """Transfer amplitude <target| exp(-i H t) |source> for 1-based sites.
 
     ``t`` may be a scalar or an array of times; the return matches its shape.
+
+    For a given decomposition the absolute error grows like
+    ``(max|t| max|lambda| + N) eps sum_k |w_k|`` and stays below 8 times that;
+    ``w_k`` are the products of the two sites' eigenvector entries
+    (``sum |w_k| <= 1``) and ``eps`` is the machine epsilon of doubles. The
+    first term is the rounding of the phases ``lambda_k t`` and dominates at
+    large ``t``: at ``max|t| max|lambda| = 1e7`` it is about 2e-9.
     """
     n = sd.dimension
     if not (1 <= source <= n and 1 <= target <= n):
         raise ValueError(f"sites must lie in 1..{n}")
     w = sd.eigenvectors[target - 1, :] * np.conj(sd.eigenvectors[source - 1, :])
-    t_arr = np.asarray(t, dtype=float)
-    out = np.exp(-1j * np.multiply.outer(t_arr, sd.eigenvalues)) @ w
-    if t_arr.ndim == 0:
+    out = _phase_sum(sd.eigenvalues, w, t)
+    if out.ndim == 0:
         return complex(out)
     return out
 

@@ -229,6 +229,34 @@ def uniform_path_gamma(n, source, target, t):
     return np.exp(-1j * np.multiply.outer(np.asarray(t, dtype=float), lam)) @ w
 
 
+def phase_sum_direct(lam, weights, times):
+    """sum_k w_k exp(-i lambda_k t) for every time, summed directly in
+    ``np.longdouble`` (a 64-bit significand on x86-64) from the given doubles,
+    and rounded to complex128 at the end."""
+    phase = np.multiply.outer(np.asarray(times, dtype=np.longdouble),
+                              np.asarray(lam, dtype=np.longdouble))
+    wr = np.real(weights).astype(np.longdouble)
+    wi = np.imag(weights).astype(np.longdouble)
+    c, s = np.cos(phase), np.sin(phase)
+    return (c @ wr + s @ wi).astype(float) + 1j * (c @ wi - s @ wr).astype(float)
+
+
+def bath_amplitude_blocks(lam, weights, g, times):
+    """End amplitude of a chain with one bath spin per site, each coupled with
+    strength g, from the chain's eigenvalues and end-weight products: one 2x2
+    block [[lambda_k, g], [g, 0]] per mode,
+    sum_k w_k e^(-i lambda_k t/2) (cos(Omega_k t) - i r_k sin(Omega_k t)),
+    Omega_k = sqrt(lambda_k^2 + 4 g^2)/2 and r_k = lambda_k / (2 Omega_k)."""
+    lam = np.asarray(lam, dtype=float)
+    times = np.asarray(times, dtype=float)
+    omega = 0.5 * np.sqrt(lam ** 2 + 4.0 * g * g)
+    ratio = np.divide(0.5 * lam, omega, out=np.zeros_like(lam), where=omega > 0.0)
+    wt = np.multiply.outer(times, omega)
+    block = (np.exp(-0.5j * np.multiply.outer(times, lam))
+             * (np.cos(wt) - 1j * ratio * np.sin(wt)))
+    return block @ weights
+
+
 def tridiagonal_dense(couplings, fields):
     """Dense one-excitation matrix tridiag(fields, couplings), built by hand."""
     n = len(fields)

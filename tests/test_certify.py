@@ -160,6 +160,19 @@ def test_rate_condition_analytic_three_m3_fails():
     assert report.max_gamma_at_submultiples > 1e-3
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 11])
+def test_revival_rate_report_checks_every_submultiple(m):
+    """The cross-check is the largest |gamma_1| over all M - 1 sub-multiples
+    2 t0 k / M, each summed here at its own scalar time."""
+    rng = np.random.default_rng(m)
+    lam = np.sort(rng.choice(40, size=9, replace=False)) - 20.0
+    w = rng.uniform(0.0, 1.0, 9)
+    w /= w.sum()
+    report = revival_rate_report(lam, w, math.pi, m)
+    want = max(abs(np.exp(-2j * math.pi * k / m * lam) @ w) for k in range(1, m))
+    assert abs(report.max_gamma_at_submultiples - want) < 1e-12
+
+
 def test_rate_condition_requires_perfect():
     cert = certify_pst(uniform_chain(4))
     with pytest.raises(ValueError):

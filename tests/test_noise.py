@@ -9,7 +9,7 @@ from pstchain import (BathSpec, analytic_chain, bath_model, bath_operator,
                       dephasing_avg_fidelity, diagonalize, raw_bath_operator,
                       uniform_chain)
 
-from oracles import bath_dense, expm_evolve, random_pst_chain
+from oracles import bath_amplitude_blocks, bath_dense, expm_evolve, random_pst_chain
 
 
 # --- dephasing: Kraus-channel oracle ----------------------------------------
@@ -239,3 +239,24 @@ def test_bath_transfer_matches_expm_oracle(name, g):
     rep = bath_transfer_amplitude(BathSpec(chain=spec, coupling=g), times)
     oracle = np.array([scipy.linalg.expm(-1j * t * op)[n - 1, 0] for t in times])
     assert np.max(np.abs(rep.gamma_exact - oracle)) <= 1e-12
+
+
+@pytest.mark.parametrize("g", [0.0, 0.01, 1.3, 50.0])
+@pytest.mark.parametrize("name", sorted(BATH_CHAINS))
+def test_bath_phase_sum_matches_the_block_formula(name, g):
+    """The 2N-level phase sum against the per-mode cos/sin formula, on even
+    grids (two tables) and an uneven one (direct), within the sum of the two
+    evaluations' phase bounds."""
+    spec = BATH_CHAINS[name]()
+    sd = diagonalize(spec)
+    lam = sd.eigenvalues
+    w = sd.eigenvectors[-1] * sd.eigenvectors[0]
+    omega = 0.5 * np.sqrt(lam ** 2 + 4.0 * g * g)
+    for times in (np.linspace(0.0, 40.0, 2001), np.linspace(3.0, -7.0, 37),
+                  np.array([0.0, 0.5, 2.0, 2.25])):
+        rep = bath_transfer_amplitude(BathSpec(chain=spec, coupling=g), times)
+        oracle = bath_amplitude_blocks(lam, w, g, times)
+        assert rep.gamma_exact.shape == times.shape
+        phase = np.max(np.abs(times)) * np.max(0.5 * np.abs(lam) + omega)
+        bound = 16.0 * (phase + 2 * spec.n) * np.finfo(float).eps * np.sum(np.abs(w))
+        assert np.max(np.abs(rep.gamma_exact - oracle)) <= bound

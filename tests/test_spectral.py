@@ -8,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from pstchain import (analytic_chain, amplitude_profile, build_h1, certify_pst, chain,
                       diagonalize, gamma, is_degenerate, propagate, uniform_chain)
 from pstchain.certify import ARRIVAL_TOL
-from pstchain.spectral import chain_eigenvalues, sturm_newton
+from pstchain.spectral import _phase_sum, chain_eigenvalues, sturm_newton
 
-from oracles import (expm_evolve, random_pst_chain, unfolded_decomposition,
+from oracles import (expm_evolve, phase_sum_direct, random_pst_chain, unfolded_decomposition,
                      unfolded_eigenvalues)
 
 
@@ -248,6 +248,79 @@ def test_propagate_batched_shapes_match_the_scalar_path(params, t, seed):
     assert rows.shape == (5, n)
     for i, tk in enumerate(grid):
         assert np.max(np.abs(rows[i] - propagate(sd, block[:, 0], tk))) < 1e-13
+
+
+def _phase_bound(lam, w, t):
+    """The error bound documented on ``gamma``:
+    8 (max|t| max|lambda| + N) eps sum|w|."""
+    phase = float(np.max(np.abs(t), initial=0.0)) * np.max(np.abs(lam))
+    return 8.0 * (phase + lam.size) * np.finfo(float).eps * np.sum(np.abs(w))
+
+
+# a grid is (T, first time, last time); linspace makes it descending when last < first
+grids = st.tuples(st.integers(0, 5000), st.floats(-1e4, 1e4), st.floats(-1e4, 1e4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fielded_chains, grids, st.integers(0, 2 ** 32 - 1))
+@example(([0.7, 1.2], [0.1, -0.4, 0.3]), (0, 0.0, 1.0), 0)
+@example(([0.7, 1.2], [0.1, -0.4, 0.3]), (1, 3.0, 3.0), 1)
+@example(([0.7, 1.2], [0.1, -0.4, 0.3]), (2, -5.0, 2.0), 2)
+@example(([0.7, 1.2], [0.1, -0.4, 0.3]), (3, 7.0, -7.0), 3)
+@example(([1.5] * 11, [-1.5] * 12), (5000, -1e4, 1e4), 4)
+@example(([1.5] * 11, [1.5] * 12), (5000, 1e4, -1e4), 5)
+def test_phase_sums_meet_the_documented_bound(params, grid, seed):
+    """gamma, and the phase sum with complex weights, against a direct sum in
+    extended precision on evenly spaced grids."""
+    count, first, last = grid
+    t = np.linspace(first, last, count)
+    spec = chain(*params)
+    sd = diagonalize(spec)
+    rng = np.random.default_rng(seed)
+    source, target = (int(k) for k in rng.integers(1, spec.n + 1, 2))
+    w = sd.eigenvectors[target - 1] * sd.eigenvectors[source - 1]
+    got = gamma(sd, source, target, t)
+    assert got.shape == t.shape
+    bound = _phase_bound(sd.eigenvalues, w, t)
+    assert np.max(np.abs(got - phase_sum_direct(sd.eigenvalues, w, t)), initial=0.0) <= bound
+    n = int(rng.integers(1, 65))
+    lam = rng.uniform(-50.0, 50.0, n)
+    wc = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    got = _phase_sum(lam, wc, t)
+    assert got.shape == t.shape
+    bound = _phase_bound(lam, wc, t)
+    assert np.max(np.abs(got - phase_sum_direct(lam, wc, t)), initial=0.0) <= bound
+
+
+nearly_even = np.linspace(0.0, 5.0, 50)
+nearly_even[17] += 1e-9
+
+
+@pytest.mark.parametrize("t", [
+    np.array([0.0, 1.0, 2.5, 2.75]),
+    nearly_even,
+    np.array([0.0, 1.0, np.nan, 3.0]),
+    np.array([np.nan, 1.0, 2.0]),
+    np.array([0.0, np.inf]),
+    np.array([-np.inf, 0.0, 1.0, np.inf]),
+    np.array([0.0, 0.5, 1.0, np.inf]),
+    np.array([2.0]),
+    1.25,
+    np.float64(-3.0),
+    np.linspace(0.0, 3.0, 12).reshape(3, 4),
+    np.linspace(0.0, 3.0, 12).reshape(2, 3, 2),
+], ids=["uneven", "nearly-even", "nan-inside", "nan-first", "inf-last", "infs-both-ends",
+        "inf-after-even", "one-time", "scalar", "numpy-scalar", "2-d", "3-d"])
+def test_other_times_are_summed_directly(t):
+    """Every time array but an evenly spaced 1-D grid keeps the direct sum,
+    bit for bit, in the shape of t."""
+    sd = diagonalize(chain([0.7, 1.1, 0.4], [0.1, -0.2, 0.3, 0.0]))
+    w = sd.eigenvectors[3] * sd.eigenvectors[1]
+    with np.errstate(invalid="ignore"):
+        direct = np.exp(-1j * np.multiply.outer(t, sd.eigenvalues)) @ w
+        got = gamma(sd, 2, 4, t)
+    assert np.shape(got) == np.shape(t)
+    assert np.asarray(got).tobytes() == direct.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
