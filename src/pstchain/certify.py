@@ -34,8 +34,9 @@ from typing import Iterator
 import numpy as np
 
 from .chain import ChainSpec, mirror_symmetry_check
-from .spectral import (_BLOCK, DegenerateSpectrumError, SpectralDecomposition, _phase_sum,
-                       chain_eigenvalues, diagonalize, is_degenerate, sturm_newton)
+from .spectral import (DegenerateSpectrumError, SpectralDecomposition, _log_abs_derivatives,
+                       _phase_sum, chain_eigenvalues, diagonalize, end_products,
+                       is_degenerate)
 
 ARRIVAL_TOL = 1e-8
 _MULTIPLIER_GUARD = 1 << 52
@@ -51,7 +52,8 @@ class PstCertificate:
     on, and ``arrival_amplitude`` is ``gamma_N(t0)``. ``eigenvalues`` is
     ``None`` when the chain was rejected before the eigenvalue solve (off
     mirror symmetry, a zero or a negative coupling). ``spectrum``, the full
-    decomposition of ``chain``, is computed on first access.
+    decomposition of ``chain``, is made on first access and shares
+    ``eigenvalues`` where they were solved.
     """
 
     verdict: str  # "perfect" | "imperfect" | "degenerate-spectrum"
@@ -73,7 +75,11 @@ class PstCertificate:
 
     @cached_property
     def spectrum(self) -> SpectralDecomposition:
-        return diagonalize(self.chain)
+        if self.eigenvalues is None:
+            return diagonalize(self.chain)
+        # the eigenvalues diagonalize(self.chain) would solve for, reused
+        return SpectralDecomposition._of_tridiagonal(
+            self.chain.field_array(), self.chain.coupling_array(), self.eigenvalues)
 
     @cached_property
     def end_weights(self) -> np.ndarray:
@@ -126,43 +132,16 @@ def _gap_fractions(ratios: np.ndarray, max_denominator: int) -> Iterator[Fractio
         yield Fraction(int(m)) if ok else Fraction(r).limit_denominator(max_denominator)
 
 
-def _log_abs_derivatives(lam: np.ndarray) -> np.ndarray:
-    """``sum_{m != k} log|lambda_k - lambda_m|`` for every k, the log of
-    ``|B'(lambda_k)|``, a block of rows at a time."""
-    n = lam.size
-    out = np.empty(n)
-    for r in range(0, n, _BLOCK):
-        rows = lam[r:r + _BLOCK]
-        diff = rows[:, None] - lam[None, :]
-        diff.ravel()[r::n + 1] = 1.0        # the entries m = k
-        out[r:r + rows.size] = np.sum(np.log(np.abs(diff)), axis=1)
-    return out
-
-
-def end_products(spec: ChainSpec, eigenvalues) -> np.ndarray:
-    """Signed end products ``v_1k v_Nk = prod_i J_i / prod_{m != k}
-    (lambda_k - lambda_m)`` of a chain with positive couplings, from its
-    ascending eigenvalues, evaluated in log space.
-
-    The denominator has the sign ``(-1)^(N-1-k)`` (k 0-based), so the
-    products alternate in sign down the spectrum.
-    """
-    lam = np.asarray(eigenvalues, dtype=float)
-    products = np.exp(np.sum(np.log(spec.coupling_array())) - _log_abs_derivatives(lam))
-    products[-2::-2] *= -1.0
-    return products
-
-
 def certify_pst(spec: ChainSpec, tol: float = 1e-9,
                 max_denominator: int = 10 ** 6) -> PstCertificate:
     """Certify perfect state transfer from site 1 to site N.
 
     ``tol`` bounds the per-gap phase residual ``|gap * t0 / pi - odd|`` at
     the candidate transfer time; ``max_denominator`` limits the continued
-    fraction rationalization of gap ratios. Where the a-priori error of the
-    eigenvalues, ``N * eps * max|T|`` over the smallest gap, could reach
-    ``tol / 1000``, they get one Newton step on the characteristic
-    polynomial before the gaps are rationalized.
+    fraction rationalization of gap ratios. The eigenvalues are those of
+    :func:`diagonalize`, from :func:`chain_eigenvalues`: where their a-priori
+    error ``N * eps * max|T|`` could reach ``1e-12`` of the smallest gap, they
+    have had one Newton step on the characteristic polynomial.
     """
     if spec.n < 2:
         raise ValueError("transfer needs at least two sites")
@@ -188,9 +167,6 @@ def certify_pst(spec: ChainSpec, tol: float = 1e-9,
     if is_degenerate(lam):
         return fail("degenerate-spectrum", "spectrum has (near-)degenerate eigenvalues")
 
-    error = spec.n * np.finfo(float).eps * t_max
-    if error / float(np.diff(lam).min()) > 1e-3 * tol:
-        lam = sturm_newton(spec, lam, error)
     gaps = np.diff(lam)
     fracs = []
     lcm = 1
@@ -215,7 +191,7 @@ def certify_pst(spec: ChainSpec, tol: float = 1e-9,
         return fail("imperfect", f"even gap multiplier at gap index {even[0]}", residual)
     t0 = math.pi / unit
 
-    products = end_products(spec, lam)
+    products = end_products(spec.coupling_array(), lam)
     amp = complex(np.exp(-1j * lam * t0) @ products)
     if abs(amp) < 1.0 - ARRIVAL_TOL:
         return fail("imperfect",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .certify import require_perfect
 from .chain import ChainSpec, build_h1
-from .spectral import _phase_sum, diagonalize, gamma, propagate
+from .spectral import _phase_sum, diagonalize, gamma, pair_weights, propagate
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,9 @@ def bath_transfer_amplitude(b: BathSpec, times) -> BathTransferReport:
     r_k = lambda_k / (2 Omega_k). Each term is the sum of two phases, one per
     level of the block,
     (1 - r_k)/2 e^(-i (lambda_k/2 - Omega_k) t) + (1 + r_k)/2 e^(-i (lambda_k/2 + Omega_k) t),
-    so the amplitude is one phase sum over 2N levels.
+    so the amplitude is one phase sum over 2N levels. The weights
+    v_Nk v_1k come from :func:`pair_weights`, which on a chain with positive
+    couplings reads no eigenvectors.
     """
     times = np.asarray(times, dtype=float)
     g = b.common_coupling()
@@ -176,7 +178,7 @@ def bath_transfer_amplitude(b: BathSpec, times) -> BathTransferReport:
     omega = 0.5 * np.sqrt(lam ** 2 + 4.0 * g * g)
     # Omega_k = 0 only where lambda_k = G = 0; the block is then zero
     ratio = np.divide(0.5 * lam, omega, out=np.zeros_like(lam), where=omega > 0.0)
-    w = 0.5 * sd.eigenvectors[n - 1, :] * sd.eigenvectors[0, :]
+    w = 0.5 * pair_weights(sd, 1, n)
     exact = _phase_sum(np.concatenate((0.5 * lam - omega, 0.5 * lam + omega)),
                        np.concatenate((w * (1.0 - ratio), w * (1.0 + ratio))), times)
     bare = gamma(sd, 1, n, times)

@@ -51,12 +51,20 @@ def dumps(obj) -> str:
 
 
 def write_csv(path, header: list[str], columns: list) -> None:
-    """Write columns (sequences of equal length) as CSV with 17-digit floats."""
+    """Write columns (sequences of equal length) as CSV with 17-digit floats.
+
+    Every value is written as :func:`format_float` writes it, all rows from
+    one ``%.17g`` template. A non-finite value raises ``ValueError`` before
+    the file is opened.
+    """
     cols = [np.asarray(c) for c in columns]
     n = len(cols[0])
     if any(len(c) != n for c in cols):
         raise ValueError("CSV columns must have equal length")
+    values = np.column_stack(cols).astype(float, copy=False)
+    if not np.isfinite(values).all():
+        raise ValueError("cannot serialize non-finite float")
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(",".join(format_float(c[i]) for c in cols) + "\n")
+        fh.write((row * n) % tuple(values.ravel().tolist()))

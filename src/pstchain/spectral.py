@@ -19,7 +19,7 @@ zero coupling between them, where LAPACK splits the problem in two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,10 +27,16 @@ from .chain import ChainSpec, SingleExcitationMatrix, build_h1
 
 SYMMETRY_TOL = 1e-12
 DEGENERACY_RTOL = 1e-9
-# Columns per step of the sign fix and the residual check. Whole-matrix
-# temporaries would add several N x N arrays to each eigensolve, and how much
-# of that the allocator keeps resident depends on the order of earlier calls;
-# blocks keep them at N x 128.
+# Where the a-priori eigenvalue error N eps max|T| could reach this share of
+# the smallest gap, the eigenvalues get one Newton step.
+NEWTON_GATE = 1e-12
+# Largest a-priori relative error of end weights taken from the spectrum.
+END_WEIGHT_RTOL = 1e-6
+_EPS = float(np.finfo(float).eps)
+# Columns per step of the sign fix and the residual check, and rows per step of
+# the log-derivative sums. Whole-matrix temporaries would add several N x N
+# arrays to each call, and how much of that the allocator keeps resident
+# depends on the order of earlier calls; blocks keep them at N x 128.
 _BLOCK = 128
 
 
@@ -38,27 +44,112 @@ class DegenerateSpectrumError(ValueError):
     """Raised by operations that require a non-degenerate spectrum."""
 
 
-@dataclass(frozen=True)
 class SpectralDecomposition:
     """Ascending eigenvalues and orthonormal eigenvector columns.
 
     The sign convention (first significant component of each eigenvector is
     real positive) makes end amplitudes reproducible across platforms.
-    ``residual`` is the ``max|M v - lambda v|`` that the eigensolve was
-    checked by.
+    ``residual`` is the ``max|M v - lambda v|`` that the eigenvectors were
+    checked by, against ``eigenvalues``.
+
+    The decomposition :func:`diagonalize` makes of a tridiagonal operator
+    holds its eigenvalues from the start and solves for ``eigenvectors`` and
+    ``residual`` on their first read. That solve keeps the eigenvalues
+    already handed out. Until then :func:`pair_weights` takes the weights of
+    the pairs (1, N) and (N, 1) of a chain with positive couplings, and of
+    (1, 1) and (N, N) of an exactly mirror-symmetric one, from the
+    eigenvalues alone, where their a-priori relative error ``rho`` is at most
+    ``END_WEIGHT_RTOL``. In place of the residual they are checked against
+    the orthogonality of rows 1 and N: ``|sum_k w_k| <= rho + 1e-12``, and
+    ``|sum_k |w_k| - 1| <= rho + 1e-12`` on a mirror-symmetric chain, or
+    ``ArithmeticError``.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    residual: float
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray, residual: float):
+        eigenvalues.flags.writeable = False
+        if eigenvectors is not None:
+            eigenvectors.flags.writeable = False
+        self.eigenvalues = eigenvalues
+        self._eigenvectors = eigenvectors
+        self._residual = residual
+        self._tridiagonal = None
 
-    def __post_init__(self):
-        self.eigenvalues.flags.writeable = False
-        self.eigenvectors.flags.writeable = False
+    @classmethod
+    def _of_tridiagonal(cls, diag: np.ndarray, off: np.ndarray,
+                        eigenvalues: np.ndarray) -> SpectralDecomposition:
+        """The decomposition of ``tridiag(off, diag, off)`` with these
+        eigenvalues, its eigenvectors solved on first read."""
+        sd = cls(eigenvalues, None, None)
+        sd._tridiagonal = (diag, off)
+        return sd
 
     @property
     def dimension(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        if self._eigenvectors is None:
+            vec, self._residual = _tridiagonal_eigenvectors(*self._tridiagonal,
+                                                            self.eigenvalues)
+            vec.flags.writeable = False
+            self._eigenvectors = vec
+        return self._eigenvectors
+
+    @property
+    def residual(self) -> float:
+        self.eigenvectors       # the residual comes with the eigenvector solve
+        return self._residual
+
+    # _mirror and _end_products describe the tridiagonal operator of a
+    # decomposition whose eigenvectors are solved on first read
+
+    @cached_property
+    def _mirror(self) -> bool:
+        """Whether the operator equals its mirror image bitwise."""
+        return _is_mirror(*self._tridiagonal)
+
+    @cached_property
+    def _end_products(self) -> np.ndarray | None:
+        """The signed ``v_1k v_Nk`` of :func:`end_products`, checked; ``None``
+        for a one-site operator, a coupling that is not positive, or an
+        a-priori relative error ``rho`` above ``END_WEIGHT_RTOL``.
+
+        Each ``log|lambda_k - lambda_m|`` moves by at most
+        ``(d_k + d_m) / |lambda_k - lambda_m|`` when the eigenvalues move by
+        ``d``, and the distances from one eigenvalue to the others are at
+        least 1, 2, 3, ... times the smallest gap ``g`` on either side, so to
+        first order the products carry a relative error of at most
+        ``4 (1 + ln N) d / g``. With the ``sterf`` error ``d = N eps max|T|``
+        and a factor 2 of headroom that is
+        ``rho = 8 (1 + ln N) N eps max|T| / g``.
+
+        Rows 1 and N of an orthogonal matrix are orthogonal, so
+        ``|sum_k w_k| <= rho + 1e-12`` must hold, and on a mirror-symmetric
+        chain, where ``|w_k| = v_1k^2``, ``|sum_k |w_k| - 1| <= rho + 1e-12``
+        too (``sum_k |w_k| <= 1`` in general, and the ``1e-12`` covers the
+        rounding of the sums); a product that breaks either raises
+        ``ArithmeticError``, as the residual check of the eigenvectors does.
+        """
+        diag, off = self._tridiagonal
+        lam = self.eigenvalues
+        n = lam.size
+        if n < 2 or not np.all(off > 0.0):
+            return None
+        gap = float(np.min(np.diff(lam)))
+        rho_gap = 8.0 * (1.0 + math.log(n)) * n * _EPS * _max_abs(diag, off)
+        if not rho_gap <= END_WEIGHT_RTOL * gap:    # a zero gap fails here too
+            return None
+        products = end_products(off, lam)
+        bound = rho_gap / gap + 1e-12
+        deviation = abs(float(np.sum(products)))
+        if self._mirror:
+            deviation = max(deviation, abs(float(np.sum(np.abs(products))) - 1.0))
+        if not deviation <= bound:
+            raise ArithmeticError(f"end weights deviate from orthogonal rows by "
+                                  f"{deviation:.3e}, above {bound:.3e}")
+        products.flags.writeable = False
+        return products
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -75,6 +166,17 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
+def _is_mirror(diag: np.ndarray, off: np.ndarray) -> bool:
+    """Whether a tridiagonal matrix equals its mirror image bitwise."""
+    return diag.tobytes() == diag[::-1].tobytes() and off.tobytes() == off[::-1].tobytes()
+
+
+def _max_abs(diag: np.ndarray, off: np.ndarray) -> float:
+    """``max|T|`` of a tridiagonal matrix."""
+    top = float(np.abs(diag).max())
+    return max(top, float(np.abs(off).max())) if off.size else top
+
+
 def _fold(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The two mirror blocks of an exactly mirror-symmetric tridiagonal
     matrix, stacked into one matrix of the same size with a zero coupling
@@ -89,8 +191,7 @@ def _fold(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray] | 
     first.
     """
     n = diag.size
-    if (n < 2 or diag.tobytes() != diag[::-1].tobytes()
-            or off.tobytes() != off[::-1].tobytes()):
+    if n < 2 or not _is_mirror(diag, off):
         return None
     m = n // 2
     s = n - m       # the size of the symmetric block
@@ -136,74 +237,105 @@ def diagonalize(operator) -> SpectralDecomposition:
     ``max|M v - lambda v|`` is checked against ``1e-10 * max|M|`` and kept on
     the result.
 
-    A tridiagonal operator goes to LAPACK ``stevd`` (divide and conquer,
-    O(N^3) in the worst case); an exactly mirror-symmetric one goes as its
-    :func:`_fold`, which ``stevd`` solves as two N/2 problems, and the
-    eigenvectors are unfolded before the sign fix and the residual check,
-    which see the caller's operator.
+    A tridiagonal operator gets its eigenvalues at once, from
+    :func:`_tridiagonal_eigenvalues` in O(N^2) time and O(N) memory, and its
+    eigenvectors on their first read: LAPACK ``stevd`` (divide and conquer,
+    O(N^3) in the worst case) on the operator, or on its :func:`_fold` if it
+    is exactly mirror symmetric, which ``stevd`` solves as two N/2 problems.
+    The eigenvectors are unfolded before the sign fix, and the residual is
+    checked against the eigenvalues handed out at once; those of ``stevd`` are
+    dropped. :func:`gamma` between the end sites of a chain with positive
+    couplings reads no eigenvectors (see :func:`pair_weights`), so it costs
+    O(N^2) time and O(N) memory in all. A dense operator is solved at once
+    by ``numpy.linalg.eigh``.
     """
     if isinstance(operator, ChainSpec):
         operator = build_h1(operator)
     if isinstance(operator, SingleExcitationMatrix):
         diag = np.asarray(operator.diagonal, dtype=float)
         off = np.asarray(operator.offdiagonal, dtype=float)
-        if operator.dimension == 1:
-            lam = diag.copy()
-            vec = np.ones((1, 1))
-        else:
-            import scipy.linalg
-            fold = _fold(diag, off)
-            lam, vec = scipy.linalg.eigh_tridiagonal(*(fold or (diag, off)),
-                                                     lapack_driver="stevd")
-            if fold is not None:
-                _unfold(vec)
-        vec = _fix_signs(vec)
-        scale = max(np.max(np.abs(diag)), np.max(np.abs(off), initial=0.0))
-        # M V from the three diagonals, O(N^2), a block of columns at a time
-        residual = 0.0
-        for c in range(0, vec.shape[1], _BLOCK):
-            v = vec[:, c:c + _BLOCK]
-            r = diag[:, None] * v
-            r -= v * lam[None, c:c + _BLOCK]
-            r[:-1] += off[:, None] * v[1:]
-            r[1:] += off[:, None] * v[:-1]
-            residual = max(residual, float(np.max(np.abs(r))))
-    else:
-        dense = np.asarray(operator)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise ValueError("operator must be a square matrix")
-        scale = np.max(np.abs(dense))
-        if np.max(np.abs(dense - dense.conj().T)) > SYMMETRY_TOL * max(1.0, scale):
-            raise ValueError("operator is not symmetric/Hermitian")
-        lam, vec = np.linalg.eigh(dense)
-        vec = _fix_signs(vec)
-        residual = float(np.max(np.abs(dense @ vec - vec * lam[None, :])))
+        return SpectralDecomposition._of_tridiagonal(diag, off,
+                                                     _tridiagonal_eigenvalues(diag, off))
+    dense = np.asarray(operator)
+    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+        raise ValueError("operator must be a square matrix")
+    scale = np.max(np.abs(dense))
+    if np.max(np.abs(dense - dense.conj().T)) > SYMMETRY_TOL * max(1.0, scale):
+        raise ValueError("operator is not symmetric/Hermitian")
+    lam, vec = np.linalg.eigh(dense)
+    vec = _fix_signs(vec)
+    residual = _checked(float(np.max(np.abs(dense @ vec - vec * lam[None, :]))), scale)
+    return SpectralDecomposition(np.ascontiguousarray(lam, dtype=float), vec, residual)
+
+
+def _checked(residual: float, scale: float) -> float:
+    """The residual of an eigensolve, if it is at most ``1e-10 * scale``."""
     if residual > 1e-10 * max(scale, 1e-300):
         raise ArithmeticError(f"eigendecomposition residual {residual:.3e} too large")
-    lam = np.ascontiguousarray(lam, dtype=float)
-    return SpectralDecomposition(eigenvalues=lam, eigenvectors=vec, residual=residual)
+    return residual
+
+
+def _tridiagonal_eigenvectors(diag: np.ndarray, off: np.ndarray,
+                              eigenvalues: np.ndarray) -> tuple[np.ndarray, float]:
+    """Sign-fixed eigenvectors of ``tridiag(off, diag, off)``, in the order of
+    its ascending ``eigenvalues``, and their checked residual against them."""
+    if diag.size == 1:
+        vec = np.ones((1, 1))
+    else:
+        from scipy.linalg.lapack import dstevd
+        fold = _fold(diag, off)
+        _, vec, info = dstevd(*(fold or (diag, off)))
+        if info:
+            raise np.linalg.LinAlgError(f"LAPACK stevd did not converge (info {info})")
+        if fold is not None:
+            _unfold(vec)
+    vec = _fix_signs(vec)
+    # M V from the three diagonals, O(N^2), a block of columns at a time
+    residual = 0.0
+    for c in range(0, vec.shape[1], _BLOCK):
+        v = vec[:, c:c + _BLOCK]
+        r = diag[:, None] * v
+        r -= v * eigenvalues[None, c:c + _BLOCK]
+        r[:-1] += off[:, None] * v[1:]
+        r[1:] += off[:, None] * v[:-1]
+        residual = max(residual, float(np.max(np.abs(r))))
+    return vec, _checked(residual, _max_abs(diag, off))
+
+
+def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of ``tridiag(off, diag, off)`` without
+    eigenvectors, the ones :func:`diagonalize` and :func:`certify_pst` use.
+
+    LAPACK ``sterf`` works in O(N^2) time and O(N) memory; its eigenvalues
+    carry an absolute error of order ``N * eps * max|T|``. An exactly
+    mirror-symmetric matrix goes as its :func:`_fold`, two N/2 problems,
+    which halves the work. Where that error could reach ``NEWTON_GATE`` of the
+    smallest gap, the eigenvalues get one :func:`sturm_newton` step of at
+    most that size.
+    """
+    if diag.size == 1:
+        return diag.copy()
+    from scipy.linalg.lapack import dsterf
+    lam, info = dsterf(*(_fold(diag, off) or (diag, off)))
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK sterf did not converge (info {info})")
+    error = diag.size * _EPS * _max_abs(diag, off)
+    if error > NEWTON_GATE * float((lam[1:] - lam[:-1]).min()):
+        lam = sturm_newton(diag, off, lam, error)
+    return lam
 
 
 def chain_eigenvalues(spec: ChainSpec) -> np.ndarray:
     """Ascending eigenvalues of a chain's single-excitation matrix, without
-    eigenvectors.
-
-    LAPACK ``sterf`` works in O(N^2) time and O(N) memory; its eigenvalues
-    carry an absolute error of order ``N * eps * max|T|``, which
-    :func:`sturm_newton` can reduce. An exactly mirror-symmetric chain goes
-    as its :func:`_fold`, two N/2 problems, which halves the work.
-    """
-    import scipy.linalg
-    diag, off = spec.field_array(), spec.coupling_array()
+    eigenvectors: :func:`_tridiagonal_eigenvalues` of its fields and couplings."""
     # a ChainSpec holds finite values only
-    return scipy.linalg.eigvalsh_tridiagonal(*(_fold(diag, off) or (diag, off)),
-                                             lapack_driver="sterf", check_finite=False)
+    return _tridiagonal_eigenvalues(spec.field_array(), spec.coupling_array())
 
 
-def sturm_newton(spec: ChainSpec, eigenvalues, max_step: float) -> np.ndarray:
+def sturm_newton(diag: np.ndarray, off: np.ndarray, eigenvalues,
+                 max_step: float) -> np.ndarray:
     """One Newton step ``lambda - p(lambda) / p'(lambda)`` on the characteristic
-    polynomial of a chain's single-excitation matrix, for every eigenvalue at
-    once.
+    polynomial of ``tridiag(off, diag, off)``, for every eigenvalue at once.
 
     ``p'/p`` is the sum of ``d_i'/d_i`` over the pivots of the Sturm (LDL^T)
     recurrence ``d_i = (B_i - lambda) - J_{i-1}^2 / d_{i-1}``, O(N) per
@@ -211,8 +343,7 @@ def sturm_newton(spec: ChainSpec, eigenvalues, max_step: float) -> np.ndarray:
     is finite and at most ``max_step``, and the eigenvalues are returned
     unchanged if the refined ones are not strictly ascending.
     """
-    diag = spec.field_array()
-    b2 = spec.coupling_array() ** 2
+    b2 = off ** 2
     lam = np.asarray(eigenvalues, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = diag[0] - lam
@@ -234,6 +365,36 @@ def sturm_newton(spec: ChainSpec, eigenvalues, max_step: float) -> np.ndarray:
     if np.any(np.diff(refined) <= 0):
         return lam
     return refined
+
+
+def _log_abs_derivatives(lam: np.ndarray) -> np.ndarray:
+    """``sum_{m != k} log|lambda_k - lambda_m|`` for every k, the log of
+    ``|B'(lambda_k)|``, a block of rows at a time."""
+    n = lam.size
+    out = np.empty(n)
+    for r in range(0, n, _BLOCK):
+        rows = lam[r:r + _BLOCK]
+        diff = np.subtract.outer(rows, lam)
+        diff.ravel()[r::n + 1] = 1.0        # the entries m = k
+        np.abs(diff, out=diff)
+        np.log(diff, out=diff)
+        out[r:r + rows.size] = np.sum(diff, axis=1)
+    return out
+
+
+def end_products(couplings, eigenvalues) -> np.ndarray:
+    """Signed end products ``v_1k v_Nk = prod_i J_i / prod_{m != k}
+    (lambda_k - lambda_m)`` of a chain with positive couplings, from its
+    ascending eigenvalues, evaluated in log space (Parlett, *The Symmetric
+    Eigenvalue Problem*, ch. 7).
+
+    The denominator has the sign ``(-1)^(N-1-k)`` (k 0-based), so the
+    products alternate in sign down the spectrum.
+    """
+    lam = np.asarray(eigenvalues, dtype=float)
+    products = np.exp(np.sum(np.log(couplings)) - _log_abs_derivatives(lam))
+    products[-2::-2] *= -1.0
+    return products
 
 
 def is_degenerate(eigenvalues, rtol: float = DEGENERACY_RTOL) -> bool:
@@ -303,23 +464,54 @@ def _phase_sum(lam, weights, times) -> np.ndarray:
     return np.exp(-1j * np.multiply.outer(t, lam)) @ weights
 
 
-def gamma(sd: SpectralDecomposition, source: int, target: int, t):
-    """Transfer amplitude <target| exp(-i H t) |source> for 1-based sites.
+def pair_weights(sd: SpectralDecomposition, source: int, target: int) -> np.ndarray:
+    """Weights ``w_k = v_tk conj(v_sk)`` of the amplitude from 1-based site
+    ``source`` to ``target``, ``gamma(t) = sum_k w_k exp(-i lambda_k t)``.
 
-    ``t`` may be a scalar or an array of times; the return matches its shape.
-
-    For a given decomposition the absolute error grows like
-    ``(max|t| max|lambda| + N) eps sum_k |w_k|`` and stays below 8 times that;
-    ``w_k`` are the products of the two sites' eigenvector entries
-    (``sum |w_k| <= 1``) and ``eps`` is the machine epsilon of doubles. The
-    first term is the rounding of the phases ``lambda_k t`` and dominates at
-    large ``t``: at ``max|t| max|lambda| = 1e7`` it is about 2e-9.
+    Until the eigenvectors of a tridiagonal decomposition are read, the end
+    pairs (1, N) and (N, 1) of a chain whose couplings are all positive take
+    ``w_k = v_1k v_Nk`` from the eigenvalues alone (:func:`end_products`,
+    computed once per decomposition), and so do the pairs (1, 1) and (N, N) of
+    an exactly mirror-symmetric chain, where ``v_1k^2 = |v_1k v_Nk|``. That
+    takes O(N^2) time and O(N) memory. The products are used where their
+    a-priori relative error is at most ``END_WEIGHT_RTOL`` and are checked
+    against the orthogonality of rows 1 and N (see
+    ``SpectralDecomposition._end_products``). Every other pair, and a dense
+    or one-site operator, a zero or negative coupling or a spectrum whose
+    smallest gap is too small for the products, reads the eigenvectors.
     """
     n = sd.dimension
     if not (1 <= source <= n and 1 <= target <= n):
         raise ValueError(f"sites must lie in 1..{n}")
-    w = sd.eigenvectors[target - 1, :] * np.conj(sd.eigenvectors[source - 1, :])
-    out = _phase_sum(sd.eigenvalues, w, t)
+    if (sd._eigenvectors is None and {source, target} <= {1, n}
+            and (source != target or sd._mirror)):
+        products = sd._end_products
+        if products is not None:
+            return products if source != target else np.abs(products)
+    vec = sd.eigenvectors
+    return vec[target - 1, :] * np.conj(vec[source - 1, :])
+
+
+def gamma(sd: SpectralDecomposition, source: int, target: int, t):
+    """Transfer amplitude <target| exp(-i H t) |source> for 1-based sites.
+
+    ``t`` may be a scalar or an array of times; the return matches its shape.
+    The weights come from :func:`pair_weights`: from the eigenvalues alone
+    for the end pairs of a chain with positive couplings, so those
+    amplitudes need no eigenvectors.
+
+    For given eigenvalues and weights the absolute error grows like
+    ``(max|t| max|lambda| + N) eps sum_k |w_k|`` and stays below 8 times that;
+    ``w_k`` are the products of the two sites' eigenvector entries
+    (``sum |w_k| <= 1``) and ``eps`` is the machine epsilon of doubles. The
+    first term is the rounding of the phases ``lambda_k t`` and dominates at
+    large ``t``: at ``max|t| max|lambda| = 1e7`` it is about 2e-9. Weights
+    from the spectrum add at most ``rho sum_k |w_k|``, with their a-priori
+    relative error ``rho = 8 (1 + ln N) N eps max|T| / (smallest gap)``, at
+    most ``END_WEIGHT_RTOL``; they pass the orthogonality check of
+    :class:`SpectralDecomposition` first.
+    """
+    out = _phase_sum(sd.eigenvalues, pair_weights(sd, source, target), t)
     if out.ndim == 0:
         return complex(out)
     return out

@@ -211,6 +211,29 @@ def unfolded_decomposition(spec):
     return lam, _fix_signs(vec)
 
 
+def eager_decomposition(spec):
+    """Eigenvalues, sign-fixed eigenvectors and residual of a chain from one
+    LAPACK ``stevd`` solve, the way the library diagonalized every chain
+    before it took the eigenvalues from ``sterf`` at once and the eigenvectors
+    on their first read: an exactly mirror-symmetric chain as its two-block
+    fold, the eigenvalues those ``stevd`` returns, and the residual
+    ``max|T v - lambda v|`` against them, from the dense matrix."""
+    from pstchain.spectral import _fix_signs, _fold, _unfold
+
+    diag, off = spec.field_array(), spec.coupling_array()
+    if spec.n == 1:
+        lam, vec = diag.copy(), np.ones((1, 1))
+    else:
+        fold = _fold(diag, off)
+        lam, vec = scipy.linalg.eigh_tridiagonal(*(fold or (diag, off)),
+                                                 lapack_driver="stevd")
+        if fold is not None:
+            _unfold(vec)
+    vec = _fix_signs(vec)
+    dense = tridiagonal_dense(spec.couplings, spec.fields)
+    return lam, vec, float(np.max(np.abs(dense @ vec - vec * lam[None, :])))
+
+
 def unfolded_eigenvalues(spec):
     """Eigenvalues of a chain from one LAPACK ``sterf`` solve of its whole
     single-excitation matrix."""

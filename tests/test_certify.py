@@ -287,30 +287,32 @@ class _Solves(list):
         self.offdiagonals = []
 
 
-def _counted_solver(monkeypatch, name):
-    """Sizes and off-diagonals of the matrices passed to ``scipy.linalg.<name>``."""
+def _counted_solver(monkeypatch, module, name):
+    """Sizes and off-diagonals of the matrices passed to ``module.<name>``."""
     solves = _Solves()
-    true_solver = getattr(scipy.linalg, name)
+    true_solver = getattr(module, name)
 
     def counted(diag, off, *args, **kwargs):
         solves.append(len(diag))
         solves.offdiagonals.append(np.array(off))
         return true_solver(diag, off, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return solves
 
 
 @pytest.fixture
 def tridiagonal_solves(monkeypatch):
-    """Sizes of the matrices passed to the tridiagonal eigensolver."""
-    return _counted_solver(monkeypatch, "eigh_tridiagonal")
+    """Sizes of the matrices passed to the tridiagonal eigenvector solver,
+    LAPACK ``stevd``."""
+    return _counted_solver(monkeypatch, scipy.linalg.lapack, "dstevd")
 
 
 @pytest.fixture
 def eigenvalue_solves(monkeypatch):
-    """Sizes of the matrices passed to the eigenvalue-only tridiagonal solver."""
-    return _counted_solver(monkeypatch, "eigvalsh_tridiagonal")
+    """Sizes of the matrices passed to the eigenvalue-only tridiagonal solver,
+    LAPACK ``sterf``."""
+    return _counted_solver(monkeypatch, scipy.linalg.lapack, "dsterf")
 
 
 def _nudged(spec):
@@ -323,21 +325,23 @@ def _nudged(spec):
 
 def test_exactly_mirror_chain_reaches_the_solvers_folded(tridiagonal_solves,
                                                           eigenvalue_solves):
-    diagonalize(analytic_chain(8))
+    """diagonalize solves the eigenvalues at once and the eigenvectors on
+    their first read; chain_eigenvalues solves the eigenvalues alone."""
+    diagonalize(analytic_chain(8)).eigenvectors
     chain_eigenvalues(analytic_chain(8))
-    for solves in (tridiagonal_solves, eigenvalue_solves):
-        assert solves == [8]
-        assert np.flatnonzero(solves.offdiagonals[0] == 0.0).tolist() == [3]
+    assert (tridiagonal_solves, eigenvalue_solves) == ([8], [8, 8])
+    for off in tridiagonal_solves.offdiagonals + eigenvalue_solves.offdiagonals:
+        assert np.flatnonzero(off == 0.0).tolist() == [3]
 
 
 @pytest.mark.parametrize("spec", [sequential_storage_chain(8), _nudged(analytic_chain(8))],
                          ids=["storage", "nudged-analytic"])
 def test_other_chains_reach_the_solvers_unfolded(tridiagonal_solves, eigenvalue_solves, spec):
-    diagonalize(spec)
+    diagonalize(spec).eigenvectors
     chain_eigenvalues(spec)
-    for solves in (tridiagonal_solves, eigenvalue_solves):
-        assert solves == [8]
-        assert np.array_equal(solves.offdiagonals[0], spec.coupling_array())
+    assert (tridiagonal_solves, eigenvalue_solves) == ([8], [8, 8])
+    for off in tridiagonal_solves.offdiagonals + eigenvalue_solves.offdiagonals:
+        assert np.array_equal(off, spec.coupling_array())
 
 
 def _clock():
@@ -390,27 +394,30 @@ def dense_solves(monkeypatch):
 _TIMES = np.linspace(0.0, 2.0 * math.pi, 7)
 
 
-@pytest.mark.parametrize("run, solves, certified", [
+@pytest.mark.parametrize("run, solves, eigenvalues", [
     (lambda: product_network(analytic_chain(8), analytic_chain(6)), [], [8, 6]),
     (lambda: hypercube(4), [], [2]),
     (lambda: star_network(analytic_chain(8), 3), [], [8]),
-    (lambda: theta_entangler(analytic_chain(9), 0.3), [9], [9]),
-    (lambda: amplifier_sim(analytic_chain(8), 1, _TIMES), [9], []),
+    (lambda: theta_entangler(analytic_chain(9), 0.3), [9], [9, 9]),
+    (lambda: amplifier_sim(analytic_chain(8), 1, _TIMES), [9], [9]),
     (lambda: bath_transfer_amplitude(BathSpec(chain=analytic_chain(8), coupling=1.3),
-                                     _TIMES), [8], []),
+                                     _TIMES), [], [8]),
     (lambda: two_boson_transfer(chain(analytic_chain(8).couplings, statistics="bosonic"),
-                                (1, 2), (7, 8), math.pi), [8], []),
+                                (1, 2), (7, 8), math.pi), [8], [8]),
 ], ids=["product_network", "hypercube", "star_network", "theta_entangler",
         "amplifier_sim", "bath_transfer_amplitude", "two_boson_transfer"])
 def test_structured_amplitudes_come_from_the_chain(dense_solves, tridiagonal_solves,
-                                                   eigenvalue_solves, run, solves, certified):
+                                                   eigenvalue_solves, run, solves, eigenvalues):
     """Each construction reads its amplitude from the chain it is built of:
-    one tridiagonal solve per distinct chain and no dense eigensolve. The
-    amplitude at t0 comes from the certificate, with no eigenvectors."""
+    one eigenvalue solve per distinct chain, at most one eigenvector solve,
+    and no dense eigensolve. The amplitude at t0 comes from the certificate,
+    and the end amplitudes of the bath from the chain's spectrum, with no
+    eigenvectors. theta_entangler certifies its base chain and propagates the
+    split one, two distinct chains."""
     run()
     assert dense_solves == []
     assert tridiagonal_solves == solves
-    assert eigenvalue_solves == certified
+    assert eigenvalue_solves == eigenvalues
 
 
 def test_require_perfect_returns_the_certificate_or_names_the_reason():
@@ -535,7 +542,8 @@ def test_end_products_match_the_eigenvector_end_rows(seed, n, mirror):
     sd = diagonalize(spec)
     want = sd.eigenvectors[0, :] * sd.eigenvectors[-1, :]
     conditioning = max(1.0, 2.0 / float(np.min(np.diff(sd.eigenvalues))))
-    assert np.max(np.abs(end_products(spec, sd.eigenvalues) - want)) < 1e-13 * conditioning
+    assert np.max(np.abs(end_products(spec.coupling_array(), sd.eigenvalues) - want)) < (
+        1e-13 * conditioning)
 
 
 ratios = st.one_of(

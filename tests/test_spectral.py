@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 from pstchain import (analytic_chain, amplitude_profile, build_h1, certify_pst, chain,
                       diagonalize, gamma, is_degenerate, propagate, uniform_chain)
 from pstchain.certify import ARRIVAL_TOL
-from pstchain.spectral import _phase_sum, chain_eigenvalues, sturm_newton
+from pstchain import spectral
+from pstchain.spectral import _phase_sum, chain_eigenvalues, pair_weights, sturm_newton
 
-from oracles import (expm_evolve, phase_sum_direct, random_pst_chain, unfolded_decomposition,
-                     unfolded_eigenvalues)
+from oracles import (eager_decomposition, expm_evolve, phase_sum_direct, random_pst_chain,
+                     unfolded_decomposition, unfolded_eigenvalues)
 
 
 def test_two_level_eigenvalues():
@@ -81,19 +83,20 @@ def test_sign_convention_matches_the_column_loop_bitwise():
 
 
 def test_residual_check_rejects_a_perturbed_eigenvector(monkeypatch):
-    true_solver = scipy.linalg.eigh_tridiagonal
+    true_solver = scipy.linalg.lapack.dstevd
 
-    def perturbed(diag, off, **kwargs):
-        lam, vec = true_solver(diag, off, **kwargs)
+    def perturbed(diag, off, *args, **kwargs):
+        lam, vec, info = true_solver(diag, off, *args, **kwargs)
         vec = vec.copy()
         vec[2, 3] += 1e-6
-        return lam, vec
+        return lam, vec, info
 
     spec = analytic_chain(8)
-    diagonalize(spec)
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
+    diagonalize(spec).eigenvectors
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", perturbed)
+    sd = diagonalize(spec)
     with pytest.raises(ArithmeticError, match="residual"):
-        diagonalize(spec)
+        sd.eigenvectors
 
 
 def test_dense_input_requires_symmetry():
@@ -123,13 +126,16 @@ def test_sturm_newton_refines_to_the_exact_spectrum():
     n = 1000
     spec = analytic_chain(n)
     exact = np.arange(n) - (n - 1) / 2.0
-    lam = chain_eigenvalues(spec)
+    diag, off = spec.field_array(), spec.coupling_array()
+    lam = unfolded_eigenvalues(spec)
     bound = n * np.finfo(float).eps * max(spec.couplings)
-    refined = sturm_newton(spec, lam, bound)
+    refined = sturm_newton(diag, off, lam, bound)
     assert np.max(np.abs(refined - exact)) < 0.1 * np.max(np.abs(lam - exact))
     assert np.max(np.abs(refined - exact)) < 1e-13
     # the guard: no eigenvalue moves further than the step bound
-    assert np.array_equal(sturm_newton(spec, lam, 0.0), lam)
+    assert np.array_equal(sturm_newton(diag, off, lam, 0.0), lam)
+    # the gate is open here: the error bound is 1e-10 of the unit gap
+    assert np.max(np.abs(chain_eigenvalues(spec) - exact)) < 1e-13
 
 
 def test_propagate_identity_at_time_zero():
@@ -446,3 +452,134 @@ def test_decomposition_keeps_the_residual_it_was_checked_by():
     r[1:] += off[:, None] * v[:-1]
     assert sd.residual == float(np.max(np.abs(r)))
     assert sd.residual <= 1e-10 * np.max(off)
+
+
+# --- eigenvalues at once, eigenvectors on first read ---------------------------
+
+def _random_chain(seed, n, mirror, fields):
+    """A chain of n sites with couplings in [0.2, 2] and, if ``fields``,
+    fields in [-1.5, 1.5]; if ``mirror``, repeated in mirror order."""
+    rng = np.random.default_rng(seed)
+    j = rng.uniform(0.2, 2.0, n - 1).tolist()
+    b = rng.uniform(-1.5, 1.5, n).tolist() if fields else [0.0] * n
+    return _mirrored(j, b, n) if mirror else chain(j, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 300), st.booleans(), st.booleans())
+@example(0, 300, True, True)
+@example(1, 300, False, False)
+def test_lazy_decomposition_matches_the_eager_oracle(seed, n, mirror, fields):
+    spec = _random_chain(seed, n, mirror, fields)
+    lam, vec, _ = eager_decomposition(spec)
+    sd = diagonalize(spec)
+    values = sd.eigenvalues.tobytes()
+    rows = np.abs(spec.field_array())
+    rows[:-1] += np.abs(spec.coupling_array())
+    rows[1:] += np.abs(spec.coupling_array())
+    assert np.max(np.abs(sd.eigenvalues - lam)) <= 2 * n * np.finfo(float).eps * np.max(rows)
+    # the end products and the eigenvector rows both lose accuracy as
+    # eps max|T| / (smallest gap), as in test_end_products_match_the_eigenvector_end_rows;
+    # the edge pairs of long mirror chains can coincide in floating point
+    gap = float(np.min(np.diff(sd.eigenvalues)))
+    conditioning = max(1.0, 2.0 / gap) if gap > 0.0 else math.inf
+    times = np.linspace(0.0, 20.0, 201)
+    pairs = [(1, n), (n, 1)] + ([(1, 1), (n, n)] if mirror else [])
+    for source, target in pairs:
+        want = vec[target - 1] * vec[source - 1]
+        assert np.max(np.abs(pair_weights(sd, source, target) - want)) < 1e-13 * conditioning
+        got = gamma(sd, source, target, times)
+        direct = phase_sum_direct(sd.eigenvalues, want, times)
+        bound = 1e-13 * conditioning + _phase_bound(sd.eigenvalues, want, times)
+        assert np.max(np.abs(got - direct)) <= bound
+    scale = max(np.max(np.abs(spec.coupling_array())), np.max(np.abs(spec.field_array())))
+    # the first read runs the eager solve and keeps the eigenvalues handed out
+    assert np.array_equal(sd.eigenvectors, vec)
+    assert sd.eigenvalues.tobytes() == values
+    assert sd.residual <= 1e-10 * scale
+
+
+@pytest.fixture
+def no_eigenvector_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigenvector solve was made")
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", refuse)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
+
+
+def test_end_amplitude_of_a_long_chain_reads_no_eigenvectors(no_eigenvector_solve):
+    """gamma_N(t) = (-i sin(t/2))^(N-1) on the analytic chain, in O(N) memory:
+    the N x N eigenvectors alone would take 32 MB."""
+    n = 2000
+    grid = np.linspace(0.0, 2.0 * math.pi, 1001)
+    spec = analytic_chain(n)
+    tracemalloc.start()
+    try:
+        amps = gamma(diagonalize(spec), 1, n, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert np.max(np.abs(amps - (-1j * np.sin(grid / 2.0)) ** (n - 1))) < 1e-10
+
+
+@pytest.mark.parametrize("couplings, fields", [
+    ([0.7, -1.1, 0.4, 0.9], [0.1, -0.2, 0.3, 0.0, 0.2]),
+    ([0.7, 0.0, 0.4, 0.9], [0.1, -0.2, 0.3, 0.0, 0.2]),
+    ([0.7, -1.1, -1.1, 0.7], [0.1, -0.2, 0.3, -0.2, 0.1]),
+    ([0.7, 1.1, 0.0, 1.1, 0.7], [0.0] * 6),
+], ids=["negative", "zero", "negative-mirror", "zero-mirror"])
+def test_chains_without_positive_couplings_read_the_eigenvectors(monkeypatch, couplings,
+                                                                 fields):
+    solves = []
+    true_solver = scipy.linalg.lapack.dstevd
+
+    def counted(diag, off, *args, **kwargs):
+        solves.append(len(diag))
+        return true_solver(diag, off, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", counted)
+    spec = chain(couplings, fields)
+    n = spec.n
+    sd = diagonalize(spec)
+    m = build_h1(spec).to_dense()
+    times = np.linspace(0.0, 10.0, 41)
+    for source, target in ((1, n), (n, 1), (1, 1), (n, n)):
+        start = np.eye(n)[:, source - 1]
+        want = [expm_evolve(m, start, t)[target - 1] for t in times]
+        assert np.max(np.abs(gamma(sd, source, target, times) - want)) < 1e-12
+    assert solves == [n]
+
+
+def _corrupted_end_products(monkeypatch, corrupt):
+    true_products = spectral.end_products
+
+    def corrupted(couplings, eigenvalues):
+        products = true_products(couplings, eigenvalues)
+        corrupt(products)
+        return products
+
+    monkeypatch.setattr(spectral, "end_products", corrupted)
+
+
+def test_a_corrupted_end_weight_trips_the_orthogonality_check(monkeypatch):
+    def corrupt(products):
+        products[3] *= 1.0 + 1e-6
+
+    _corrupted_end_products(monkeypatch, corrupt)
+    sd = diagonalize(chain([0.7, 1.1, 0.4, 0.9], [0.1, -0.2, 0.3, 0.0, 0.2]))
+    with pytest.raises(ArithmeticError, match="orthogonal"):
+        gamma(sd, 1, 5, 1.0)
+
+
+def test_scaled_end_weights_trip_the_norm_check_of_a_mirror_chain(monkeypatch):
+    """Scaling every product keeps rows 1 and N orthogonal, but not row 1 of
+    unit length."""
+    def corrupt(products):
+        products *= 1.0 + 1e-6
+
+    _corrupted_end_products(monkeypatch, corrupt)
+    sd = diagonalize(analytic_chain(6))
+    with pytest.raises(ArithmeticError, match="orthogonal"):
+        gamma(sd, 1, 1, 1.0)
