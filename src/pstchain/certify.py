@@ -36,7 +36,7 @@ import numpy as np
 from .chain import ChainSpec, mirror_symmetry_check
 from .spectral import (DegenerateSpectrumError, SpectralDecomposition, _log_abs_derivatives,
                        _phase_sum, chain_eigenvalues, diagonalize, end_products,
-                       is_degenerate)
+                       is_degenerate, pair_weights)
 
 ARRIVAL_TOL = 1e-8
 _MULTIPLIER_GUARD = 1 << 52
@@ -84,11 +84,12 @@ class PstCertificate:
     @cached_property
     def end_weights(self) -> np.ndarray:
         """End-site weights |v_1k|^2: the magnitudes of the end products on a
-        perfect chain, else the first row of the decomposition."""
+        perfect chain, else the self weights of site 1 in the decomposition,
+        which :func:`pair_weights` takes from the spectrum where it can."""
         if self.perfect:
             w = np.abs(self.end_products)
         else:
-            w = np.abs(self.spectrum.eigenvectors[0, :]) ** 2
+            w = pair_weights(self.spectrum, 1, 1)
         w.flags.writeable = False
         return w
 

@@ -93,13 +93,18 @@ class SingleExcitationMatrix:
             raise ValueError("inconsistent tridiagonal shape")
 
     def to_dense(self) -> np.ndarray:
-        m = np.diag(np.asarray(self.diagonal, dtype=float))
-        off = np.asarray(self.offdiagonal, dtype=float)
-        if self.dimension > 1:
-            idx = np.arange(self.dimension - 1)
-            m[idx, idx + 1] = off
-            m[idx + 1, idx] = off
-        return m
+        return _tridiagonal_dense(np.asarray(self.diagonal, dtype=float),
+                                  np.asarray(self.offdiagonal, dtype=float))
+
+
+def _tridiagonal_dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """``tridiag(off, diag, off)`` as a dense array."""
+    n = diag.size
+    dense = np.zeros((n, n))
+    dense.flat[::n + 1] = diag
+    dense.flat[1::n + 1] = off
+    dense.flat[n::n + 1] = off
+    return dense
 
 
 @dataclass(frozen=True)

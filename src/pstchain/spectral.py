@@ -5,15 +5,20 @@ The spectral form ``exp(-i H t) = V exp(-i L t) V^dag`` is exact, so all
 transfer amplitudes produced here are limited only by the accuracy of the
 eigensolver. Tridiagonal operators take a dedicated fast path; dense
 symmetric (or Hermitian, for phased networks) operators fall back to a
-general solver. ``scipy.linalg`` is imported by the functions that solve,
-since importing it is most of the start-up of a process that never does.
+general solver.
+
+A tridiagonal operator of at most ``SMALL_CHAIN_CUT`` sites is solved as a
+dense matrix by ``numpy.linalg``, which every process has loaded already;
+a larger one by LAPACK's tridiagonal routines from ``scipy.linalg``, which is
+imported on the first such solve, since importing it costs about 0.3 s, most
+of the start-up of a process that solves only short chains.
 
 A perfect chain is mirror symmetric, and a mirror-symmetric (persymmetric)
 tridiagonal matrix is orthogonally similar to the direct sum of two
 half-size tridiagonal matrices, one acting on the symmetric and one on the
 antisymmetric vectors (Cantoni and Butler, Linear Algebra Appl. 13, 1976).
-The tridiagonal solves stack the two blocks into one matrix with an exact
-zero coupling between them, where LAPACK splits the problem in two.
+Above the cut the LAPACK solves stack the two blocks into one matrix with
+an exact zero coupling between them, where LAPACK splits the problem in two.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import ChainSpec, SingleExcitationMatrix, build_h1
+from .chain import ChainSpec, SingleExcitationMatrix, _tridiagonal_dense, build_h1
 
 SYMMETRY_TOL = 1e-12
 DEGENERACY_RTOL = 1e-9
@@ -32,6 +37,12 @@ DEGENERACY_RTOL = 1e-9
 NEWTON_GATE = 1e-12
 # Largest a-priori relative error of end weights taken from the spectrum.
 END_WEIGHT_RTOL = 1e-6
+# Largest tridiagonal operator solved densely by numpy.linalg. At 128 sites
+# eigvalsh takes 0.8 ms against 0.2 ms for sterf on the fold, and eigh 1.5 ms
+# against 0.5 ms for stevd and the unfold (one BLAS thread); importing
+# scipy.linalg takes 0.3 s, so a process gains unless it makes some 300 such
+# solves. The dense solves grow as N^3: at 256 sites 3.8 and 7.5 ms.
+SMALL_CHAIN_CUT = 128
 _EPS = float(np.finfo(float).eps)
 # Columns per step of the sign fix and the residual check, and rows per step of
 # the log-derivative sums. Whole-matrix temporaries would add several N x N
@@ -120,7 +131,7 @@ class SpectralDecomposition:
         ``d``, and the distances from one eigenvalue to the others are at
         least 1, 2, 3, ... times the smallest gap ``g`` on either side, so to
         first order the products carry a relative error of at most
-        ``4 (1 + ln N) d / g``. With the ``sterf`` error ``d = N eps max|T|``
+        ``4 (1 + ln N) d / g``. With the solver error ``d = N eps max|T|``
         and a factor 2 of headroom that is
         ``rho = 8 (1 + ln N) N eps max|T| / g``.
 
@@ -238,16 +249,18 @@ def diagonalize(operator) -> SpectralDecomposition:
     the result.
 
     A tridiagonal operator gets its eigenvalues at once, from
-    :func:`_tridiagonal_eigenvalues` in O(N^2) time and O(N) memory, and its
-    eigenvectors on their first read: LAPACK ``stevd`` (divide and conquer,
-    O(N^3) in the worst case) on the operator, or on its :func:`_fold` if it
-    is exactly mirror symmetric, which ``stevd`` solves as two N/2 problems.
-    The eigenvectors are unfolded before the sign fix, and the residual is
-    checked against the eigenvalues handed out at once; those of ``stevd`` are
-    dropped. :func:`gamma` between the end sites of a chain with positive
-    couplings reads no eigenvectors (see :func:`pair_weights`), so it costs
-    O(N^2) time and O(N) memory in all. A dense operator is solved at once
-    by ``numpy.linalg.eigh``.
+    :func:`_tridiagonal_eigenvalues`, and its eigenvectors on their first
+    read, from :func:`_eigenvector_solve`: ``numpy.linalg.eigh`` of the dense
+    matrix up to ``SMALL_CHAIN_CUT`` sites, and above it LAPACK ``stevd``
+    (divide and conquer, O(N^3) in the worst case) on the operator, or on its
+    :func:`_fold` if it is exactly mirror symmetric, which ``stevd`` solves as
+    two N/2 problems and which is unfolded before the sign fix. The residual
+    is checked against the eigenvalues handed out at once; those of the
+    eigenvector solve are dropped. :func:`gamma` between the end sites of a
+    chain with positive couplings reads no eigenvectors (see
+    :func:`pair_weights`), so above the cut it costs O(N^2) time and O(N)
+    memory in all. A dense operator is solved at once by
+    ``numpy.linalg.eigh``.
     """
     if isinstance(operator, ChainSpec):
         operator = build_h1(operator)
@@ -279,17 +292,7 @@ def _tridiagonal_eigenvectors(diag: np.ndarray, off: np.ndarray,
                               eigenvalues: np.ndarray) -> tuple[np.ndarray, float]:
     """Sign-fixed eigenvectors of ``tridiag(off, diag, off)``, in the order of
     its ascending ``eigenvalues``, and their checked residual against them."""
-    if diag.size == 1:
-        vec = np.ones((1, 1))
-    else:
-        from scipy.linalg.lapack import dstevd
-        fold = _fold(diag, off)
-        _, vec, info = dstevd(*(fold or (diag, off)))
-        if info:
-            raise np.linalg.LinAlgError(f"LAPACK stevd did not converge (info {info})")
-        if fold is not None:
-            _unfold(vec)
-    vec = _fix_signs(vec)
+    vec = _fix_signs(np.ones((1, 1)) if diag.size == 1 else _eigenvector_solve(diag, off))
     # M V from the three diagonals, O(N^2), a block of columns at a time
     residual = 0.0
     for c in range(0, vec.shape[1], _BLOCK):
@@ -302,23 +305,53 @@ def _tridiagonal_eigenvectors(diag: np.ndarray, off: np.ndarray,
     return vec, _checked(residual, _max_abs(diag, off))
 
 
-def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of ``tridiag(off, diag, off)`` without
-    eigenvectors, the ones :func:`diagonalize` and :func:`certify_pst` use.
-
-    LAPACK ``sterf`` works in O(N^2) time and O(N) memory; its eigenvalues
-    carry an absolute error of order ``N * eps * max|T|``. An exactly
-    mirror-symmetric matrix goes as its :func:`_fold`, two N/2 problems,
-    which halves the work. Where that error could reach ``NEWTON_GATE`` of the
-    smallest gap, the eigenvalues get one :func:`sturm_newton` step of at
-    most that size.
-    """
-    if diag.size == 1:
-        return diag.copy()
+def _eigenvalue_solve(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of ``tridiag(off, diag, off)``, N >= 2, as the
+    solver returns them: ``numpy.linalg.eigvalsh`` of the dense matrix up to
+    ``SMALL_CHAIN_CUT`` sites, LAPACK ``sterf`` (O(N^2) time, O(N) memory)
+    above it, on the :func:`_fold` of an exactly mirror-symmetric matrix."""
+    if diag.size <= SMALL_CHAIN_CUT:
+        return np.linalg.eigvalsh(_tridiagonal_dense(diag, off))
     from scipy.linalg.lapack import dsterf
     lam, info = dsterf(*(_fold(diag, off) or (diag, off)))
     if info:
         raise np.linalg.LinAlgError(f"LAPACK sterf did not converge (info {info})")
+    return lam
+
+
+def _eigenvector_solve(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Eigenvector columns of ``tridiag(off, diag, off)``, N >= 2, in
+    ascending order of their eigenvalues and before the sign fix:
+    ``numpy.linalg.eigh`` of the dense matrix up to ``SMALL_CHAIN_CUT``
+    sites, LAPACK ``stevd`` above it, on the :func:`_fold` of an exactly
+    mirror-symmetric matrix and then unfolded."""
+    if diag.size <= SMALL_CHAIN_CUT:
+        return np.linalg.eigh(_tridiagonal_dense(diag, off))[1]
+    from scipy.linalg.lapack import dstevd
+    fold = _fold(diag, off)
+    _, vec, info = dstevd(*(fold or (diag, off)))
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK stevd did not converge (info {info})")
+    if fold is not None:
+        _unfold(vec)
+    return vec
+
+
+def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of ``tridiag(off, diag, off)`` without
+    eigenvectors, the ones :func:`diagonalize` and :func:`certify_pst` use.
+
+    They come from :func:`_eigenvalue_solve`: dense ``numpy.linalg.eigvalsh``
+    up to ``SMALL_CHAIN_CUT`` sites, and above it LAPACK ``sterf``, O(N^2) in
+    time and O(N) in memory, on the :func:`_fold` of an exactly
+    mirror-symmetric matrix, two N/2 problems, which halves the work. Either
+    way they carry an absolute error of order ``N * eps * max|T|``. Where
+    that error could reach ``NEWTON_GATE`` of the smallest gap, the
+    eigenvalues get one :func:`sturm_newton` step of at most that size.
+    """
+    if diag.size == 1:
+        return diag.copy()
+    lam = _eigenvalue_solve(diag, off)
     error = diag.size * _EPS * _max_abs(diag, off)
     if error > NEWTON_GATE * float((lam[1:] - lam[:-1]).min()):
         lam = sturm_newton(diag, off, lam, error)

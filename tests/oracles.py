@@ -234,6 +234,16 @@ def eager_decomposition(spec):
     return lam, vec, float(np.max(np.abs(dense @ vec - vec * lam[None, :])))
 
 
+def dense_decomposition(spec):
+    """Eigenvalues and sign-fixed eigenvectors of a chain from
+    ``numpy.linalg.eigh`` of its dense single-excitation matrix, the way the
+    library solves chains of at most ``SMALL_CHAIN_CUT`` sites."""
+    from pstchain.spectral import _fix_signs
+
+    lam, vec = np.linalg.eigh(tridiagonal_dense(spec.couplings, spec.fields))
+    return lam, _fix_signs(vec)
+
+
 def unfolded_eigenvalues(spec):
     """Eigenvalues of a chain from one LAPACK ``sterf`` solve of its whole
     single-excitation matrix."""

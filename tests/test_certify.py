@@ -9,15 +9,16 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from pstchain import (BathSpec, ClockProgram, amplifier_sim, analytic_chain,
-                      bath_transfer_amplitude, certify_pst, chain, clock_computer,
+                      bath_transfer_amplitude, build_h1, certify_pst, chain, clock_computer,
                       dephasing_avg_fidelity, diagonalize, end_weights,
                       entanglement_distribution_sim, entanglement_generation, gamma,
                       hypercube, initfree_transfer, near_uniform_chain, optimality_report,
                       product_network, rate_condition, require_perfect, rescale,
                       revival_rate_report, sequential_storage_chain, star_network,
                       theta_entangler, timing_window, two_boson_transfer, uniform_chain)
+from pstchain import spectral
 from pstchain.certify import _gap_fractions, end_products
-from pstchain.spectral import DegenerateSpectrumError, chain_eigenvalues
+from pstchain.spectral import SMALL_CHAIN_CUT, DegenerateSpectrumError, chain_eigenvalues
 
 from oracles import certify_by_eigenvectors, random_pst_chain
 
@@ -304,15 +305,23 @@ def _counted_solver(monkeypatch, module, name):
 @pytest.fixture
 def tridiagonal_solves(monkeypatch):
     """Sizes of the matrices passed to the tridiagonal eigenvector solver,
-    LAPACK ``stevd``."""
-    return _counted_solver(monkeypatch, scipy.linalg.lapack, "dstevd")
+    ``numpy.linalg.eigh`` or LAPACK ``stevd`` by size."""
+    return _counted_solver(monkeypatch, spectral, "_eigenvector_solve")
 
 
 @pytest.fixture
 def eigenvalue_solves(monkeypatch):
     """Sizes of the matrices passed to the eigenvalue-only tridiagonal solver,
-    LAPACK ``sterf``."""
-    return _counted_solver(monkeypatch, scipy.linalg.lapack, "dsterf")
+    ``numpy.linalg.eigvalsh`` or LAPACK ``sterf`` by size."""
+    return _counted_solver(monkeypatch, spectral, "_eigenvalue_solve")
+
+
+@pytest.fixture
+def lapack_solves(monkeypatch):
+    """Sizes and off-diagonals of the matrices passed to LAPACK ``stevd`` and
+    ``sterf``, the solvers above ``SMALL_CHAIN_CUT``."""
+    return (_counted_solver(monkeypatch, scipy.linalg.lapack, "dstevd"),
+            _counted_solver(monkeypatch, scipy.linalg.lapack, "dsterf"))
 
 
 def _nudged(spec):
@@ -323,25 +332,62 @@ def _nudged(spec):
     return chain(j, spec.fields)
 
 
-def test_exactly_mirror_chain_reaches_the_solvers_folded(tridiagonal_solves,
-                                                          eigenvalue_solves):
+_ABOVE_CUT = SMALL_CHAIN_CUT + 2
+
+
+def test_exactly_mirror_chain_reaches_the_solvers_folded(lapack_solves):
     """diagonalize solves the eigenvalues at once and the eigenvectors on
     their first read; chain_eigenvalues solves the eigenvalues alone."""
-    diagonalize(analytic_chain(8)).eigenvectors
-    chain_eigenvalues(analytic_chain(8))
-    assert (tridiagonal_solves, eigenvalue_solves) == ([8], [8, 8])
-    for off in tridiagonal_solves.offdiagonals + eigenvalue_solves.offdiagonals:
-        assert np.flatnonzero(off == 0.0).tolist() == [3]
+    n = _ABOVE_CUT
+    diagonalize(analytic_chain(n)).eigenvectors
+    chain_eigenvalues(analytic_chain(n))
+    vector_solves, value_solves = lapack_solves
+    assert (vector_solves, value_solves) == ([n], [n, n])
+    for off in vector_solves.offdiagonals + value_solves.offdiagonals:
+        assert np.flatnonzero(off == 0.0).tolist() == [n // 2 - 1]
 
 
-@pytest.mark.parametrize("spec", [sequential_storage_chain(8), _nudged(analytic_chain(8))],
+@pytest.mark.parametrize("spec", [sequential_storage_chain(_ABOVE_CUT),
+                                  _nudged(analytic_chain(_ABOVE_CUT))],
                          ids=["storage", "nudged-analytic"])
-def test_other_chains_reach_the_solvers_unfolded(tridiagonal_solves, eigenvalue_solves, spec):
+def test_other_chains_reach_the_solvers_unfolded(lapack_solves, spec):
     diagonalize(spec).eigenvectors
     chain_eigenvalues(spec)
-    assert (tridiagonal_solves, eigenvalue_solves) == ([8], [8, 8])
-    for off in tridiagonal_solves.offdiagonals + eigenvalue_solves.offdiagonals:
+    vector_solves, value_solves = lapack_solves
+    assert (vector_solves, value_solves) == ([spec.n], [spec.n, spec.n])
+    for off in vector_solves.offdiagonals + value_solves.offdiagonals:
         assert np.array_equal(off, spec.coupling_array())
+
+
+@pytest.fixture
+def numpy_solves(monkeypatch):
+    """The matrices passed to ``numpy.linalg.eigh`` and ``eigvalsh``."""
+    solves = {"eigh": [], "eigvalsh": []}
+    for name, matrices in solves.items():
+        true_solver = getattr(np.linalg, name)
+
+        def recorded(a, *args, _solver=true_solver, _matrices=matrices, **kwargs):
+            _matrices.append(np.array(a))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return solves
+
+
+@pytest.mark.parametrize("spec", [analytic_chain(SMALL_CHAIN_CUT),
+                                  sequential_storage_chain(SMALL_CHAIN_CUT)],
+                         ids=["analytic-at-cut", "storage-at-cut"])
+def test_chains_up_to_the_cut_reach_numpy_unfolded(lapack_solves, numpy_solves, spec):
+    """At or below the cut both solves take the whole dense matrix, mirror
+    symmetric or not, and LAPACK's tridiagonal routines are not called."""
+    diagonalize(spec).eigenvectors
+    chain_eigenvalues(spec)
+    assert lapack_solves == ([], [])
+    assert [len(a) for a in numpy_solves["eigh"]] == [spec.n]
+    assert [len(a) for a in numpy_solves["eigvalsh"]] == [spec.n, spec.n]
+    dense = build_h1(spec).to_dense()
+    for a in numpy_solves["eigh"] + numpy_solves["eigvalsh"]:
+        assert np.array_equal(a, dense)
 
 
 def _clock():
@@ -378,16 +424,31 @@ def test_certified_chain_is_diagonalized_once(tridiagonal_solves, eigenvalue_sol
 
 @pytest.fixture
 def dense_solves(monkeypatch):
-    """Sizes of the matrices passed to numpy's dense Hermitian eigensolvers."""
+    """Sizes of the matrices passed to numpy's dense Hermitian eigensolvers,
+    other than by the tridiagonal solvers of ``spectral``, which take short
+    chains densely."""
     sizes = []
+    in_chain_solve = []
     for name in ("eigh", "eigvalsh"):
         true_solver = getattr(np.linalg, name)
 
         def counted(a, *args, _solver=true_solver, **kwargs):
-            sizes.append(np.shape(a)[0])
+            if not in_chain_solve:
+                sizes.append(np.shape(a)[0])
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    for name in ("_eigenvalue_solve", "_eigenvector_solve"):
+        true_solver = getattr(spectral, name)
+
+        def chain_solve(diag, off, _solver=true_solver):
+            in_chain_solve.append(len(diag))
+            try:
+                return _solver(diag, off)
+            finally:
+                in_chain_solve.pop()
+
+        monkeypatch.setattr(spectral, name, chain_solve)
     return sizes
 
 
@@ -626,8 +687,18 @@ def test_perfect_certificate_reports_closed_form_weights():
 
 
 def test_rejected_certificate_reads_weights_from_the_decomposition(tridiagonal_solves):
-    spec = uniform_chain(7)
-    cert = certify_pst(spec)
-    assert not cert.perfect and tridiagonal_solves == []
-    assert np.array_equal(cert.end_weights, np.abs(diagonalize(spec).eigenvectors[0]) ** 2)
-    assert tridiagonal_solves == [7, 7]
+    """A rejected mirror-symmetric chain takes |v_1k|^2 from the spectrum,
+    within the a-priori bound of pair_weights, and solves no eigenvectors."""
+    for n in (7, 64, 200):
+        spec = uniform_chain(n)
+        cert = certify_pst(spec)
+        assert not cert.perfect
+        weights = cert.end_weights
+        assert tridiagonal_solves == []
+        first_row = diagonalize(spec).eigenvectors[0]
+        assert tridiagonal_solves == [n]
+        tridiagonal_solves.clear()
+        rho = (8.0 * (1.0 + math.log(n)) * n * np.finfo(float).eps * max(spec.couplings)
+               / np.min(np.diff(cert.eigenvalues)))
+        assert rho <= spectral.END_WEIGHT_RTOL
+        assert np.max(np.abs(weights - first_row ** 2)) <= rho * np.max(weights)

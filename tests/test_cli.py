@@ -251,17 +251,73 @@ def test_import_does_not_load_scipy_sparse():
     assert out.stdout.strip() == "False"
 
 
-def test_import_and_design_do_not_load_scipy_linalg():
-    # scipy.linalg is most of the start-up of a pst process; only the commands
-    # that solve a chain import it
+_SCIPY_PROBE = """
+import contextlib, io, sys
+import pstchain, pstchain.cli
+from pstchain import analytic_chain, diagonalize
+from pstchain.spectral import chain_eigenvalues
+
+def loaded():
+    return 'scipy' in sys.modules, 'scipy.linalg' in sys.modules
+
+def run(label, *argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = pstchain.cli.main(list(argv))
+    print(label, code, *loaded(), file=sys.stderr)
+    return out.getvalue()
+
+def solved():
+    spec = analytic_chain(64)
+    return chain_eigenvalues(spec).tobytes(), diagonalize(spec).eigenvectors.tobytes()
+
+print('import', 0, *loaded(), file=sys.stderr)
+with open('a64.json', 'w') as f:
+    f.write(run('design-analytic', 'design', 'analytic', '--n', '64'))
+with open('a1000.json', 'w') as f:
+    f.write(run('design-analytic-1000', 'design', 'analytic', '--n', '1000'))
+run('design-storage', 'design', 'storage', '--n', '8')
+run('design-near-uniform', 'design', 'near-uniform', '--n', '41', '--slack', '0.5')
+run('certify-64', 'certify', 'a64.json')
+run('simulate', 'simulate', '--chain', 'a64.json', '--target', '64', '--tmax', '6.3',
+    '--steps', '600', '--out', 'sim.csv')
+run('noise-dephase', 'noise', 'dephase', '--chain', 'a64.json', '--p', '0.1',
+    '--steps', '200', '--out', 'dephase.csv')
+run('noise-bath', 'noise', 'bath', '--chain', 'a64.json', '--G', '10', '--tmax', '6.3',
+    '--steps', '100', '--out', 'bath.csv')
+run('report-timing', 'report', '--figure', 'timing', '--n', '31', '--out', 'timing.csv')
+run('gadget-amp', 'gadget', 'amp', '--n', '100', '--out', 'amp.csv')
+for protocol, n in (('entgen', '8'), ('initfree', '6'), ('storage', '5'), ('ising', '4')):
+    run('demo-' + protocol, 'fermionic', 'demo', '--protocol', protocol, '--n', n,
+        '--seed', '3')
+before = solved()
+print('solved-64', 0, *loaded(), file=sys.stderr)
+run('certify-1000', 'certify', 'a1000.json')
+print('same-bytes', 0, solved() == before, 'scipy.linalg' in sys.modules, file=sys.stderr)
+"""
+
+
+def test_import_and_design_do_not_load_scipy_linalg(tmp_path):
+    """scipy.linalg is most of the start-up of a pst process. Chains of at
+    most SMALL_CHAIN_CUT sites are solved by numpy.linalg, so only a command
+    that solves a longer chain imports scipy, and what it imported does not
+    change a later solve of a short chain."""
     import pstchain
 
     root = os.path.dirname(os.path.dirname(pstchain.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (root, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, pstchain, pstchain.cli; loaded = 'scipy.linalg' in sys.modules; "
-            "pstchain.cli.main(['design', 'analytic', '--n', '64']); "
-            "print(loaded, 'scipy.linalg' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.strip().splitlines()[-1] == "False False"
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env, cwd=tmp_path,
+                         check=True, capture_output=True, text=True)
+    states = {}
+    for line in out.stderr.splitlines():
+        words = line.split()
+        if len(words) == 4 and words[1] == "0":
+            states[words[0]] = (words[2], words[3])
+    small = ["import", "design-analytic", "design-analytic-1000", "design-storage",
+             "design-near-uniform", "certify-64", "simulate", "noise-dephase", "noise-bath",
+             "report-timing", "gadget-amp", "demo-entgen", "demo-initfree", "demo-storage",
+             "demo-ising", "solved-64"]
+    assert {label: states.get(label) for label in small} == {
+        label: ("False", "False") for label in small}
+    assert states["certify-1000"] == ("True", "True")
+    assert states["same-bytes"] == ("True", "True")

@@ -10,10 +10,11 @@ from pstchain import (analytic_chain, amplitude_profile, build_h1, certify_pst, 
                       diagonalize, gamma, is_degenerate, propagate, uniform_chain)
 from pstchain.certify import ARRIVAL_TOL
 from pstchain import spectral
-from pstchain.spectral import _phase_sum, chain_eigenvalues, pair_weights, sturm_newton
+from pstchain.spectral import (SMALL_CHAIN_CUT, _phase_sum, chain_eigenvalues, end_products,
+                               pair_weights, sturm_newton)
 
-from oracles import (eager_decomposition, expm_evolve, phase_sum_direct, random_pst_chain,
-                     unfolded_decomposition, unfolded_eigenvalues)
+from oracles import (dense_decomposition, eager_decomposition, expm_evolve, phase_sum_direct,
+                     random_pst_chain, unfolded_decomposition, unfolded_eigenvalues)
 
 
 def test_two_level_eigenvalues():
@@ -83,17 +84,16 @@ def test_sign_convention_matches_the_column_loop_bitwise():
 
 
 def test_residual_check_rejects_a_perturbed_eigenvector(monkeypatch):
-    true_solver = scipy.linalg.lapack.dstevd
+    true_solver = spectral._eigenvector_solve
 
-    def perturbed(diag, off, *args, **kwargs):
-        lam, vec, info = true_solver(diag, off, *args, **kwargs)
-        vec = vec.copy()
+    def perturbed(diag, off):
+        vec = true_solver(diag, off).copy()
         vec[2, 3] += 1e-6
-        return lam, vec, info
+        return vec
 
     spec = analytic_chain(8)
     diagonalize(spec).eigenvectors
-    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", perturbed)
+    monkeypatch.setattr(spectral, "_eigenvector_solve", perturbed)
     sd = diagonalize(spec)
     with pytest.raises(ArithmeticError, match="residual"):
         sd.eigenvectors
@@ -367,9 +367,29 @@ def _random_mirror_chains(sizes):
 
 
 random_mirror_chains = _random_mirror_chains(st.integers(2, 40))
+# above SMALL_CHAIN_CUT, where LAPACK solves the fold
+long_mirror_chains = _random_mirror_chains(st.integers(SMALL_CHAIN_CUT + 1,
+                                                       SMALL_CHAIN_CUT + 40))
 lattice_chains = st.builds(
     lambda seed, n: random_pst_chain(np.random.default_rng(seed), n),
     st.integers(0, 2 ** 32 - 1), st.integers(2, 40))
+
+
+def _resolved(lam):
+    """The levels an eigenvector solve resolves to 1e-9, those further than
+    1e-5 of the spread from both neighbours (an eigenvector is accurate to
+    eps * |H| / gap; edge pairs of dimerized chains come closer)."""
+    gaps = np.diff(lam)
+    nearest = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+    return nearest > 1e-5 * (lam[-1] - lam[0])
+
+
+def _row_sum_norm(spec):
+    """``||T||_inf`` of a chain's single-excitation matrix."""
+    rows = np.abs(spec.field_array())
+    rows[:-1] += np.abs(spec.coupling_array())
+    rows[1:] += np.abs(spec.coupling_array())
+    return float(np.max(rows))
 
 
 @settings(max_examples=150, deadline=None)
@@ -382,11 +402,7 @@ def test_mirror_chains_have_alternating_eigenvectors(spec):
     sd = diagonalize(spec)
     lam = sd.eigenvalues
     n = spec.n
-    # an eigenvector is accurate to eps * |H| / gap, so a level closer than
-    # 1e-5 * spread to a neighbour (edge pairs of dimerized chains) is skipped
-    gaps = np.diff(lam)
-    nearest = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
-    resolved = nearest > 1e-5 * (lam[-1] - lam[0])
+    resolved = _resolved(lam)
     parity = (-1.0) ** (n - 1 - np.arange(n))
     asym = np.max(np.abs(sd.eigenvectors[::-1, :] - parity * sd.eigenvectors), axis=0)
     assert np.all(asym[resolved] < 1e-9)
@@ -415,7 +431,7 @@ cut_mirror_chains = st.one_of(random_mirror_chains, lattice_chains).flatmap(
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(random_mirror_chains, _random_mirror_chains(st.integers(2, 3)),
-                 lattice_chains, cut_mirror_chains))
+                 lattice_chains, cut_mirror_chains, long_mirror_chains))
 # the top two levels lie 2e-15 apart and come back with the antisymmetric one
 # last, against the parity order of the mirror theorem
 @example(_mirrored([2.0, 1.0, 1.0, 0.25, 0.25, 0.25, 0.25, 0.25, 0.5, 0.25],
@@ -425,20 +441,55 @@ def test_folded_solves_match_the_unfolded_oracle(spec):
     sd = diagonalize(spec)
     scale = max(np.max(np.abs(spec.coupling_array())), np.max(np.abs(spec.field_array())))
     assert np.max(np.abs(sd.eigenvalues - lam)) <= 1e-12 * scale
-    # the resolved-level rule of test_mirror_chains_have_alternating_eigenvectors
-    gaps = np.diff(lam)
-    nearest = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
-    resolved = nearest > 1e-5 * (lam[-1] - lam[0])
     error = np.max(np.abs(sd.eigenvectors - vec), axis=0)
-    assert np.all(error[resolved] <= 1e-9)
+    assert np.all(error[_resolved(lam)] <= 1e-9)
     # each sterf solve is off by up to about N eps ||T||; at N = 3 the unfolded
     # one alone exceeds N eps max|T|, so the bound takes the row-sum norm
-    rows = np.abs(spec.field_array())
-    rows[:-1] += np.abs(spec.coupling_array())
-    rows[1:] += np.abs(spec.coupling_array())
     values = chain_eigenvalues(spec)
     assert np.max(np.abs(values - unfolded_eigenvalues(spec))) <= (
-        2 * spec.n * np.finfo(float).eps * np.max(rows))
+        2 * spec.n * np.finfo(float).eps * _row_sum_norm(spec))
+
+
+# --- the two solvers, either side of SMALL_CHAIN_CUT ---------------------------
+
+def _random_chain(seed, n, mirror, fields):
+    """A chain of n sites with couplings in [0.2, 2] and, if ``fields``,
+    fields in [-1.5, 1.5]; if ``mirror``, repeated in mirror order."""
+    rng = np.random.default_rng(seed)
+    j = rng.uniform(0.2, 2.0, n - 1).tolist()
+    b = rng.uniform(-1.5, 1.5, n).tolist() if fields else [0.0] * n
+    return _mirrored(j, b, n) if mirror else chain(j, b)
+
+
+around_the_cut = st.sampled_from(list(range(2, 13)) + [SMALL_CHAIN_CUT - 1, SMALL_CHAIN_CUT,
+                                                       SMALL_CHAIN_CUT + 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), around_the_cut, st.booleans(), st.booleans())
+@example(0, SMALL_CHAIN_CUT, True, True)
+@example(1, SMALL_CHAIN_CUT + 1, True, False)
+@example(2, SMALL_CHAIN_CUT, False, True)
+def test_solves_either_side_of_the_cut_match_the_unfolded_lapack_oracle(seed, n, mirror,
+                                                                          fields):
+    """Dense numpy.linalg solves at or below the cut and LAPACK solves of the
+    fold above it give the eigenvalues of one unfolded sterf solve within
+    2 N eps ||T||_inf, the resolved eigenvector columns of one unfolded stevd
+    solve within 1e-9, and end products that match the eigenvector end rows
+    within 1e-13 max(1, 2 / smallest gap)."""
+    spec = _random_chain(seed, n, mirror, fields)
+    lam, vec = unfolded_decomposition(spec)
+    sd = diagonalize(spec)
+    assert sd.eigenvalues.tobytes() == chain_eigenvalues(spec).tobytes()
+    assert np.max(np.abs(sd.eigenvalues - unfolded_eigenvalues(spec))) <= (
+        2 * n * np.finfo(float).eps * _row_sum_norm(spec))
+    error = np.max(np.abs(sd.eigenvectors - vec), axis=0)
+    assert np.all(error[_resolved(lam)] <= 1e-9)
+    gap = float(np.min(np.diff(sd.eigenvalues)))
+    if gap > 0.0:           # the edge pairs of long mirror chains can coincide
+        want = vec[0] * vec[-1]
+        got = end_products(spec.coupling_array(), sd.eigenvalues)
+        assert np.max(np.abs(got - want)) < 1e-13 * max(1.0, 2.0 / gap)
 
 
 def test_decomposition_keeps_the_residual_it_was_checked_by():
@@ -456,28 +507,27 @@ def test_decomposition_keeps_the_residual_it_was_checked_by():
 
 # --- eigenvalues at once, eigenvectors on first read ---------------------------
 
-def _random_chain(seed, n, mirror, fields):
-    """A chain of n sites with couplings in [0.2, 2] and, if ``fields``,
-    fields in [-1.5, 1.5]; if ``mirror``, repeated in mirror order."""
-    rng = np.random.default_rng(seed)
-    j = rng.uniform(0.2, 2.0, n - 1).tolist()
-    b = rng.uniform(-1.5, 1.5, n).tolist() if fields else [0.0] * n
-    return _mirrored(j, b, n) if mirror else chain(j, b)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 300), st.booleans(), st.booleans())
 @example(0, 300, True, True)
 @example(1, 300, False, False)
+@example(2, SMALL_CHAIN_CUT, True, True)
 def test_lazy_decomposition_matches_the_eager_oracle(seed, n, mirror, fields):
+    """The eager oracle is the LAPACK stevd solve above the cut, which the
+    first read must give bit for bit, and the sign-fixed dense
+    numpy.linalg.eigh solve at or below it, which must also match the LAPACK
+    one on resolved columns."""
     spec = _random_chain(seed, n, mirror, fields)
     lam, vec, _ = eager_decomposition(spec)
+    if n <= SMALL_CHAIN_CUT:
+        lapack_vec = vec
+        lam, vec = dense_decomposition(spec)
+        error = np.max(np.abs(vec - lapack_vec), axis=0)
+        assert np.all(error[_resolved(lam)] <= 1e-9)
     sd = diagonalize(spec)
     values = sd.eigenvalues.tobytes()
-    rows = np.abs(spec.field_array())
-    rows[:-1] += np.abs(spec.coupling_array())
-    rows[1:] += np.abs(spec.coupling_array())
-    assert np.max(np.abs(sd.eigenvalues - lam)) <= 2 * n * np.finfo(float).eps * np.max(rows)
+    assert np.max(np.abs(sd.eigenvalues - lam)) <= 2 * n * np.finfo(float).eps * (
+        _row_sum_norm(spec))
     # the end products and the eigenvector rows both lose accuracy as
     # eps max|T| / (smallest gap), as in test_end_products_match_the_eigenvector_end_rows;
     # the edge pairs of long mirror chains can coincide in floating point
@@ -504,6 +554,7 @@ def no_eigenvector_solve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an eigenvector solve was made")
 
+    monkeypatch.setattr(spectral, "_eigenvector_solve", refuse)
     monkeypatch.setattr(scipy.linalg.lapack, "dstevd", refuse)
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
 
@@ -533,13 +584,13 @@ def test_end_amplitude_of_a_long_chain_reads_no_eigenvectors(no_eigenvector_solv
 def test_chains_without_positive_couplings_read_the_eigenvectors(monkeypatch, couplings,
                                                                  fields):
     solves = []
-    true_solver = scipy.linalg.lapack.dstevd
+    true_solver = spectral._eigenvector_solve
 
-    def counted(diag, off, *args, **kwargs):
+    def counted(diag, off):
         solves.append(len(diag))
-        return true_solver(diag, off, *args, **kwargs)
+        return true_solver(diag, off)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", counted)
+    monkeypatch.setattr(spectral, "_eigenvector_solve", counted)
     spec = chain(couplings, fields)
     n = spec.n
     sd = diagonalize(spec)
