@@ -20,10 +20,10 @@ from .design import (DesignError, NewtonResult, ParametrizedFamily,
                      target_spectrum, validate_family)
 from .fermionic import (BogoliubovModes, QuadraticFermionHamiltonian, SlaterState,
                         basis_slater, bell_fidelity_curve, bogoliubov_modes,
-                        dense_hamiltonian, entanglement_distribution_sim,
-                        entanglement_generation, evolve_slater, initfree_transfer,
-                        ising_from_pst, sequential_storage_sim, slater_state,
-                        sort_to_site_order, two_boson_transfer)
+                        entanglement_distribution_sim, entanglement_generation,
+                        evolve_slater, initfree_transfer, ising_from_pst,
+                        sequential_storage_sim, slater_state, sort_to_site_order,
+                        two_boson_transfer)
 from .noise import (BathSpec, bath_model, bath_operator, bath_transfer_amplitude,
                     dephasing_avg_fidelity, raw_bath_operator)
 from .networks import (AmplifierResult, ClockProgram, NetworkSpec, amplifier_sim,

@@ -13,9 +13,10 @@ identification.
 Entanglement generation and initialization-free transfer run in their
 excitation sectors: the evolved state is read off N-component orbitals, so
 they work at any chain length. Only sequential storage, whose external
-registers make a joint state, builds the 2^N matrix (``dense_hamiltonian``),
-which is capped at ``PST_DENSE_CAP`` sites (default 12). Every time
-evolution goes through ``spectral.propagate``.
+registers make a joint state, holds a 2^N step matrix (at most
+``DENSE_CAP`` = 12 sites), built from the minors det U[S', S] of the N x N
+propagator (Jordan-Wigner; Lieb, Schultz and Mattis, Ann. Phys. 16, 1961).
+Every time evolution goes through ``spectral.propagate``.
 
 Basis convention for dense 2^N vectors: site 1 is the most significant bit,
 so the basis index of a configuration with excited site set S is
@@ -25,9 +26,10 @@ onto computational basis states with no extra sign.
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -35,18 +37,7 @@ from .certify import require_perfect
 from .chain import ChainSpec
 from .spectral import amplitude_profile, diagonalize, gamma, propagate
 
-DEFAULT_DENSE_CAP = 12
-
-
-def dense_cap() -> int:
-    value = os.environ.get("PST_DENSE_CAP")
-    return int(value) if value else DEFAULT_DENSE_CAP
-
-
-def _check_cap(n: int) -> None:
-    cap = dense_cap()
-    if n > cap:
-        raise ValueError(f"{n} sites exceed the dense oracle cap ({cap})")
+DENSE_CAP = 12  # sites of the largest 2^N matrix the library builds
 
 
 def _require_fermionic(spec: ChainSpec) -> None:
@@ -198,33 +189,24 @@ def evolve_slater(spec: ChainSpec, state: SlaterState, t: float) -> SlaterState:
 
 
 # ---------------------------------------------------------------------------
-# Dense 2^N evolution
+# Fock-space step
 # ---------------------------------------------------------------------------
 
-def dense_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Full 2^N matrix of the chain Hamiltonian in the number convention
-    (vacuum energy zero, one-excitation block equal to the tridiagonal)."""
-    _require_fermionic(spec)
-    n = spec.n
-    _check_cap(n)
-    dim = 1 << n
-    h = np.zeros((dim, dim))
-    fields = spec.fields
-    couplings = spec.couplings
-    masks = [1 << (n - 1 - s) for s in range(n)]
-    for idx in range(dim):
-        diag = 0.0
-        for s in range(n):
-            if idx & masks[s]:
-                diag += fields[s]
-        h[idx, idx] = diag
-        for b in range(n - 1):
-            occ1 = bool(idx & masks[b])
-            occ2 = bool(idx & masks[b + 1])
-            if occ1 != occ2:
-                jdx = idx ^ (masks[b] | masks[b + 1])
-                h[idx, jdx] = couplings[b]
-    return h
+def _fock_step(u: np.ndarray) -> np.ndarray:
+    """The 2^N matrix of the free-fermion evolution whose one-excitation
+    block is ``u``: between ascending occupied-site sets S and S' its
+    element is the minor det u[S', S], and the vacuum is stationary."""
+    n = u.shape[0]
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    out[0, 0] = 1.0
+    for k in range(1, n + 1):
+        sets = np.array(list(itertools.combinations(range(n), k)))
+        idx = (1 << (n - 1 - sets)).sum(axis=1)  # site 1 is the most significant bit
+        step = max(1, (1 << 16) // len(sets))  # at most 2^16 minors at once
+        for r in range(0, len(sets), step):
+            rows = sets[r:r + step, None, :, None]
+            out[np.ix_(idx[r:r + step], idx)] = np.linalg.det(u[rows, sets[None, :, None, :]])
+    return out
 
 
 def entanglement_entropy_bits(rho: np.ndarray) -> float:
@@ -261,6 +243,7 @@ def entanglement_generation(spec: ChainSpec, t: float | None = None) -> Entangle
     (basis index 2 b_1 + b_N) sums these over the O(N^2) configurations of
     the middle sites, so any chain length runs.
     """
+    _require_fermionic(spec)
     cert = require_perfect(spec)
     n = spec.n
     if t is None:
@@ -391,6 +374,7 @@ def sequential_storage_sim(spec: ChainSpec, inputs, readout_order) -> StorageSim
     ``z_corrections``). Reverse order therefore returns the inputs exactly,
     and same order applies a controlled phase between every pair.
     """
+    _require_fermionic(spec)
     n = spec.n
     t_r = math.pi / n
     states = [np.asarray(s, dtype=complex) for s in inputs]
@@ -400,9 +384,10 @@ def sequential_storage_sim(spec: ChainSpec, inputs, readout_order) -> StorageSim
     for s in states:
         if s.shape != (2,) or abs(np.linalg.norm(s) - 1.0) > 1e-10:
             raise ValueError("inputs must be normalized single-qubit states")
+    if n > DENSE_CAP:
+        raise ValueError(f"{n} sites exceed the dense cap ({DENSE_CAP})")
     if n + k > 16:
         raise ValueError("joint register exceeds the simulable size")
-    _check_cap(n)
 
     sd = diagonalize(spec)
     revivals = np.abs(gamma(sd, 1, 1, t_r * np.arange(1, n)))
@@ -418,15 +403,15 @@ def sequential_storage_sim(spec: ChainSpec, inputs, readout_order) -> StorageSim
         if sorted(order) != list(range(k)):
             raise ValueError("readout_order must be a permutation of the write indices")
 
-    # Joint state: registers (most significant) then chain sites.
+    # Joint state: registers (register 0 most significant), then chain sites.
+    # Every array is C-contiguous, so the reshapes that flip signs are views.
     dim_regs = 1 << k
     dim_chain = 1 << n
+    product = reduce(np.kron, states)
     joint = np.zeros((dim_regs, dim_chain), dtype=complex)
-    joint[0, 0] = 1.0
-    for j, s in enumerate(states):
-        joint = _write_register(joint, j, s, k)
+    joint[:, 0] = product
 
-    u_step = propagate(diagonalize(dense_hamiltonian(spec)), np.eye(dim_chain), t_r)
+    u_step = _fock_step(propagate(sd, np.eye(n), t_r))
 
     def evolve_steps(m: int) -> None:
         nonlocal joint
@@ -435,7 +420,8 @@ def sequential_storage_sim(spec: ChainSpec, inputs, readout_order) -> StorageSim
 
     def swap_register(j: int) -> None:
         nonlocal joint
-        joint = _swap_reg_site1(joint, j, k, n)
+        axes = joint.reshape(1 << j, 2, 1 << (k - 1 - j), 2, dim_chain >> 1)
+        joint = axes.swapaxes(1, 3).reshape(dim_regs, dim_chain)
 
     # Writes: register j swaps onto the (empty) input spin at step j.
     now = 0
@@ -458,7 +444,7 @@ def sequential_storage_sim(spec: ChainSpec, inputs, readout_order) -> StorageSim
         periods = (target_step - s) // n
         z_corr[s] = (periods * (n + 1)) % 2
         if z_corr[s]:
-            joint = _apply_reg_z(joint, s, k)
+            joint.reshape(1 << s, 2, -1)[:, 1] *= -1
         steps[s] = target_step
         for m in remaining:
             if m > s:
@@ -470,51 +456,13 @@ def sequential_storage_sim(spec: ChainSpec, inputs, readout_order) -> StorageSim
     output = joint[:, 0]
     output = output / np.linalg.norm(output)
 
-    predicted = states[0]
-    for s in states[1:]:
-        predicted = np.kron(predicted, s)
+    predicted = product.copy()
     for (a, b) in cz_pairs:
-        predicted = _apply_cz(predicted, a, b, k)
+        predicted.reshape(1 << a, 2, 1 << (b - a - 1), 2, -1)[:, 1, :, 1] *= -1
     fidelity = float(abs(np.vdot(predicted, output)) ** 2)
     return StorageSimReport(output_state=output, cz_pairs=tuple(cz_pairs),
                             z_corrections=tuple(z_corr), readout_steps=tuple(steps),
                             fidelity_vs_prediction=fidelity, predicted_state=predicted)
-
-
-def _write_register(joint: np.ndarray, j: int, state: np.ndarray, k: int) -> np.ndarray:
-    """Load a fresh qubit state onto register j (which must hold |0>)."""
-    reg = np.arange(joint.shape[0])
-    bit = 1 << (k - 1 - j)
-    hi = (reg & bit) != 0
-    out = np.zeros_like(joint)
-    out[~hi] = state[0] * joint[~hi]
-    out[hi] = state[1] * joint[reg[hi] ^ bit]
-    return out
-
-
-def _swap_reg_site1(joint: np.ndarray, j: int, k: int, n: int) -> np.ndarray:
-    reg_bit = 1 << (k - 1 - j)
-    site_bit = 1 << (n - 1)
-    regs = np.arange(joint.shape[0])[:, None]
-    sites = np.arange(joint.shape[1])[None, :]
-    rb = (regs & reg_bit) != 0
-    sb = (sites & site_bit) != 0
-    swap = rb ^ sb
-    src_reg = np.where(swap, regs ^ reg_bit, regs)
-    src_site = np.where(swap, sites ^ site_bit, sites)
-    return joint[src_reg, src_site]
-
-
-def _apply_reg_z(joint: np.ndarray, j: int, k: int) -> np.ndarray:
-    bit = 1 << (k - 1 - j)
-    signs = np.where(np.arange(joint.shape[0]) & bit, -1.0, 1.0)
-    return joint * signs[:, None]
-
-
-def _apply_cz(state: np.ndarray, a: int, b: int, k: int) -> np.ndarray:
-    idx = np.arange(state.size)
-    both = ((idx >> (k - 1 - a)) & 1) & ((idx >> (k - 1 - b)) & 1)
-    return state * np.where(both == 1, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -690,10 +638,12 @@ def ising_from_pst(spec: ChainSpec) -> IsingFromPstResult:
 
     With couplings K_1..K_{2N-1}, identify B_n = K_{2n-1} and
     2 J_n = K_{2n}. The pairing block matrix of the resulting quadratic
-    Hamiltonian is exactly the 2N-site hopping matrix, so the mode
-    a_1^dag (the vector e_1 + e_{N+1}) is carried onto a_N^dag
-    (e_N + e_{2N}) in time t0; this is verified by direct block-matrix
-    propagation.
+    Hamiltonian, on the vectors (eta; chi), is the 2N-site hopping matrix
+    with its sites taken in the order (chi_1, eta_1, chi_2, eta_2, ...,
+    chi_N, eta_N): chi_n is site 2n-1 and eta_n site 2n. So the mode
+    a_1^dag (the vector e_1 + e_{N+1}, sites 1 and 2) is carried onto
+    a_N^dag (e_N + e_{2N}, sites 2N-1 and 2N) in time t0; this is verified
+    by propagating through the chain's certified spectrum.
     """
     if spec.n % 2 != 0:
         raise ValueError("the source chain must have even length")
@@ -713,12 +663,8 @@ def ising_from_pst(spec: ChainSpec) -> IsingFromPstResult:
         bm[idx, idx + 1] = couplings
         bm[idx + 1, idx] = -couplings
     quad = QuadraticFermionHamiltonian(a=a, b=bm)
-    start = np.zeros(2 * n, dtype=complex)
-    start[0] = start[n] = 1.0 / math.sqrt(2.0)
-    target = np.zeros(2 * n, dtype=complex)
-    target[n - 1] = target[2 * n - 1] = 1.0 / math.sqrt(2.0)
-    evolved = propagate(diagonalize(quad.block_matrix()), start, cert.t0)
-    overlap = complex(np.vdot(target, evolved))
+    # <a_N| U |a_1> with both modes (e_s + e_{s+1}) / sqrt(2) on the chain
+    overlap = complex(propagate(cert.spectrum, np.eye(2 * n)[:, :2], cert.t0)[-2:].sum() / 2)
     fidelity = abs(overlap) ** 2
     if fidelity < 1.0 - 1e-8:
         raise ArithmeticError(f"mode transfer verification failed ({fidelity:.12f})")

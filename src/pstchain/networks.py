@@ -14,7 +14,7 @@ import numpy as np
 
 from .certify import require_perfect
 from .chain import ChainSpec, SingleExcitationMatrix, chain
-from .fermionic import dense_cap
+from .fermionic import DENSE_CAP
 from .spectral import amplitude_profile, diagonalize, propagate
 
 
@@ -109,11 +109,12 @@ def hypercube(d: int) -> NetworkSpec:
     """d-fold product of the two-site chain: a uniformly coupled hypercube
     with all edge weights 1/2 and antipodal transfer at pi, of amplitude
     gamma(pi)^d of the certified two-site chain (Christandl et al., PRL 92,
-    187902, 2004). The dense cap bounds only the size of the edge list."""
+    187902, 2004). ``DENSE_CAP`` bounds d, which sets only the size of the
+    edge list: no 2^d matrix is built."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    if d > dense_cap():
-        raise ValueError(f"2^{d} vertices exceed the dense cap ({dense_cap()})")
+    if d > DENSE_CAP:
+        raise ValueError(f"2^{d} vertices exceed the dense cap ({DENSE_CAP})")
     cert = require_perfect(chain([0.5]))
     dim = 1 << d
     edges = []
@@ -307,8 +308,8 @@ def amplifier_dense_hamiltonian(spec_or_couplings):
 
     j = amplifier_couplings(spec_or_couplings)
     n = j.size + 1
-    if n > dense_cap():
-        raise ValueError(f"{n} sites exceed the dense cap ({dense_cap()})")
+    if n > DENSE_CAP:
+        raise ValueError(f"{n} sites exceed the dense cap ({DENSE_CAP})")
     dim = 1 << n
     idx = np.arange(dim)
     m = np.arange(2, n + 1)[:, None]  # K_m weighted by J_{m-1}; site s is bit n - s

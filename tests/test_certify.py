@@ -12,10 +12,11 @@ from pstchain import (BathSpec, ClockProgram, amplifier_sim, analytic_chain,
                       bath_transfer_amplitude, build_h1, certify_pst, chain, clock_computer,
                       dephasing_avg_fidelity, diagonalize, end_weights,
                       entanglement_distribution_sim, entanglement_generation, gamma,
-                      hypercube, initfree_transfer, near_uniform_chain, optimality_report,
-                      product_network, rate_condition, require_perfect, rescale,
-                      revival_rate_report, sequential_storage_chain, star_network,
-                      theta_entangler, timing_window, two_boson_transfer, uniform_chain)
+                      hypercube, initfree_transfer, ising_from_pst, near_uniform_chain,
+                      optimality_report, product_network, rate_condition, require_perfect,
+                      rescale, revival_rate_report, sequential_storage_chain,
+                      sequential_storage_sim, star_network, theta_entangler, timing_window,
+                      two_boson_transfer, uniform_chain)
 from pstchain import spectral
 from pstchain.certify import _gap_fractions, end_products
 from pstchain.spectral import SMALL_CHAIN_CUT, DegenerateSpectrumError, chain_eigenvalues
@@ -465,8 +466,12 @@ _TIMES = np.linspace(0.0, 2.0 * math.pi, 7)
                                      _TIMES), [], [8]),
     (lambda: two_boson_transfer(chain(analytic_chain(8).couplings, statistics="bosonic"),
                                 (1, 2), (7, 8), math.pi), [8], [8]),
+    (lambda: sequential_storage_sim(sequential_storage_chain(4), [np.array([0.6, 0.8j])] * 3,
+                                    "reverse"), [4], [4]),
+    (lambda: ising_from_pst(analytic_chain(6)), [6], [6]),
 ], ids=["product_network", "hypercube", "star_network", "theta_entangler",
-        "amplifier_sim", "bath_transfer_amplitude", "two_boson_transfer"])
+        "amplifier_sim", "bath_transfer_amplitude", "two_boson_transfer",
+        "sequential_storage_sim", "ising_from_pst"])
 def test_structured_amplitudes_come_from_the_chain(dense_solves, tridiagonal_solves,
                                                    eigenvalue_solves, run, solves, eigenvalues):
     """Each construction reads its amplitude from the chain it is built of:
@@ -474,7 +479,9 @@ def test_structured_amplitudes_come_from_the_chain(dense_solves, tridiagonal_sol
     and no dense eigensolve. The amplitude at t0 comes from the certificate,
     and the end amplitudes of the bath from the chain's spectrum, with no
     eigenvectors. theta_entangler certifies its base chain and propagates the
-    split one, two distinct chains."""
+    split one, two distinct chains. Sequential storage builds its 2^N step
+    from the N x N propagator, and the Ising fold propagates through the
+    certified chain, not its pairing block matrix."""
     run()
     assert dense_solves == []
     assert tridiagonal_solves == solves

@@ -321,3 +321,16 @@ def test_import_and_design_do_not_load_scipy_linalg(tmp_path):
         label: ("False", "False") for label in small}
     assert states["certify-1000"] == ("True", "True")
     assert states["same-bytes"] == ("True", "True")
+
+
+def test_library_reads_no_environment_variables():
+    """Every setting of the library is a module constant or a parameter, so a
+    run does not depend on the environment it starts in."""
+    import pstchain
+
+    package = os.path.dirname(pstchain.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as f:
+                text = f.read()
+            assert "os.environ" not in text and "getenv" not in text, name

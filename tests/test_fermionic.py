@@ -1,17 +1,21 @@
+import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
 from pstchain import (QuadraticFermionHamiltonian, analytic_chain, basis_slater,
                       bell_fidelity_curve, bogoliubov_modes, build_h1, certify_pst,
-                      chain, dense_hamiltonian, diagonalize,
-                      entanglement_distribution_sim, entanglement_generation,
-                      evolve_slater, initfree_transfer, ising_from_pst,
-                      sequential_storage_chain, sequential_storage_sim, slater_state,
-                      sort_to_site_order, two_boson_transfer, uniform_chain)
-from pstchain.fermionic import entanglement_entropy_bits
+                      chain, diagonalize, entanglement_distribution_sim,
+                      entanglement_generation, evolve_slater, initfree_transfer,
+                      ising_from_pst, propagate, sequential_storage_chain,
+                      sequential_storage_sim, slater_state, sort_to_site_order,
+                      two_boson_transfer, uniform_chain)
+from pstchain import spectral
+from pstchain.fermionic import DENSE_CAP, _fock_step, entanglement_entropy_bits
 
 from oracles import (SX, SZ, basis_index, expm_evolve, op_at, quadratic_dense,
                      random_pst_chain, reduced_density_matrix, slater_to_dense,
@@ -91,46 +95,46 @@ def test_evolve_slater_rejects_bosonic():
         evolve_slater(spec, basis_slater(2, [1]), 1.0)
 
 
-# --- dense oracle -----------------------------------------------------------
+# --- Fock-space step ---------------------------------------------------------
 
-def test_dense_hamiltonian_matches_pauli_construction():
-    rng = np.random.default_rng(3)
-    for n in (2, 4, 6):
-        spec = chain(rng.uniform(0.3, 1.4, n - 1), rng.uniform(-0.8, 0.8, n))
-        assert np.max(np.abs(dense_hamiltonian(spec)
-                             - xx_dense(spec.couplings, spec.fields))) < 1e-14
+def _random_fielded_chain(seed, n):
+    rng = np.random.default_rng(seed)
+    return chain(rng.uniform(0.3, 1.4, n - 1), rng.uniform(-0.8, 0.8, n))
 
 
-def test_dense_hamiltonian_vacuum_is_stationary():
-    spec = chain([0.7], [0.3, 0.3])
-    psi = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    out = expm_evolve(dense_hamiltonian(spec), psi, 2.1)
-    assert abs(out[0] - 1.0) < 1e-12  # vacuum energy is exactly zero here
+@settings(max_examples=60, deadline=None)
+@given(st.builds(_random_fielded_chain, st.integers(0, 2 ** 32 - 1), st.integers(1, 8)),
+       st.floats(0.0, 10.0))
+@example(chain([0.7], [0.3, 0.3]), 2.1)
+@example(chain([0.5]), math.pi)  # e^{-i (X/2) pi} = -i X on the one-excitation block
+@example(chain([0.5], [0.2, -0.4]), 1.3)
+def test_fock_step_is_the_pauli_evolution(spec, t):
+    """The 2^N step matrix built from the minors of the N x N propagator is
+    exp(-i t H) of the Pauli construction, and unitary. The vacuum is
+    stationary, the full band takes the phase e^{-i t sum B}, and on two
+    sites the one-excitation hop has its closed form."""
+    step = _fock_step(propagate(diagonalize(spec), np.eye(spec.n), t))
+    exact = scipy.linalg.expm(-1j * t * xx_dense(spec.couplings, spec.fields))
+    assert np.max(np.abs(step - exact)) <= 1e-10
+    assert np.max(np.abs(step.conj().T @ step - np.eye(1 << spec.n))) <= 1e-10
+    assert step[0, 0] == 1.0
+    assert abs(step[-1, -1] - cmath.exp(-1j * t * sum(spec.fields))) <= 1e-12
+    if spec.n == 2:
+        (b1, b2), (j,) = spec.fields, spec.couplings
+        omega = math.hypot(j, (b1 - b2) / 2)
+        hop = -1j * j / omega * math.sin(omega * t) * cmath.exp(-0.5j * (b1 + b2) * t)
+        assert abs(step[basis_index(2, [2]), basis_index(2, [1])] - hop) <= 1e-12
 
 
-def test_dense_hamiltonian_single_excitation_closed_form():
-    spec = chain([0.5])
-    psi = np.zeros(4, dtype=complex)
-    psi[basis_index(2, [1])] = 1.0
-    out = expm_evolve(dense_hamiltonian(spec), psi, math.pi)
-    # e^{-i (X/2) pi} = -i X on the one-excitation block
-    assert abs(out[basis_index(2, [2])] - (-1j)) < 1e-12
+def test_storage_refuses_chains_beyond_the_dense_cap_before_solving(monkeypatch):
+    def refuse(diag, off):
+        raise AssertionError(f"solved a {len(diag)}-site chain")
 
-
-def test_dense_hamiltonian_full_band_is_stationary():
-    spec = chain([0.5], [0.2, -0.4])
-    psi = np.zeros(4, dtype=complex)
-    psi[basis_index(2, [1, 2])] = 1.0
-    out = expm_evolve(dense_hamiltonian(spec), psi, 1.3)
-    assert abs(abs(out[basis_index(2, [1, 2])]) - 1.0) < 1e-12
-
-
-def test_dense_cap_guard(monkeypatch):
-    monkeypatch.setenv("PST_DENSE_CAP", "3")
-    with pytest.raises(ValueError):
-        dense_hamiltonian(uniform_chain(4))
-    monkeypatch.delenv("PST_DENSE_CAP")
-    dense_hamiltonian(uniform_chain(4))
+    for name in ("_eigenvalue_solve", "_eigenvector_solve"):
+        monkeypatch.setattr(spectral, name, refuse)
+    spec = uniform_chain(DENSE_CAP + 1)
+    with pytest.raises(ValueError, match="dense cap"):
+        sequential_storage_sim(spec, [np.array([1.0, 0.0])], "same")
 
 
 def test_slater_agrees_with_dense_on_random_cases():
@@ -205,6 +209,15 @@ def test_entanglement_generation_matches_kronecker_oracle(n):
 def test_entanglement_generation_half_time_entropy_below_one():
     rep = entanglement_generation(analytic_chain(6), t=math.pi / 2.0)
     assert rep.entropy_bits < 1.0 - 1e-3
+
+
+def test_entanglement_generation_and_storage_refuse_a_bosonic_chain():
+    # bosons carry no exchange sign, on which both protocols rest
+    with pytest.raises(ValueError, match="fermionic statistics"):
+        entanglement_generation(replace(analytic_chain(4), statistics="bosonic"))
+    with pytest.raises(ValueError, match="fermionic statistics"):
+        sequential_storage_sim(replace(sequential_storage_chain(4), statistics="bosonic"),
+                               [np.array([1.0, 0.0])], "same")
 
 
 def test_entanglement_generation_rejects_imperfect():
@@ -570,6 +583,24 @@ def test_ising_block_matrix_is_hopping_chain():
     # spectrum of the pairing matrix equals the 2N-site chain spectrum
     lam_chain = diagonalize(spec).eigenvalues
     assert np.allclose(np.sort(np.linalg.eigvalsh(m)), lam_chain, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_ising_transfer_matches_block_matrix_propagation(n):
+    """The block matrix is the chain's matrix with chi_k on site 2k-1 and
+    eta_k on site 2k, and the block-matrix propagation of a_1^dag onto
+    a_N^dag gives the overlap reported from the chain."""
+    spec = analytic_chain(2 * n)
+    res = ising_from_pst(spec)
+    m = res.quadratic.block_matrix()
+    sites = np.ravel(np.column_stack((n + np.arange(n), np.arange(n))))
+    assert np.array_equal(m[np.ix_(sites, sites)], build_h1(spec).to_dense())
+    start = np.zeros(2 * n)
+    start[[0, n]] = 1.0 / math.sqrt(2.0)
+    target = np.zeros(2 * n)
+    target[[n - 1, 2 * n - 1]] = 1.0 / math.sqrt(2.0)
+    overlap = target @ expm_evolve(m, start, res.t0)
+    assert abs(overlap - res.arrival_phase * math.sqrt(res.transfer_fidelity)) <= 1e-10
 
 
 def test_ising_dense_heisenberg_picture_oracle():

@@ -5,8 +5,9 @@ import pytest
 
 from pstchain import (ClockProgram, NetworkSpec, amplifier_sim, analytic_chain,
                       chain, clock_computer, diagonalize, gamma, hypercube,
-                      network_operator, product_network, rescale, star_network,
+                      network_operator, product_network, rescale, spectral, star_network,
                       theta_entangler)
+from pstchain.fermionic import DENSE_CAP
 from pstchain.networks import (amplifier_dense_check, amplifier_dense_hamiltonian,
                                clock_hamiltonian, star_symmetric_sector,
                                w_phase_rotation, wall_basis_vector)
@@ -96,10 +97,16 @@ def test_hypercube_antipodal_amplitude_is_the_two_site_amplitude_to_the_d(d):
     assert abs(abs(antipode) - 1.0) < 1e-8
 
 
-def test_hypercube_cap(monkeypatch):
-    monkeypatch.setenv("PST_DENSE_CAP", "4")
-    with pytest.raises(ValueError):
-        hypercube(5)
+def test_hypercube_and_amplifier_refuse_sizes_beyond_the_dense_cap(monkeypatch):
+    def refuse(diag, off):
+        raise AssertionError(f"solved a {len(diag)}-site chain")
+
+    for name in ("_eigenvalue_solve", "_eigenvector_solve"):
+        monkeypatch.setattr(spectral, name, refuse)
+    with pytest.raises(ValueError, match="dense cap"):
+        hypercube(DENSE_CAP + 1)
+    with pytest.raises(ValueError, match="dense cap"):
+        amplifier_dense_hamiltonian(np.ones(DENSE_CAP))
 
 
 # --- star networks -----------------------------------------------------------------
