@@ -10,23 +10,23 @@ spectrum (Hochstadt 1974; Hald 1976), so the review's alternation
 condition follows from mirror symmetry and is not checked separately.
 
 The O(N) checks (mirror symmetry, zero and negative couplings) run first,
-and the rest needs the eigenvalues alone, O(N^2) in time and O(N) in
-memory. Floating-point spectra are never exactly rational, so
-commensurability is decided by continued-fraction rationalization of gap
-ratios followed by a phase-residual test at the candidate t0, and every
-"perfect" verdict is re-verified through the end-product amplitude before
-the certificate is issued: for any Jacobi matrix
+and the rest works on the chain's one :func:`diagonalize` decomposition.
+Floating-point spectra are never exactly rational, so commensurability is
+decided by continued-fraction rationalization of gap ratios followed by a
+phase-residual test at the candidate t0, and every "perfect" verdict is
+re-verified through ``gamma_N(t0)`` and ``gamma_1(2 t0)`` before the
+certificate is issued, summed over the end weights of :func:`pair_weights`:
+for any Jacobi matrix
 ``v_1k v_Nk = prod_i J_i / prod_{m != k} (lambda_k - lambda_m)`` (Parlett,
-*The Symmetric Eigenvalue Problem*, ch. 7), so ``gamma_N(t)`` is a sum over
-these end products, and on a mirror-symmetric chain ``gamma_1(t)`` is the
-same sum over their magnitudes. Eigenvectors are computed only when a
-caller reads :attr:`PstCertificate.spectrum`.
+*The Symmetric Eigenvalue Problem*, ch. 7), so where these products are
+accurate, certification reads no eigenvectors and takes O(N^2) time and
+O(N) memory.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
@@ -35,11 +35,12 @@ import numpy as np
 
 from .chain import ChainSpec, mirror_symmetry_check
 from .spectral import (DegenerateSpectrumError, SpectralDecomposition, _log_abs_derivatives,
-                       _phase_sum, chain_eigenvalues, diagonalize, end_products,
-                       is_degenerate, pair_weights)
+                       _phase_sum, diagonalize, is_degenerate, pair_weights)
 
 ARRIVAL_TOL = 1e-8
 _MULTIPLIER_GUARD = 1 << 52
+# Steps of the grid of offsets [0, t0] from t0 that timing_window scans.
+WINDOW_GRID = 4000
 
 
 @dataclass(frozen=True)
@@ -48,12 +49,14 @@ class PstCertificate:
 
     For a perfect verdict, gap ``i`` of ``eigenvalues`` equals
     ``(2 * odd_integers[i] + 1) * pi / t0`` and ``t0`` is minimal;
-    ``end_products`` holds the signed ``v_1k v_Nk`` the arrival was verified
-    on, and ``arrival_amplitude`` is ``gamma_N(t0)``. ``eigenvalues`` is
-    ``None`` when the chain was rejected before the eigenvalue solve (off
-    mirror symmetry, a zero or a negative coupling). ``spectrum``, the full
-    decomposition of ``chain``, is made on first access and shares
-    ``eigenvalues`` where they were solved.
+    ``end_products`` holds the weights ``v_1k v_Nk`` that
+    :func:`pair_weights` gave for the pair (1, N) and the arrival was
+    verified on, and ``arrival_amplitude`` is ``gamma_N(t0)``.
+    ``eigenvalues`` is ``None`` when the chain was rejected before the
+    eigenvalue solve (off mirror symmetry, a zero or a negative coupling).
+    ``spectrum`` is the decomposition of ``chain`` that certification
+    solved, whose eigenvalues are ``eigenvalues``; a chain rejected before
+    the solve is diagonalized on the first read of ``spectrum``.
     """
 
     verdict: str  # "perfect" | "imperfect" | "degenerate-spectrum"
@@ -67,6 +70,7 @@ class PstCertificate:
     worst_gap_residual: float | None = None
     revival_magnitude: float | None = None
     reason: str | None = None
+    _solved: SpectralDecomposition | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for values in (self.eigenvalues, self.end_products):
@@ -75,11 +79,7 @@ class PstCertificate:
 
     @cached_property
     def spectrum(self) -> SpectralDecomposition:
-        if self.eigenvalues is None:
-            return diagonalize(self.chain)
-        # the eigenvalues diagonalize(self.chain) would solve for, reused
-        return SpectralDecomposition._of_tridiagonal(
-            self.chain.field_array(), self.chain.coupling_array(), self.eigenvalues)
+        return diagonalize(self.chain) if self._solved is None else self._solved
 
     @cached_property
     def end_weights(self) -> np.ndarray:
@@ -140,18 +140,19 @@ def certify_pst(spec: ChainSpec, tol: float = 1e-9,
     ``tol`` bounds the per-gap phase residual ``|gap * t0 / pi - odd|`` at
     the candidate transfer time; ``max_denominator`` limits the continued
     fraction rationalization of gap ratios. The eigenvalues are those of
-    :func:`diagonalize`, from :func:`chain_eigenvalues`: where their a-priori
-    error ``N * eps * max|T|`` could reach ``1e-12`` of the smallest gap, they
-    have had one Newton step on the characteristic polynomial.
+    :func:`diagonalize`: where their a-priori error ``N * eps * max|T|`` could
+    reach ``1e-12`` of the smallest gap, they have had one Newton step on the
+    characteristic polynomial. End weights that fail the orthogonality check
+    of :func:`pair_weights` raise ``ArithmeticError``.
     """
     if spec.n < 2:
         raise ValueError("transfer needs at least two sites")
 
-    lam = None  # the O(N) rejections come before the eigenvalue solve
+    sd = lam = None  # the O(N) rejections come before the eigenvalue solve
 
     def fail(verdict: str, reason: str, residual: float | None = None) -> PstCertificate:
         return PstCertificate(verdict=verdict, chain=spec, eigenvalues=lam,
-                              reason=reason, worst_gap_residual=residual)
+                              reason=reason, worst_gap_residual=residual, _solved=sd)
 
     t_max = max(max(abs(j) for j in spec.couplings), max(abs(b) for b in spec.fields))
     mirror = mirror_symmetry_check(spec, tol=tol * max(1.0, t_max))
@@ -164,7 +165,8 @@ def certify_pst(spec: ChainSpec, tol: float = 1e-9,
         # signs only shift arrival phases; certification works on the
         # positive-coupling representative of the phase class
         return fail("imperfect", "negative coupling (use the positive-J convention)")
-    lam = chain_eigenvalues(spec)
+    sd = diagonalize(spec)
+    lam = sd.eigenvalues
     if is_degenerate(lam):
         return fail("degenerate-spectrum", "spectrum has (near-)degenerate eigenvalues")
 
@@ -192,14 +194,14 @@ def certify_pst(spec: ChainSpec, tol: float = 1e-9,
         return fail("imperfect", f"even gap multiplier at gap index {even[0]}", residual)
     t0 = math.pi / unit
 
-    products = end_products(spec.coupling_array(), lam)
-    amp = complex(np.exp(-1j * lam * t0) @ products)
+    products = pair_weights(sd, 1, spec.n)
+    amp = complex(_phase_sum(lam, products, t0))
     if abs(amp) < 1.0 - ARRIVAL_TOL:
         return fail("imperfect",
                     f"arrival verification failed (|gamma_N(t0)| = {abs(amp):.12f})",
                     residual)
     # mirror symmetry makes |v_1k|^2 = |v_1k v_Nk|
-    revival = abs(complex(np.exp(-2j * lam * t0) @ np.abs(products)))
+    revival = abs(complex(_phase_sum(lam, np.abs(products), 2.0 * t0)))
     if revival < 1.0 - ARRIVAL_TOL:
         return fail("imperfect",
                     f"revival verification failed (|gamma_1(2 t0)| = {revival:.12f})",
@@ -216,6 +218,7 @@ def certify_pst(spec: ChainSpec, tol: float = 1e-9,
         odd_integers=tuple((m - 1) // 2 for m in mult),
         worst_gap_residual=residual,
         revival_magnitude=revival,
+        _solved=sd,
     )
 
 
@@ -320,12 +323,12 @@ def optimality_report(spec: ChainSpec, cert: PstCertificate) -> OptimalityReport
                             timing_sensitivity=sensitivity)
 
 
-def timing_window(spec: ChainSpec, cert: PstCertificate, epsilon: float,
-                  grid: int = 4000) -> float:
+def timing_window(spec: ChainSpec, cert: PstCertificate, epsilon: float) -> float:
     """Largest window w with |gamma_N(t)|^2 >= 1 - epsilon for |t - t0| <= w/2.
 
-    The arrival peak is bracketed on a grid and the crossing refined by
-    bisection; gamma_N is summed over the certificate's end products.
+    The arrival peak is bracketed on a grid of ``WINDOW_GRID`` steps and the
+    crossing refined by bisection; gamma_N is summed over the certificate's
+    end products.
     Mirror symmetry makes the window symmetric about t0.
     """
     if not cert.perfect:
@@ -340,7 +343,7 @@ def timing_window(spec: ChainSpec, cert: PstCertificate, epsilon: float,
         amps = np.exp(-1j * np.multiply.outer((t0 - delta, t0 + delta), lam)) @ products
         return float(np.min(np.abs(amps) ** 2))
 
-    deltas = np.linspace(0.0, t0, grid + 1)
+    deltas = np.linspace(0.0, t0, WINDOW_GRID + 1)
     above = height(0.0) >= level
     if not above:
         return 0.0
@@ -351,7 +354,7 @@ def timing_window(spec: ChainSpec, cert: PstCertificate, epsilon: float,
             break
     if hi is None:
         return 2.0 * t0
-    lo = hi - t0 / grid
+    lo = hi - t0 / WINDOW_GRID
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if height(mid) >= level:

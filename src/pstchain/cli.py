@@ -93,10 +93,7 @@ def _cert_dict(cert) -> dict:
         doc["revival_magnitude"] = cert.revival_magnitude
     else:
         doc["reason"] = cert.reason
-    # the closed-form weights need mirror symmetry; a rejected chain reports
-    # the eigenvalues and weights of its decomposition
-    lam = cert.eigenvalues if cert.perfect else cert.spectrum.eigenvalues
-    doc["eigenvalues"] = list(lam)
+    doc["eigenvalues"] = list(cert.spectrum.eigenvalues)
     doc["end_weights"] = list(cert.end_weights)
     return doc
 

@@ -133,7 +133,7 @@ def bath_model(b: BathSpec) -> BathModel:
     closed form (valid for a common G)."""
     g = b.common_coupling()
     op = bath_operator(b)
-    lam = diagonalize(build_h1(b.chain)).eigenvalues
+    lam = diagonalize(b.chain).eigenvalues
     disc = np.sqrt(4.0 * g * g + lam ** 2)
     closed = 0.5 * np.stack([lam + disc, lam - disc], axis=1)
     energies = np.sort(np.linalg.eigvalsh(op))

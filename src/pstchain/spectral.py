@@ -85,15 +85,6 @@ class SpectralDecomposition:
         self._residual = residual
         self._tridiagonal = None
 
-    @classmethod
-    def _of_tridiagonal(cls, diag: np.ndarray, off: np.ndarray,
-                        eigenvalues: np.ndarray) -> SpectralDecomposition:
-        """The decomposition of ``tridiag(off, diag, off)`` with these
-        eigenvalues, its eigenvectors solved on first read."""
-        sd = cls(eigenvalues, None, None)
-        sd._tridiagonal = (diag, off)
-        return sd
-
     @property
     def dimension(self) -> int:
         return self.eigenvalues.shape[0]
@@ -145,17 +136,19 @@ class SpectralDecomposition:
         diag, off = self._tridiagonal
         lam = self.eigenvalues
         n = lam.size
-        if n < 2 or not np.all(off > 0.0):
+        # array methods and slices: certify_pst takes this path on every chain
+        # it solves, and on short ones numpy's function wrappers cost as much
+        if n < 2 or not off.min() > 0.0:
             return None
-        gap = float(np.min(np.diff(lam)))
+        gap = float((lam[1:] - lam[:-1]).min())
         rho_gap = 8.0 * (1.0 + math.log(n)) * n * _EPS * _max_abs(diag, off)
         if not rho_gap <= END_WEIGHT_RTOL * gap:    # a zero gap fails here too
             return None
         products = end_products(off, lam)
         bound = rho_gap / gap + 1e-12
-        deviation = abs(float(np.sum(products)))
+        deviation = abs(float(products.sum()))
         if self._mirror:
-            deviation = max(deviation, abs(float(np.sum(np.abs(products))) - 1.0))
+            deviation = max(deviation, abs(float(np.abs(products).sum()) - 1.0))
         if not deviation <= bound:
             raise ArithmeticError(f"end weights deviate from orthogonal rows by "
                                   f"{deviation:.3e}, above {bound:.3e}")
@@ -267,8 +260,9 @@ def diagonalize(operator) -> SpectralDecomposition:
     if isinstance(operator, SingleExcitationMatrix):
         diag = np.asarray(operator.diagonal, dtype=float)
         off = np.asarray(operator.offdiagonal, dtype=float)
-        return SpectralDecomposition._of_tridiagonal(diag, off,
-                                                     _tridiagonal_eigenvalues(diag, off))
+        sd = SpectralDecomposition(_tridiagonal_eigenvalues(diag, off), None, None)
+        sd._tridiagonal = (diag, off)   # the eigenvectors are solved on first read
+        return sd
     dense = np.asarray(operator)
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise ValueError("operator must be a square matrix")
@@ -339,7 +333,7 @@ def _eigenvector_solve(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of ``tridiag(off, diag, off)`` without
-    eigenvectors, the ones :func:`diagonalize` and :func:`certify_pst` use.
+    eigenvectors, the ones :func:`diagonalize` hands out at once.
 
     They come from :func:`_eigenvalue_solve`: dense ``numpy.linalg.eigvalsh``
     up to ``SMALL_CHAIN_CUT`` sites, and above it LAPACK ``sterf``, O(N^2) in
@@ -356,13 +350,6 @@ def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     if error > NEWTON_GATE * float((lam[1:] - lam[:-1]).min()):
         lam = sturm_newton(diag, off, lam, error)
     return lam
-
-
-def chain_eigenvalues(spec: ChainSpec) -> np.ndarray:
-    """Ascending eigenvalues of a chain's single-excitation matrix, without
-    eigenvectors: :func:`_tridiagonal_eigenvalues` of its fields and couplings."""
-    # a ChainSpec holds finite values only
-    return _tridiagonal_eigenvalues(spec.field_array(), spec.coupling_array())
 
 
 def sturm_newton(diag: np.ndarray, off: np.ndarray, eigenvalues,
@@ -430,13 +417,14 @@ def end_products(couplings, eigenvalues) -> np.ndarray:
     return products
 
 
-def is_degenerate(eigenvalues, rtol: float = DEGENERACY_RTOL) -> bool:
-    """Whether two adjacent ascending eigenvalues are closer than rtol * spread."""
+def is_degenerate(eigenvalues) -> bool:
+    """Whether two adjacent ascending eigenvalues are closer than
+    ``DEGENERACY_RTOL`` times their spread."""
     lam = np.asarray(eigenvalues, dtype=float)
     spread = lam[-1] - lam[0]
     if spread <= 0:
         return lam.size > 1
-    return bool(np.any(np.diff(lam) < rtol * spread))
+    return bool(np.any(np.diff(lam) < DEGENERACY_RTOL * spread))
 
 
 def propagate(sd: SpectralDecomposition, v, t) -> np.ndarray:

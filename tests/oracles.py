@@ -392,6 +392,7 @@ def certify_by_eigenvectors(spec, tol=1e-9, max_denominator=10 ** 6):
     if even:
         return fail(f"even gap multiplier at gap index {even[0]}", residual=residual)
     t0 = math.pi / unit
+    sd.eigenvectors     # read first, so that gamma sums over the eigenvector end rows
     amp = gamma(sd, 1, spec.n, t0)
     if abs(amp) < 1.0 - ARRIVAL_TOL:
         return fail(f"arrival verification failed (|gamma_N(t0)| = {abs(amp):.12f})",

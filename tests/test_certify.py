@@ -9,17 +9,18 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from pstchain import (BathSpec, ClockProgram, amplifier_sim, analytic_chain,
-                      bath_transfer_amplitude, build_h1, certify_pst, chain, clock_computer,
+                      bath_transfer_amplitude, build_h1, certify_pst, chain,
+                      chain_from_spectrum, clock_computer,
                       dephasing_avg_fidelity, diagonalize, end_weights,
                       entanglement_distribution_sim, entanglement_generation, gamma,
                       hypercube, initfree_transfer, ising_from_pst, near_uniform_chain,
                       optimality_report, product_network, rate_condition, require_perfect,
                       rescale, revival_rate_report, sequential_storage_chain,
                       sequential_storage_sim, star_network, theta_entangler, timing_window,
-                      two_boson_transfer, uniform_chain)
+                      target_spectrum, two_boson_transfer, uniform_chain)
 from pstchain import spectral
-from pstchain.certify import _gap_fractions, end_products
-from pstchain.spectral import SMALL_CHAIN_CUT, DegenerateSpectrumError, chain_eigenvalues
+from pstchain.certify import _gap_fractions
+from pstchain.spectral import SMALL_CHAIN_CUT, DegenerateSpectrumError, end_products
 
 from oracles import certify_by_eigenvectors, random_pst_chain
 
@@ -338,10 +339,11 @@ _ABOVE_CUT = SMALL_CHAIN_CUT + 2
 
 def test_exactly_mirror_chain_reaches_the_solvers_folded(lapack_solves):
     """diagonalize solves the eigenvalues at once and the eigenvectors on
-    their first read; chain_eigenvalues solves the eigenvalues alone."""
+    their first read; a decomposition whose eigenvectors are not read solves
+    the eigenvalues alone."""
     n = _ABOVE_CUT
     diagonalize(analytic_chain(n)).eigenvectors
-    chain_eigenvalues(analytic_chain(n))
+    diagonalize(analytic_chain(n)).eigenvalues
     vector_solves, value_solves = lapack_solves
     assert (vector_solves, value_solves) == ([n], [n, n])
     for off in vector_solves.offdiagonals + value_solves.offdiagonals:
@@ -353,7 +355,7 @@ def test_exactly_mirror_chain_reaches_the_solvers_folded(lapack_solves):
                          ids=["storage", "nudged-analytic"])
 def test_other_chains_reach_the_solvers_unfolded(lapack_solves, spec):
     diagonalize(spec).eigenvectors
-    chain_eigenvalues(spec)
+    diagonalize(spec).eigenvalues
     vector_solves, value_solves = lapack_solves
     assert (vector_solves, value_solves) == ([spec.n], [spec.n, spec.n])
     for off in vector_solves.offdiagonals + value_solves.offdiagonals:
@@ -382,7 +384,7 @@ def test_chains_up_to_the_cut_reach_numpy_unfolded(lapack_solves, numpy_solves, 
     """At or below the cut both solves take the whole dense matrix, mirror
     symmetric or not, and LAPACK's tridiagonal routines are not called."""
     diagonalize(spec).eigenvectors
-    chain_eigenvalues(spec)
+    diagonalize(spec).eigenvalues
     assert lapack_solves == ([], [])
     assert [len(a) for a in numpy_solves["eigh"]] == [spec.n]
     assert [len(a) for a in numpy_solves["eigvalsh"]] == [spec.n, spec.n]
@@ -709,3 +711,39 @@ def test_rejected_certificate_reads_weights_from_the_decomposition(tridiagonal_s
                / np.min(np.diff(cert.eigenvalues)))
         assert rho <= spectral.END_WEIGHT_RTOL
         assert np.max(np.abs(weights - first_row ** 2)) <= rho * np.max(weights)
+
+
+def test_certificate_keeps_the_decomposition_it_solved(eigenvalue_solves, tridiagonal_solves):
+    """Where pair_weights takes the end weights from the spectrum, the
+    certificate's spectrum is the one decomposition it solved, and its arrival
+    is gamma's on that decomposition, bit for bit, with no eigenvectors read."""
+    specs = (analytic_chain(2), analytic_chain(64), analytic_chain(_ABOVE_CUT), uniform_chain(6))
+    for spec in specs:
+        cert = certify_pst(spec)
+        assert cert.spectrum.eigenvalues is cert.eigenvalues
+        if cert.perfect:
+            assert cert.arrival_amplitude == gamma(cert.spectrum, 1, spec.n, cert.t0)
+    assert eigenvalue_solves == [spec.n for spec in specs]
+    assert tridiagonal_solves == []
+
+
+def _wide_centre_gap_chain():
+    """20 sites from the antisymmetric spectrum of unit gaps about a centre gap
+    of 6e7 + 1: beside max|T| ~ 3e7 the unit gaps are too small for end weights
+    from the spectrum (a-priori error about 4e-6, above END_WEIGHT_RTOL)."""
+    pos = 0.5 * (6e7 + 1) + np.arange(10)
+    return chain_from_spectrum(target_spectrum(np.concatenate((-pos[::-1], pos))))
+
+
+def test_certify_reads_eigenvectors_where_spectrum_weights_are_refused(tridiagonal_solves):
+    """Certification takes its end weights from pair_weights, so on a chain
+    whose products from the spectrum are refused it reads the eigenvectors,
+    once, and its arrival agrees with the eigenvector oracle. The products
+    summed unguarded left |gamma_N(t0)| at 1 - 4.1e-13."""
+    spec = _wide_centre_gap_chain()
+    cert = certify_pst(spec)
+    assert cert.perfect and cert.odd_integers == (0,) * 9 + (30000000,) + (0,) * 9
+    assert tridiagonal_solves == [20]
+    assert cert.spectrum.eigenvalues is cert.eigenvalues
+    assert abs(cert.arrival_amplitude - certify_by_eigenvectors(spec)["arrival_amplitude"]) < 1e-12
+    assert 1.0 - abs(cert.arrival_amplitude) < 1e-14

@@ -255,7 +255,6 @@ _SCIPY_PROBE = """
 import contextlib, io, sys
 import pstchain, pstchain.cli
 from pstchain import analytic_chain, diagonalize
-from pstchain.spectral import chain_eigenvalues
 
 def loaded():
     return 'scipy' in sys.modules, 'scipy.linalg' in sys.modules
@@ -268,7 +267,7 @@ def run(label, *argv):
 
 def solved():
     spec = analytic_chain(64)
-    return chain_eigenvalues(spec).tobytes(), diagonalize(spec).eigenvectors.tobytes()
+    return diagonalize(spec).eigenvalues.tobytes(), diagonalize(spec).eigenvectors.tobytes()
 
 print('import', 0, *loaded(), file=sys.stderr)
 with open('a64.json', 'w') as f:
@@ -323,14 +322,27 @@ def test_import_and_design_do_not_load_scipy_linalg(tmp_path):
     assert states["same-bytes"] == ("True", "True")
 
 
-def test_library_reads_no_environment_variables():
-    """Every setting of the library is a module constant or a parameter, so a
-    run does not depend on the environment it starts in."""
+def _library_sources():
+    """``(file name, text)`` of every module of the library."""
     import pstchain
 
     package = os.path.dirname(pstchain.__file__)
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name)) as f:
-                text = f.read()
-            assert "os.environ" not in text and "getenv" not in text, name
+                yield name, f.read()
+
+
+def test_library_reads_no_environment_variables():
+    """Every setting of the library is a module constant or a parameter, so a
+    run does not depend on the environment it starts in."""
+    for name, text in _library_sources():
+        assert "os.environ" not in text and "getenv" not in text, name
+
+
+def test_only_spectral_makes_a_decomposition():
+    """Every SpectralDecomposition comes from pstchain.spectral, so the
+    eigensolve and its checks have one copy."""
+    for name, text in _library_sources():
+        if name != "spectral.py":
+            assert "SpectralDecomposition(" not in text and "_of_tridiagonal" not in text, name

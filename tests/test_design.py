@@ -12,7 +12,6 @@ from pstchain import (analytic_chain, certify_pst, chain_from_spectrum,
                       uniform_chain, validate_family)
 from pstchain.design import (ParametrizedFamily, ReconstructionError, TargetSpectrum,
                              _givens_insertion)
-from pstchain.spectral import chain_eigenvalues
 
 from oracles import _lanczos_from_weights
 
@@ -166,7 +165,7 @@ def _odd_gap_spectrum(n, rng):
 
 def _assert_perfect_odd_gap_chain(spec, lam):
     assert mirror_symmetry_check(spec, tol=1e-9 * np.max(spec.coupling_array())).symmetric
-    assert np.max(np.abs(chain_eigenvalues(spec) - lam)) <= 1e-8 * (lam[-1] - lam[0])
+    assert np.max(np.abs(diagonalize(spec).eigenvalues - lam)) <= 1e-8 * (lam[-1] - lam[0])
     cert = certify_pst(spec)
     assert cert.perfect
     assert abs(cert.t0 - math.pi) <= 1e-12
@@ -260,7 +259,7 @@ def test_odd_gap_spectra_round_trip_to_perfect_chains(multipliers, where, shift)
     assert cert.perfect
     assert abs(cert.t0 - math.pi) <= 1e-12
     assert cert.odd_integers == tuple(multipliers)
-    assert np.max(np.abs(chain_eigenvalues(spec) - lam)) <= 1e-8 * (lam[-1] - lam[0])
+    assert np.max(np.abs(diagonalize(spec).eigenvalues - lam)) <= 1e-8 * (lam[-1] - lam[0])
 
 
 def test_thousand_site_odd_gap_chain_matches_lanczos_oracle_in_linear_memory():
@@ -387,6 +386,18 @@ def test_newton_quadratic_convergence():
     for r_k, r_next in zip(small, small[1:]):
         assert r_next <= 100.0 * r_k ** 2 / small[0] * small[0]  # C fitted at first small step
         assert r_next < 0.1 * r_k
+
+
+def test_validate_family_checks_the_same_points_on_every_run():
+    base = coupling_family(4)
+    points = ([], [])
+    for seen in points:
+        family = ParametrizedFamily(
+            dimension=4, n_params=3, derivative=base.derivative,
+            evaluate=lambda r, _seen=seen: _seen.append(r.copy()) or base.evaluate(r))
+        validate_family(family, np.ones(3))
+    assert len(points[0]) == len(points[1]) == 3 * 3 * 2    # draws x parameters x sides
+    assert all(np.array_equal(a, b) for a, b in zip(*points))
 
 
 def test_validate_family_catches_wrong_derivative():

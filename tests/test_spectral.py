@@ -10,7 +10,7 @@ from pstchain import (analytic_chain, amplitude_profile, build_h1, certify_pst, 
                       diagonalize, gamma, is_degenerate, propagate, uniform_chain)
 from pstchain.certify import ARRIVAL_TOL
 from pstchain import spectral
-from pstchain.spectral import (SMALL_CHAIN_CUT, _phase_sum, chain_eigenvalues, end_products,
+from pstchain.spectral import (SMALL_CHAIN_CUT, _phase_sum, end_products,
                                pair_weights, sturm_newton)
 
 from oracles import (dense_decomposition, eager_decomposition, expm_evolve, phase_sum_direct,
@@ -114,11 +114,15 @@ def test_degeneracy_detection():
     assert is_degenerate([0.7, 0.7, 0.7])
 
 
-def test_chain_eigenvalues_match_the_decomposition():
-    for spec in (chain([], [0.7]), analytic_chain(2),
-                 chain([0.9, 1.3, 0.4], [0.2, -1.0, 0.5, 0.1])):
-        lam = chain_eigenvalues(spec)
-        assert np.allclose(lam, diagonalize(spec).eigenvalues, rtol=0.0, atol=1e-14)
+def test_certificate_eigenvalues_match_the_decomposition():
+    """certify_pst solves a chain through diagonalize, so a certificate made
+    after the solve carries its eigenvalues bit for bit, perfect or not."""
+    for spec in (analytic_chain(2), analytic_chain(64), uniform_chain(5),
+                 chain([0.9, 1.3, 0.9], [0.2, -1.0, -1.0, 0.2]),
+                 analytic_chain(SMALL_CHAIN_CUT + 2), uniform_chain(SMALL_CHAIN_CUT + 2)):
+        cert = certify_pst(spec)
+        assert cert.eigenvalues.tobytes() == diagonalize(spec).eigenvalues.tobytes()
+    assert diagonalize(chain([], [0.7])).eigenvalues.tolist() == [0.7]    # nothing to certify
 
 
 def test_sturm_newton_refines_to_the_exact_spectrum():
@@ -135,7 +139,7 @@ def test_sturm_newton_refines_to_the_exact_spectrum():
     # the guard: no eigenvalue moves further than the step bound
     assert np.array_equal(sturm_newton(diag, off, lam, 0.0), lam)
     # the gate is open here: the error bound is 1e-10 of the unit gap
-    assert np.max(np.abs(chain_eigenvalues(spec) - exact)) < 1e-13
+    assert np.max(np.abs(diagonalize(spec).eigenvalues - exact)) < 1e-13
 
 
 def test_propagate_identity_at_time_zero():
@@ -445,7 +449,7 @@ def test_folded_solves_match_the_unfolded_oracle(spec):
     assert np.all(error[_resolved(lam)] <= 1e-9)
     # each sterf solve is off by up to about N eps ||T||; at N = 3 the unfolded
     # one alone exceeds N eps max|T|, so the bound takes the row-sum norm
-    values = chain_eigenvalues(spec)
+    values = diagonalize(spec).eigenvalues
     assert np.max(np.abs(values - unfolded_eigenvalues(spec))) <= (
         2 * spec.n * np.finfo(float).eps * _row_sum_norm(spec))
 
@@ -480,7 +484,7 @@ def test_solves_either_side_of_the_cut_match_the_unfolded_lapack_oracle(seed, n,
     spec = _random_chain(seed, n, mirror, fields)
     lam, vec = unfolded_decomposition(spec)
     sd = diagonalize(spec)
-    assert sd.eigenvalues.tobytes() == chain_eigenvalues(spec).tobytes()
+    assert sd.eigenvalues.tobytes() == diagonalize(spec).eigenvalues.tobytes()
     assert np.max(np.abs(sd.eigenvalues - unfolded_eigenvalues(spec))) <= (
         2 * n * np.finfo(float).eps * _row_sum_norm(spec))
     error = np.max(np.abs(sd.eigenvectors - vec), axis=0)
