@@ -26,7 +26,7 @@ O(N) memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
@@ -34,8 +34,8 @@ from typing import Iterator
 import numpy as np
 
 from .chain import ChainSpec, mirror_symmetry_check
-from .spectral import (DegenerateSpectrumError, SpectralDecomposition, _log_abs_derivatives,
-                       _phase_sum, diagonalize, is_degenerate, pair_weights)
+from .spectral import (DegenerateSpectrumError, SpectralDecomposition, _has_degenerate_gap,
+                       _log_abs_derivatives, _phase_sum, diagonalize, pair_weights)
 
 ARRIVAL_TOL = 1e-8
 _MULTIPLIER_GUARD = 1 << 52
@@ -54,9 +54,10 @@ class PstCertificate:
     verified on, and ``arrival_amplitude`` is ``gamma_N(t0)``.
     ``eigenvalues`` is ``None`` when the chain was rejected before the
     eigenvalue solve (off mirror symmetry, a zero or a negative coupling).
-    ``spectrum`` is the decomposition of ``chain`` that certification
-    solved, whose eigenvalues are ``eigenvalues``; a chain rejected before
-    the solve is diagonalized on the first read of ``spectrum``.
+    ``spectrum`` is ``diagonalize(chain)``, the chain's one decomposition,
+    which certification solved and whose eigenvalues are ``eigenvalues``; a
+    chain rejected before the solve is diagonalized on the first read of
+    ``spectrum``.
     """
 
     verdict: str  # "perfect" | "imperfect" | "degenerate-spectrum"
@@ -70,16 +71,15 @@ class PstCertificate:
     worst_gap_residual: float | None = None
     revival_magnitude: float | None = None
     reason: str | None = None
-    _solved: SpectralDecomposition | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for values in (self.eigenvalues, self.end_products):
             if values is not None:
                 values.flags.writeable = False
 
-    @cached_property
+    @property
     def spectrum(self) -> SpectralDecomposition:
-        return diagonalize(self.chain) if self._solved is None else self._solved
+        return diagonalize(self.chain)
 
     @cached_property
     def end_weights(self) -> np.ndarray:
@@ -148,11 +148,11 @@ def certify_pst(spec: ChainSpec, tol: float = 1e-9,
     if spec.n < 2:
         raise ValueError("transfer needs at least two sites")
 
-    sd = lam = None  # the O(N) rejections come before the eigenvalue solve
+    lam = None  # the O(N) rejections come before the eigenvalue solve
 
     def fail(verdict: str, reason: str, residual: float | None = None) -> PstCertificate:
         return PstCertificate(verdict=verdict, chain=spec, eigenvalues=lam,
-                              reason=reason, worst_gap_residual=residual, _solved=sd)
+                              reason=reason, worst_gap_residual=residual)
 
     t_max = max(max(abs(j) for j in spec.couplings), max(abs(b) for b in spec.fields))
     mirror = mirror_symmetry_check(spec, tol=tol * max(1.0, t_max))
@@ -166,11 +166,10 @@ def certify_pst(spec: ChainSpec, tol: float = 1e-9,
         # positive-coupling representative of the phase class
         return fail("imperfect", "negative coupling (use the positive-J convention)")
     sd = diagonalize(spec)
-    lam = sd.eigenvalues
-    if is_degenerate(lam):
+    lam, gaps = sd.eigenvalues, sd._gaps
+    if _has_degenerate_gap(lam, gaps):
         return fail("degenerate-spectrum", "spectrum has (near-)degenerate eigenvalues")
 
-    gaps = np.diff(lam)
     fracs = []
     lcm = 1
     for f in _gap_fractions(gaps / gaps.min(), max_denominator):
@@ -218,7 +217,6 @@ def certify_pst(spec: ChainSpec, tol: float = 1e-9,
         odd_integers=tuple((m - 1) // 2 for m in mult),
         worst_gap_residual=residual,
         revival_magnitude=revival,
-        _solved=sd,
     )
 
 

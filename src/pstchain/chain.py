@@ -67,6 +67,11 @@ class ChainSpec:
         if self.statistics not in STATISTICS:
             raise ValueError(f"statistics must be one of {STATISTICS}")
 
+    def __reduce__(self):
+        # copies and pickles carry the fields alone, not the decomposition
+        # that spectral.diagonalize keeps on a solved chain
+        return ChainSpec, (self.n, self.couplings, self.fields, self.statistics)
+
     @property
     def has_zero_coupling(self) -> bool:
         return any(j == 0.0 for j in self.couplings)

@@ -19,6 +19,12 @@ half-size tridiagonal matrices, one acting on the symmetric and one on the
 antisymmetric vectors (Cantoni and Butler, Linear Algebra Appl. 13, 1976).
 Above the cut the LAPACK solves stack the two blocks into one matrix with
 an exact zero coupling between them, where LAPACK splits the problem in two.
+
+A :class:`ChainSpec` is solved once per object: its first :func:`diagonalize`
+keeps the decomposition on the chain, and every later call, from
+certification, the certificate's ``spectrum``, the design's residual check or
+a protocol, returns that same decomposition, with its eigenvectors and end
+weights once they are computed. Nothing else is cached.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import ChainSpec, SingleExcitationMatrix, _tridiagonal_dense, build_h1
+from .chain import ChainSpec, SingleExcitationMatrix, _tridiagonal_dense
 
 SYMMETRY_TOL = 1e-12
 DEGENERACY_RTOL = 1e-9
@@ -66,14 +72,15 @@ class SpectralDecomposition:
     The decomposition :func:`diagonalize` makes of a tridiagonal operator
     holds its eigenvalues from the start and solves for ``eigenvectors`` and
     ``residual`` on their first read. That solve keeps the eigenvalues
-    already handed out. Until then :func:`pair_weights` takes the weights of
-    the pairs (1, N) and (N, 1) of a chain with positive couplings, and of
-    (1, 1) and (N, N) of an exactly mirror-symmetric one, from the
-    eigenvalues alone, where their a-priori relative error ``rho`` is at most
-    ``END_WEIGHT_RTOL``. In place of the residual they are checked against
-    the orthogonality of rows 1 and N: ``|sum_k w_k| <= rho + 1e-12``, and
-    ``|sum_k |w_k| - 1| <= rho + 1e-12`` on a mirror-symmetric chain, or
-    ``ArithmeticError``.
+    already handed out. Whether or not the eigenvectors have been read,
+    :func:`pair_weights` takes the weights of the pairs (1, N) and (N, 1) of
+    a chain with positive couplings, and of (1, 1) and (N, N) of an exactly
+    mirror-symmetric one, from the eigenvalues alone, where their a-priori
+    relative error ``rho`` is at most ``END_WEIGHT_RTOL``, so an amplitude
+    does not depend on what was read before it. In place of the residual
+    they are checked against the orthogonality of rows 1 and N:
+    ``|sum_k w_k| <= rho + 1e-12``, and ``|sum_k |w_k| - 1| <= rho + 1e-12``
+    on a mirror-symmetric chain, or ``ArithmeticError``.
     """
 
     def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray, residual: float):
@@ -83,7 +90,9 @@ class SpectralDecomposition:
         self.eigenvalues = eigenvalues
         self._eigenvectors = eigenvectors
         self._residual = residual
-        self._tridiagonal = None
+        # set by _of_tridiagonal: the operator's (diag, off), its max|T| and
+        # the gaps of the eigenvalues, each computed once per decomposition
+        self._tridiagonal = self._scale = self._gaps = None
 
     @property
     def dimension(self) -> int:
@@ -93,7 +102,7 @@ class SpectralDecomposition:
     def eigenvectors(self) -> np.ndarray:
         if self._eigenvectors is None:
             vec, self._residual = _tridiagonal_eigenvectors(*self._tridiagonal,
-                                                            self.eigenvalues)
+                                                            self.eigenvalues, self._scale)
             vec.flags.writeable = False
             self._eigenvectors = vec
         return self._eigenvectors
@@ -133,18 +142,17 @@ class SpectralDecomposition:
         rounding of the sums); a product that breaks either raises
         ``ArithmeticError``, as the residual check of the eigenvectors does.
         """
-        diag, off = self._tridiagonal
-        lam = self.eigenvalues
-        n = lam.size
-        # array methods and slices: certify_pst takes this path on every chain
-        # it solves, and on short ones numpy's function wrappers cost as much
+        off = self._tridiagonal[1]
+        n = self.dimension
+        # array methods: certify_pst takes this path on every chain it
+        # solves, and on short ones numpy's function wrappers cost as much
         if n < 2 or not off.min() > 0.0:
             return None
-        gap = float((lam[1:] - lam[:-1]).min())
-        rho_gap = 8.0 * (1.0 + math.log(n)) * n * _EPS * _max_abs(diag, off)
+        gap = float(self._gaps.min())
+        rho_gap = 8.0 * (1.0 + math.log(n)) * n * _EPS * self._scale
         if not rho_gap <= END_WEIGHT_RTOL * gap:    # a zero gap fails here too
             return None
-        products = end_products(off, lam)
+        products = end_products(off, self.eigenvalues)
         bound = rho_gap / gap + 1e-12
         deviation = abs(float(products.sum()))
         if self._mirror:
@@ -241,8 +249,15 @@ def diagonalize(operator) -> SpectralDecomposition:
     ``max|M v - lambda v|`` is checked against ``1e-10 * max|M|`` and kept on
     the result.
 
+    A :class:`ChainSpec` is solved once per object. The first call keeps the
+    decomposition on the chain, outside its fields, so equality, hashing,
+    ``repr`` and chain files do not see it and ``dataclasses.replace``
+    returns an unsolved chain; every later call returns the same
+    decomposition. Its eigenvectors, once read, stay in memory as long as
+    the chain does (N^2 floats).
+
     A tridiagonal operator gets its eigenvalues at once, from
-    :func:`_tridiagonal_eigenvalues`, and its eigenvectors on their first
+    :func:`_of_tridiagonal`, and its eigenvectors on their first
     read, from :func:`_eigenvector_solve`: ``numpy.linalg.eigh`` of the dense
     matrix up to ``SMALL_CHAIN_CUT`` sites, and above it LAPACK ``stevd``
     (divide and conquer, O(N^3) in the worst case) on the operator, or on its
@@ -256,13 +271,15 @@ def diagonalize(operator) -> SpectralDecomposition:
     ``numpy.linalg.eigh``.
     """
     if isinstance(operator, ChainSpec):
-        operator = build_h1(operator)
-    if isinstance(operator, SingleExcitationMatrix):
-        diag = np.asarray(operator.diagonal, dtype=float)
-        off = np.asarray(operator.offdiagonal, dtype=float)
-        sd = SpectralDecomposition(_tridiagonal_eigenvalues(diag, off), None, None)
-        sd._tridiagonal = (diag, off)   # the eigenvectors are solved on first read
+        sd = getattr(operator, "_decomposition", None)
+        if sd is None:
+            # the chain's floats were validated when it was made
+            sd = _of_tridiagonal(operator.field_array(), operator.coupling_array())
+            object.__setattr__(operator, "_decomposition", sd)
         return sd
+    if isinstance(operator, SingleExcitationMatrix):
+        return _of_tridiagonal(np.asarray(operator.diagonal, dtype=float),
+                               np.asarray(operator.offdiagonal, dtype=float))
     dense = np.asarray(operator)
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise ValueError("operator must be a square matrix")
@@ -282,10 +299,11 @@ def _checked(residual: float, scale: float) -> float:
     return residual
 
 
-def _tridiagonal_eigenvectors(diag: np.ndarray, off: np.ndarray,
-                              eigenvalues: np.ndarray) -> tuple[np.ndarray, float]:
+def _tridiagonal_eigenvectors(diag: np.ndarray, off: np.ndarray, eigenvalues: np.ndarray,
+                              scale: float) -> tuple[np.ndarray, float]:
     """Sign-fixed eigenvectors of ``tridiag(off, diag, off)``, in the order of
-    its ascending ``eigenvalues``, and their checked residual against them."""
+    its ascending ``eigenvalues``, and their residual against them, checked
+    against its ``max|T|``, ``scale``."""
     vec = _fix_signs(np.ones((1, 1)) if diag.size == 1 else _eigenvector_solve(diag, off))
     # M V from the three diagonals, O(N^2), a block of columns at a time
     residual = 0.0
@@ -296,7 +314,7 @@ def _tridiagonal_eigenvectors(diag: np.ndarray, off: np.ndarray,
         r[:-1] += off[:, None] * v[1:]
         r[1:] += off[:, None] * v[:-1]
         residual = max(residual, float(np.max(np.abs(r))))
-    return vec, _checked(residual, _max_abs(diag, off))
+    return vec, _checked(residual, scale)
 
 
 def _eigenvalue_solve(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -331,9 +349,9 @@ def _eigenvector_solve(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of ``tridiag(off, diag, off)`` without
-    eigenvectors, the ones :func:`diagonalize` hands out at once.
+def _of_tridiagonal(diag: np.ndarray, off: np.ndarray) -> SpectralDecomposition:
+    """The decomposition of ``tridiag(off, diag, off)``, holding the ascending
+    eigenvalues :func:`diagonalize` hands out at once.
 
     They come from :func:`_eigenvalue_solve`: dense ``numpy.linalg.eigvalsh``
     up to ``SMALL_CHAIN_CUT`` sites, and above it LAPACK ``sterf``, O(N^2) in
@@ -343,13 +361,17 @@ def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     that error could reach ``NEWTON_GATE`` of the smallest gap, the
     eigenvalues get one :func:`sturm_newton` step of at most that size.
     """
-    if diag.size == 1:
-        return diag.copy()
-    lam = _eigenvalue_solve(diag, off)
-    error = diag.size * _EPS * _max_abs(diag, off)
-    if error > NEWTON_GATE * float((lam[1:] - lam[:-1]).min()):
+    scale = _max_abs(diag, off)
+    lam = diag.copy() if diag.size == 1 else _eigenvalue_solve(diag, off)
+    gaps = lam[1:] - lam[:-1]
+    error = diag.size * _EPS * scale
+    if diag.size > 1 and error > NEWTON_GATE * float(gaps.min()):
         lam = sturm_newton(diag, off, lam, error)
-    return lam
+        gaps = lam[1:] - lam[:-1]
+    gaps.flags.writeable = False
+    sd = SpectralDecomposition(lam, None, None)
+    sd._tridiagonal, sd._scale, sd._gaps = (diag, off), scale, gaps
+    return sd
 
 
 def sturm_newton(diag: np.ndarray, off: np.ndarray, eigenvalues,
@@ -421,10 +443,15 @@ def is_degenerate(eigenvalues) -> bool:
     """Whether two adjacent ascending eigenvalues are closer than
     ``DEGENERACY_RTOL`` times their spread."""
     lam = np.asarray(eigenvalues, dtype=float)
+    return _has_degenerate_gap(lam, np.diff(lam))
+
+
+def _has_degenerate_gap(lam: np.ndarray, gaps: np.ndarray) -> bool:
+    """:func:`is_degenerate` of ``lam`` from its gaps ``np.diff(lam)``."""
     spread = lam[-1] - lam[0]
     if spread <= 0:
         return lam.size > 1
-    return bool(np.any(np.diff(lam) < DEGENERACY_RTOL * spread))
+    return bool(np.any(gaps < DEGENERACY_RTOL * spread))
 
 
 def propagate(sd: SpectralDecomposition, v, t) -> np.ndarray:
@@ -489,14 +516,16 @@ def pair_weights(sd: SpectralDecomposition, source: int, target: int) -> np.ndar
     """Weights ``w_k = v_tk conj(v_sk)`` of the amplitude from 1-based site
     ``source`` to ``target``, ``gamma(t) = sum_k w_k exp(-i lambda_k t)``.
 
-    Until the eigenvectors of a tridiagonal decomposition are read, the end
-    pairs (1, N) and (N, 1) of a chain whose couplings are all positive take
-    ``w_k = v_1k v_Nk`` from the eigenvalues alone (:func:`end_products`,
-    computed once per decomposition), and so do the pairs (1, 1) and (N, N) of
-    an exactly mirror-symmetric chain, where ``v_1k^2 = |v_1k v_Nk|``. That
-    takes O(N^2) time and O(N) memory. The products are used where their
-    a-priori relative error is at most ``END_WEIGHT_RTOL`` and are checked
-    against the orthogonality of rows 1 and N (see
+    On a tridiagonal decomposition, whether or not its eigenvectors have been
+    read, the end pairs (1, N) and (N, 1) of a chain whose couplings are all
+    positive take ``w_k = v_1k v_Nk`` from the eigenvalues alone
+    (:func:`end_products`, computed once per decomposition), and so do the
+    pairs (1, 1) and (N, N) of an exactly mirror-symmetric chain, where
+    ``v_1k^2 = |v_1k v_Nk|``. That takes O(N^2) time and O(N) memory, and
+    the choice rests on the decomposition alone, never on the order of
+    earlier reads. The products are used where their a-priori relative
+    error is at most ``END_WEIGHT_RTOL`` and are checked against the
+    orthogonality of rows 1 and N (see
     ``SpectralDecomposition._end_products``). Every other pair, and a dense
     or one-site operator, a zero or negative coupling or a spectrum whose
     smallest gap is too small for the products, reads the eigenvectors.
@@ -504,7 +533,7 @@ def pair_weights(sd: SpectralDecomposition, source: int, target: int) -> np.ndar
     n = sd.dimension
     if not (1 <= source <= n and 1 <= target <= n):
         raise ValueError(f"sites must lie in 1..{n}")
-    if (sd._eigenvectors is None and {source, target} <= {1, n}
+    if (sd._tridiagonal is not None and {source, target} <= {1, n}
             and (source != target or sd._mirror)):
         products = sd._end_products
         if products is not None:

@@ -1,6 +1,9 @@
 import math
+import pickle
 import re
 import tracemalloc
+from copy import deepcopy
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +20,10 @@ from pstchain import (BathSpec, ClockProgram, amplifier_sim, analytic_chain,
                       optimality_report, product_network, rate_condition, require_perfect,
                       rescale, revival_rate_report, sequential_storage_chain,
                       sequential_storage_sim, star_network, theta_entangler, timing_window,
-                      target_spectrum, two_boson_transfer, uniform_chain)
+                      target_spectrum, two_boson_transfer, uniform_chain, write_chain)
 from pstchain import spectral
 from pstchain.certify import _gap_fractions
+from pstchain.chain import chain_to_dict
 from pstchain.spectral import SMALL_CHAIN_CUT, DegenerateSpectrumError, end_products
 
 from oracles import certify_by_eigenvectors, random_pst_chain
@@ -354,8 +358,9 @@ def test_exactly_mirror_chain_reaches_the_solvers_folded(lapack_solves):
                                   _nudged(analytic_chain(_ABOVE_CUT))],
                          ids=["storage", "nudged-analytic"])
 def test_other_chains_reach_the_solvers_unfolded(lapack_solves, spec):
-    diagonalize(spec).eigenvectors
-    diagonalize(spec).eigenvalues
+    # a chain is solved once per object, so each call gets its own equal chain
+    diagonalize(replace(spec)).eigenvectors
+    diagonalize(replace(spec)).eigenvalues
     vector_solves, value_solves = lapack_solves
     assert (vector_solves, value_solves) == ([spec.n], [spec.n, spec.n])
     for off in vector_solves.offdiagonals + value_solves.offdiagonals:
@@ -383,8 +388,8 @@ def numpy_solves(monkeypatch):
 def test_chains_up_to_the_cut_reach_numpy_unfolded(lapack_solves, numpy_solves, spec):
     """At or below the cut both solves take the whole dense matrix, mirror
     symmetric or not, and LAPACK's tridiagonal routines are not called."""
-    diagonalize(spec).eigenvectors
-    diagonalize(spec).eigenvalues
+    diagonalize(replace(spec)).eigenvectors
+    diagonalize(replace(spec)).eigenvalues
     assert lapack_solves == ([], [])
     assert [len(a) for a in numpy_solves["eigh"]] == [spec.n]
     assert [len(a) for a in numpy_solves["eigvalsh"]] == [spec.n, spec.n]
@@ -413,16 +418,112 @@ def _window():
      [8]),
     (_window, []),
     (lambda: product_network(analytic_chain(8), analytic_chain(8)), []),
+    (lambda: certify_pst(chain_from_spectrum(target_spectrum(np.arange(8.0) - 3.5, True))),
+     []),
+    (lambda: near_uniform_chain(8, 0.5), []),
 ], ids=["entanglement_generation", "initfree_transfer", "entanglement_distribution_sim",
         "clock_computer", "dephasing_avg_fidelity", "certify_pst+timing_window",
-        "product_network"])
+        "product_network", "chain_from_spectrum+certify_pst", "near_uniform_chain"])
 def test_certified_chain_is_diagonalized_once(tridiagonal_solves, eigenvalue_solves, run,
                                               vector_solves):
     """The chain is certified from one eigenvalue-only solve; its eigenvectors
-    are computed once, and only by the protocols that propagate states."""
+    are computed once, and only by the protocols that propagate states. A
+    designed chain is certified on the solve of the design's residual check."""
     run()
     assert eigenvalue_solves == [8]
     assert tridiagonal_solves == vector_solves
+
+
+# --- one decomposition per chain object ---------------------------------------
+
+def test_a_chain_is_solved_once_per_object(eigenvalue_solves):
+    spec = analytic_chain(8)
+    assert diagonalize(spec) is diagonalize(spec)
+    assert certify_pst(spec).spectrum is diagonalize(spec)
+    assert eigenvalue_solves == [8]
+
+
+def test_the_decomposition_is_not_part_of_the_chain(eigenvalue_solves, tmp_path):
+    """Equality, hashing, repr, chain files and pickles see the fields alone,
+    and replace, copy and pickle make an equal chain that is not yet solved."""
+    solved, fresh = analytic_chain(8), analytic_chain(8)
+    before = (repr(solved), hash(solved), chain_to_dict(solved))
+    diagonalize(solved).eigenvectors
+    assert solved == fresh and hash(solved) == hash(fresh)
+    assert (repr(solved), hash(solved), chain_to_dict(solved)) == before
+    write_chain(solved, tmp_path / "solved.json")
+    write_chain(fresh, tmp_path / "fresh.json")
+    assert (tmp_path / "solved.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+    assert pickle.dumps(solved) == pickle.dumps(fresh)
+    for copy in (replace(solved), deepcopy(solved), pickle.loads(pickle.dumps(solved))):
+        assert copy == solved and diagonalize(copy) is not diagonalize(solved)
+    assert eigenvalue_solves == [8] * 4
+
+
+@pytest.fixture
+def end_product_evaluations(monkeypatch):
+    """Sizes of the spectra passed to ``spectral.end_products``."""
+    sizes = []
+    true_products = spectral.end_products
+
+    def counted(couplings, eigenvalues):
+        sizes.append(len(eigenvalues))
+        return true_products(couplings, eigenvalues)
+
+    monkeypatch.setattr(spectral, "end_products", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("n", [8, _ABOVE_CUT])
+def test_design_certify_simulate_solves_once(eigenvalue_solves, tridiagonal_solves,
+                                             end_product_evaluations, n):
+    """Certify, a gamma_N curve on diagonalize(spec) and the timing window
+    share one eigenvalue solve and one evaluation of the end products, and
+    solve no eigenvectors."""
+    spec = analytic_chain(n)
+    cert = certify_pst(spec)
+    curve = gamma(diagonalize(spec), 1, n, np.linspace(0.0, 2.0 * cert.t0, 1001))
+    timing_window(spec, cert, 1e-3)
+    assert abs(curve[500]) >= 1.0 - 1e-9
+    assert (eigenvalue_solves, tridiagonal_solves, end_product_evaluations) == ([n], [], [n])
+
+
+_CERTIFICATE_FIELDS = ("verdict", "reason", "t0", "odd_integers", "worst_gap_residual",
+                       "arrival_amplitude", "arrival_phase", "revival_magnitude",
+                       "eigenvalues", "end_products", "end_weights")
+
+
+def _answers(spec, sd, times):
+    """Every certificate field of ``spec`` and the amplitudes gamma_N and
+    gamma_1 over ``times`` on its decomposition ``sd``, as bytes."""
+    cert = certify_pst(spec)
+    fields = [getattr(cert, name) for name in _CERTIFICATE_FIELDS]
+    amps = [gamma(sd, 1, target, times) for target in (spec.n, 1)]
+    return [v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in fields + amps]
+
+
+order_cases = st.one_of(
+    st.builds(analytic_chain, st.sampled_from([2, 3, 8, 64, SMALL_CHAIN_CUT, _ABOVE_CUT, 200])),
+    st.builds(lambda seed, n: random_pst_chain(np.random.default_rng(seed), n),
+              st.integers(0, 2 ** 32 - 1),
+              st.integers(2, 24) | st.integers(SMALL_CHAIN_CUT + 1, SMALL_CHAIN_CUT + 40)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(order_cases)
+def test_answers_do_not_depend_on_what_was_read_before(spec):
+    """A certificate and the end amplitudes are the same bytes whether the
+    chain's eigenvectors were read before certification, never read, or the
+    chain is a fresh equal one."""
+    times = np.linspace(0.0, 7.0, 51)
+    read_first = replace(spec)
+    sd = diagonalize(read_first)
+    sd.eigenvectors
+    want = _answers(read_first, sd, times)
+    unread = replace(spec)
+    assert _answers(unread, diagonalize(unread), times) == want
+    fresh = replace(spec)
+    assert _answers(fresh, diagonalize(fresh), times) == want
 
 
 @pytest.fixture

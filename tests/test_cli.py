@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -340,9 +341,28 @@ def test_library_reads_no_environment_variables():
         assert "os.environ" not in text and "getenv" not in text, name
 
 
+_MEMO = re.compile(r"\b(lru_cache|functools\.cache)\b|from functools import[^\n]*\bcache\b"
+                   r"|^\w+\s*(:[^=\n]*)?=\s*(\{\}|\[\]|dict\(\)|set\(\)|list\(\)"
+                   r"|(weakref\.)?Weak\w*Dictionary\()", re.MULTILINE)
+
+
 def test_only_spectral_makes_a_decomposition():
     """Every SpectralDecomposition comes from pstchain.spectral, so the
-    eigensolve and its checks have one copy."""
+    eigensolve and its checks have one copy. A chain keeps its one
+    decomposition, which only spectral writes, and that is the only cache:
+    no module memoizes through functools or keeps an empty module-level
+    container to fill."""
     for name, text in _library_sources():
+        assert "_solved" not in text, name
+        assert _MEMO.search(text) is None, (name, _MEMO.search(text))
         if name != "spectral.py":
             assert "SpectralDecomposition(" not in text and "_of_tridiagonal" not in text, name
+            assert "_decomposition" not in text, name
+
+
+def test_the_memo_guard_sees_the_usual_caches():
+    for text in ("from functools import lru_cache\n", "@functools.cache\n",
+                 "from functools import cached_property, cache\n", "_SOLVED = {}\n",
+                 "_memo: dict = dict()\n", "_seen = weakref.WeakKeyDictionary()\n"):
+        assert _MEMO.search(text), text
+    assert _MEMO.search("from functools import cached_property\n_DISPATCH = {\n") is None

@@ -91,10 +91,9 @@ def test_residual_check_rejects_a_perturbed_eigenvector(monkeypatch):
         vec[2, 3] += 1e-6
         return vec
 
-    spec = analytic_chain(8)
-    diagonalize(spec).eigenvectors
+    diagonalize(analytic_chain(8)).eigenvectors
     monkeypatch.setattr(spectral, "_eigenvector_solve", perturbed)
-    sd = diagonalize(spec)
+    sd = diagonalize(analytic_chain(8))     # an equal chain, not yet solved
     with pytest.raises(ArithmeticError, match="residual"):
         sd.eigenvectors
 
