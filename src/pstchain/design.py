@@ -2,6 +2,11 @@
 chain, spectrum-driven inverse-eigenvalue reconstruction, near-uniform
 designs, and a Newton iteration for parametrized Hamiltonians.
 
+A chain is reconstructed from its spectrum as a half-size inverse problem on
+the mirror fold (Hochstadt 1974; Hald 1976; de Boor and Golub 1978): it is
+mirror symmetric by construction, and with no end weight formed there is no
+end-weight underflow refusal.
+
 Designers emit spectra on integer lattices so the natural transfer time is
 pi (pi/2 for the storage chain). Callers wanting other time scales rescale
 couplings via :func:`pstchain.chain.rescale`.
@@ -15,9 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .certify import certify_pst, end_weights
-from .chain import ChainSpec, chain, mirror_symmetry_check, uniform_chain
-from .spectral import DegenerateSpectrumError, diagonalize
+from .certify import certify_pst
+from .chain import ChainSpec, chain, uniform_chain
+from .spectral import _BLOCK, DegenerateSpectrumError, diagonalize
 
 # The finite-difference check of validate_family: the seed of its probe
 # points, its central-difference step and the largest error it allows.
@@ -127,6 +132,8 @@ def _givens_insertion(lam: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nd
     3.7e-6, ``tol`` 1e-9) needs its gaps to 4e-15.
     """
     n = lam.size
+    if n == 1:      # one pair is its own 1 x 1 matrix
+        return lam.astype(float), np.zeros(0)
     lam = lam.astype(np.longdouble)
     q = q.astype(np.longdouble)
     d = np.zeros(n + 1, np.longdouble)      # d[j] = A[j, j]
@@ -173,40 +180,58 @@ def _givens_insertion(lam: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nd
 def chain_from_spectrum(target: TargetSpectrum) -> ChainSpec:
     """Unique mirror-symmetric positive-coupling chain with the given spectrum.
 
-    End weights come from the characteristic-polynomial derivative, in log
-    space; the Gragg-Harrod Givens insertion (Numer. Math. 44, 1984) then
-    builds the tridiagonal entries from the eigenvalues and the square roots
-    of the weights in O(N^2) time and O(N) memory, with the rotations in
-    extended precision. A reconstruction off mirror symmetry (the tolerance
-    of :func:`mirror_symmetry_check`) is refused; otherwise the exact mirror
-    average ``(J + J[::-1]) / 2`` (fields likewise) is returned, so the
-    chain is exactly mirror symmetric and its eigensolves take the
-    two-block fold of :mod:`pstchain.spectral` (Cantoni and Butler, Linear
-    Algebra Appl. 13, 1976). The returned chain is verified by its
-    eigenvalues. Errors name the smallest end weight; where its square root
-    underflows to zero the target is refused before any reconstruction.
+    Such a chain is fixed by its spectrum (Hochstadt, Linear Algebra Appl. 8,
+    1974; Hald, Linear Algebra Appl. 14, 1976). Its two mirror blocks (the
+    :func:`pstchain.spectral._fold`) take the eigenvalues in turn from the
+    top, the symmetric block first; read from the centre out, they differ in
+    their first site only: by 2 J_m in its field for N = 2m, and by that site
+    itself for N = 2m + 1. So the centre weights of the symmetric block come
+    from the two interlacing spectra (de Boor and Golub, Linear Algebra Appl.
+    21, 1978), and the Gragg-Harrod Givens insertion (Numer. Math. 44, 1984)
+    of those ~N/2 pairs, rotated in extended precision, builds that block in
+    O(N^2) time and O(N) memory. The chain is the half and its mirror,
+    exactly mirror symmetric, so its eigensolves take the fold. No end weight
+    of the whole chain is formed, so there is no refusal for end weights
+    that underflow. The result is verified by its eigenvalues; an
+    antisymmetric target must give vanishing fields, which are then set to
+    zero.
     """
     lam = np.asarray(target.eigenvalues, dtype=float)
-    log_w = end_weights(lam, log=True)
-    log10_min = float(np.min(log_w)) / math.log(10.0)
-    root_w = np.exp(0.5 * log_w)
-    if not np.all(root_w > 0.0):
-        raise ReconstructionError(f"end weights underflow: smallest 10^{log10_min:.1f}")
-    alpha, beta = _givens_insertion(lam, root_w)
+    n = lam.size
+    sym, anti = lam[(n - 1) % 2::2], lam[n % 2::2]
+    gaps = sym[n % 2:] - anti   # from each antisymmetric eigenvalue to the one above
+    # log w_k, w_k ~ prod_j |sym_k - anti_j| / prod_{j != k} |sym_k - sym_j|, as
+    # a sum over the pairs of neighbours of -log1p(-gaps_j / (sym_k - anti_j)),
+    # terms near 0, so no two large sums cancel; the pair whose upper end is
+    # sym_k itself (its ratio is exactly 1) adds log gaps_j instead; a block of
+    # rows at a time
+    log_w = np.empty(sym.size)
+    for r in range(0, sym.size, _BLOCK):
+        t = np.subtract.outer(sym[r:r + _BLOCK], anti)
+        np.divide(gaps, t, out=t)
+        t[t == 1.0] = 0.0
+        np.negative(t, out=t)
+        log_w[r:r + _BLOCK] = -np.sum(np.log1p(t, out=t), axis=1)
+    log_w[n % 2:] += np.log(gaps)
+    if n % 2:   # the lowest symmetric eigenvalue has no antisymmetric one below it
+        log_w[1:] -= np.log(sym[1:] - sym[0])
+    w = np.exp(log_w - log_w.max())
+    fields, couplings = _givens_insertion(sym, np.sqrt(w / w.sum()))
+    if n % 2:   # the half starts at the centre site, coupled by sqrt 2 J_m
+        couplings[0] /= math.sqrt(2.0)
+        middle = ()
+    else:       # the half's first field is B_m + J_m
+        middle = (0.5 * float(np.sum(sym - anti)),)
+        fields[0] -= middle[0]
+    fields = np.concatenate((fields[::-1], fields[n % 2:]))
+    couplings = np.concatenate((couplings[::-1], middle, couplings))
     spread = lam[-1] - lam[0]
     if target.antisymmetric:
-        worst = float(np.max(np.abs(alpha)))
+        worst = float(np.max(np.abs(fields)))
         if worst > 1e-9 * spread:
             raise ReconstructionError(f"fields failed to vanish (max {worst:.3e})")
-        alpha = np.zeros_like(alpha)
-    mirror = mirror_symmetry_check(chain(beta, alpha))
-    if not mirror:
-        raise ReconstructionError(
-            f"reconstructed chain is not mirror symmetric (max violation "
-            f"{mirror.max_violation:.3e}; smallest end weight 10^{log10_min:.1f})")
-    # the exact mirror average: it drops only the antisymmetric rounding part,
-    # which moves no eigenvalue at first order, and lets the solvers fold
-    result = chain(0.5 * (beta + beta[::-1]), 0.5 * (alpha + alpha[::-1]))
+        fields = np.zeros_like(fields)
+    result = chain(couplings, fields)
     achieved = diagonalize(result).eigenvalues
     residual = float(np.max(np.abs(achieved - lam)))
     if residual > 1e-8 * max(1.0, spread):

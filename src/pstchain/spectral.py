@@ -359,7 +359,8 @@ def _of_tridiagonal(diag: np.ndarray, off: np.ndarray) -> SpectralDecomposition:
     mirror-symmetric matrix, two N/2 problems, which halves the work. Either
     way they carry an absolute error of order ``N * eps * max|T|``. Where
     that error could reach ``NEWTON_GATE`` of the smallest gap, the
-    eigenvalues get one :func:`sturm_newton` step of at most that size.
+    eigenvalues get one :func:`sturm_newton` step of at most that size, whose
+    recurrence runs to the centre only on a mirror-symmetric operator.
     """
     scale = _max_abs(diag, off)
     lam = diag.copy() if diag.size == 1 else _eigenvalue_solve(diag, off)
@@ -381,26 +382,43 @@ def sturm_newton(diag: np.ndarray, off: np.ndarray, eigenvalues,
 
     ``p'/p`` is the sum of ``d_i'/d_i`` over the pivots of the Sturm (LDL^T)
     recurrence ``d_i = (B_i - lambda) - J_{i-1}^2 / d_{i-1}``, O(N) per
-    eigenvalue. The step is guarded: an eigenvalue moves only where the step
-    is finite and at most ``max_step``, and the eigenvalues are returned
-    unchanged if the refined ones are not strictly ascending.
+    eigenvalue. On an operator equal to its mirror image bitwise (the test of
+    :func:`_fold`) ``p`` is the product of the characteristic polynomials of
+    the two mirror blocks, which share the pivots up to the centre, so the
+    recurrence stops there: ``p = P_{m-1}^2 (d_m - J_m)(d_m + J_m)`` for
+    N = 2m and ``p = P_m^2 ((B_{m+1} - lambda) - 2 J_m^2 / d_m)`` for
+    N = 2m + 1, ``P_k`` the product of the first k pivots. The step is
+    guarded: an eigenvalue moves only where the step is finite and at most
+    ``max_step``, and the eigenvalues are returned unchanged if the refined
+    ones are not strictly ascending.
     """
+    n = diag.size
+    mirror = n > 1 and _is_mirror(diag, off)
+    stop = n // 2 if mirror else n      # the last pivot the recurrence makes
     b2 = off ** 2
     lam = np.asarray(eigenvalues, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = diag[0] - lam
-        ratio = -1.0 / d                    # d_1' / d_1, with d_1' = -1
-        total = ratio.copy()
+        dd = np.full_like(lam, -1.0)        # d_1' = -1
+        total = np.zeros_like(lam)          # the sum of d_i'/d_i before pivot ``stop``
+        ratio = np.empty_like(lam)
         r = np.empty_like(lam)
-        dd = np.empty_like(lam)
-        for a, bb in zip(diag[1:].tolist(), b2.tolist()):
+        for a, bb in zip(diag[1:stop].tolist(), b2[:stop - 1].tolist()):
+            np.divide(dd, d, out=ratio)
+            total += ratio
             np.divide(bb, d, out=r)
             np.multiply(r, ratio, out=dd)   # d_i' = J^2 d_{i-1}' / d_{i-1}^2 - 1
             dd -= 1.0
             np.subtract(a, lam, out=d)
             d -= r
+        if mirror and n % 2 == 0:           # the blocks' last pivots d_m -+ J_m
+            total = 2.0 * total + dd / (d - off[stop - 1]) + dd / (d + off[stop - 1])
+        else:
             np.divide(dd, d, out=ratio)
             total += ratio
+            if mirror:                      # the centre pivot, coupled by sqrt 2 J_m
+                np.divide(2.0 * b2[stop - 1], d, out=r)
+                total = 2.0 * total + (r * ratio - 1.0) / ((diag[stop] - lam) - r)
         step = 1.0 / total
     ok = np.isfinite(step) & (np.abs(step) <= max_step)
     refined = np.where(ok, lam - step, lam)

@@ -199,6 +199,46 @@ def _lanczos_from_weights(lam, w):
     return alpha, beta
 
 
+def full_chain_from_spectrum(lam, antisymmetric):
+    """Fields and couplings of the mirror-symmetric chain with spectrum
+    ``lam``, the way the library reconstructed it before it folded the
+    inverse problem: the end weights of the whole chain (``end_weights``, in
+    log space), the Givens insertion of all N pairs, zero fields for an
+    antisymmetric spectrum, then the exact mirror average."""
+    from pstchain.certify import end_weights
+    from pstchain.design import _givens_insertion
+
+    lam = np.asarray(lam, dtype=float)
+    fields, couplings = _givens_insertion(lam, np.exp(0.5 * end_weights(lam, log=True)))
+    if antisymmetric:
+        fields = np.zeros_like(fields)
+    return 0.5 * (fields + fields[::-1]), 0.5 * (couplings + couplings[::-1])
+
+
+def sturm_newton_full(diag, off, eigenvalues, max_step):
+    """``spectral.sturm_newton`` with the Sturm recurrence run over all N
+    pivots, mirror-symmetric operator or not: the step the library took
+    before it stopped the recurrence at the centre of a mirror chain."""
+    b2 = off ** 2
+    lam = np.asarray(eigenvalues, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = diag[0] - lam
+        ratio = -1.0 / d
+        total = ratio.copy()
+        for a, bb in zip(diag[1:], b2):
+            r = bb / d
+            dd = r * ratio - 1.0
+            d = (a - lam) - r
+            ratio = dd / d
+            total += ratio
+        step = 1.0 / total
+    ok = np.isfinite(step) & (np.abs(step) <= max_step)
+    refined = np.where(ok, lam - step, lam)
+    if np.any(np.diff(refined) <= 0):
+        return lam
+    return refined
+
+
 def unfolded_decomposition(spec):
     """Eigenvalues and eigenvectors of a chain from one LAPACK ``stevd`` solve
     of its whole single-excitation matrix, with the library's sign

@@ -46,6 +46,16 @@ def test_design_from_spectrum(tmp_path, capsys):
     assert doc["couplings"] == pytest.approx([math.sqrt(3) / 2, 1.0, math.sqrt(3) / 2])
 
 
+def test_design_from_spectrum_whose_end_weights_underflow(tmp_path, capsys):
+    # the end weights of this unit-gap spectrum reach 1e-662; the chain is
+    # built on the fold, where none of them is formed
+    spec_file = tmp_path / "s.json"
+    spec_file.write_text(json.dumps({"eigenvalues": (np.arange(2200.0) - 1099.5).tolist()}))
+    code, out, _ = run(capsys, "design", "from-spectrum", str(spec_file))
+    assert code == 0
+    assert len(json.loads(out)["couplings"]) == 2199
+
+
 def test_design_storage_and_near_uniform(capsys):
     code, out, _ = run(capsys, "design", "storage", "--n", "3")
     assert code == 0

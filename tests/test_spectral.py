@@ -14,7 +14,8 @@ from pstchain.spectral import (SMALL_CHAIN_CUT, _phase_sum, end_products,
                                pair_weights, sturm_newton)
 
 from oracles import (dense_decomposition, eager_decomposition, expm_evolve, phase_sum_direct,
-                     random_pst_chain, unfolded_decomposition, unfolded_eigenvalues)
+                     random_pst_chain, sturm_newton_full, unfolded_decomposition,
+                     unfolded_eigenvalues)
 
 
 def test_two_level_eigenvalues():
@@ -125,20 +126,70 @@ def test_certificate_eigenvalues_match_the_decomposition():
 
 
 def test_sturm_newton_refines_to_the_exact_spectrum():
-    """The analytic chain has the half-integer spectrum -(N-1)/2 .. (N-1)/2."""
-    n = 1000
-    spec = analytic_chain(n)
-    exact = np.arange(n) - (n - 1) / 2.0
+    """The analytic chain has the half-integer (even N) or integer (odd N)
+    spectrum -(N-1)/2 .. (N-1)/2; a field on every site shifts it. Both
+    parities, with and without the field, are mirror chains, so the step
+    runs its recurrence to the centre."""
+    for n, field in ((1000, 0.0), (1001, 0.0), (1000, 0.25), (1001, 0.25)):
+        spec = chain(analytic_chain(n).couplings, [field] * n)
+        exact = np.arange(n) - (n - 1) / 2.0 + field
+        diag, off = spec.field_array(), spec.coupling_array()
+        lam = unfolded_eigenvalues(spec)
+        bound = n * np.finfo(float).eps * max(spec.couplings)
+        refined = sturm_newton(diag, off, lam, bound)
+        assert np.max(np.abs(refined - exact)) < 0.1 * np.max(np.abs(lam - exact))
+        assert np.max(np.abs(refined - exact)) < 1e-13
+        # the guard: no eigenvalue moves further than the step bound
+        assert np.array_equal(sturm_newton(diag, off, lam, 0.0), lam)
+        # the gate is open here: the error bound is 1e-10 of the unit gap
+        assert np.max(np.abs(diagonalize(spec).eigenvalues - exact)) < 1e-13
+
+
+def _random_mirror_chain(n, rng):
+    """The analytic chain with its couplings scaled by seeded factors in
+    [0.9, 1.1] and seeded fields in [-0.5, 0.5], mirrored. Its eigenvectors
+    stay extended, so its spectrum keeps gaps of order 1; with strong
+    disorder (couplings in [0.5, 1.5]) most chains of a few hundred sites
+    localize, and their mirror pairs close to within 1e-9 of the spread,
+    some to a few ulp, where the guard of either step may fire alone."""
+    scale = rng.uniform(0.9, 1.1, n // 2)
+    fields = rng.uniform(-0.5, 0.5, (n + 1) // 2)
+    scale = np.concatenate((scale, scale[::-1][1 - n % 2:]))
+    return chain(analytic_chain(n).coupling_array() * scale,
+                 np.concatenate((fields, fields[::-1][n % 2:])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["analytic", "uniform", "odd-gap", "fields", "off-mirror"]),
+       st.integers(4, 300), st.integers(0, 2 ** 32 - 1))
+def test_sturm_newton_on_half_the_chain_matches_the_full_recurrence(kind, n, seed):
+    """On a mirror chain the recurrence stops at the centre; the step agrees
+    with the one through all N pivots to 8 ulp of max|lambda|, measured
+    absolutely, so also at the zero eigenvalue of odd N. Off the mirror the
+    step is the full recurrence's, bit for bit."""
+    rng = np.random.default_rng(seed)
+    if kind == "analytic":
+        spec = analytic_chain(n)
+    elif kind == "uniform":
+        spec = uniform_chain(n)
+    elif kind == "odd-gap":
+        spec = random_pst_chain(rng, n)
+    else:
+        spec = _random_mirror_chain(n, rng)
+        if kind == "off-mirror":
+            couplings = spec.coupling_array()
+            couplings[0] *= 1.0 + 1e-3
+            spec = chain(couplings, spec.fields)
     diag, off = spec.field_array(), spec.coupling_array()
-    lam = unfolded_eigenvalues(spec)
-    bound = n * np.finfo(float).eps * max(spec.couplings)
-    refined = sturm_newton(diag, off, lam, bound)
-    assert np.max(np.abs(refined - exact)) < 0.1 * np.max(np.abs(lam - exact))
-    assert np.max(np.abs(refined - exact)) < 1e-13
-    # the guard: no eigenvalue moves further than the step bound
-    assert np.array_equal(sturm_newton(diag, off, lam, 0.0), lam)
-    # the gate is open here: the error bound is 1e-10 of the unit gap
-    assert np.max(np.abs(diagonalize(spec).eigenvalues - exact)) < 1e-13
+    assert spectral._is_mirror(diag, off) == (kind != "off-mirror")
+    lam = spectral._eigenvalue_solve(diag, off)
+    error = n * np.finfo(float).eps * spectral._max_abs(diag, off)
+    half = sturm_newton(diag, off, lam, error)
+    full = sturm_newton_full(diag, off, lam, error)
+    if kind == "off-mirror":
+        assert half.tobytes() == full.tobytes()
+    else:
+        assert np.max(np.abs(half - full)) <= 8 * np.spacing(np.max(np.abs(lam)))
 
 
 def test_propagate_identity_at_time_zero():
