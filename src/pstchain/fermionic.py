@@ -12,14 +12,17 @@ identification.
 
 Entanglement generation and initialization-free transfer run in their
 excitation sectors: the evolved state is read off N-component orbitals, so
-they work at any chain length. Only sequential storage, whose external
-registers make a joint state, holds a 2^N step matrix (at most
-``DENSE_CAP`` = 12 sites), built from the minors det U[S', S] of the N x N
-propagator (Jordan-Wigner; Lieb, Schultz and Mattis, Ann. Phys. 16, 1961).
-Every time evolution goes through ``spectral.propagate``.
+they work at any chain length. Sequential storage runs on the k x k revival
+matrix of its k registers, M[i, j] = gamma_11 between write j and read i:
+its register transfer matrix is the table of minors of M (Wick;
+Jordan-Wigner; Lieb, Schultz and Mattis, Ann. Phys. 16, 1961), so it too
+works at any chain length, for at most ``REGISTER_CAP`` = 8 registers. No
+2^N array is built. Every time evolution goes through ``spectral.propagate``
+or ``spectral.gamma``.
 
-Basis convention for dense 2^N vectors: site 1 is the most significant bit,
-so the basis index of a configuration with excited site set S is
+Basis convention for dense vectors (the storage registers, and 2^N states
+in the tests): site 1, or register 0, is the most significant bit, so the
+basis index of a configuration with excited site set S is
 ``sum(2^(N-s) for s in S)``. Ascending-site ordered creation operators map
 onto computational basis states with no extra sign.
 """
@@ -37,7 +40,7 @@ from .certify import require_perfect
 from .chain import ChainSpec
 from .spectral import amplitude_profile, diagonalize, gamma, propagate
 
-DENSE_CAP = 12  # sites of the largest 2^N matrix the library builds
+REGISTER_CAP = 8  # registers of the largest storage run; its table holds 4^k minors
 
 
 def _require_fermionic(spec: ChainSpec) -> None:
@@ -189,23 +192,22 @@ def evolve_slater(spec: ChainSpec, state: SlaterState, t: float) -> SlaterState:
 
 
 # ---------------------------------------------------------------------------
-# Fock-space step
+# Minors
 # ---------------------------------------------------------------------------
 
-def _fock_step(u: np.ndarray) -> np.ndarray:
-    """The 2^N matrix of the free-fermion evolution whose one-excitation
-    block is ``u``: between ascending occupied-site sets S and S' its
-    element is the minor det u[S', S], and the vacuum is stationary."""
-    n = u.shape[0]
-    out = np.zeros((1 << n, 1 << n), dtype=complex)
+def _minors(u: np.ndarray) -> np.ndarray:
+    """The 2^k table of the minors det u[S', S] of a k x k matrix, between
+    ascending index sets S' (rows) and S (columns) of equal size, and zero
+    between sets of unequal size; the empty minor is 1. A set's index is
+    ``sum(2^(k-1-s) for s in S)``. For the N x N one-excitation propagator it
+    is the 2^N free-fermion evolution (Jordan-Wigner)."""
+    k = u.shape[0]
+    out = np.zeros((1 << k, 1 << k), dtype=complex)
     out[0, 0] = 1.0
-    for k in range(1, n + 1):
-        sets = np.array(list(itertools.combinations(range(n), k)))
-        idx = (1 << (n - 1 - sets)).sum(axis=1)  # site 1 is the most significant bit
-        step = max(1, (1 << 16) // len(sets))  # at most 2^16 minors at once
-        for r in range(0, len(sets), step):
-            rows = sets[r:r + step, None, :, None]
-            out[np.ix_(idx[r:r + step], idx)] = np.linalg.det(u[rows, sets[None, :, None, :]])
+    for p in range(1, k + 1):
+        sets = np.array(list(itertools.combinations(range(k), p)))
+        idx = (1 << (k - 1 - sets)).sum(axis=1)  # index 0 is the most significant bit
+        out[np.ix_(idx, idx)] = np.linalg.det(u[sets[:, None, :, None], sets[None, :, None, :]])
     return out
 
 
@@ -373,87 +375,76 @@ def sequential_storage_sim(spec: ChainSpec, inputs, readout_order) -> StorageSim
     known sign per full cycle, which the readout undoes (recorded in
     ``z_corrections``). Reverse order therefore returns the inputs exactly,
     and same order applies a controlled phase between every pair.
+
+    Register j is written at step j and the i-th read in time order fires at
+    step tau_i, one step being t_r = pi/N. A write swaps its register onto
+    the empty site 1 (no Jordan-Wigner string), creating a fermion, and a
+    read that fires annihilates it. So by Wick's theorem the amplitude from
+    input registers b to output registers b', |b| = |b'| = p, is
+    (-1)^(p(p-1)/2) det M[reads in b', writes in b], with the revival matrix
+    M[i, j] = gamma_11((tau_i - j) t_r) read from one ``gamma`` table; no
+    2^N state is formed, and ``REGISTER_CAP`` bounds the 4^k minors.
+
+    The formula drops the swap terms (1 - n_1) at the writes and at the
+    reads that do not fire, each weighted by an off-target gamma_11 (a step
+    difference that is not a multiple of N). So the run refuses a chain on
+    which any off-target entry of the table exceeds 1e-8 or any on-target
+    one has 1 - |gamma_11| > 1e-8, and raises ``ArithmeticError`` if the
+    squared norm of the register state is off 1 by more than 1e-8.
     """
     _require_fermionic(spec)
     n = spec.n
-    t_r = math.pi / n
     states = [np.asarray(s, dtype=complex) for s in inputs]
     k = len(states)
     if k == 0 or k > n:
         raise ValueError(f"number of inputs must lie in 1..{n}")
+    if k > REGISTER_CAP:
+        raise ValueError(f"{k} registers exceed the register cap ({REGISTER_CAP})")
     for s in states:
         if s.shape != (2,) or abs(np.linalg.norm(s) - 1.0) > 1e-10:
             raise ValueError("inputs must be normalized single-qubit states")
-    if n > DENSE_CAP:
-        raise ValueError(f"{n} sites exceed the dense cap ({DENSE_CAP})")
-    if n + k > 16:
-        raise ValueError("joint register exceeds the simulable size")
-
-    sd = diagonalize(spec)
-    revivals = np.abs(gamma(sd, 1, 1, t_r * np.arange(1, n)))
-    if np.max(revivals) > 1e-8:
-        raise ValueError("chain does not null the input amplitude at multiples of t_r")
-
-    if readout_order == "same":
-        order = list(range(k))
-    elif readout_order == "reverse":
-        order = list(range(k - 1, -1, -1))
+    if isinstance(readout_order, str) and readout_order in ("same", "reverse"):
+        order = list(range(k))[::1 if readout_order == "same" else -1]
     else:
-        order = [int(i) for i in readout_order]
+        try:
+            order = [int(i) for i in readout_order]
+        except (TypeError, ValueError):
+            order = []
         if sorted(order) != list(range(k)):
-            raise ValueError("readout_order must be a permutation of the write indices")
+            raise ValueError('readout_order must be "same", "reverse" or a permutation '
+                             f"of the write indices 0..{k - 1}")
 
-    # Joint state: registers (register 0 most significant), then chain sites.
-    # Every array is C-contiguous, so the reshapes that flip signs are views.
-    dim_regs = 1 << k
-    dim_chain = 1 << n
-    product = reduce(np.kron, states)
-    joint = np.zeros((dim_regs, dim_chain), dtype=complex)
-    joint[:, 0] = product
-
-    u_step = _fock_step(propagate(sd, np.eye(n), t_r))
-
-    def evolve_steps(m: int) -> None:
-        nonlocal joint
-        for _ in range(m):
-            joint = joint @ u_step.T
-
-    def swap_register(j: int) -> None:
-        nonlocal joint
-        axes = joint.reshape(1 << j, 2, 1 << (k - 1 - j), 2, dim_chain >> 1)
-        joint = axes.swapaxes(1, 3).reshape(dim_regs, dim_chain)
-
-    # Writes: register j swaps onto the (empty) input spin at step j.
-    now = 0
-    for j in range(k):
-        swap_register(j)
-        if j < k - 1:
-            evolve_steps(1)
-            now += 1
-
+    # Each read waits for the next revival of its register's write.
     cz_pairs = []
     z_corr = [0] * k
     steps = [0] * k
-    remaining = set(range(k))
+    now = k - 1  # the last write
     for s in order:
-        target_step = s + n * (max(now - s, 0) // n + 1)
-        evolve_steps(target_step - now)
-        now = target_step
-        swap_register(s)
-        remaining.discard(s)
-        periods = (target_step - s) // n
+        periods = (now - s) // n + 1
+        now = s + n * periods
+        steps[s] = now
         z_corr[s] = (periods * (n + 1)) % 2
-        if z_corr[s]:
-            joint.reshape(1 << s, 2, -1)[:, 1] *= -1
-        steps[s] = target_step
-        for m in remaining:
-            if m > s:
-                cz_pairs.append((s, m))
+        cz_pairs += [(s, m) for m in range(s + 1, k) if not steps[m]]  # m still stored
 
-    chain_weight = float(np.sum(np.abs(joint[:, 1:]) ** 2))
-    if chain_weight > 1e-8:
-        raise ArithmeticError("chain failed to empty after all readouts")
-    output = joint[:, 0]
+    revivals = gamma(diagonalize(spec), 1, 1, math.pi / n * np.arange(now + 1))
+    deviation = np.abs(revivals)
+    deviation[::n] = 1.0 - deviation[::n]
+    if np.max(deviation) > 1e-8:
+        raise ValueError("chain does not null the input amplitude at multiples of t_r "
+                         f"and revive it at multiples of pi (off by {np.max(deviation):.1e})")
+
+    minors = _minors(revivals[np.array([steps[s] for s in order])[:, None] - np.arange(k)])
+    # Row r of the minors holds the reads set in r, read i at bit k-1-i: with
+    # the Wick sign and the Z corrections it is the row of those registers.
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    p = bits.sum(axis=1)
+    sign = 1 - 2 * ((p * (p - 1) // 2 + bits @ [z_corr[s] for s in order]) % 2)
+    product = reduce(np.kron, states)
+    output = np.empty(1 << k, dtype=complex)
+    output[bits @ (1 << (k - 1 - np.array(order)))] = sign * (minors @ product)
+    lost = abs(1.0 - float(np.vdot(output, output).real))
+    if lost > 1e-8:
+        raise ArithmeticError(f"register state lost norm on the chain ({lost:.1e})")
     output = output / np.linalg.norm(output)
 
     predicted = product.copy()

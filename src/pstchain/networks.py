@@ -14,8 +14,9 @@ import numpy as np
 
 from .certify import require_perfect
 from .chain import ChainSpec, SingleExcitationMatrix, chain
-from .fermionic import DENSE_CAP
 from .spectral import amplitude_profile, diagonalize, propagate
+
+DENSE_CAP = 12  # bounds the hypercube's dimension and the amplifier's 2^N matrix
 
 
 @dataclass(frozen=True)

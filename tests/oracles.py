@@ -129,6 +129,77 @@ def slater_to_dense(state):
     return psi
 
 
+def storage_dense(step, inputs, readout_order):
+    """Sequential storage on the joint 2^k x 2^N state of k registers and an
+    N-site chain, the way the library simulated it before it took the
+    register transfer matrix from the k x k revival matrix.
+
+    ``step`` is the 2^N evolution over t_r = pi/N, exp(-i t_r H) of the
+    Pauli Hamiltonian (``xx_dense``). Register j is swapped with site 1 at
+    step j, by an explicit SWAP of the two qubits' tensor axes; then each
+    register in ``readout_order`` (a list of register indices) is swapped
+    back at the first step after the previous read that is a multiple of N
+    steps after its write, and takes a Z if the revived |1> amplitude there,
+    after N applications of ``step``, is negative. Reading a register sets a
+    controlled phase with every later-written register still stored.
+    Returns a dict of output_state (the registers with the chain projected
+    on its vacuum, normalized), chain_weight (the weight left on the
+    chain), cz_pairs, z_corrections, readout_steps, predicted_state and
+    fidelity_vs_prediction."""
+    n = int(step.shape[0]).bit_length() - 1
+    k = len(inputs)
+    # axes: registers 0..k-1, then chain sites 1..N
+    psi = kron_n([np.asarray(s, dtype=complex) for s in inputs])
+    psi = np.kron(psi, np.eye(1 << n, dtype=complex)[0]).reshape((2,) * (k + n))
+    site1 = np.eye(1 << n, dtype=complex)[basis_index(n, [1])]
+    revival = site1
+    for _ in range(n):
+        revival = step @ revival
+    revival = revival @ site1
+
+    def evolve(m):
+        nonlocal psi
+        for _ in range(m):
+            psi = (psi.reshape(1 << k, 1 << n) @ step.T).reshape((2,) * (k + n))
+
+    def swap(j):
+        nonlocal psi
+        psi = np.ascontiguousarray(np.swapaxes(psi, j, k))
+
+    for j in range(k):
+        evolve(1 if j else 0)
+        swap(j)
+    now = k - 1
+    stored = list(range(k))
+    cz_pairs, z_corrections, readout_steps = [], [0] * k, [0] * k
+    for s in readout_order:
+        read = s + n
+        while read <= now:
+            read += n
+        evolve(read - now)
+        now = read
+        swap(s)
+        periods = (read - s) // n
+        if np.real(revival ** periods) < 0:
+            z_corrections[s] = 1
+            index = [slice(None)] * (k + n)
+            index[s] = 1
+            psi[tuple(index)] *= -1
+        readout_steps[s] = read
+        stored.remove(s)
+        cz_pairs += [(s, m) for m in stored if m > s]
+    joint = psi.reshape(1 << k, 1 << n)
+    output = joint[:, 0] / np.linalg.norm(joint[:, 0])
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    predicted = kron_n([np.asarray(s, dtype=complex) for s in inputs]).copy()
+    for a, b in cz_pairs:
+        predicted[(bits[:, a] & bits[:, b]) == 1] *= -1
+    return dict(output_state=output, chain_weight=float(np.sum(np.abs(joint[:, 1:]) ** 2)),
+                cz_pairs=tuple(cz_pairs), z_corrections=tuple(z_corrections),
+                readout_steps=tuple(readout_steps), predicted_state=predicted,
+                fidelity_vs_prediction=float(abs(np.vdot(predicted, output)) ** 2))
+
+
 def jw_majorana_ops(n):
     """Fermion annihilation operators a_1..a_n as 2^n matrices via the
     Jordan-Wigner strings (site 1 = MSB)."""

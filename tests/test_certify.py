@@ -582,9 +582,10 @@ def test_structured_amplitudes_come_from_the_chain(dense_solves, tridiagonal_sol
     and no dense eigensolve. The amplitude at t0 comes from the certificate,
     and the end amplitudes of the bath from the chain's spectrum, with no
     eigenvectors. theta_entangler certifies its base chain and propagates the
-    split one, two distinct chains. Sequential storage builds its 2^N step
-    from the N x N propagator, and the Ising fold propagates through the
-    certified chain, not its pairing block matrix."""
+    split one, two distinct chains. Sequential storage reads its k x k
+    revival matrix from one gamma table of site 1 of its (not mirror
+    symmetric) chain, which takes the eigenvectors, and the Ising fold
+    propagates through the certified chain, not its pairing block matrix."""
     run()
     assert dense_solves == []
     assert tridiagonal_solves == solves

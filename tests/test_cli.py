@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pstchain.cli import main
+from pstchain.fermionic import REGISTER_CAP
 
 
 def run(capsys, *argv):
@@ -162,6 +163,14 @@ def test_fermionic_demo(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["fidelity_vs_prediction"] >= 1.0 - 1e-8
+
+
+def test_fermionic_demo_storage_above_the_register_cap_names_it(capsys):
+    n = str(REGISTER_CAP + 1)
+    code, out, err = run(capsys, "fermionic", "demo", "--protocol", "storage", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert f"register cap ({REGISTER_CAP})" in err
 
 
 def test_network_commands(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import cmath
+import functools
+import itertools
 import math
 from dataclasses import replace
 
@@ -10,16 +12,16 @@ from hypothesis import example, given, settings, strategies as st
 from pstchain import (QuadraticFermionHamiltonian, analytic_chain, basis_slater,
                       bell_fidelity_curve, bogoliubov_modes, build_h1, certify_pst,
                       chain, diagonalize, entanglement_distribution_sim,
-                      entanglement_generation, evolve_slater, initfree_transfer,
+                      entanglement_generation, evolve_slater, gamma, initfree_transfer,
                       ising_from_pst, propagate, sequential_storage_chain,
                       sequential_storage_sim, slater_state, sort_to_site_order,
                       two_boson_transfer, uniform_chain)
-from pstchain import spectral
-from pstchain.fermionic import DENSE_CAP, _fock_step, entanglement_entropy_bits
+from pstchain import fermionic, spectral
+from pstchain.fermionic import REGISTER_CAP, _minors, entanglement_entropy_bits
 
 from oracles import (SX, SZ, basis_index, expm_evolve, op_at, quadratic_dense,
                      random_pst_chain, reduced_density_matrix, slater_to_dense,
-                     two_boson_dense, xx_dense)
+                     storage_dense, two_boson_dense, xx_dense)
 
 
 # --- Slater calculus -------------------------------------------------------
@@ -95,7 +97,7 @@ def test_evolve_slater_rejects_bosonic():
         evolve_slater(spec, basis_slater(2, [1]), 1.0)
 
 
-# --- Fock-space step ---------------------------------------------------------
+# --- minors of the propagator ------------------------------------------------
 
 def _random_fielded_chain(seed, n):
     rng = np.random.default_rng(seed)
@@ -108,12 +110,12 @@ def _random_fielded_chain(seed, n):
 @example(chain([0.7], [0.3, 0.3]), 2.1)
 @example(chain([0.5]), math.pi)  # e^{-i (X/2) pi} = -i X on the one-excitation block
 @example(chain([0.5], [0.2, -0.4]), 1.3)
-def test_fock_step_is_the_pauli_evolution(spec, t):
-    """The 2^N step matrix built from the minors of the N x N propagator is
-    exp(-i t H) of the Pauli construction, and unitary. The vacuum is
-    stationary, the full band takes the phase e^{-i t sum B}, and on two
-    sites the one-excitation hop has its closed form."""
-    step = _fock_step(propagate(diagonalize(spec), np.eye(spec.n), t))
+def test_minors_of_the_propagator_are_the_pauli_evolution(spec, t):
+    """The 2^N table of the minors of the N x N propagator is exp(-i t H) of
+    the Pauli construction, and unitary. The vacuum is stationary, the full
+    band takes the phase e^{-i t sum B}, and on two sites the one-excitation
+    hop has its closed form."""
+    step = _minors(propagate(diagonalize(spec), np.eye(spec.n), t))
     exact = scipy.linalg.expm(-1j * t * xx_dense(spec.couplings, spec.fields))
     assert np.max(np.abs(step - exact)) <= 1e-10
     assert np.max(np.abs(step.conj().T @ step - np.eye(1 << spec.n))) <= 1e-10
@@ -126,15 +128,15 @@ def test_fock_step_is_the_pauli_evolution(spec, t):
         assert abs(step[basis_index(2, [2]), basis_index(2, [1])] - hop) <= 1e-12
 
 
-def test_storage_refuses_chains_beyond_the_dense_cap_before_solving(monkeypatch):
+def test_storage_refuses_registers_beyond_the_cap_before_solving(monkeypatch):
     def refuse(diag, off):
         raise AssertionError(f"solved a {len(diag)}-site chain")
 
     for name in ("_eigenvalue_solve", "_eigenvector_solve"):
         monkeypatch.setattr(spectral, name, refuse)
-    spec = uniform_chain(DENSE_CAP + 1)
-    with pytest.raises(ValueError, match="dense cap"):
-        sequential_storage_sim(spec, [np.array([1.0, 0.0])], "same")
+    spec = sequential_storage_chain(REGISTER_CAP + 2)
+    with pytest.raises(ValueError, match=f"register cap \\({REGISTER_CAP}\\)"):
+        sequential_storage_sim(spec, [np.array([1.0, 0.0])] * (REGISTER_CAP + 1), "same")
 
 
 def test_slater_agrees_with_dense_on_random_cases():
@@ -398,6 +400,107 @@ def test_storage_rejects_non_storage_chain():
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
     with pytest.raises(ValueError):
         sequential_storage_sim(analytic_chain(3), [plus], [0])
+
+
+def test_storage_refuses_a_chain_that_drifts_off_its_nulls_after_one_period():
+    """Couplings scaled by 1 + 1e-9 keep |gamma_11| below 1e-8 over the first
+    N - 1 steps (3.3e-9 at N = 4), but reverse order reads 16 steps after the
+    first write, where the off-target amplitude has grown to 1.7e-8."""
+    spec = chain(np.array(sequential_storage_chain(4).couplings) * (1.0 + 1e-9))
+    sd = diagonalize(spec)
+    assert np.max(np.abs(gamma(sd, 1, 1, math.pi / 4 * np.arange(1, 4)))) < 1e-8
+    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    with pytest.raises(ValueError, match="null the input amplitude"):
+        sequential_storage_sim(spec, [plus] * 4, "reverse")
+
+
+def test_storage_refuses_revivals_that_fall_short(monkeypatch):
+    """Every on-target entry of the revival table must reach |gamma_11| = 1
+    within 1e-8; a table damped by 1e-7 (as a lossy chain would be) is
+    refused, though its off-target entries stay near zero."""
+    monkeypatch.setattr(fermionic, "gamma",
+                        lambda *args: (1.0 - 1e-7) * spectral.gamma(*args))
+    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    with pytest.raises(ValueError, match="revive it at multiples of pi"):
+        sequential_storage_sim(sequential_storage_chain(4), [plus] * 2, "same")
+
+
+@pytest.mark.parametrize("order", ["sam", "foo", [0, 0], [0, 2], [0, "x"]])
+def test_storage_names_the_readout_orders_it_takes(order):
+    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    with pytest.raises(ValueError, match='"same", "reverse" or a permutation'):
+        sequential_storage_sim(sequential_storage_chain(3), [plus] * 2, order)
+
+
+@functools.lru_cache(maxsize=None)
+def _storage_step(n):
+    """exp(-i t_r H) of the n-site storage chain's Pauli Hamiltonian, t_r = pi/n."""
+    spec = sequential_storage_chain(n)
+    return scipy.linalg.expm(-1j * math.pi / n * xx_dense(spec.couplings, spec.fields))
+
+
+def _assert_storage_matches_the_oracle(n, inputs, order):
+    rep = sequential_storage_sim(sequential_storage_chain(n), inputs, order)
+    if order == "same":
+        order = list(range(len(inputs)))
+    elif order == "reverse":
+        order = list(range(len(inputs)))[::-1]
+    ref = storage_dense(_storage_step(n), inputs, order)
+    assert ref["chain_weight"] <= 1e-12
+    assert np.max(np.abs(rep.output_state - ref["output_state"])) <= 1e-12
+    assert rep.cz_pairs == ref["cz_pairs"]
+    assert rep.z_corrections == ref["z_corrections"]
+    assert rep.readout_steps == ref["readout_steps"]
+    assert abs(rep.fidelity_vs_prediction - ref["fidelity_vs_prediction"]) <= 1e-12
+    assert np.max(np.abs(rep.predicted_state - ref["predicted_state"])) <= 1e-12
+    return rep
+
+
+@st.composite
+def _storage_runs(draw):
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n))
+    angles = draw(st.lists(st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi)),
+                           min_size=k, max_size=k))
+    inputs = [np.array([math.cos(a / 2), cmath.exp(1j * b) * math.sin(a / 2)])
+              for a, b in angles]
+    order = draw(st.one_of(st.sampled_from(["same", "reverse"]),
+                           st.permutations(range(k))))
+    return n, inputs, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(_storage_runs())
+def test_storage_matches_the_joint_state_oracle(run):
+    """The revival-matrix run gives the joint-state simulation's registers,
+    schedule and fidelity to 1e-12."""
+    _assert_storage_matches_the_oracle(*run)
+
+
+def test_storage_of_six_qubits_on_ten_sites_in_reverse_matches_the_oracle():
+    rng = np.random.default_rng(13)
+    inputs = []
+    for _ in range(6):
+        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        inputs.append(z / np.linalg.norm(z))
+    rep = _assert_storage_matches_the_oracle(10, inputs, "reverse")
+    assert rep.cz_pairs == ()
+    assert rep.fidelity_vs_prediction >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("n", [64, 1000])
+@pytest.mark.parametrize("order", ["same", "reverse"])
+def test_storage_runs_on_long_chains(n, order):
+    rng = np.random.default_rng(n)
+    inputs = []
+    for _ in range(6):
+        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        inputs.append(z / np.linalg.norm(z))
+    rep = sequential_storage_sim(sequential_storage_chain(n), inputs, order)
+    assert rep.fidelity_vs_prediction >= 1.0 - 1e-12
+    expected = tuple(itertools.combinations(range(6), 2)) if order == "same" else ()
+    assert rep.cz_pairs == expected
+    assert max(rep.readout_steps) == (n + 5 if order == "same" else 6 * n)
 
 
 # --- entanglement distribution ------------------------------------------------

@@ -7,7 +7,7 @@ from pstchain import (ClockProgram, NetworkSpec, amplifier_sim, analytic_chain,
                       chain, clock_computer, diagonalize, gamma, hypercube,
                       network_operator, product_network, rescale, spectral, star_network,
                       theta_entangler)
-from pstchain.fermionic import DENSE_CAP
+from pstchain.networks import DENSE_CAP
 from pstchain.networks import (amplifier_dense_check, amplifier_dense_hamiltonian,
                                clock_hamiltonian, star_symmetric_sector,
                                w_phase_rotation, wall_basis_vector)
