@@ -21,8 +21,14 @@ print("  mid-transfer kicks hurt most: the excitation is spread out then")
 
 print("\nbath levels vs the closed form, G = 2")
 model = bath_model(BathSpec(chain=spec, coupling=2.0))
+# the chain plus one bath spin per site, each coupled with G, as a dense 2N matrix
+n = spec.n
+op = np.zeros((2 * n, 2 * n))
+op[np.arange(n), np.arange(n)] = spec.fields
+op[np.arange(n - 1), np.arange(1, n)] = op[np.arange(1, n), np.arange(n - 1)] = spec.couplings
+op[np.arange(n), n + np.arange(n)] = op[n + np.arange(n), np.arange(n)] = 2.0
 print("  max |spectrum - closed form| =",
-      float(np.max(np.abs(model.energies - np.sort(model.closed_form.ravel())))))
+      float(np.max(np.abs(np.linalg.eigvalsh(op) - model.energies))))
 
 times = np.linspace(0.0, 2.0 * t0, 1501)
 print("\nweak coupling G = 0.01: correction is quadratic in G")

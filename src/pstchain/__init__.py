@@ -3,10 +3,9 @@ protocols built on top of them."""
 
 __version__ = "0.1.0"
 
-from .chain import (ChainFormatError, ChainSpec, HeisenbergSpec, MirrorReport,
-                    SingleExcitationMatrix, build_h1, chain, heisenberg_to_h1,
-                    mirror_symmetry_check, read_chain, rescale, uniform_chain,
-                    write_chain)
+from .chain import (ChainFormatError, ChainSpec, HeisenbergSpec, MirrorReport, chain,
+                    heisenberg_to_h1, mirror_symmetry_check, read_chain, rescale,
+                    uniform_chain, write_chain)
 from .spectral import (DegenerateSpectrumError, SpectralDecomposition,
                        amplitude_profile, diagonalize, gamma, is_degenerate,
                        propagate)
@@ -24,8 +23,7 @@ from .fermionic import (BogoliubovModes, QuadraticFermionHamiltonian, SlaterStat
                         evolve_slater, initfree_transfer, ising_from_pst,
                         sequential_storage_sim, slater_state, sort_to_site_order,
                         two_boson_transfer)
-from .noise import (BathSpec, bath_model, bath_operator, bath_transfer_amplitude,
-                    dephasing_avg_fidelity, raw_bath_operator)
+from .noise import BathSpec, bath_model, bath_transfer_amplitude, dephasing_avg_fidelity
 from .networks import (AmplifierResult, ClockProgram, NetworkSpec, amplifier_sim,
                        clock_computer, hypercube, network_operator, product_network,
                        star_network, theta_entangler, w_phase_rotation)

@@ -229,7 +229,7 @@ def require_perfect(spec: ChainSpec) -> PstCertificate:
     return cert
 
 
-def end_weights(spectrum, log: bool = False) -> np.ndarray:
+def end_weights(spectrum) -> np.ndarray:
     """End-site weights |alpha_n|^2 of the mirror-symmetric chain with the
     given spectrum, computed from the characteristic polynomial derivative
     B'(lambda_n) alone.
@@ -237,9 +237,7 @@ def end_weights(spectrum, log: bool = False) -> np.ndarray:
     ``(-1)^n B'(lambda_n)`` carries a constant sign for an ascending
     spectrum, so the weights reduce to normalized reciprocals of
     ``|B'(lambda_n)|``; they are evaluated in log space to keep large
-    spectra inside the floating-point range. With ``log=True`` the natural
-    logarithms of the weights are returned, which stay finite where the
-    weights themselves underflow.
+    spectra inside the floating-point range.
     """
     lam = np.asarray(spectrum, dtype=float)
     if lam.ndim != 1 or lam.size < 1:
@@ -247,12 +245,10 @@ def end_weights(spectrum, log: bool = False) -> np.ndarray:
     if np.any(np.diff(lam) <= 0):
         raise DegenerateSpectrumError("spectrum must be strictly ascending")
     if lam.size == 1:
-        return np.zeros(1) if log else np.array([1.0])
+        return np.array([1.0])
     logw = -_log_abs_derivatives(lam)
     logw -= logw.max()
     w = np.exp(logw)
-    if log:
-        return logw - np.log(w.sum())
     return w / w.sum()
 
 

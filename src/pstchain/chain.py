@@ -1,6 +1,5 @@
-"""Chain data model: XX chains, their single-excitation matrices, and exact
-mappings from Heisenberg and harmonic-oscillator models onto the same
-tridiagonal operator.
+"""Chain data model: an XX chain is its single-excitation matrix, and the
+Heisenberg and harmonic-oscillator models map exactly onto the same chain.
 
 Conventions used throughout the package:
 
@@ -43,8 +42,10 @@ def _finite_floats(values, name: str) -> tuple[float, ...]:
 class ChainSpec:
     """An open chain of ``n`` sites with couplings J_1..J_{n-1} and fields B_1..B_n.
 
-    A zero coupling is representable but disconnects the chain (and with it
-    any hope of end-to-end transfer); it is flagged via
+    It is also the package's one representation of the symmetric tridiagonal
+    single-excitation matrix: ``fields`` is its diagonal and ``couplings``
+    its off-diagonal. A zero coupling is representable but disconnects the
+    chain (and with it any hope of end-to-end transfer); it is flagged via
     :attr:`has_zero_coupling`.
     """
 
@@ -81,35 +82,6 @@ class ChainSpec:
 
     def field_array(self) -> np.ndarray:
         return np.asarray(self.fields, dtype=float)
-
-
-@dataclass(frozen=True)
-class SingleExcitationMatrix:
-    """Symmetric tridiagonal operator acting on the one-excitation amplitudes."""
-
-    dimension: int
-    diagonal: tuple[float, ...]
-    offdiagonal: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "diagonal", _finite_floats(self.diagonal, "diagonal"))
-        object.__setattr__(self, "offdiagonal", _finite_floats(self.offdiagonal, "offdiagonal"))
-        if len(self.diagonal) != self.dimension or len(self.offdiagonal) != self.dimension - 1:
-            raise ValueError("inconsistent tridiagonal shape")
-
-    def to_dense(self) -> np.ndarray:
-        return _tridiagonal_dense(np.asarray(self.diagonal, dtype=float),
-                                  np.asarray(self.offdiagonal, dtype=float))
-
-
-def _tridiagonal_dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """``tridiag(off, diag, off)`` as a dense array."""
-    n = diag.size
-    dense = np.zeros((n, n))
-    dense.flat[::n + 1] = diag
-    dense.flat[1::n + 1] = off
-    dense.flat[n::n + 1] = off
-    return dense
 
 
 @dataclass(frozen=True)
@@ -166,26 +138,20 @@ def rescale(spec: ChainSpec, kappa: float) -> ChainSpec:
                    fields=tuple(kappa * b for b in spec.fields))
 
 
-def build_h1(spec: ChainSpec) -> SingleExcitationMatrix:
-    """Single-excitation matrix of the chain: diagonal B_n, off-diagonal J_n."""
-    return SingleExcitationMatrix(dimension=spec.n, diagonal=spec.fields,
-                                  offdiagonal=spec.couplings)
-
-
-def heisenberg_to_h1(h: HeisenbergSpec) -> SingleExcitationMatrix:
-    """One-excitation matrix of the anisotropic Heisenberg chain.
+def heisenberg_to_h1(h: HeisenbergSpec) -> ChainSpec:
+    """The XX chain with the one-excitation matrix of the anisotropic
+    Heisenberg chain, so it can be certified and simulated as one.
 
     The ZZ terms shift the on-site energies; the effective field is
     ``B_n = b_n - (J_n*Delta_n + J_{n-1}*Delta_{n-1}) / 2`` with the boundary
-    convention ``J_0 = J_N = 0``. The off-diagonal part is untouched.
+    convention ``J_0 = J_N = 0``. The couplings are untouched.
     """
     j = np.asarray(h.couplings, dtype=float)
     d = np.asarray(h.anisotropies, dtype=float)
     b = np.asarray(h.fields, dtype=float)
     jd = np.concatenate(([0.0], j * d, [0.0]))
     eff = b - 0.5 * (jd[1:] + jd[:-1])
-    return SingleExcitationMatrix(dimension=h.n, diagonal=tuple(eff),
-                                  offdiagonal=h.couplings)
+    return ChainSpec(n=h.n, couplings=h.couplings, fields=tuple(eff))
 
 
 def mirror_symmetry_check(spec: ChainSpec, tol: float | None = None) -> MirrorReport:

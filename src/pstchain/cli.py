@@ -119,6 +119,8 @@ def _cmd_design(args, manifest):
         with open(ns.spectrum, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         manifest.add_input(ns.spectrum)
+        if not isinstance(doc, dict) or not isinstance(doc.get("eigenvalues"), list):
+            raise ValueError("spectrum file must hold a JSON object with an eigenvalues list")
         spec = chain_from_spectrum(
             target_spectrum(doc["eigenvalues"], doc.get("antisymmetric")))
     _emit(chain_to_dict(spec))
@@ -292,6 +294,20 @@ def _random_unitary(dim: int, rng) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r))).conj()
 
 
+def _program_gate(doc) -> np.ndarray:
+    """One gate of a clock program file, ``{"re": rows, "im": rows}``."""
+    if not isinstance(doc, dict):
+        raise ValueError("each program gate must be an object with re and im")
+    try:
+        real, imag = np.asarray(doc["re"], dtype=float), np.asarray(doc["im"], dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"program gate entries must be numbers: {exc}") from None
+    square = real.ndim == 2 and real.shape[0] == real.shape[1] > 0
+    if not square or imag.shape != real.shape:
+        raise ValueError("program gate re and im must be square matrices of one shape")
+    return real + 1j * imag
+
+
 def _cmd_gadget(args, manifest):
     p = argparse.ArgumentParser(prog="pst gadget")
     p.add_argument("kind", choices=["amp", "clock"])
@@ -327,9 +343,12 @@ def _cmd_gadget(args, manifest):
             with open(ns.program, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
             manifest.add_input(ns.program)
+            if not isinstance(doc, dict):
+                raise ValueError("program file must hold a JSON object with chain and gates")
             spec = chain_from_dict(doc["chain"])
-            gates = [np.asarray(g["re"]) + 1j * np.asarray(g["im"])
-                     for g in doc["gates"]]
+            if not isinstance(doc["gates"], list) or not doc["gates"]:
+                raise ValueError("program gates must be a non-empty list")
+            gates = [_program_gate(g) for g in doc["gates"]]
             psi = np.asarray(doc.get("input", [1.0] + [0.0] * (gates[0].shape[0] - 1)),
                              dtype=complex)
         else:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .certify import certify_pst
 from .chain import ChainSpec, chain, uniform_chain
-from .spectral import _BLOCK, DegenerateSpectrumError, diagonalize
+from .spectral import _BLOCK, DegenerateSpectrumError, _tridiagonal_dense, diagonalize
 
 # The finite-difference check of validate_family: the seed of its probe
 # points, its central-difference step and the largest error it allows.
@@ -325,11 +325,7 @@ def coupling_family(n: int) -> ParametrizedFamily:
     """Tridiagonal family parametrized by its n-1 couplings; fields fixed at 0."""
 
     def evaluate(r: np.ndarray) -> np.ndarray:
-        m = np.zeros((n, n))
-        idx = np.arange(n - 1)
-        m[idx, idx + 1] = r
-        m[idx + 1, idx] = r
-        return m
+        return _tridiagonal_dense(np.zeros(n), r)
 
     def derivative(r: np.ndarray, i: int) -> np.ndarray:
         m = np.zeros((n, n))

@@ -311,9 +311,7 @@ def initfree_transfer(spec: ChainSpec, alpha: complex, beta: complex,
     first[1] = alpha
     first[0] = beta
     vectors = [first, *np.eye(n, dtype=complex)[junk_rows]]
-    start = slater_state(vectors)
-    state = SlaterState(orbitals=propagate(cert.spectrum, start.orbitals.T, cert.t0).T,
-                        coefficient=start.coefficient)
+    state = evolve_slater(spec, slater_state(vectors), cert.t0)
     rho = _adjacent_pair_rho(state, n - 1).reshape(2, 2, 2, 2)
 
     # The arrival phase and the exchange sign against the junk register are

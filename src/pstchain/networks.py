@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .certify import require_perfect
-from .chain import ChainSpec, SingleExcitationMatrix, chain
+from .chain import ChainSpec, chain
 from .spectral import amplitude_profile, diagonalize, propagate
 
 DENSE_CAP = 12  # bounds the hypercube's dimension and the amplifier's 2^N matrix
@@ -192,20 +192,6 @@ def w_phase_rotation(m: int, k: int) -> np.ndarray:
     return np.exp(2j * math.pi * k * np.arange(m) / m)
 
 
-def star_symmetric_sector(net: NetworkSpec, branch: ChainSpec, m: int) -> np.ndarray:
-    """Project the star operator onto the branch-symmetric states; equals
-    the branch one-excitation matrix."""
-    n = branch.n
-    op = network_operator(net)
-    dim = net.n_vertices
-    basis = np.zeros((dim, n))
-    basis[0, 0] = 1.0
-    for s in range(2, n + 1):
-        for b in range(m):
-            basis[1 + b * (n - 1) + (s - 2), s - 1] = 1.0 / math.sqrt(m)
-    return basis.T @ op @ basis
-
-
 @dataclass(frozen=True)
 class ThetaEntanglerReport:
     network: NetworkSpec
@@ -274,13 +260,13 @@ def amplifier_sim(spec_or_couplings, input_state, times) -> AmplifierResult:
     Walls |~n> = 1^n 0^(N-n) form a ladder the Hamiltonian hops along with
     the chain couplings, so a one-site signal |~1> grows to the fully
     flipped |~N> at t0. The ladder 0..N is the zero-field chain on walls
-    1..N plus the decoupled empty wall 0: a tridiagonal matrix with
-    off-diagonal (0, J_1..J_{N-1}). ``input_state`` is a wall index (0..N)
+    1..N plus the decoupled empty wall 0: the zero-field chain with
+    couplings (0, J_1..J_{N-1}). ``input_state`` is a wall index (0..N)
     or an (N+1)-vector of wall amplitudes.
     """
     j = amplifier_couplings(spec_or_couplings)
     n = j.size + 1
-    ladder = SingleExcitationMatrix(n + 1, (0.0,) * (n + 1), (0.0, *j))
+    ladder = chain((0.0, *j))
     if np.isscalar(input_state):
         psi0 = np.zeros(n + 1, dtype=complex)
         psi0[int(input_state)] = 1.0
@@ -417,9 +403,7 @@ def clock_computer(prog: ClockProgram, psi_in) -> ClockResult:
     if psi_in.shape != (d,) or abs(np.linalg.norm(psi_in) - 1.0) > 1e-10:
         raise ValueError("register input must be a normalized d-vector")
     n = prog.chain.n
-    e1 = np.zeros(n, dtype=complex)
-    e1[0] = 1.0
-    clock_amps = propagate(cert.spectrum, e1, cert.t0)
+    clock_amps = amplitude_profile(cert.spectrum, 1, cert.t0)
     products = [np.eye(d, dtype=complex)]
     for g in prog.gates:
         products.append(g @ products[-1])

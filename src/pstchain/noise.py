@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import require_perfect
-from .chain import ChainSpec, build_h1
-from .spectral import _phase_sum, diagonalize, gamma, pair_weights, propagate
+from .chain import ChainSpec
+from .spectral import _phase_sum, amplitude_profile, diagonalize, gamma, pair_weights
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,8 @@ def dephasing_avg_fidelity(spec: ChainSpec, p: float, t) -> DephasingReport:
     kicks = np.asarray(t, dtype=float)
     if not np.all((0.0 <= kicks) & (kicks <= cert.t0 + 1e-12)):
         raise ValueError("kick time must lie in [0, t0]")
-    e1 = np.zeros(spec.n, dtype=complex)
-    e1[0] = 1.0
     # one kick at a time: a batched product would move the fidelities in the last bit
-    s4 = np.array([np.sum(np.abs(propagate(cert.spectrum, e1, tk)) ** 4)
+    s4 = np.array([np.sum(np.abs(amplitude_profile(cert.spectrum, 1, tk)) ** 4)
                    for tk in kicks.ravel()]).reshape(kicks.shape)
     if kicks.ndim == 0:
         t, s4 = float(kicks), float(s4)
@@ -111,37 +109,20 @@ class BathSpec:
 
 @dataclass(frozen=True)
 class BathModel:
-    operator: np.ndarray          # 2N x 2N effective one-excitation operator
-    energies: np.ndarray          # ascending spectrum of the operator
+    energies: np.ndarray          # ascending levels of the effective operator
     closed_form: np.ndarray       # E_n^k = (lambda_n + (-1)^k sqrt(4G^2+lambda_n^2))/2
 
 
-def bath_operator(b: BathSpec) -> np.ndarray:
-    """Effective 2N-site operator: the chain plus one bath spin per site."""
-    n = b.chain.n
-    h1 = build_h1(b.chain).to_dense()
-    g = b.effective_couplings()
-    op = np.zeros((2 * n, 2 * n))
-    op[:n, :n] = h1
-    op[np.arange(n), n + np.arange(n)] = g
-    op[n + np.arange(n), np.arange(n)] = g
-    return op
-
-
 def bath_model(b: BathSpec) -> BathModel:
-    """Build the effective operator and check its levels against the
-    closed form (valid for a common G)."""
+    """Levels of the chain with one bath spin per site, each coupled with a
+    common G: the effective 2N-site operator splits into one 2x2 block
+    [[lambda_n, G], [G, 0]] per chain mode, so its levels are the closed
+    form from the chain's eigenvalues."""
     g = b.common_coupling()
-    op = bath_operator(b)
     lam = diagonalize(b.chain).eigenvalues
     disc = np.sqrt(4.0 * g * g + lam ** 2)
     closed = 0.5 * np.stack([lam + disc, lam - disc], axis=1)
-    energies = np.sort(np.linalg.eigvalsh(op))
-    expected = np.sort(closed.ravel())
-    scale = max(1.0, float(np.max(np.abs(expected))))
-    if np.max(np.abs(energies - expected)) > 1e-10 * scale:
-        raise ArithmeticError("effective-bath spectrum disagrees with the closed form")
-    return BathModel(operator=op, energies=energies, closed_form=closed)
+    return BathModel(energies=np.sort(closed.ravel()), closed_form=closed)
 
 
 @dataclass(frozen=True)
@@ -188,27 +169,3 @@ def bath_transfer_amplitude(b: BathSpec, times) -> BathTransferReport:
         max_strong_deviation=float(np.max(np.abs(exact - strong))),
         max_weak_deviation=float(np.max(np.abs(exact - bare))),
     )
-
-
-def raw_bath_operator(spec: ChainSpec, raw_couplings) -> tuple[np.ndarray, list]:
-    """One-excitation operator of the chain plus explicit multi-spin baths.
-
-    Returns the operator and the basis labels: system sites first (ints),
-    then one ("site", m) tuple per raw bath spin.
-    """
-    n = spec.n
-    raw = [tuple(float(g) for g in site) for site in raw_couplings]
-    if len(raw) != n:
-        raise ValueError("need one raw coupling list per site")
-    labels: list = list(range(1, n + 1))
-    for s, site in enumerate(raw, start=1):
-        labels.extend((s, m) for m in range(len(site)))
-    dim = len(labels)
-    op = np.zeros((dim, dim))
-    op[:n, :n] = build_h1(spec).to_dense()
-    row = n
-    for s, site in enumerate(raw):
-        for g in site:
-            op[s, row] = op[row, s] = g
-            row += 1
-    return op, labels

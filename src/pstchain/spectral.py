@@ -3,9 +3,9 @@ propagation.
 
 The spectral form ``exp(-i H t) = V exp(-i L t) V^dag`` is exact, so all
 transfer amplitudes produced here are limited only by the accuracy of the
-eigensolver. Tridiagonal operators take a dedicated fast path; dense
-symmetric (or Hermitian, for phased networks) operators fall back to a
-general solver.
+eigensolver. A chain, the package's one tridiagonal operator, takes a
+dedicated fast path; dense symmetric (or Hermitian, for phased networks)
+operators fall back to a general solver.
 
 A tridiagonal operator of at most ``SMALL_CHAIN_CUT`` sites is solved as a
 dense matrix by ``numpy.linalg``, which every process has loaded already;
@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import ChainSpec, SingleExcitationMatrix, _tridiagonal_dense
+from .chain import ChainSpec
 
 SYMMETRY_TOL = 1e-12
 DEGENERACY_RTOL = 1e-9
@@ -178,6 +178,16 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
+def _tridiagonal_dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """``tridiag(off, diag, off)`` as a dense array."""
+    n = diag.size
+    dense = np.zeros((n, n))
+    dense.flat[::n + 1] = diag
+    dense.flat[1::n + 1] = off
+    dense.flat[n::n + 1] = off
+    return dense
+
+
 def _is_mirror(diag: np.ndarray, off: np.ndarray) -> bool:
     """Whether a tridiagonal matrix equals its mirror image bitwise."""
     return diag.tobytes() == diag[::-1].tobytes() and off.tobytes() == off[::-1].tobytes()
@@ -244,10 +254,11 @@ def _unfold(vectors: np.ndarray) -> None:
 def diagonalize(operator) -> SpectralDecomposition:
     """Diagonalize a single-excitation operator.
 
-    Accepts a :class:`SingleExcitationMatrix` (tridiagonal fast path), a
-    :class:`ChainSpec`, or a dense symmetric/Hermitian ndarray. The residual
-    ``max|M v - lambda v|`` is checked against ``1e-10 * max|M|`` and kept on
-    the result.
+    Accepts a :class:`ChainSpec`, whose fields and couplings are the
+    diagonal and off-diagonal of a tridiagonal operator (fast path), or a
+    dense symmetric/Hermitian array; anything else raises ``ValueError``.
+    The residual ``max|M v - lambda v|`` is checked against
+    ``1e-10 * max|M|`` and kept on the result.
 
     A :class:`ChainSpec` is solved once per object. The first call keeps the
     decomposition on the chain, outside its fields, so equality, hashing,
@@ -277,9 +288,6 @@ def diagonalize(operator) -> SpectralDecomposition:
             sd = _of_tridiagonal(operator.field_array(), operator.coupling_array())
             object.__setattr__(operator, "_decomposition", sd)
         return sd
-    if isinstance(operator, SingleExcitationMatrix):
-        return _of_tridiagonal(np.asarray(operator.diagonal, dtype=float),
-                               np.asarray(operator.offdiagonal, dtype=float))
     dense = np.asarray(operator)
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise ValueError("operator must be a square matrix")

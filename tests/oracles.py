@@ -6,9 +6,11 @@ Hamiltonian builders and spectral propagator.
 """
 
 import itertools
+import math
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -37,18 +39,29 @@ def two_site(op1, s1, op2, s2, n):
     return kron_n(ops)
 
 
+def sparse_embed(op, site, n):
+    """The operator ``op`` on the sites from 1-based ``site`` on (a 2^k x 2^k
+    Pauli product on k sites) and identities on the other sites of n, as a
+    sparse Kronecker product, site 1 on the leftmost factor."""
+    k = op.shape[0].bit_length() - 1
+    left = scipy.sparse.identity(1 << (site - 1), dtype=complex)
+    right = scipy.sparse.identity(1 << (n + 1 - site - k), dtype=complex)
+    return scipy.sparse.kron(scipy.sparse.kron(left, op), right, format="csr")
+
+
 def xx_dense(couplings, fields):
     """Spin Hamiltonian whose one-excitation block is tridiag(fields,
     couplings) and whose vacuum energy is zero:
-    sum_b J_b (XX+YY)/2 + sum_s B_s (1 - Z_s)/2."""
+    sum_b J_b (XX+YY)/2 + sum_s B_s (1 - Z_s)/2. Each term is a sparse
+    Kronecker product; the sum is made dense once."""
     n = len(fields)
-    dim = 1 << n
-    h = np.zeros((dim, dim), dtype=complex)
+    hop = np.kron(SX, SX) + np.kron(SY, SY)
+    h = scipy.sparse.csr_matrix((1 << n, 1 << n), dtype=complex)
     for b, j in enumerate(couplings, start=1):
-        h += 0.5 * j * (two_site(SX, b, SX, b + 1, n) + two_site(SY, b, SY, b + 1, n))
+        h = h + 0.5 * j * sparse_embed(hop, b, n)
     for s, bz in enumerate(fields, start=1):
-        h += 0.5 * bz * (np.eye(dim) - op_at(SZ, s, n))
-    return h
+        h = h + 0.5 * bz * sparse_embed(ID - SZ, s, n)
+    return h.toarray()
 
 
 def amplifier_dense(couplings):
@@ -270,17 +283,29 @@ def _lanczos_from_weights(lam, w):
     return alpha, beta
 
 
+def log_end_weights(lam):
+    """Natural logs of the end weights of the mirror-symmetric chain with the
+    ascending spectrum ``lam``, w_k proportional to
+    1 / prod_{m != k} |lambda_k - lambda_m| and summing to 1, from the dense
+    N x N table of differences; they stay finite where the weights underflow."""
+    lam = np.asarray(lam, dtype=float)
+    diff = np.abs(np.subtract.outer(lam, lam))
+    np.fill_diagonal(diff, 1.0)
+    logw = -np.sum(np.log(diff), axis=1)
+    logw -= logw.max()
+    return logw - np.log(np.exp(logw).sum())
+
+
 def full_chain_from_spectrum(lam, antisymmetric):
     """Fields and couplings of the mirror-symmetric chain with spectrum
     ``lam``, the way the library reconstructed it before it folded the
-    inverse problem: the end weights of the whole chain (``end_weights``, in
-    log space), the Givens insertion of all N pairs, zero fields for an
-    antisymmetric spectrum, then the exact mirror average."""
-    from pstchain.certify import end_weights
+    inverse problem: the end weights of the whole chain (in log space), the
+    Givens insertion of all N pairs, zero fields for an antisymmetric
+    spectrum, then the exact mirror average."""
     from pstchain.design import _givens_insertion
 
     lam = np.asarray(lam, dtype=float)
-    fields, couplings = _givens_insertion(lam, np.exp(0.5 * end_weights(lam, log=True)))
+    fields, couplings = _givens_insertion(lam, np.exp(0.5 * log_end_weights(lam)))
     if antisymmetric:
         fields = np.zeros_like(fields)
     return 0.5 * (fields + fields[::-1]), 0.5 * (couplings + couplings[::-1])
@@ -419,6 +444,37 @@ def bath_dense(couplings, fields, g):
     for s in range(n):
         op[s, n + s] = op[n + s, s] = g
     return op
+
+
+def raw_bath_dense(couplings, fields, raw_couplings):
+    """One-excitation operator of a chain with explicit multi-spin baths:
+    ``raw_couplings`` holds one list of bath-spin couplings per site. The
+    chain's sites come first, then the bath spins, site by site."""
+    n = len(fields)
+    dim = n + sum(len(site) for site in raw_couplings)
+    op = np.zeros((dim, dim))
+    op[:n, :n] = tridiagonal_dense(couplings, fields)
+    row = n
+    for s, site in enumerate(raw_couplings):
+        for g in site:
+            op[s, row] = op[row, s] = g
+            row += 1
+    return op
+
+
+def star_symmetric_sector(net, branch, m):
+    """The star network's operator projected onto the branch-symmetric
+    states: the hub, then for each site s = 2..N of the branch the uniform
+    superposition of that site over the M branches."""
+    from pstchain import network_operator
+
+    n = branch.n
+    basis = np.zeros((net.n_vertices, n))
+    basis[0, 0] = 1.0
+    for s in range(2, n + 1):
+        for b in range(m):
+            basis[1 + b * (n - 1) + (s - 2), s - 1] = 1.0 / math.sqrt(m)
+    return basis.T @ network_operator(net) @ basis
 
 
 def two_boson_dense(h1):

@@ -12,7 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from pstchain import (BathSpec, ClockProgram, amplifier_sim, analytic_chain,
-                      bath_transfer_amplitude, build_h1, certify_pst, chain,
+                      bath_transfer_amplitude, certify_pst, chain,
                       chain_from_spectrum, clock_computer,
                       dephasing_avg_fidelity, diagonalize, end_weights,
                       entanglement_distribution_sim, entanglement_generation, gamma,
@@ -26,7 +26,7 @@ from pstchain.certify import _gap_fractions
 from pstchain.chain import chain_to_dict
 from pstchain.spectral import SMALL_CHAIN_CUT, DegenerateSpectrumError, end_products
 
-from oracles import certify_by_eigenvectors, random_pst_chain
+from oracles import certify_by_eigenvectors, random_pst_chain, tridiagonal_dense
 
 
 def test_analytic_chain_certifies_with_unit_gaps():
@@ -393,7 +393,7 @@ def test_chains_up_to_the_cut_reach_numpy_unfolded(lapack_solves, numpy_solves, 
     assert lapack_solves == ([], [])
     assert [len(a) for a in numpy_solves["eigh"]] == [spec.n]
     assert [len(a) for a in numpy_solves["eigvalsh"]] == [spec.n, spec.n]
-    dense = build_h1(spec).to_dense()
+    dense = tridiagonal_dense(spec.couplings, spec.fields)
     for a in numpy_solves["eigh"] + numpy_solves["eigvalsh"]:
         assert np.array_equal(a, dense)
 

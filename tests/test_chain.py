@@ -4,53 +4,62 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pstchain import (ChainSpec, HeisenbergSpec, analytic_chain, build_h1, chain,
-                      heisenberg_to_h1, mirror_symmetry_check, read_chain, rescale,
-                      sequential_storage_chain, uniform_chain, write_chain)
+from pstchain import (ChainSpec, HeisenbergSpec, analytic_chain, certify_pst, chain,
+                      diagonalize, heisenberg_to_h1, mirror_symmetry_check, read_chain,
+                      rescale, sequential_storage_chain, uniform_chain, write_chain)
 from pstchain.chain import ChainFormatError
 
-from oracles import heisenberg_dense, one_excitation_block
+from oracles import heisenberg_dense, one_excitation_block, tridiagonal_dense
 
 
-def test_build_h1_two_sites():
-    m = build_h1(chain([0.5])).to_dense()
-    assert np.array_equal(m, np.array([[0.0, 0.5], [0.5, 0.0]]))
+def test_two_site_chain_is_its_matrix():
+    sd = diagonalize(chain([0.5]))
+    m = sd.eigenvectors @ np.diag(sd.eigenvalues) @ sd.eigenvectors.T
+    assert np.allclose(m, [[0.0, 0.5], [0.5, 0.0]], rtol=0.0, atol=1e-15)
 
 
 def test_analytic_three_sites_has_spin_one_spectrum():
-    m = build_h1(analytic_chain(3)).to_dense()
+    spec = analytic_chain(3)
+    m = tridiagonal_dense(spec.couplings, spec.fields)
     assert np.allclose(np.linalg.eigvalsh(m), [-1.0, 0.0, 1.0], atol=1e-14)
 
 
 def test_uniform_four_sites_spectrum():
-    m = build_h1(uniform_chain(4)).to_dense()
+    spec = uniform_chain(4)
+    m = tridiagonal_dense(spec.couplings, spec.fields)
     expected = sorted(-2.0 * math.cos(k * math.pi / 5.0) for k in range(1, 5))
     assert np.allclose(np.linalg.eigvalsh(m), expected, atol=1e-14)
-
-
-def test_round_trip_is_identity():
-    spec = chain([0.3, 1.7, 0.3], [0.1, -0.2, -0.2, 0.1])
-    m = build_h1(spec)
-    assert m.diagonal == spec.fields
-    assert m.offdiagonal == spec.couplings
 
 
 def test_heisenberg_zero_anisotropy_equals_xx():
     j = (0.4, 1.1)
     b = (0.2, -0.3, 0.5)
     h = HeisenbergSpec(n=3, couplings=j, anisotropies=(0.0, 0.0), fields=b)
-    assert heisenberg_to_h1(h) == build_h1(ChainSpec(n=3, couplings=j, fields=b))
+    assert heisenberg_to_h1(h) == ChainSpec(n=3, couplings=j, fields=b)
 
 
 def test_heisenberg_two_site_field_shift():
     h = HeisenbergSpec(n=2, couplings=(1.0,), anisotropies=(1.0,), fields=(0.5, 0.5))
-    assert heisenberg_to_h1(h).diagonal == (0.0, 0.0)
+    assert heisenberg_to_h1(h).fields == (0.0, 0.0)
 
 
 def test_heisenberg_three_site_field_shift():
     h = HeisenbergSpec(n=3, couplings=(1.0, 1.0), anisotropies=(1.0, 1.0),
                        fields=(0.0, 0.0, 0.0))
-    assert heisenberg_to_h1(h).diagonal == (-0.5, -1.0, -0.5)
+    assert heisenberg_to_h1(h).fields == (-0.5, -1.0, -0.5)
+
+
+def test_heisenberg_chain_certifies_directly():
+    """Fields that cancel the ZZ shift leave the analytic chain, which
+    certifies perfect."""
+    spec = analytic_chain(6)
+    j = np.asarray(spec.couplings)
+    d = np.full(5, 0.7)
+    jd = np.concatenate(([0.0], j * d, [0.0]))
+    cancel = HeisenbergSpec(n=6, couplings=spec.couplings, anisotropies=tuple(d),
+                            fields=tuple(0.5 * (jd[1:] + jd[:-1])))
+    cert = certify_pst(heisenberg_to_h1(cancel))
+    assert cert.perfect and cert.t0 == pytest.approx(math.pi, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7, 9])
@@ -63,8 +72,11 @@ def test_heisenberg_block_matches_dense_model(n):
     dense = heisenberg_dense(j, d, b)
     vac_energy = dense[0, 0].real
     block = one_excitation_block(dense, n) - vac_energy * np.eye(n)
-    got = np.linalg.eigvalsh(heisenberg_to_h1(h).to_dense())
-    assert np.allclose(got, np.linalg.eigvalsh(block.real), atol=1e-10)
+    spec = heisenberg_to_h1(h)
+    want = np.linalg.eigvalsh(block.real)
+    assert np.allclose(np.linalg.eigvalsh(tridiagonal_dense(spec.couplings, spec.fields)),
+                       want, atol=1e-10)
+    assert np.allclose(diagonalize(spec).eigenvalues, want, atol=1e-10)
 
 
 def test_mirror_symmetry_analytic_exact():
@@ -142,8 +154,9 @@ def test_read_chain_rejects_malformed(tmp_path):
 
 def test_rescale_scales_spectrum():
     spec = chain([0.4, 0.9], [0.1, 0.0, -0.1])
-    before = np.linalg.eigvalsh(build_h1(spec).to_dense())
-    after = np.linalg.eigvalsh(build_h1(rescale(spec, 2.5)).to_dense())
+    scaled = rescale(spec, 2.5)
+    before = np.linalg.eigvalsh(tridiagonal_dense(spec.couplings, spec.fields))
+    after = np.linalg.eigvalsh(tridiagonal_dense(scaled.couplings, scaled.fields))
     assert np.allclose(after, 2.5 * before)
 
 

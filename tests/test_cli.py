@@ -240,6 +240,46 @@ def test_gadget_amp_rejects_bad_chains(tmp_path, capsys):
         assert err.startswith("error: validation: ")
 
 
+def test_design_from_spectrum_list_document_exit_2(tmp_path, capsys):
+    spec_file = tmp_path / "s.json"
+    spec_file.write_text("[-1.5, -0.5, 0.5, 1.5]")
+    code, out, err = run(capsys, "design", "from-spectrum", str(spec_file))
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: validation: ")
+
+
+_CHAIN3 = {"n": 3, "couplings": [0.7071067811865476, 0.7071067811865476],
+           "fields": [0.0, 0.0, 0.0]}
+_GATE = {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"chain": _CHAIN3, "gates": []},
+    [{"chain": _CHAIN3, "gates": [_GATE, _GATE]}],
+    {"chain": _CHAIN3, "gates": [_GATE, {"re": [["x", 0.0], [0.0, 1.0]], "im": _GATE["im"]}]},
+    {"chain": _CHAIN3, "gates": [_GATE, 5]},
+], ids=["no-gates", "list-document", "non-numeric-entry", "non-object-gate"])
+def test_gadget_clock_malformed_program_exit_2(tmp_path, capsys, doc):
+    program = tmp_path / "program.json"
+    program.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "gadget", "clock", "--program", str(program))
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: validation: ")
+
+
+def test_gadget_clock_program_file(tmp_path, capsys):
+    program = tmp_path / "program.json"
+    x_gate = {"re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]}
+    program.write_text(json.dumps({"chain": _CHAIN3, "gates": [_GATE, x_gate]}))
+    code, out, err = run(capsys, "gadget", "clock", "--program", str(program))
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["dense_verified"] and doc["fidelity"] >= 1.0 - 1e-8
+    assert abs(complex(doc["output"][1]["re"], doc["output"][1]["im"])) >= 1.0 - 1e-8
+
+
 def test_report_amplifier_manifest_flag(tmp_path, capsys):
     # neither amplifier command runs the 2^N check, so no manifest reports on it
     out_csv = tmp_path / "amp100.csv"

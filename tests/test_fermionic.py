@@ -10,7 +10,7 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from pstchain import (QuadraticFermionHamiltonian, analytic_chain, basis_slater,
-                      bell_fidelity_curve, bogoliubov_modes, build_h1, certify_pst,
+                      bell_fidelity_curve, bogoliubov_modes, certify_pst,
                       chain, diagonalize, entanglement_distribution_sim,
                       entanglement_generation, evolve_slater, gamma, initfree_transfer,
                       ising_from_pst, propagate, sequential_storage_chain,
@@ -21,7 +21,7 @@ from pstchain.fermionic import REGISTER_CAP, _minors, entanglement_entropy_bits
 
 from oracles import (SX, SZ, basis_index, expm_evolve, op_at, quadratic_dense,
                      random_pst_chain, reduced_density_matrix, slater_to_dense,
-                     storage_dense, two_boson_dense, xx_dense)
+                     storage_dense, tridiagonal_dense, two_boson_dense, xx_dense)
 
 
 # --- Slater calculus -------------------------------------------------------
@@ -560,7 +560,7 @@ def test_two_boson_matches_symmetric_subspace_oracle(n):
     rng = np.random.default_rng(100 + n)
     spec = chain(rng.uniform(0.3, 1.5, n - 1), rng.uniform(-0.8, 0.8, n),
                  statistics="bosonic")
-    h2, index = two_boson_dense(build_h1(spec).to_dense())
+    h2, index = two_boson_dense(tridiagonal_dense(spec.couplings, spec.fields))
     pairs = [(1, 1), (1, 2), (1, n), (n, n)]
     for t in (0.4, 1.7, 5.3):
         u2 = scipy.linalg.expm(-1j * t * h2)
@@ -592,7 +592,7 @@ def test_two_boson_rejects_sites_outside_the_chain(source, target):
 
 def test_bogoliubov_number_conserving_reduces_to_spectrum():
     spec = analytic_chain(4)
-    h1 = build_h1(spec).to_dense()
+    h1 = tridiagonal_dense(spec.couplings, spec.fields)
     modes = bogoliubov_modes(QuadraticFermionHamiltonian(a=h1, b=np.zeros((4, 4))))
     lam = diagonalize(spec).eigenvalues
     assert np.allclose(modes.energies, np.sort(np.abs(lam)), atol=1e-12)
@@ -609,7 +609,8 @@ def test_bogoliubov_single_site():
 
 
 def test_bogoliubov_zero_mode_handling():
-    h1 = build_h1(analytic_chain(3)).to_dense()  # spectrum {-1, 0, 1}
+    spec = analytic_chain(3)  # spectrum {-1, 0, 1}
+    h1 = tridiagonal_dense(spec.couplings, spec.fields)
     modes = bogoliubov_modes(QuadraticFermionHamiltonian(a=h1, b=np.zeros((3, 3))))
     assert np.allclose(modes.energies, [0.0, 1.0, 1.0], atol=1e-12)
 
@@ -697,7 +698,8 @@ def test_ising_transfer_matches_block_matrix_propagation(n):
     res = ising_from_pst(spec)
     m = res.quadratic.block_matrix()
     sites = np.ravel(np.column_stack((n + np.arange(n), np.arange(n))))
-    assert np.array_equal(m[np.ix_(sites, sites)], build_h1(spec).to_dense())
+    assert np.array_equal(m[np.ix_(sites, sites)],
+                          tridiagonal_dense(spec.couplings, spec.fields))
     start = np.zeros(2 * n)
     start[[0, n]] = 1.0 / math.sqrt(2.0)
     target = np.zeros(2 * n)

@@ -9,10 +9,9 @@ from pstchain import (ClockProgram, NetworkSpec, amplifier_sim, analytic_chain,
                       theta_entangler)
 from pstchain.networks import DENSE_CAP
 from pstchain.networks import (amplifier_dense_check, amplifier_dense_hamiltonian,
-                               clock_hamiltonian, star_symmetric_sector,
-                               w_phase_rotation, wall_basis_vector)
+                               clock_hamiltonian, w_phase_rotation, wall_basis_vector)
 
-from oracles import amplifier_dense, expm_evolve
+from oracles import amplifier_dense, expm_evolve, star_symmetric_sector, tridiagonal_dense
 
 
 # --- product lattices ---------------------------------------------------------
@@ -166,9 +165,8 @@ def test_star_symmetric_sector_equals_branch():
     branch = analytic_chain(5)
     rep = star_network(branch, 4)
     projected = star_symmetric_sector(rep.network, branch, 4)
-    from pstchain import build_h1
-
-    assert np.max(np.abs(projected - build_h1(branch).to_dense())) < 1e-12
+    want = tridiagonal_dense(branch.couplings, branch.fields)
+    assert np.max(np.abs(projected - want)) < 1e-12
 
 
 # --- theta entangler ------------------------------------------------------------------
@@ -179,9 +177,8 @@ def test_theta_quarter_pi_restores_transfer():
     assert abs(abs(rep.amplitude_last) - 1.0) < 1e-8
     # couplings restored exactly: sqrt(2) cos(pi/4) = 1
     op = network_operator(rep.network)
-    from pstchain import build_h1
-
-    assert np.max(np.abs(op - build_h1(analytic_chain(5)).to_dense())) < 1e-12
+    spec = analytic_chain(5)
+    assert np.max(np.abs(op - tridiagonal_dense(spec.couplings, spec.fields))) < 1e-12
 
 
 def test_theta_eighth_pi_maximal_entanglement():

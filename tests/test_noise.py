@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pstchain import (BathSpec, analytic_chain, bath_model, bath_operator,
-                      bath_transfer_amplitude, build_h1, certify_pst, chain,
-                      dephasing_avg_fidelity, diagonalize, raw_bath_operator,
+from pstchain import (BathSpec, analytic_chain, bath_model, bath_transfer_amplitude,
+                      certify_pst, chain, dephasing_avg_fidelity, diagonalize,
                       uniform_chain)
 
-from oracles import bath_amplitude_blocks, bath_dense, expm_evolve, random_pst_chain
+from oracles import (bath_amplitude_blocks, bath_dense, expm_evolve, random_pst_chain,
+                     raw_bath_dense, tridiagonal_dense)
 
 
 # --- dephasing: Kraus-channel oracle ----------------------------------------
@@ -129,16 +129,32 @@ def test_bath_levels_two_site_oracle():
     expected = sorted(0.5 * (l + s * math.sqrt(4.0 + l * l))
                       for l in lam for s in (1.0, -1.0))
     assert np.allclose(model.energies, expected, atol=1e-12)
-    direct = np.sort(np.linalg.eigvalsh(bath_operator(b)))
+    direct = np.linalg.eigvalsh(bath_dense(spec.couplings, spec.fields, 1.0))
     assert np.allclose(model.energies, direct, atol=1e-12)
 
 
+def _mirror_chain(rng, n):
+    """A random mirror-symmetric chain of n sites with fields."""
+    j = rng.uniform(0.3, 1.5, n // 2)
+    b = rng.uniform(-0.8, 0.8, (n + 1) // 2)
+    return chain(np.concatenate((j, j[::-1][(n - 1) % 2:])),
+                 np.concatenate((b, b[::-1][n % 2:])))
+
+
 def test_bath_levels_analytic_four_strong():
-    b = BathSpec(chain=analytic_chain(4), coupling=3.0)
-    model = bath_model(b)
-    assert model.closed_form.shape == (4, 2)
-    direct = np.sort(np.linalg.eigvalsh(bath_operator(b)))
-    assert np.max(np.abs(model.energies - direct)) < 1e-10
+    """The closed-form levels are the spectrum of the oracle's dense 2N-site
+    operator, on the analytic chain and on random mirror chains, for a
+    decoupled, a weak and a strong bath."""
+    rng = np.random.default_rng(19)
+    chains = [analytic_chain(4)] + [_mirror_chain(rng, n) for n in (2, 5, 8, 13)]
+    for spec in chains:
+        assert spec.couplings == spec.couplings[::-1] and spec.fields == spec.fields[::-1]
+        for g in (0.0, 0.3, 3.0):
+            model = bath_model(BathSpec(chain=spec, coupling=g))
+            assert model.closed_form.shape == (spec.n, 2)
+            direct = np.linalg.eigvalsh(bath_dense(spec.couplings, spec.fields, g))
+            scale = max(1.0, float(np.max(np.abs(direct))))
+            assert np.max(np.abs(model.energies - direct)) <= 1e-10 * scale
 
 
 def test_bath_strong_coupling_prediction():
@@ -184,7 +200,7 @@ def test_raw_bath_reduction_invariant():
     for n in (2, 4):
         spec = chain(rng.uniform(0.5, 1.2, n - 1), rng.uniform(-0.3, 0.3, n))
         raw = tuple(tuple(rng.uniform(0.1, 0.8, 3)) for _ in range(n))
-        op, labels = raw_bath_operator(spec, raw)
+        op = raw_bath_dense(spec.couplings, spec.fields, raw)
         dim = op.shape[0]
         psi0 = np.zeros(dim, dtype=complex)
         psi0[0] = 1.0
@@ -201,7 +217,7 @@ def test_raw_bath_reduction_invariant():
         # system amplitudes agree with the collapsed effective model
         g_eff = [math.sqrt(np.sum(np.asarray(site) ** 2)) for site in raw]
         eff = np.zeros((2 * n, 2 * n))
-        eff[:n, :n] = build_h1(spec).to_dense()
+        eff[:n, :n] = tridiagonal_dense(spec.couplings, spec.fields)
         eff[np.arange(n), n + np.arange(n)] = g_eff
         eff[n + np.arange(n), np.arange(n)] = g_eff
         psi_full = expm_evolve(op, psi0, 1.9)

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from pstchain import (analytic_chain, amplitude_profile, build_h1, certify_pst, chain,
+from pstchain import (HeisenbergSpec, analytic_chain, amplitude_profile, certify_pst, chain,
                       diagonalize, gamma, is_degenerate, propagate, uniform_chain)
 from pstchain.certify import ARRIVAL_TOL
 from pstchain import spectral
@@ -14,8 +14,8 @@ from pstchain.spectral import (SMALL_CHAIN_CUT, _phase_sum, end_products,
                                pair_weights, sturm_newton)
 
 from oracles import (dense_decomposition, eager_decomposition, expm_evolve, phase_sum_direct,
-                     random_pst_chain, sturm_newton_full, unfolded_decomposition,
-                     unfolded_eigenvalues)
+                     random_pst_chain, sturm_newton_full, tridiagonal_dense,
+                     unfolded_decomposition, unfolded_eigenvalues)
 
 
 def test_two_level_eigenvalues():
@@ -52,7 +52,7 @@ def test_eigenvector_orthonormality_and_signs():
 def test_reconstruction_quality():
     rng = np.random.default_rng(4)
     spec = chain(rng.uniform(0.2, 1.4, 31), rng.uniform(-1, 1, 32))
-    m = build_h1(spec).to_dense()
+    m = tridiagonal_dense(spec.couplings, spec.fields)
     sd = diagonalize(spec)
     recon = sd.eigenvectors @ np.diag(sd.eigenvalues) @ sd.eigenvectors.T
     assert np.max(np.abs(recon - m)) <= 1e-10 * np.max(np.abs(m))
@@ -102,6 +102,16 @@ def test_residual_check_rejects_a_perturbed_eigenvector(monkeypatch):
 def test_dense_input_requires_symmetry():
     with pytest.raises(ValueError):
         diagonalize(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+def test_diagonalize_takes_a_chain_or_a_square_array_only():
+    heisenberg = HeisenbergSpec(n=2, couplings=(1.0,), anisotropies=(0.5,), fields=(0.0, 0.0))
+    for operator in (heisenberg, np.array([0.0, 1.0]), np.zeros((2, 3)), None):
+        with pytest.raises(ValueError, match="square matrix"):
+            diagonalize(operator)
+    spec = chain([0.3, 0.8], [0.1, -0.2, 0.4])
+    dense = diagonalize(tridiagonal_dense(spec.couplings, spec.fields))
+    assert np.allclose(diagonalize(spec).eigenvalues, dense.eigenvalues, rtol=0.0, atol=1e-14)
 
 
 def test_degeneracy_detection():
@@ -256,7 +266,7 @@ def test_spectral_propagation_matches_expm():
     rng = np.random.default_rng(8)
     for n in (3, 9, 16):
         spec = chain(rng.uniform(0.2, 1.5, n - 1), rng.uniform(-1.0, 1.0, n))
-        m = build_h1(spec).to_dense()
+        m = tridiagonal_dense(spec.couplings, spec.fields)
         sd = diagonalize(spec)
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v = v / np.linalg.norm(v)
@@ -466,7 +476,8 @@ def test_mirror_chains_have_alternating_eigenvectors(spec):
     cert = certify_pst(spec)
     if cert.perfect:
         e1 = np.eye(n)[:, 0]
-        arrival = expm_evolve(build_h1(spec).to_dense(), e1, cert.t0)[-1]
+        m = tridiagonal_dense(spec.couplings, spec.fields)
+        arrival = expm_evolve(m, e1, cert.t0)[-1]
         assert abs(arrival) >= 1.0 - ARRIVAL_TOL
 
 
@@ -648,7 +659,7 @@ def test_chains_without_positive_couplings_read_the_eigenvectors(monkeypatch, co
     spec = chain(couplings, fields)
     n = spec.n
     sd = diagonalize(spec)
-    m = build_h1(spec).to_dense()
+    m = tridiagonal_dense(spec.couplings, spec.fields)
     times = np.linspace(0.0, 10.0, 41)
     for source, target in ((1, n), (n, 1), (1, 1), (n, n)):
         start = np.eye(n)[:, source - 1]
