@@ -177,9 +177,8 @@ def certify_pst(spec: ChainSpec, tol: float = 1e-9,
         if lcm > _MULTIPLIER_GUARD:
             return fail("imperfect", "no commensurate gap structure within max_denominator")
         fracs.append(f)
+    # the smallest ratio is exactly 1, so the multipliers share no factor
     mult = [f.numerator * (lcm // f.denominator) for f in fracs]
-    g = math.gcd(*mult)
-    mult = [m // g for m in mult]
     if max(mult) > _MULTIPLIER_GUARD:
         return fail("imperfect", "no commensurate gap structure within max_denominator")
 
@@ -195,13 +194,13 @@ def certify_pst(spec: ChainSpec, tol: float = 1e-9,
 
     products = pair_weights(sd, 1, spec.n)
     amp = complex(_phase_sum(lam, products, t0))
-    if abs(amp) < 1.0 - ARRIVAL_TOL:
+    if not abs(amp) >= 1.0 - ARRIVAL_TOL:
         return fail("imperfect",
                     f"arrival verification failed (|gamma_N(t0)| = {abs(amp):.12f})",
                     residual)
     # mirror symmetry makes |v_1k|^2 = |v_1k v_Nk|
     revival = abs(complex(_phase_sum(lam, np.abs(products), 2.0 * t0)))
-    if revival < 1.0 - ARRIVAL_TOL:
+    if not revival >= 1.0 - ARRIVAL_TOL:
         return fail("imperfect",
                     f"revival verification failed (|gamma_1(2 t0)| = {revival:.12f})",
                     residual)
@@ -218,6 +217,14 @@ def certify_pst(spec: ChainSpec, tol: float = 1e-9,
         worst_gap_residual=residual,
         revival_magnitude=revival,
     )
+
+
+def verify_transfer(value: float, what: str) -> None:
+    """Check a verified transfer, the modulus of an arrival amplitude or a
+    fidelity, against the floor ``1 - ARRIVAL_TOL`` that certification holds
+    arrival to; NaN fails. A miss raises ``ArithmeticError`` naming ``what``."""
+    if not value >= 1.0 - ARRIVAL_TOL:
+        raise ArithmeticError(f"{what} verification failed ({value:.12f})")
 
 
 def require_perfect(spec: ChainSpec) -> PstCertificate:
@@ -298,6 +305,8 @@ def optimality_report(spec: ChainSpec, cert: PstCertificate) -> OptimalityReport
     """
     if not cert.perfect:
         raise ValueError("optimality report requires a perfect certificate")
+    if cert.chain != spec:
+        raise ValueError("the certificate is for another chain")
     j = spec.coupling_array()
     n = spec.n
     j_max = float(np.max(np.abs(j)))

@@ -166,7 +166,7 @@ def mirror_symmetry_check(spec: ChainSpec, tol: float | None = None) -> MirrorRe
         scale = max(1.0, float(np.max(np.abs(j), initial=0.0)),
                     float(np.max(np.abs(b), initial=0.0)))
         tol = 1e-9 * scale
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be non-negative")
     cv = float(np.max(np.abs(j - j[::-1]), initial=0.0))
     fv = float(np.max(np.abs(b - b[::-1]), initial=0.0))

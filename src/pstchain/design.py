@@ -75,6 +75,13 @@ def sequential_storage_chain(n: int) -> ChainSpec:
     return chain(np.sqrt(j_sq))
 
 
+def _spectrum_array(values) -> np.ndarray:
+    lam = np.asarray(values, dtype=float)
+    if lam.ndim != 1 or not np.all(np.isfinite(lam)):
+        raise ValueError("target spectrum must be a 1-D sequence of finite numbers")
+    return lam
+
+
 @dataclass(frozen=True)
 class TargetSpectrum:
     """Strictly ascending target eigenvalues, optionally antisymmetric
@@ -84,7 +91,7 @@ class TargetSpectrum:
     antisymmetric: bool = False
 
     def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float)
+        lam = _spectrum_array(self.eigenvalues)
         object.__setattr__(self, "eigenvalues", tuple(float(x) for x in lam))
         if lam.size < 2:
             raise ValueError("target spectrum needs at least two eigenvalues")
@@ -98,7 +105,7 @@ class TargetSpectrum:
 
 def target_spectrum(values, antisymmetric: bool | None = None) -> TargetSpectrum:
     """Build a target spectrum, auto-detecting antisymmetry when unspecified."""
-    lam = np.asarray(values, dtype=float)
+    lam = _spectrum_array(values)
     if antisymmetric is None:
         spread = lam[-1] - lam[0] if lam.size > 1 else 1.0
         antisymmetric = bool(np.max(np.abs(lam + lam[::-1])) <= 1e-12 * max(spread, 1e-300))
@@ -255,10 +262,12 @@ def near_uniform_chain(n: int, slack: float) -> tuple[ChainSpec, float]:
     The uniform-chain eigenvalues -2 cos(k pi / (n+1)) move (each by at most
     the lattice unit ``slack * delta``, delta the minimal spacing) onto
     points whose consecutive gaps are odd multiples of the unit. Only the
-    upper half is snapped; antisymmetry is restored by reflection so the
-    fields vanish. Returns the chain and the largest coupling deviation
-    from 1. If the uniform chain already transfers perfectly (n <= 3) it is
-    returned unchanged.
+    upper half is snapped, onto the integers (odd N) or half-integers (even
+    N) whose integer parts alternate in parity, the first odd for odd N and
+    the nearest for even N, ties toward the centre; antisymmetry is restored
+    by reflection so the fields vanish. Returns the chain and the largest
+    coupling deviation from 1. If the uniform chain already transfers
+    perfectly (n <= 3) it is returned unchanged.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -270,35 +279,21 @@ def near_uniform_chain(n: int, slack: float) -> tuple[ChainSpec, float]:
     delta = float(np.min(np.diff(lam)))
     unit = slack * delta
 
-    half = lam[n // 2 + n % 2:] / unit
+    offset = 0.5 * (1 - n % 2)
+    values = lam[(n + 1) // 2:] / unit - offset
+    parity = 1 if n % 2 else math.ceil(values[0] - 0.5) % 2
     snapped = []
-    prev = None
-    for j, v in enumerate(half, start=1):
-        if n % 2 == 1:
-            target = _snap(v, j % 2)
-            point = float(target)
-        else:
-            if j == 1:
-                kf = math.floor(v - 0.5)
-                k = min((kf, kf + 1),
-                        key=lambda c: (abs(v - (c + 0.5)), abs(c + 0.5)))
-                anchor = k
-            else:
-                k = _snap(v - 0.5, (anchor + j - 1) % 2)
-            point = k + 0.5
-        if prev is not None and point <= prev:
+    for j, v in enumerate(values, start=1):
+        point = _snap(v, (parity + j - 1) % 2) + offset
+        if snapped and point <= snapped[-1]:
             raise DesignError(
                 f"lattice rounding produced a non-monotone spectrum at index {j} "
                 f"(slack {slack} too large)")
         if point <= 0:
             raise DesignError(f"lattice rounding collapsed eigenvalue {j} onto the centre")
         snapped.append(point)
-        prev = point
     upper = unit * np.asarray(snapped)
-    if n % 2 == 1:
-        full = np.concatenate((-upper[::-1], [0.0], upper))
-    else:
-        full = np.concatenate((-upper[::-1], upper))
+    full = np.concatenate((-upper[::-1], [0.0] * (n % 2), upper))
     result = chain_from_spectrum(TargetSpectrum(tuple(full), antisymmetric=True))
     cert = certify_pst(result)
     if not cert.perfect:

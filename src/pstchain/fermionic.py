@@ -36,7 +36,7 @@ from functools import reduce
 
 import numpy as np
 
-from .certify import require_perfect
+from .certify import require_perfect, verify_transfer
 from .chain import ChainSpec
 from .spectral import amplitude_profile, diagonalize, gamma, propagate
 
@@ -250,6 +250,8 @@ def entanglement_generation(spec: ChainSpec, t: float | None = None) -> Entangle
     n = spec.n
     if t is None:
         t = cert.t0
+    if not math.isfinite(t):
+        raise ValueError("time must be finite")
     u1 = amplitude_profile(cert.spectrum, 1, t)
     un = amplitude_profile(cert.spectrum, n, t)
     single = 0.5 * (u1 + un)
@@ -300,7 +302,7 @@ def initfree_transfer(spec: ChainSpec, alpha: complex, beta: complex,
     _require_fermionic(spec)
     cert = require_perfect(spec)
     n = spec.n
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
+    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-10:
         raise ValueError("input amplitudes must be normalized")
     bits = [int(b) for b in junk]
     if len(bits) != n - 2 or any(b not in (0, 1) for b in bits):
@@ -399,7 +401,7 @@ def sequential_storage_sim(spec: ChainSpec, inputs, readout_order) -> StorageSim
     if k > REGISTER_CAP:
         raise ValueError(f"{k} registers exceed the register cap ({REGISTER_CAP})")
     for s in states:
-        if s.shape != (2,) or abs(np.linalg.norm(s) - 1.0) > 1e-10:
+        if s.shape != (2,) or not abs(np.linalg.norm(s) - 1.0) <= 1e-10:
             raise ValueError("inputs must be normalized single-qubit states")
     if isinstance(readout_order, str) and readout_order in ("same", "reverse"):
         order = list(range(k))[::1 if readout_order == "same" else -1]
@@ -441,7 +443,7 @@ def sequential_storage_sim(spec: ChainSpec, inputs, readout_order) -> StorageSim
     output = np.empty(1 << k, dtype=complex)
     output[bits @ (1 << (k - 1 - np.array(order)))] = sign * (minors @ product)
     lost = abs(1.0 - float(np.vdot(output, output).real))
-    if lost > 1e-8:
+    if not lost <= 1e-8:
         raise ArithmeticError(f"register state lost norm on the chain ({lost:.1e})")
     output = output / np.linalg.norm(output)
 
@@ -526,6 +528,8 @@ class QuadraticFermionHamiltonian:
         b = np.asarray(self.b, dtype=float)
         if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("A and B must be square matrices of equal size")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValueError("A and B must be finite")
         scale = max(1.0, np.max(np.abs(a)), np.max(np.abs(b)))
         if np.max(np.abs(a - a.T)) > 1e-12 * scale:
             raise ValueError("A must be symmetric")
@@ -559,57 +563,29 @@ class BogoliubovModes:
 
 
 def bogoliubov_modes(h: QuadraticFermionHamiltonian) -> BogoliubovModes:
-    """Diagonalize a quadratic fermion Hamiltonian into paired modes.
+    """Diagonalize a quadratic fermion Hamiltonian into paired modes by one
+    singular value decomposition (Lieb, Schultz and Mattis, Ann. Phys. 16,
+    1961).
 
-    Eigenvectors (eta; chi) of the block matrix come in +/- mu pairs; the
-    returned set is the mu >= 0 half. Zero modes are split evenly between
-    the halves by combining the eta-only and chi-only kernel vectors, which
-    keeps the canonical anticommutation sums exact.
+    With A - B = U diag(mu) V^T, and A + B = (A - B)^T, each mode's eta row
+    is a right singular vector and its chi row the matching left one, over
+    sqrt 2: (A - B) eta = mu chi and (A + B) chi = mu eta, so (eta; chi) is
+    an eigenvector of the block matrix with eigenvalue mu >= 0, zero modes
+    included. Modes ascend in energy, and each is signed so that the first
+    significant entry of its eta row is positive.
     """
-    m = h.block_matrix()
-    n = h.n
-    lam, vec = np.linalg.eigh(m)
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    ztol = 1e-12 * scale
-    pos = lam > ztol
-    zero = np.abs(lam) <= ztol
-    modes = [vec[:, i] for i in np.nonzero(pos)[0]]
-    energies = [float(lam[i]) for i in np.nonzero(pos)[0]]
-    n_zero = int(np.sum(zero))
-    if n_zero:
-        kernel = vec[:, zero]
-        p = np.concatenate((np.ones(n), -np.ones(n)))
-        sym = kernel.T @ (p[:, None] * kernel)
-        w, s = np.linalg.eigh(sym)
-        rotated = kernel @ s
-        eta_like = [rotated[:, i] for i in range(n_zero) if w[i] > 0]
-        chi_like = [rotated[:, i] for i in range(n_zero) if w[i] < 0]
-        if len(eta_like) != len(chi_like):
-            raise ArithmeticError("zero-mode kernel failed to split evenly")
-        for ve, vc in zip(eta_like, chi_like):
-            modes.append((ve + vc) / math.sqrt(2.0))
-            energies.append(0.0)
-    if len(modes) != n:
-        raise ArithmeticError("mode pairing failed to produce N non-negative modes")
-    order = np.argsort(energies, kind="stable")
-    eta = np.zeros((n, n))
-    chi = np.zeros((n, n))
-    mu = np.zeros(n)
-    for row, i in enumerate(order):
-        v = modes[i]
-        e, c = v[:n], v[n:]
-        mags = np.abs(e)
-        top = mags.max() if mags.max() > 0 else 1.0
-        idx = int(np.argmax(mags > 1e-8 * top))
-        if e[idx] < 0:
-            e, c = -e, -c
-        eta[row], chi[row], mu[row] = e, c, energies[i]
+    u, mu, vt = np.linalg.svd(h.a - h.b)
+    eta, chi = vt[::-1] / math.sqrt(2.0), u.T[::-1] / math.sqrt(2.0)
+    mags = np.abs(eta)
+    first = np.argmax(mags > 1e-8 * mags.max(axis=1, keepdims=True), axis=1)
+    sign = np.sign(eta[np.arange(h.n), first])[:, None]
+    eta, chi = sign * eta, sign * chi
     gram_plus = eta @ eta.T + chi @ chi.T
     gram_minus = eta @ eta.T - chi @ chi.T
-    if (np.max(np.abs(gram_plus - np.eye(n))) > 1e-10
+    if (np.max(np.abs(gram_plus - np.eye(h.n))) > 1e-10
             or np.max(np.abs(gram_minus)) > 1e-10):
         raise ArithmeticError("modes violate the canonical anticommutation sums")
-    return BogoliubovModes(energies=mu, eta=eta, chi=chi)
+    return BogoliubovModes(energies=mu[::-1], eta=eta, chi=chi)
 
 
 @dataclass(frozen=True)
@@ -655,8 +631,7 @@ def ising_from_pst(spec: ChainSpec) -> IsingFromPstResult:
     # <a_N| U |a_1> with both modes (e_s + e_{s+1}) / sqrt(2) on the chain
     overlap = complex(propagate(cert.spectrum, np.eye(2 * n)[:, :2], cert.t0)[-2:].sum() / 2)
     fidelity = abs(overlap) ** 2
-    if fidelity < 1.0 - 1e-8:
-        raise ArithmeticError(f"mode transfer verification failed ({fidelity:.12f})")
+    verify_transfer(fidelity, "mode transfer")
     return IsingFromPstResult(fields=tuple(float(x) for x in fields),
                               couplings=tuple(float(x) for x in couplings),
                               quadratic=quad, t0=cert.t0,

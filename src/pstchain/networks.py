@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certify import require_perfect
+from .certify import require_perfect, verify_transfer
 from .chain import ChainSpec, chain
 from .spectral import amplitude_profile, diagonalize, propagate
 
@@ -70,11 +70,6 @@ def network_to_dict(net: NetworkSpec) -> dict:
     }
 
 
-def _verify_transfer(amp: complex, what: str) -> None:
-    if abs(amp) < 1.0 - 1e-8:
-        raise ArithmeticError(f"{what}: transfer verification failed (|amp| = {abs(amp):.12f})")
-
-
 def product_network(a: ChainSpec, b: ChainSpec) -> NetworkSpec:
     """Grid of two perfect chains sharing a transfer time.
 
@@ -101,8 +96,8 @@ def product_network(a: ChainSpec, b: ChainSpec) -> NetworkSpec:
     net = NetworkSpec(n_vertices=n * m, edges=tuple(edges),
                       potentials=(0.0,) * (n * m),
                       labels={"input": 0, "output": n * m - 1})
-    _verify_transfer(cert_a.arrival_amplitude * cert_b.arrival_amplitude,
-                     "product_network")
+    verify_transfer(abs(cert_a.arrival_amplitude * cert_b.arrival_amplitude),
+                    "product_network transfer")
     return net
 
 
@@ -126,7 +121,7 @@ def hypercube(d: int) -> NetworkSpec:
                 edges.append((v, u, 0.5 + 0.0j))
     net = NetworkSpec(n_vertices=dim, edges=tuple(edges), potentials=(0.0,) * dim,
                       labels={"input": 0, "output": dim - 1})
-    _verify_transfer(cert.arrival_amplitude ** d, "hypercube")
+    verify_transfer(abs(cert.arrival_amplitude ** d), "hypercube transfer")
     return net
 
 
@@ -173,8 +168,7 @@ def star_network(branch: ChainSpec, m: int) -> StarReport:
     leaf = np.full(m, cert.arrival_amplitude / math.sqrt(m))
     w_target = np.full(m, 1.0 / math.sqrt(m))
     fidelity = float(abs(w_target @ leaf) ** 2)
-    if fidelity < 1.0 - 1e-8:
-        raise ArithmeticError(f"star network W-state verification failed ({fidelity:.12f})")
+    verify_transfer(fidelity, "star network W-state")
     return StarReport(network=net, t0=cert.t0, leaf_amplitudes=leaf,
                       w_state_fidelity=fidelity)
 
@@ -274,6 +268,8 @@ def amplifier_sim(spec_or_couplings, input_state, times) -> AmplifierResult:
         psi0 = np.asarray(input_state, dtype=complex)
         if psi0.shape != (n + 1,):
             raise ValueError(f"wall superposition must have length {n + 1}")
+        if not np.all(np.isfinite(psi0)):
+            raise ValueError("wall amplitudes must be finite")
     times = np.asarray(times, dtype=float)
     amps = propagate(diagonalize(ladder), psi0, np.atleast_1d(times))
     probs = np.abs(amps) ** 2
@@ -358,6 +354,8 @@ class ClockProgram:
         for g in gates:
             if g.shape != (d, d):
                 raise ValueError("all gates must act on the same register dimension")
+            if not np.all(np.isfinite(g)):
+                raise ValueError("gates must be finite")
             if np.max(np.abs(g.conj().T @ g - np.eye(d))) > 1e-12:
                 raise ValueError("gates must be unitary")
 
@@ -400,7 +398,7 @@ def clock_computer(prog: ClockProgram, psi_in) -> ClockResult:
     cert = require_perfect(prog.chain)
     psi_in = np.asarray(psi_in, dtype=complex)
     d = prog.register_dim
-    if psi_in.shape != (d,) or abs(np.linalg.norm(psi_in) - 1.0) > 1e-10:
+    if psi_in.shape != (d,) or not abs(np.linalg.norm(psi_in) - 1.0) <= 1e-10:
         raise ValueError("register input must be a normalized d-vector")
     n = prog.chain.n
     clock_amps = amplitude_profile(cert.spectrum, 1, cert.t0)
@@ -425,8 +423,7 @@ def clock_computer(prog: ClockProgram, psi_in) -> ClockResult:
         if np.max(np.abs(direct - total)) > 1e-8:
             raise ArithmeticError("clock fast path disagrees with dense evolution")
         dense_verified = True
-    if fidelity < 1.0 - 1e-8:
-        raise ArithmeticError(f"clock transfer fidelity too low ({fidelity:.12f})")
+    verify_transfer(fidelity, "clock transfer")
     out = total[(n - 1) * d:]
     return ClockResult(output=out / np.linalg.norm(out), fidelity=fidelity,
                        t0=cert.t0, dense_verified=dense_verified)

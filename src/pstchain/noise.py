@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import require_perfect
-from .chain import ChainSpec
+from .chain import ChainSpec, _finite_floats
 from .spectral import _phase_sum, amplitude_profile, diagonalize, gamma, pair_weights
 
 
@@ -87,12 +87,12 @@ class BathSpec:
         if (self.coupling is None) == (self.raw_couplings is None):
             raise ValueError("give either a common coupling G or raw per-site couplings")
         if self.raw_couplings is not None:
-            raw = tuple(tuple(float(g) for g in site) for site in self.raw_couplings)
+            raw = tuple(_finite_floats(site, "raw couplings") for site in self.raw_couplings)
             if len(raw) != self.chain.n:
                 raise ValueError("need one raw coupling list per site")
             object.__setattr__(self, "raw_couplings", raw)
-        elif self.coupling < 0:
-            raise ValueError("G must be non-negative")
+        elif not 0.0 <= self.coupling < math.inf:
+            raise ValueError("G must be finite and non-negative")
 
     def effective_couplings(self) -> np.ndarray:
         if self.raw_couplings is not None:

@@ -595,6 +595,8 @@ def gamma(sd: SpectralDecomposition, source: int, target: int, t):
 
 def amplitude_profile(sd: SpectralDecomposition, source: int, t: float) -> np.ndarray:
     """All site amplitudes at time t for an excitation starting on ``source``."""
+    if not 1 <= source <= sd.dimension:
+        raise ValueError(f"sites must lie in 1..{sd.dimension}")
     e = np.zeros(sd.dimension, dtype=complex)
     e[source - 1] = 1.0
     return propagate(sd, e, t)

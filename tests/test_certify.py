@@ -11,8 +11,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from pstchain import (BathSpec, ClockProgram, amplifier_sim, analytic_chain,
-                      bath_transfer_amplitude, certify_pst, chain,
+from pstchain import (BathSpec, ClockProgram, QuadraticFermionHamiltonian, amplifier_sim,
+                      analytic_chain, bath_transfer_amplitude, certify_pst, chain,
                       chain_from_spectrum, clock_computer,
                       dephasing_avg_fidelity, diagonalize, end_weights,
                       entanglement_distribution_sim, entanglement_generation, gamma,
@@ -242,6 +242,12 @@ def test_coupling_bound_theorem_holds_for_even_designs():
         if cert.perfect:  # random spectra are generically imperfect
             rep = optimality_report(spec, cert)
             assert rep.j_half >= rep.coupling_bound - 1e-9
+
+
+def test_optimality_report_refuses_the_certificate_of_another_chain():
+    cert = certify_pst(rescale(analytic_chain(10), 0.5))
+    with pytest.raises(ValueError, match="another chain"):
+        optimality_report(analytic_chain(8), cert)
 
 
 # --- timing window -------------------------------------------------------
@@ -849,3 +855,34 @@ def test_certify_reads_eigenvectors_where_spectrum_weights_are_refused(tridiagon
     assert cert.spectrum.eigenvalues is cert.eigenvalues
     assert abs(cert.arrival_amplitude - certify_by_eigenvectors(spec)["arrival_amplitude"]) < 1e-12
     assert 1.0 - abs(cert.arrival_amplitude) < 1e-14
+
+
+# --- inputs that are not numbers ----------------------------------------------
+
+_NAN = math.nan
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: certify_pst(analytic_chain(8), tol=_NAN), "tol must be non-negative"),
+    (lambda: initfree_transfer(analytic_chain(6), _NAN, 0.0, "0000"), "normalized"),
+    (lambda: sequential_storage_sim(sequential_storage_chain(4), [[_NAN, 0.0]], "same"),
+     "normalized"),
+    (lambda: entanglement_generation(analytic_chain(6), t=_NAN), "finite"),
+    (lambda: amplifier_sim(analytic_chain(6), np.full(7, _NAN), [1.0]), "finite"),
+    (lambda: BathSpec(chain=analytic_chain(4), coupling=_NAN), "finite"),
+    (lambda: BathSpec(chain=analytic_chain(2), raw_couplings=((1.0,), (_NAN,))), "finite"),
+    (lambda: QuadraticFermionHamiltonian(a=np.diag([_NAN, 1.0]), b=np.zeros((2, 2))),
+     "finite"),
+    (lambda: clock_computer(ClockProgram(chain=analytic_chain(300),
+                                         gates=(np.diag([_NAN, 1.0]),) * 299), [1.0, 0.0]),
+     "gates must be finite"),
+    (lambda: clock_computer(ClockProgram(chain=analytic_chain(3), gates=(np.eye(2),) * 2),
+                            [_NAN, 0.0]), "normalized"),
+], ids=["certify-tol", "initfree-alpha", "storage-input", "entgen-time", "amplifier-walls",
+        "bath-coupling", "bath-raw-coupling", "quadratic-hamiltonian", "clock-gate",
+        "clock-input"])
+def test_nan_inputs_raise_value_error(call, message):
+    """NaN fails every comparison, so each of these once passed its range
+    check and returned NaN (or an unrelated error) instead of refusing."""
+    with pytest.raises(ValueError, match=message):
+        call()

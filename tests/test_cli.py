@@ -269,6 +269,25 @@ def test_gadget_clock_malformed_program_exit_2(tmp_path, capsys, doc):
     assert err.startswith("error: validation: ")
 
 
+def test_gadget_clock_nan_gate_exit_2(tmp_path, capsys):
+    program = tmp_path / "program.json"
+    nan_gate = {"re": [[math.nan, 0.0], [0.0, 1.0]], "im": _GATE["im"]}
+    program.write_text(json.dumps({"chain": _CHAIN3, "gates": [_GATE, nan_gate]}))
+    code, out, err = run(capsys, "gadget", "clock", "--program", str(program))
+    assert code == 2, err
+    assert out == ""
+    assert err == "error: validation: gates must be finite\n"
+
+
+def test_certify_nan_tol_exit_2(tmp_path, capsys):
+    chain_file = tmp_path / "c.json"
+    chain_file.write_text(json.dumps(_CHAIN3))
+    code, out, err = run(capsys, "certify", str(chain_file), "--tol", "nan")
+    assert code == 2, err
+    assert out == ""
+    assert err == "error: validation: tol must be non-negative\n"
+
+
 def test_gadget_clock_program_file(tmp_path, capsys):
     program = tmp_path / "program.json"
     x_gate = {"re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]}
@@ -417,6 +436,19 @@ def test_only_spectral_makes_a_decomposition():
         if name != "spectral.py":
             assert "SpectralDecomposition(" not in text and "_of_tridiagonal" not in text, name
             assert "_decomposition" not in text, name
+
+
+_FLOOR = re.compile(r"\b1(\.0)?\s*-\s*1e-0?8\b")
+
+
+def test_only_certify_writes_the_transfer_floor():
+    """A verified transfer meets the floor 1 - ARRIVAL_TOL through
+    certify.verify_transfer, so the floor has one copy: no other module
+    writes it out."""
+    for name, text in _library_sources():
+        if name != "certify.py":
+            assert _FLOOR.search(text) is None, (name, _FLOOR.search(text))
+    assert _FLOOR.search("if fidelity < 1.0 - 1e-8:") and _FLOOR.search("x >= 1 - 1e-08")
 
 
 def test_the_memo_guard_sees_the_usual_caches():

@@ -75,6 +75,17 @@ def test_storage_input_amplitude_zeros():
 
 # --- spectrum reconstruction ----------------------------------------------
 
+@pytest.mark.parametrize("build", [
+    lambda: target_spectrum([[1.0, 2.0], [3.0, 4.0]]),
+    lambda: target_spectrum([-1.0, math.nan, 1.0]),
+    lambda: TargetSpectrum((-1.0, math.nan, 1.0)),
+    lambda: target_spectrum([-1.0, 0.0, math.inf]),
+], ids=["two-dimensional", "nan", "nan-type", "infinite"])
+def test_target_spectrum_must_be_one_dimensional_and_finite(build):
+    with pytest.raises(ValueError, match="1-D sequence of finite numbers"):
+        build()
+
+
 def test_reconstruct_two_levels():
     spec = chain_from_spectrum(target_spectrum([-0.5, 0.5]))
     assert np.allclose(spec.couplings, [0.5])

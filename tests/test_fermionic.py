@@ -631,6 +631,48 @@ def test_bogoliubov_canonical_sums_random():
         assert np.all(modes.energies >= -1e-12)
 
 
+def test_bogoliubov_resolves_a_small_mode_beside_large_ones():
+    # a mode at 1e-6 of the largest is an ordinary singular value, not a zero mode
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+    h = QuadraticFermionHamiltonian(a=q @ np.diag([3.0, 1.0, 1e-6, 0.5]) @ q.T,
+                                    b=np.zeros((4, 4)))
+    modes = bogoliubov_modes(h)
+    assert np.max(np.abs(modes.energies - [1e-6, 0.5, 1.0, 3.0])) <= 1e-12
+    vectors = np.hstack((modes.eta, modes.chi))  # one (eta; chi) per row
+    residual = vectors @ h.block_matrix().T - modes.energies[:, None] * vectors
+    assert np.max(np.abs(residual)) <= 1e-12
+
+
+def _random_quadratic(seed, n, kind):
+    """Random (A, B) on n modes: general, with B = 0, or with A - B of rank
+    below n (kind 0, 1, 2)."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    if kind == 1:
+        m = 0.5 * (m + m.T)
+    elif kind == 2:
+        u, s, vt = np.linalg.svd(m)
+        s[:rng.integers(1, n + 1)] = 0.0
+        m = (u * s) @ vt
+    return QuadraticFermionHamiltonian(a=0.5 * (m + m.T), b=0.5 * (m.T - m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.builds(_random_quadratic, st.integers(0, 2 ** 32 - 1), st.integers(1, 8),
+                 st.integers(0, 2)))
+def test_bogoliubov_energies_are_the_nonnegative_block_spectrum(h):
+    """The energies are the nonnegative half of the block matrix's spectrum,
+    which pairs +mu with -mu, and the modes keep the canonical sums."""
+    modes = bogoliubov_modes(h)
+    spectrum = np.linalg.eigvalsh(h.block_matrix())
+    scale = max(1.0, float(np.max(np.abs(spectrum))))
+    assert np.max(np.abs(modes.energies - spectrum[h.n:])) <= 1e-12 * scale
+    assert np.all(np.diff(modes.energies) >= 0.0)
+    gram_eta, gram_chi = modes.eta @ modes.eta.T, modes.chi @ modes.chi.T
+    assert np.max(np.abs(gram_eta + gram_chi - np.eye(h.n))) <= 1e-12
+    assert np.max(np.abs(gram_eta - gram_chi)) <= 1e-12
+
+
 def test_bogoliubov_dense_oracle_spectrum():
     # mode energies reproduce the many-body spectrum: eigenvalues of the
     # dense 2^n matrix are sums of subsets of mu plus the ground energy

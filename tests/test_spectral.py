@@ -280,6 +280,9 @@ def test_out_of_range_site_raises():
         gamma(sd, 0, 3, 1.0)
     with pytest.raises(ValueError):
         gamma(sd, 1, 4, 1.0)
+    for source in (0, 4):
+        with pytest.raises(ValueError, match="sites must lie in 1..3"):
+            amplitude_profile(sd, source, 1.0)
 
 
 # --- propagate: properties on random fielded chains --------------------------
