@@ -26,6 +26,7 @@ O(N) memory.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -147,6 +148,8 @@ def certify_pst(spec: ChainSpec, tol: float = 1e-9,
     """
     if spec.n < 2:
         raise ValueError("transfer needs at least two sites")
+    if not (isinstance(max_denominator, numbers.Integral) and max_denominator >= 1):
+        raise ValueError("max_denominator must be a positive integer")
 
     lam = None  # the O(N) rejections come before the eigenvalue solve
 
@@ -269,6 +272,8 @@ def revival_rate_report(eigenvalues, weights, t0: float, M: int) -> RateReport:
     """
     if M < 1:
         raise ValueError("M must be a positive integer")
+    if not 0.0 < t0 < math.inf:
+        raise ValueError("t0 must be finite and positive")
     lam = np.asarray(eigenvalues, dtype=float)
     w = np.asarray(weights, dtype=float)
     offsets = (t0 / math.pi) * (lam - lam[0])

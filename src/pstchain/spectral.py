@@ -20,6 +20,14 @@ antisymmetric vectors (Cantoni and Butler, Linear Algebra Appl. 13, 1976).
 Above the cut the LAPACK solves stack the two blocks into one matrix with
 an exact zero coupling between them, where LAPACK splits the problem in two.
 
+A chain with zero fields is bipartite, so its spectrum is symmetric about
+zero, and for even N the sublattice sign flip ``diag((-1)^i)`` turns the
+symmetric mirror block into minus the antisymmetric one. Above the cut the
+eigenvalues of such a chain, exactly mirror symmetric with an all-zero
+diagonal, come from the symmetric block alone, N/2 rows, as its moduli and
+their negatives; the spectrum is then exactly antisymmetric, and the Newton
+step and the end products run on its nonnegative half and are mirrored.
+
 A :class:`ChainSpec` is solved once per object: its first :func:`diagonalize`
 keeps the decomposition on the chain, and every later call, from
 certification, the certificate's ``spectrum``, the design's residual check or
@@ -273,7 +281,8 @@ def diagonalize(operator) -> SpectralDecomposition:
     matrix up to ``SMALL_CHAIN_CUT`` sites, and above it LAPACK ``stevd``
     (divide and conquer, O(N^3) in the worst case) on the operator, or on its
     :func:`_fold` if it is exactly mirror symmetric, which ``stevd`` solves as
-    two N/2 problems and which is unfolded before the sign fix. The residual
+    two N/2 problems and which is unfolded before the sign fix; the chiral
+    fold of the eigenvalues leaves this solve as it is. The residual
     is checked against the eigenvalues handed out at once; those of the
     eigenvector solve are dropped. :func:`gamma` between the end sites of a
     chain with positive couplings reads no eigenvectors (see
@@ -329,13 +338,29 @@ def _eigenvalue_solve(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of ``tridiag(off, diag, off)``, N >= 2, as the
     solver returns them: ``numpy.linalg.eigvalsh`` of the dense matrix up to
     ``SMALL_CHAIN_CUT`` sites, LAPACK ``sterf`` (O(N^2) time, O(N) memory)
-    above it, on the :func:`_fold` of an exactly mirror-symmetric matrix."""
-    if diag.size <= SMALL_CHAIN_CUT:
+    above it, on the :func:`_fold` of an exactly mirror-symmetric matrix.
+
+    The chiral fold: above the cut, an exactly mirror-symmetric matrix of
+    even N = 2m with an all-zero diagonal has an antisymmetric block that the
+    sign flip ``diag((-1)^i)`` maps to minus the symmetric one, so ``sterf``
+    solves the symmetric block alone (its m rows, ``J_m`` on the last
+    diagonal entry, eigenvalues ``s``) and the eigenvalues are
+    ``pos = sort(|s|)`` and their negatives, ``concatenate((-pos[::-1], pos))``,
+    exactly antisymmetric."""
+    n = diag.size
+    if n <= SMALL_CHAIN_CUT:
         return np.linalg.eigvalsh(_tridiagonal_dense(diag, off))
     from scipy.linalg.lapack import dsterf
-    lam, info = dsterf(*(_fold(diag, off) or (diag, off)))
+    fold = _fold(diag, off)
+    chiral = fold is not None and n % 2 == 0 and not diag.any()
+    if chiral:      # the symmetric block, the first n/2 rows of the fold
+        fold = fold[0][:n // 2], fold[1][:n // 2 - 1]
+    lam, info = dsterf(*(fold or (diag, off)))
     if info:
         raise np.linalg.LinAlgError(f"LAPACK sterf did not converge (info {info})")
+    if chiral:
+        pos = np.sort(np.abs(lam))
+        lam = np.concatenate((-pos[::-1], pos))
     return lam
 
 
@@ -364,11 +389,15 @@ def _of_tridiagonal(diag: np.ndarray, off: np.ndarray) -> SpectralDecomposition:
     They come from :func:`_eigenvalue_solve`: dense ``numpy.linalg.eigvalsh``
     up to ``SMALL_CHAIN_CUT`` sites, and above it LAPACK ``sterf``, O(N^2) in
     time and O(N) in memory, on the :func:`_fold` of an exactly
-    mirror-symmetric matrix, two N/2 problems, which halves the work. Either
-    way they carry an absolute error of order ``N * eps * max|T|``. Where
-    that error could reach ``NEWTON_GATE`` of the smallest gap, the
-    eigenvalues get one :func:`sturm_newton` step of at most that size, whose
-    recurrence runs to the centre only on a mirror-symmetric operator.
+    mirror-symmetric matrix, two N/2 problems, which halves the work, or on
+    the symmetric block alone (the chiral fold) if N is even and the diagonal
+    all zero, one N/2 problem whose moduli and their negatives are the
+    spectrum. Either way they carry an absolute error of order
+    ``N * eps * max|T|``. Where that error could reach ``NEWTON_GATE`` of the
+    smallest gap, the eigenvalues get one :func:`sturm_newton` step of at
+    most that size, whose recurrence runs to the centre only on a
+    mirror-symmetric operator and which steps only the nonnegative half of
+    an exactly antisymmetric spectrum.
     """
     scale = _max_abs(diag, off)
     lam = diag.copy() if diag.size == 1 else _eigenvalue_solve(diag, off)
@@ -395,29 +424,37 @@ def sturm_newton(diag: np.ndarray, off: np.ndarray, eigenvalues,
     the two mirror blocks, which share the pivots up to the centre, so the
     recurrence stops there: ``p = P_{m-1}^2 (d_m - J_m)(d_m + J_m)`` for
     N = 2m and ``p = P_m^2 ((B_{m+1} - lambda) - 2 J_m^2 / d_m)`` for
-    N = 2m + 1, ``P_k`` the product of the first k pivots. The step is
-    guarded: an eigenvalue moves only where the step is finite and at most
-    ``max_step``, and the eigenvalues are returned unchanged if the refined
-    ones are not strictly ascending.
+    N = 2m + 1, ``P_k`` the product of the first k pivots.
+
+    On an all-zero diagonal ``p(-lambda) = (-1)^N p(lambda)``, and every pivot
+    at ``-lambda`` is minus the one at ``lambda``, bitwise, so
+    ``step(-lambda) = -step(lambda)``; an exactly antisymmetric spectrum
+    (``lam == -lam[::-1]`` bitwise, which holds for even N only) is stepped on
+    its nonnegative half and mirrored. The step is guarded: an eigenvalue
+    moves only where the step is finite and at most ``max_step``, and the
+    eigenvalues are returned unchanged if the whole refined spectrum,
+    including the centre gap of a mirrored one, is not strictly ascending.
     """
     n = diag.size
     mirror = n > 1 and _is_mirror(diag, off)
     stop = n // 2 if mirror else n      # the last pivot the recurrence makes
     b2 = off ** 2
     lam = np.asarray(eigenvalues, dtype=float)
+    chiral = not diag.any() and _is_antisymmetric(lam)
+    x = lam[n // 2:] if chiral else lam     # the eigenvalues stepped
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = diag[0] - lam
-        dd = np.full_like(lam, -1.0)        # d_1' = -1
-        total = np.zeros_like(lam)          # the sum of d_i'/d_i before pivot ``stop``
-        ratio = np.empty_like(lam)
-        r = np.empty_like(lam)
+        d = diag[0] - x
+        dd = np.full_like(x, -1.0)          # d_1' = -1
+        total = np.zeros_like(x)            # the sum of d_i'/d_i before pivot ``stop``
+        ratio = np.empty_like(x)
+        r = np.empty_like(x)
         for a, bb in zip(diag[1:stop].tolist(), b2[:stop - 1].tolist()):
             np.divide(dd, d, out=ratio)
             total += ratio
             np.divide(bb, d, out=r)
             np.multiply(r, ratio, out=dd)   # d_i' = J^2 d_{i-1}' / d_{i-1}^2 - 1
             dd -= 1.0
-            np.subtract(a, lam, out=d)
+            np.subtract(a, x, out=d)
             d -= r
         if mirror and n % 2 == 0:           # the blocks' last pivots d_m -+ J_m
             total = 2.0 * total + dd / (d - off[stop - 1]) + dd / (d + off[stop - 1])
@@ -426,27 +463,43 @@ def sturm_newton(diag: np.ndarray, off: np.ndarray, eigenvalues,
             total += ratio
             if mirror:                      # the centre pivot, coupled by sqrt 2 J_m
                 np.divide(2.0 * b2[stop - 1], d, out=r)
-                total = 2.0 * total + (r * ratio - 1.0) / ((diag[stop] - lam) - r)
+                total = 2.0 * total + (r * ratio - 1.0) / ((diag[stop] - x) - r)
         step = 1.0 / total
     ok = np.isfinite(step) & (np.abs(step) <= max_step)
-    refined = np.where(ok, lam - step, lam)
+    refined = np.where(ok, x - step, x)
+    if chiral:
+        refined = np.concatenate((-refined[::-1], refined))
     if np.any(np.diff(refined) <= 0):
         return lam
     return refined
 
 
+def _is_antisymmetric(lam: np.ndarray) -> bool:
+    """Whether ``lam == -lam[::-1]`` bitwise; a centre entry never equals
+    its negative bitwise, so only an even-length array can be."""
+    return lam.tobytes() == (-lam[::-1]).tobytes()
+
+
 def _log_abs_derivatives(lam: np.ndarray) -> np.ndarray:
     """``sum_{m != k} log|lambda_k - lambda_m|`` for every k, the log of
-    ``|B'(lambda_k)|``, a block of rows at a time."""
+    ``|B'(lambda_k)|``, a block of rows at a time.
+
+    Row ``N-1-k`` of an exactly antisymmetric spectrum (see
+    :func:`_is_antisymmetric`) holds the terms of row k in another order,
+    since ``|-lambda_k - lambda_m| = |lambda_k - lambda_{N-1-m}|``, so only the
+    rows ``k >= N/2`` are summed and the others are their mirror."""
     n = lam.size
     out = np.empty(n)
-    for r in range(0, n, _BLOCK):
+    half = n // 2 if _is_antisymmetric(lam) else 0
+    for r in range(half, n, _BLOCK):
         rows = lam[r:r + _BLOCK]
         diff = np.subtract.outer(rows, lam)
         diff.ravel()[r::n + 1] = 1.0        # the entries m = k
         np.abs(diff, out=diff)
         np.log(diff, out=diff)
         out[r:r + rows.size] = np.sum(diff, axis=1)
+    if half:                            # an antisymmetric spectrum has even N = 2 half
+        out[:half] = out[half:][::-1]
     return out
 
 
@@ -457,7 +510,10 @@ def end_products(couplings, eigenvalues) -> np.ndarray:
     Eigenvalue Problem*, ch. 7).
 
     The denominator has the sign ``(-1)^(N-1-k)`` (k 0-based), so the
-    products alternate in sign down the spectrum.
+    products alternate in sign down the spectrum. Of an exactly
+    antisymmetric spectrum, such as the chiral fold hands out, only the
+    log-derivative sums of the nonnegative half are formed (see
+    :func:`_log_abs_derivatives`), so ``|v_1k v_Nk|`` is symmetric bitwise.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     products = np.exp(np.sum(np.log(couplings)) - _log_abs_derivatives(lam))
@@ -480,12 +536,20 @@ def _has_degenerate_gap(lam: np.ndarray, gaps: np.ndarray) -> bool:
     return bool(np.any(gaps < DEGENERACY_RTOL * spread))
 
 
+def _require_finite_times(t) -> None:
+    """Raise ``ValueError`` unless every time in ``t`` is finite."""
+    if not np.isfinite(t).all():
+        raise ValueError("times must be finite")
+
+
 def propagate(sd: SpectralDecomposition, v, t) -> np.ndarray:
     """Evolve amplitudes ``v`` for time ``t``: V exp(-i L t) V^dag v.
 
     ``v`` of shape (n,) or (n, k) (one state per column) at a scalar ``t``,
-    or ``v`` of shape (n,) at a 1-D array of times, one row per time.
+    or ``v`` of shape (n,) at a 1-D array of times, one row per time. A
+    time that is not finite raises ``ValueError``.
     """
+    _require_finite_times(t)
     v = np.asarray(v, dtype=complex)
     n = sd.dimension
     vec = sd.eigenvectors
@@ -571,7 +635,8 @@ def pair_weights(sd: SpectralDecomposition, source: int, target: int) -> np.ndar
 def gamma(sd: SpectralDecomposition, source: int, target: int, t):
     """Transfer amplitude <target| exp(-i H t) |source> for 1-based sites.
 
-    ``t`` may be a scalar or an array of times; the return matches its shape.
+    ``t`` may be a scalar or an array of finite times (else ``ValueError``);
+    the return matches its shape.
     The weights come from :func:`pair_weights`: from the eigenvalues alone
     for the end pairs of a chain with positive couplings, so those
     amplitudes need no eigenvectors.
@@ -587,6 +652,7 @@ def gamma(sd: SpectralDecomposition, source: int, target: int, t):
     most ``END_WEIGHT_RTOL``; they pass the orthogonality check of
     :class:`SpectralDecomposition` first.
     """
+    _require_finite_times(t)
     out = _phase_sum(sd.eigenvalues, pair_weights(sd, source, target), t)
     if out.ndim == 0:
         return complex(out)

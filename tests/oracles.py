@@ -283,15 +283,30 @@ def _lanczos_from_weights(lam, w):
     return alpha, beta
 
 
+def log_abs_derivatives(lam):
+    """``sum_{m != k} log|lambda_k - lambda_m|`` for every k, every row summed
+    from the dense N x N table of differences: the library's sum before it
+    mirrored the rows of an antisymmetric spectrum."""
+    lam = np.asarray(lam, dtype=float)
+    diff = np.abs(np.subtract.outer(lam, lam))
+    np.fill_diagonal(diff, 1.0)
+    return np.sum(np.log(diff), axis=1)
+
+
+def end_products_full(couplings, lam):
+    """Signed end products ``prod_i J_i / prod_{m != k} (lambda_k - lambda_m)``
+    of a chain with positive couplings, from :func:`log_abs_derivatives`."""
+    products = np.exp(np.sum(np.log(couplings)) - log_abs_derivatives(lam))
+    products[-2::-2] *= -1.0
+    return products
+
+
 def log_end_weights(lam):
     """Natural logs of the end weights of the mirror-symmetric chain with the
     ascending spectrum ``lam``, w_k proportional to
     1 / prod_{m != k} |lambda_k - lambda_m| and summing to 1, from the dense
     N x N table of differences; they stay finite where the weights underflow."""
-    lam = np.asarray(lam, dtype=float)
-    diff = np.abs(np.subtract.outer(lam, lam))
-    np.fill_diagonal(diff, 1.0)
-    logw = -np.sum(np.log(diff), axis=1)
+    logw = -log_abs_derivatives(lam)
     logw -= logw.max()
     return logw - np.log(np.exp(logw).sum())
 
@@ -385,6 +400,24 @@ def unfolded_eigenvalues(spec):
     single-excitation matrix."""
     return scipy.linalg.eigvalsh_tridiagonal(spec.field_array(), spec.coupling_array(),
                                              lapack_driver="sterf")
+
+
+def folded_eigenvalues(diag, off):
+    """Ascending eigenvalues of ``tridiag(off, diag, off)``, N >= 2, the way the
+    library solved them before the chiral fold: ``numpy.linalg.eigvalsh`` of
+    the dense matrix up to ``SMALL_CHAIN_CUT`` sites, and above it one LAPACK
+    ``sterf`` solve of both mirror blocks of an exactly mirror-symmetric
+    matrix, stacked by ``spectral._fold``, or of the matrix itself."""
+    from scipy.linalg.lapack import dsterf
+
+    from pstchain.spectral import SMALL_CHAIN_CUT, _fold
+
+    if diag.size <= SMALL_CHAIN_CUT:
+        return np.linalg.eigvalsh(tridiagonal_dense(off, diag))
+    lam, info = dsterf(*(_fold(diag, off) or (diag, off)))
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK sterf did not converge (info {info})")
+    return lam
 
 
 def uniform_path_gamma(n, source, target, t):

@@ -12,12 +12,13 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from pstchain import (BathSpec, ClockProgram, QuadraticFermionHamiltonian, amplifier_sim,
-                      analytic_chain, bath_transfer_amplitude, certify_pst, chain,
+                      analytic_chain, basis_slater, bath_transfer_amplitude, certify_pst, chain,
                       chain_from_spectrum, clock_computer,
                       dephasing_avg_fidelity, diagonalize, end_weights,
-                      entanglement_distribution_sim, entanglement_generation, gamma,
-                      hypercube, initfree_transfer, ising_from_pst, near_uniform_chain,
-                      optimality_report, product_network, rate_condition, require_perfect,
+                      entanglement_distribution_sim, entanglement_generation, evolve_slater,
+                      gamma, hypercube, initfree_transfer, ising_from_pst, near_uniform_chain,
+                      optimality_report, product_network, propagate, rate_condition,
+                      require_perfect,
                       rescale, revival_rate_report, sequential_storage_chain,
                       sequential_storage_sim, star_network, theta_entangler, timing_window,
                       target_spectrum, two_boson_transfer, uniform_chain, write_chain)
@@ -350,14 +351,34 @@ _ABOVE_CUT = SMALL_CHAIN_CUT + 2
 def test_exactly_mirror_chain_reaches_the_solvers_folded(lapack_solves):
     """diagonalize solves the eigenvalues at once and the eigenvectors on
     their first read; a decomposition whose eigenvectors are not read solves
-    the eigenvalues alone."""
+    the eigenvalues alone. The chain carries a field, so both solvers get
+    the whole fold."""
     n = _ABOVE_CUT
-    diagonalize(analytic_chain(n)).eigenvectors
-    diagonalize(analytic_chain(n)).eigenvalues
+    spec = chain(analytic_chain(n).couplings, [0.5] * n)
+    diagonalize(replace(spec)).eigenvectors
+    diagonalize(replace(spec)).eigenvalues
     vector_solves, value_solves = lapack_solves
     assert (vector_solves, value_solves) == ([n], [n, n])
     for off in vector_solves.offdiagonals + value_solves.offdiagonals:
         assert np.flatnonzero(off == 0.0).tolist() == [n // 2 - 1]
+
+
+def test_even_zero_field_mirror_chain_reaches_sterf_as_one_block(lapack_solves):
+    """The chiral fold: sterf solves the symmetric mirror block alone, n/2
+    rows coupled by the chain's own couplings, while stevd still gets the
+    whole fold. A zero-field mirror chain of odd length keeps the whole fold
+    for both."""
+    n = _ABOVE_CUT
+    diagonalize(analytic_chain(n)).eigenvectors
+    diagonalize(analytic_chain(n)).eigenvalues
+    vector_solves, value_solves = lapack_solves
+    assert (vector_solves, value_solves) == ([n], [n // 2, n // 2])
+    assert np.flatnonzero(vector_solves.offdiagonals[0] == 0.0).tolist() == [n // 2 - 1]
+    for off in value_solves.offdiagonals:
+        assert np.array_equal(off, analytic_chain(n).coupling_array()[:n // 2 - 1])
+    diagonalize(analytic_chain(n + 1)).eigenvalues
+    assert value_solves[2:] == [n + 1]
+    assert np.flatnonzero(value_solves.offdiagonals[2] == 0.0).tolist() == [n // 2]
 
 
 @pytest.mark.parametrize("spec", [sequential_storage_chain(_ABOVE_CUT),
@@ -884,5 +905,43 @@ _NAN = math.nan
 def test_nan_inputs_raise_value_error(call, message):
     """NaN fails every comparison, so each of these once passed its range
     check and returned NaN (or an unrelated error) instead of refusing."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def _decomposition():
+    return diagonalize(analytic_chain(6))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gamma(_decomposition(), 1, 6, _NAN), "times must be finite"),
+    (lambda: gamma(_decomposition(), 1, 1, [0.0, math.inf]), "times must be finite"),
+    (lambda: propagate(_decomposition(), np.eye(6)[0], _NAN), "times must be finite"),
+    (lambda: propagate(_decomposition(), np.eye(6)[0], [1.0, -math.inf]),
+     "times must be finite"),
+    (lambda: evolve_slater(analytic_chain(6), basis_slater(6, [1, 3]), _NAN),
+     "times must be finite"),
+    (lambda: two_boson_transfer(chain(analytic_chain(6).couplings, statistics="bosonic"),
+                                (1, 2), (5, 6), _NAN), "times must be finite"),
+    (lambda: amplifier_sim(analytic_chain(6), 1, [_NAN]), "times must be finite"),
+    (lambda: bath_transfer_amplitude(BathSpec(chain=analytic_chain(6), coupling=0.3), [_NAN]),
+     "times must be finite"),
+    (lambda: revival_rate_report([0.0, 1.0, 2.0], [0.3, 0.4, 0.3], _NAN, 2),
+     "t0 must be finite and positive"),
+    (lambda: revival_rate_report([0.0, 1.0, 2.0], [0.3, 0.4, 0.3], -math.pi, 2),
+     "t0 must be finite and positive"),
+    (lambda: certify_pst(analytic_chain(9), max_denominator=0),
+     "max_denominator must be a positive integer"),
+    (lambda: certify_pst(analytic_chain(9), max_denominator=-3),
+     "max_denominator must be a positive integer"),
+    (lambda: certify_pst(analytic_chain(9), max_denominator=2.5),
+     "max_denominator must be a positive integer"),
+], ids=["gamma", "gamma-inf", "propagate", "propagate-times", "evolve_slater",
+        "two_boson_transfer", "amplifier_sim", "bath_transfer_amplitude", "rate-t0-nan",
+        "rate-t0-negative", "certify-max-den-0", "certify-max-den-negative",
+        "certify-max-den-fraction"])
+def test_times_and_limits_out_of_range_raise_value_error(call, message):
+    """Each of these once returned NaN, a meaningless report or an unrelated
+    error (ZeroDivisionError for a zero max_denominator)."""
     with pytest.raises(ValueError, match=message):
         call()

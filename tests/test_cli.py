@@ -288,6 +288,25 @@ def test_certify_nan_tol_exit_2(tmp_path, capsys):
     assert err == "error: validation: tol must be non-negative\n"
 
 
+def test_certify_zero_max_denominator_exit_2(tmp_path, capsys):
+    chain_file = tmp_path / "c.json"
+    chain_file.write_text(json.dumps(_CHAIN3))
+    code, out, err = run(capsys, "certify", str(chain_file), "--max-den", "0")
+    assert code == 2, err
+    assert out == ""
+    assert err == "error: validation: max_denominator must be a positive integer\n"
+
+
+def test_simulate_nan_tmax_exit_2(tmp_path, capsys):
+    chain_file = tmp_path / "c.json"
+    chain_file.write_text(json.dumps(_CHAIN3))
+    code, out, err = run(capsys, "simulate", "--chain", str(chain_file), "--target", "3",
+                         "--tmax", "nan")
+    assert code == 2, err
+    assert out == ""
+    assert err == "error: validation: times must be finite\n"
+
+
 def test_gadget_clock_program_file(tmp_path, capsys):
     program = tmp_path / "program.json"
     x_gate = {"re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]}
@@ -436,6 +455,20 @@ def test_only_spectral_makes_a_decomposition():
         if name != "spectral.py":
             assert "SpectralDecomposition(" not in text and "_of_tridiagonal" not in text, name
             assert "_decomposition" not in text, name
+
+
+_SOLVERS = re.compile(r"\b(dsterf|dstevd|eigh_tridiagonal|eigvalsh_tridiagonal|sturm_newton)\b")
+
+
+def test_only_spectral_names_the_tridiagonal_solvers():
+    """The solver rules, the mirror fold and the chiral fold among them, have
+    one copy: no module but spectral names LAPACK's tridiagonal solvers,
+    scipy's wrappers of them or the Newton step."""
+    for name, text in _library_sources():
+        if name != "spectral.py":
+            assert _SOLVERS.search(text) is None, (name, _SOLVERS.search(text))
+    assert _SOLVERS.search("from scipy.linalg.lapack import dsterf")
+    assert _SOLVERS.search("lam = sturm_newton(diag, off, lam, error)")
 
 
 _FLOOR = re.compile(r"\b1(\.0)?\s*-\s*1e-0?8\b")

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +8,15 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from pstchain import (HeisenbergSpec, analytic_chain, amplitude_profile, certify_pst, chain,
-                      diagonalize, gamma, is_degenerate, propagate, uniform_chain)
+                      chain_from_spectrum, diagonalize, gamma, is_degenerate, near_uniform_chain,
+                      propagate, rescale, target_spectrum, uniform_chain)
 from pstchain.certify import ARRIVAL_TOL
 from pstchain import spectral
 from pstchain.spectral import (SMALL_CHAIN_CUT, _phase_sum, end_products,
                                pair_weights, sturm_newton)
 
-from oracles import (dense_decomposition, eager_decomposition, expm_evolve, phase_sum_direct,
+from oracles import (dense_decomposition, eager_decomposition, end_products_full, expm_evolve,
+                     folded_eigenvalues, log_abs_derivatives, phase_sum_direct,
                      random_pst_chain, sturm_newton_full, tridiagonal_dense,
                      unfolded_decomposition, unfolded_eigenvalues)
 
@@ -386,14 +389,20 @@ nearly_even[17] += 1e-9
         "inf-after-even", "one-time", "scalar", "numpy-scalar", "2-d", "3-d"])
 def test_other_times_are_summed_directly(t):
     """Every time array but an evenly spaced 1-D grid keeps the direct sum,
-    bit for bit, in the shape of t."""
+    bit for bit, in the shape of t; gamma, which sums through it, gives that
+    sum for finite times and refuses the others."""
     sd = diagonalize(chain([0.7, 1.1, 0.4], [0.1, -0.2, 0.3, 0.0]))
     w = sd.eigenvectors[3] * sd.eigenvectors[1]
     with np.errstate(invalid="ignore"):
         direct = np.exp(-1j * np.multiply.outer(t, sd.eigenvalues)) @ w
-        got = gamma(sd, 2, 4, t)
+        got = _phase_sum(sd.eigenvalues, w, t)
     assert np.shape(got) == np.shape(t)
     assert np.asarray(got).tobytes() == direct.tobytes()
+    if np.isfinite(t).all():
+        assert np.asarray(gamma(sd, 2, 4, t)).tobytes() == direct.tobytes()
+    else:
+        with pytest.raises(ValueError, match="times must be finite"):
+            gamma(sd, 2, 4, t)
 
 
 @settings(max_examples=40, deadline=None)
@@ -571,6 +580,103 @@ def test_decomposition_keeps_the_residual_it_was_checked_by():
     r[1:] += off[:, None] * v[:-1]
     assert sd.residual == float(np.max(np.abs(r)))
     assert sd.residual <= 1e-10 * np.max(off)
+
+
+# --- the chiral fold of even zero-field mirror chains ---------------------------
+
+def _odd_gap_chiral_chain(m, seed):
+    """The chain of 2m sites designed from a seeded antisymmetric spectrum
+    whose gaps, the centre gap included, are 1 or 3: perfect at t0 = pi."""
+    rng = np.random.default_rng(seed)
+    steps = np.cumsum(1 + 2 * rng.integers(0, 2, m - 1))
+    pos = 0.5 * (1 + 2 * rng.integers(0, 2)) + np.concatenate(([0.0], steps))
+    return chain_from_spectrum(target_spectrum(np.concatenate((-pos[::-1], pos)),
+                                               antisymmetric=True))
+
+
+def _chiral_chain(kind, m, seed):
+    """An exactly mirror-symmetric chain of 2m sites with zero fields."""
+    n = 2 * m
+    if kind == "random":
+        return _random_chain(seed, n, True, False)
+    if kind == "analytic":
+        return analytic_chain(n)
+    if kind == "uniform":
+        return uniform_chain(n)
+    return _odd_gap_chiral_chain(m, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["random", "analytic", "uniform", "odd-gap"]),
+       st.integers(SMALL_CHAIN_CUT // 2 + 1, 200), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.3, 3.0, 7.5]))
+@example("analytic", 500, 0, 3.0)
+@example("odd-gap", 1000, 1, 0.3)
+def test_chiral_fold_matches_the_full_spectrum_oracles(kind, m, seed, kappa):
+    """Above the cut an even zero-field mirror chain hands out an exactly
+    antisymmetric spectrum, within 2 N eps ||T||_inf of one unfolded sterf
+    solve and of the solve of both mirror blocks; its half Newton step agrees
+    with the recurrence through all N pivots on the full spectrum, and its
+    mirrored end products with the sums of every row; the verdict does not
+    depend on the energy scale."""
+    spec = _chiral_chain(kind, m, seed)
+    n = spec.n
+    diag, off = spec.field_array(), spec.coupling_array()
+    lam = diagonalize(spec).eigenvalues
+    assert lam.tobytes() == (-lam[::-1]).tobytes()
+    bound = 2 * n * np.finfo(float).eps * _row_sum_norm(spec)
+    assert np.max(np.abs(lam - unfolded_eigenvalues(spec))) <= bound
+    assert np.max(np.abs(lam - folded_eigenvalues(diag, off))) <= bound
+
+    raw = spectral._eigenvalue_solve(diag, off)
+    error = n * np.finfo(float).eps * spectral._max_abs(diag, off)
+    half = sturm_newton(diag, off, raw, error)
+    full = sturm_newton_full(diag, off, raw, error)
+    assert half.tobytes() == (-half[::-1]).tobytes()
+    # each step moves an eigenvalue by at most ``error``; where neither guard
+    # returned the input, the steps agree to 8 ulp of max|lambda| on the levels
+    # they resolve (the mirror pairs of disordered chains come within a few ulp)
+    assert np.max(np.abs(half - full)) <= 2.0 * error
+    if not (np.array_equal(half, raw) or np.array_equal(full, raw)):
+        resolved = _resolved(raw)
+        assert np.max(np.abs(half - full)[resolved]) <= 8 * np.spacing(np.max(np.abs(raw)))
+
+    gap = float(np.min(np.diff(lam)))
+    if gap > 0.0:
+        got = end_products(off, lam)
+        assert np.max(np.abs(got - end_products_full(off, lam))) < 1e-13 * max(1.0, 2.0 / gap)
+
+    cert = certify_pst(spec)
+    scaled = certify_pst(rescale(spec, kappa))
+    assert scaled.verdict == cert.verdict
+    assert cert.perfect == (kind in ("analytic", "odd-gap"))
+    if cert.perfect:
+        assert scaled.t0 == pytest.approx(cert.t0 / kappa, rel=1e-12)
+
+
+def _certify_by_the_fold_oracles(monkeypatch, spec):
+    """The certificate of a fresh copy of ``spec`` with the eigenvalues of
+    both mirror blocks and the end products of every row's sum, as the
+    library took them before the chiral fold."""
+    with monkeypatch.context() as patched:
+        patched.setattr(spectral, "_eigenvalue_solve", folded_eigenvalues)
+        patched.setattr(spectral, "_log_abs_derivatives", log_abs_derivatives)
+        return certify_pst(replace(spec))
+
+
+@pytest.mark.parametrize("spec", [
+    analytic_chain(SMALL_CHAIN_CUT + 2), analytic_chain(1000), uniform_chain(SMALL_CHAIN_CUT + 2),
+    near_uniform_chain(200, 0.5)[0], _odd_gap_chiral_chain(100, 7), _odd_gap_chiral_chain(500, 8),
+], ids=["analytic-130", "analytic-1000", "uniform-130", "near-uniform-200", "odd-gap-200",
+        "odd-gap-1000"])
+def test_chiral_fold_keeps_the_verdicts_of_the_fold(monkeypatch, spec):
+    """Verdict and reason are those of the solve of both mirror blocks, and
+    a perfect chain keeps its t0 to 16 ulp."""
+    want = _certify_by_the_fold_oracles(monkeypatch, spec)
+    got = certify_pst(replace(spec))
+    assert (got.verdict, got.reason) == (want.verdict, want.reason)
+    if want.perfect:
+        assert abs(got.t0 - want.t0) <= 16 * np.spacing(want.t0)
 
 
 # --- eigenvalues at once, eigenvectors on first read ---------------------------
