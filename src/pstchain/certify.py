@@ -252,6 +252,8 @@ def end_weights(spectrum) -> np.ndarray:
     lam = np.asarray(spectrum, dtype=float)
     if lam.ndim != 1 or lam.size < 1:
         raise ValueError("spectrum must be a non-empty 1-D sequence")
+    if not np.isfinite(lam).all():
+        raise ValueError("spectrum must be finite")
     if np.any(np.diff(lam) <= 0):
         raise DegenerateSpectrumError("spectrum must be strictly ascending")
     if lam.size == 1:

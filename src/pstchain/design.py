@@ -188,20 +188,23 @@ def chain_from_spectrum(target: TargetSpectrum) -> ChainSpec:
     """Unique mirror-symmetric positive-coupling chain with the given spectrum.
 
     Such a chain is fixed by its spectrum (Hochstadt, Linear Algebra Appl. 8,
-    1974; Hald, Linear Algebra Appl. 14, 1976). Its two mirror blocks (the
-    :func:`pstchain.spectral._fold`) take the eigenvalues in turn from the
-    top, the symmetric block first; read from the centre out, they differ in
-    their first site only: by 2 J_m in its field for N = 2m, and by that site
-    itself for N = 2m + 1. So the centre weights of the symmetric block come
-    from the two interlacing spectra (de Boor and Golub, Linear Algebra Appl.
-    21, 1978), and the Gragg-Harrod Givens insertion (Numer. Math. 44, 1984)
-    of those ~N/2 pairs, rotated in extended precision, builds that block in
-    O(N^2) time and O(N) memory. The chain is the half and its mirror,
-    exactly mirror symmetric, so its eigensolves take the fold. No end weight
-    of the whole chain is formed, so there is no refusal for end weights
-    that underflow. The result is verified by its eigenvalues; an
-    antisymmetric target must give vanishing fields, which are then set to
-    zero.
+    1974; Hald, Linear Algebra Appl. 14, 1976). It is orthogonally similar
+    to the direct sum of two mirror blocks (Cantoni and Butler, Linear
+    Algebra Appl. 13, 1976), which take the eigenvalues in turn from the top,
+    the symmetric block first. For N = 2m the symmetric block is the leading
+    m x m block with J_m added to its last field, and the antisymmetric block
+    the same with J_m subtracted; for N = 2m + 1 the symmetric block is the
+    leading (m+1)-block with its last coupling scaled by sqrt 2, and the
+    antisymmetric block the leading m x m block. Read from the centre out,
+    the two differ in their first site only. So the centre weights of the
+    symmetric block come from the two interlacing spectra (de Boor and Golub,
+    Linear Algebra Appl. 21, 1978), and the Gragg-Harrod Givens insertion
+    (Numer. Math. 44, 1984) of those ~N/2 pairs, rotated in extended
+    precision, builds that block in O(N^2) time and O(N) memory. The chain is
+    the half and its mirror, exactly mirror symmetric. No end weight of the
+    whole chain is formed, so there is no refusal for end weights that
+    underflow. The result is verified by its eigenvalues; an antisymmetric
+    target must give vanishing fields, which are then set to zero.
     """
     lam = np.asarray(target.eigenvalues, dtype=float)
     n = lam.size

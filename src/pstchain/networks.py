@@ -8,6 +8,7 @@ time evolution.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -262,8 +263,10 @@ def amplifier_sim(spec_or_couplings, input_state, times) -> AmplifierResult:
     n = j.size + 1
     ladder = chain((0.0, *j))
     if np.isscalar(input_state):
+        if not (isinstance(input_state, numbers.Integral) and 0 <= input_state <= n):
+            raise ValueError(f"wall index must be an integer in 0..{n}")
         psi0 = np.zeros(n + 1, dtype=complex)
-        psi0[int(input_state)] = 1.0
+        psi0[input_state] = 1.0
     else:
         psi0 = np.asarray(input_state, dtype=complex)
         if psi0.shape != (n + 1,):

@@ -13,20 +13,17 @@ a larger one by LAPACK's tridiagonal routines from ``scipy.linalg``, which is
 imported on the first such solve, since importing it costs about 0.3 s, most
 of the start-up of a process that solves only short chains.
 
-A perfect chain is mirror symmetric, and a mirror-symmetric (persymmetric)
-tridiagonal matrix is orthogonally similar to the direct sum of two
-half-size tridiagonal matrices, one acting on the symmetric and one on the
-antisymmetric vectors (Cantoni and Butler, Linear Algebra Appl. 13, 1976).
-Above the cut the LAPACK solves stack the two blocks into one matrix with
-an exact zero coupling between them, where LAPACK splits the problem in two.
-
 A chain with zero fields is bipartite, so its spectrum is symmetric about
-zero, and for even N the sublattice sign flip ``diag((-1)^i)`` turns the
-symmetric mirror block into minus the antisymmetric one. Above the cut the
-eigenvalues of such a chain, exactly mirror symmetric with an all-zero
-diagonal, come from the symmetric block alone, N/2 rows, as its moduli and
-their negatives; the spectrum is then exactly antisymmetric, and the Newton
-step and the end products run on its nonnegative half and are mirrored.
+zero. An exactly mirror-symmetric (persymmetric) one of even N = 2m is
+orthogonally similar to the direct sum of two m x m tridiagonal blocks, one
+acting on the symmetric and one on the antisymmetric vectors (Cantoni and
+Butler, Linear Algebra Appl. 13, 1976), and the sublattice sign flip
+``diag((-1)^i)`` turns the symmetric block into minus the antisymmetric one.
+Above the cut the eigenvalues of such a chain come from the symmetric block
+alone, :func:`_chiral_block`, as its moduli and their negatives; the spectrum
+is then exactly antisymmetric, and the Newton step and the end products run
+on its nonnegative half and are mirrored. Every other eigenvalue solve above
+the cut, and every eigenvector solve, takes the whole operator.
 
 A :class:`ChainSpec` is solved once per object: its first :func:`diagonalize`
 keeps the decomposition on the chain, and every later call, from
@@ -52,10 +49,10 @@ NEWTON_GATE = 1e-12
 # Largest a-priori relative error of end weights taken from the spectrum.
 END_WEIGHT_RTOL = 1e-6
 # Largest tridiagonal operator solved densely by numpy.linalg. At 128 sites
-# eigvalsh takes 0.8 ms against 0.2 ms for sterf on the fold, and eigh 1.5 ms
-# against 0.5 ms for stevd and the unfold (one BLAS thread); importing
-# scipy.linalg takes 0.3 s, so a process gains unless it makes some 300 such
-# solves. The dense solves grow as N^3: at 256 sites 3.8 and 7.5 ms.
+# eigvalsh takes 0.7 ms against 0.4 ms for sterf, and eigh 1.2 ms against
+# 0.5 ms for stevd (one BLAS thread); importing scipy.linalg takes 0.3 s, so a
+# process gains unless it makes some 300 such solves. The dense solves grow as
+# N^3: at 256 sites 3.8 and 7.5 ms.
 SMALL_CHAIN_CUT = 128
 _EPS = float(np.finfo(float).eps)
 # Columns per step of the sign fix and the residual check, and rows per step of
@@ -207,56 +204,19 @@ def _max_abs(diag: np.ndarray, off: np.ndarray) -> float:
     return max(top, float(np.abs(off).max())) if off.size else top
 
 
-def _fold(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The two mirror blocks of an exactly mirror-symmetric tridiagonal
-    matrix, stacked into one matrix of the same size with a zero coupling
-    between them; ``None`` unless ``diag`` and ``off`` equal their reverses
-    bitwise (the split must be exact, so no tolerance is allowed).
-
-    With N = 2m the symmetric block is the leading m x m block with ``J_m``
-    added to its last diagonal entry and the antisymmetric block the same
-    with ``J_m`` subtracted. With N = 2m + 1 the symmetric block is the
-    leading (m+1)-block with its last coupling scaled by sqrt 2 and the
-    antisymmetric block the leading m x m block. The symmetric block comes
-    first.
-    """
+def _chiral_block(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The symmetric mirror block of ``tridiag(off, diag, off)`` with N = 2m,
+    an all-zero diagonal and ``diag`` and ``off`` equal to their reverses
+    bitwise: its leading m rows, with ``J_m`` on the last diagonal entry;
+    ``None`` for any other matrix (the split must be exact, so no tolerance
+    is allowed)."""
     n = diag.size
-    if n < 2 or not _is_mirror(diag, off):
+    if n % 2 or diag.any() or not _is_mirror(diag, off):
         return None
     m = n // 2
-    s = n - m       # the size of the symmetric block
-    fdiag = np.concatenate((diag[:s], diag[:m]))
-    foff = np.concatenate((off[:s - 1], (0.0,), off[:m - 1]))
-    if n % 2:
-        foff[m - 1] *= math.sqrt(2.0)
-    else:
-        fdiag[m - 1] += off[m - 1]
-        fdiag[n - 1] -= off[m - 1]
-    return fdiag, foff
-
-
-def _unfold(vectors: np.ndarray) -> None:
-    """Eigenvectors of a mirror-symmetric matrix from those of its
-    :func:`_fold`, in place, a block of columns at a time.
-
-    Each column lies in one row block of the fold (the solver splits at the
-    zero coupling) and is exactly zero in the other, so the top half of the
-    unfolded column is the sum of the two row blocks times sqrt(1/2) and the
-    bottom half is the mirror of their difference times sqrt(1/2): the
-    symmetric block's column is mirrored with a plus, the antisymmetric
-    block's with a minus. The centre entry of an odd chain is the symmetric
-    block's last entry, and stays where it is.
-    """
-    n = vectors.shape[0]
-    m = n // 2
-    half = math.sqrt(0.5)
-    for c in range(0, vectors.shape[1], _BLOCK):
-        sym = vectors[:m, c:c + _BLOCK]
-        anti = vectors[n - m:, c:c + _BLOCK]
-        top = sym + anti
-        bottom = (sym - anti)[::-1]
-        np.multiply(top, half, out=sym)
-        np.multiply(bottom, half, out=anti)
+    block = np.zeros(m)
+    block[-1] = off[m - 1]
+    return block, off[:m - 1]
 
 
 def diagonalize(operator) -> SpectralDecomposition:
@@ -279,12 +239,10 @@ def diagonalize(operator) -> SpectralDecomposition:
     :func:`_of_tridiagonal`, and its eigenvectors on their first
     read, from :func:`_eigenvector_solve`: ``numpy.linalg.eigh`` of the dense
     matrix up to ``SMALL_CHAIN_CUT`` sites, and above it LAPACK ``stevd``
-    (divide and conquer, O(N^3) in the worst case) on the operator, or on its
-    :func:`_fold` if it is exactly mirror symmetric, which ``stevd`` solves as
-    two N/2 problems and which is unfolded before the sign fix; the chiral
-    fold of the eigenvalues leaves this solve as it is. The residual
-    is checked against the eigenvalues handed out at once; those of the
-    eigenvector solve are dropped. :func:`gamma` between the end sites of a
+    (divide and conquer, O(N^3) in the worst case) on the whole operator,
+    whether or not its eigenvalues came from :func:`_chiral_block`. The
+    residual is checked against the eigenvalues handed out at once; those of
+    the eigenvector solve are dropped. :func:`gamma` between the end sites of a
     chain with positive couplings reads no eigenvectors (see
     :func:`pair_weights`), so above the cut it costs O(N^2) time and O(N)
     memory in all. A dense operator is solved at once by
@@ -338,27 +296,22 @@ def _eigenvalue_solve(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of ``tridiag(off, diag, off)``, N >= 2, as the
     solver returns them: ``numpy.linalg.eigvalsh`` of the dense matrix up to
     ``SMALL_CHAIN_CUT`` sites, LAPACK ``sterf`` (O(N^2) time, O(N) memory)
-    above it, on the :func:`_fold` of an exactly mirror-symmetric matrix.
+    above it, on the whole matrix or on its :func:`_chiral_block`.
 
-    The chiral fold: above the cut, an exactly mirror-symmetric matrix of
-    even N = 2m with an all-zero diagonal has an antisymmetric block that the
-    sign flip ``diag((-1)^i)`` maps to minus the symmetric one, so ``sterf``
-    solves the symmetric block alone (its m rows, ``J_m`` on the last
-    diagonal entry, eigenvalues ``s``) and the eigenvalues are
+    An exactly mirror-symmetric matrix of even N = 2m with an all-zero
+    diagonal has an antisymmetric block that the sign flip ``diag((-1)^i)``
+    maps to minus the symmetric one, so above the cut ``sterf`` solves the
+    symmetric block alone (eigenvalues ``s``) and the eigenvalues are
     ``pos = sort(|s|)`` and their negatives, ``concatenate((-pos[::-1], pos))``,
     exactly antisymmetric."""
-    n = diag.size
-    if n <= SMALL_CHAIN_CUT:
+    if diag.size <= SMALL_CHAIN_CUT:
         return np.linalg.eigvalsh(_tridiagonal_dense(diag, off))
     from scipy.linalg.lapack import dsterf
-    fold = _fold(diag, off)
-    chiral = fold is not None and n % 2 == 0 and not diag.any()
-    if chiral:      # the symmetric block, the first n/2 rows of the fold
-        fold = fold[0][:n // 2], fold[1][:n // 2 - 1]
-    lam, info = dsterf(*(fold or (diag, off)))
+    block = _chiral_block(diag, off)
+    lam, info = dsterf(*(block or (diag, off)))
     if info:
         raise np.linalg.LinAlgError(f"LAPACK sterf did not converge (info {info})")
-    if chiral:
+    if block is not None:
         pos = np.sort(np.abs(lam))
         lam = np.concatenate((-pos[::-1], pos))
     return lam
@@ -368,17 +321,13 @@ def _eigenvector_solve(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Eigenvector columns of ``tridiag(off, diag, off)``, N >= 2, in
     ascending order of their eigenvalues and before the sign fix:
     ``numpy.linalg.eigh`` of the dense matrix up to ``SMALL_CHAIN_CUT``
-    sites, LAPACK ``stevd`` above it, on the :func:`_fold` of an exactly
-    mirror-symmetric matrix and then unfolded."""
+    sites, LAPACK ``stevd`` of the whole matrix above it."""
     if diag.size <= SMALL_CHAIN_CUT:
         return np.linalg.eigh(_tridiagonal_dense(diag, off))[1]
     from scipy.linalg.lapack import dstevd
-    fold = _fold(diag, off)
-    _, vec, info = dstevd(*(fold or (diag, off)))
+    _, vec, info = dstevd(diag, off)
     if info:
         raise np.linalg.LinAlgError(f"LAPACK stevd did not converge (info {info})")
-    if fold is not None:
-        _unfold(vec)
     return vec
 
 
@@ -388,11 +337,10 @@ def _of_tridiagonal(diag: np.ndarray, off: np.ndarray) -> SpectralDecomposition:
 
     They come from :func:`_eigenvalue_solve`: dense ``numpy.linalg.eigvalsh``
     up to ``SMALL_CHAIN_CUT`` sites, and above it LAPACK ``sterf``, O(N^2) in
-    time and O(N) in memory, on the :func:`_fold` of an exactly
-    mirror-symmetric matrix, two N/2 problems, which halves the work, or on
-    the symmetric block alone (the chiral fold) if N is even and the diagonal
-    all zero, one N/2 problem whose moduli and their negatives are the
-    spectrum. Either way they carry an absolute error of order
+    time and O(N) in memory, on the whole matrix, or on its
+    :func:`_chiral_block` if it is exactly mirror symmetric with even N and
+    an all-zero diagonal, one N/2 problem whose moduli and their negatives
+    are the spectrum. Either way they carry an absolute error of order
     ``N * eps * max|T|``. Where that error could reach ``NEWTON_GATE`` of the
     smallest gap, the eigenvalues get one :func:`sturm_newton` step of at
     most that size, whose recurrence runs to the centre only on a
@@ -420,11 +368,12 @@ def sturm_newton(diag: np.ndarray, off: np.ndarray, eigenvalues,
     ``p'/p`` is the sum of ``d_i'/d_i`` over the pivots of the Sturm (LDL^T)
     recurrence ``d_i = (B_i - lambda) - J_{i-1}^2 / d_{i-1}``, O(N) per
     eigenvalue. On an operator equal to its mirror image bitwise (the test of
-    :func:`_fold`) ``p`` is the product of the characteristic polynomials of
-    the two mirror blocks, which share the pivots up to the centre, so the
-    recurrence stops there: ``p = P_{m-1}^2 (d_m - J_m)(d_m + J_m)`` for
-    N = 2m and ``p = P_m^2 ((B_{m+1} - lambda) - 2 J_m^2 / d_m)`` for
-    N = 2m + 1, ``P_k`` the product of the first k pivots.
+    :func:`_is_mirror`) ``p`` is the product of the characteristic
+    polynomials of the two mirror blocks (Cantoni and Butler), which share the
+    pivots up to the centre, so the recurrence stops there:
+    ``p = P_{m-1}^2 (d_m - J_m)(d_m + J_m)`` for N = 2m and
+    ``p = P_m^2 ((B_{m+1} - lambda) - 2 J_m^2 / d_m)`` for N = 2m + 1,
+    ``P_k`` the product of the first k pivots.
 
     On an all-zero diagonal ``p(-lambda) = (-1)^N p(lambda)``, and every pivot
     at ``-lambda`` is minus the one at ``lambda``, bitwise, so
@@ -511,7 +460,7 @@ def end_products(couplings, eigenvalues) -> np.ndarray:
 
     The denominator has the sign ``(-1)^(N-1-k)`` (k 0-based), so the
     products alternate in sign down the spectrum. Of an exactly
-    antisymmetric spectrum, such as the chiral fold hands out, only the
+    antisymmetric spectrum, such as a :func:`_chiral_block` gives, only the
     log-derivative sums of the nonnegative half are formed (see
     :func:`_log_abs_derivatives`), so ``|v_1k v_Nk|`` is symmetric bitwise.
     """

@@ -353,36 +353,13 @@ def sturm_newton_full(diag, off, eigenvalues, max_step):
 def unfolded_decomposition(spec):
     """Eigenvalues and eigenvectors of a chain from one LAPACK ``stevd`` solve
     of its whole single-excitation matrix, with the library's sign
-    convention: the way the library diagonalized every chain before it
-    folded mirror-symmetric ones into two half-size blocks."""
+    convention: the way the library solves the eigenvectors of every chain
+    above ``SMALL_CHAIN_CUT`` sites."""
     from pstchain.spectral import _fix_signs
 
     lam, vec = scipy.linalg.eigh_tridiagonal(spec.field_array(), spec.coupling_array(),
                                              lapack_driver="stevd")
     return lam, _fix_signs(vec)
-
-
-def eager_decomposition(spec):
-    """Eigenvalues, sign-fixed eigenvectors and residual of a chain from one
-    LAPACK ``stevd`` solve, the way the library diagonalized every chain
-    before it took the eigenvalues from ``sterf`` at once and the eigenvectors
-    on their first read: an exactly mirror-symmetric chain as its two-block
-    fold, the eigenvalues those ``stevd`` returns, and the residual
-    ``max|T v - lambda v|`` against them, from the dense matrix."""
-    from pstchain.spectral import _fix_signs, _fold, _unfold
-
-    diag, off = spec.field_array(), spec.coupling_array()
-    if spec.n == 1:
-        lam, vec = diag.copy(), np.ones((1, 1))
-    else:
-        fold = _fold(diag, off)
-        lam, vec = scipy.linalg.eigh_tridiagonal(*(fold or (diag, off)),
-                                                 lapack_driver="stevd")
-        if fold is not None:
-            _unfold(vec)
-    vec = _fix_signs(vec)
-    dense = tridiagonal_dense(spec.couplings, spec.fields)
-    return lam, vec, float(np.max(np.abs(dense @ vec - vec * lam[None, :])))
 
 
 def dense_decomposition(spec):
@@ -404,17 +381,35 @@ def unfolded_eigenvalues(spec):
 
 def folded_eigenvalues(diag, off):
     """Ascending eigenvalues of ``tridiag(off, diag, off)``, N >= 2, the way the
-    library solved them before the chiral fold: ``numpy.linalg.eigvalsh`` of
+    library solved them before the chiral block: ``numpy.linalg.eigvalsh`` of
     the dense matrix up to ``SMALL_CHAIN_CUT`` sites, and above it one LAPACK
-    ``sterf`` solve of both mirror blocks of an exactly mirror-symmetric
-    matrix, stacked by ``spectral._fold``, or of the matrix itself."""
+    ``sterf`` solve of the matrix itself or, if it equals its mirror image
+    bitwise, of both its mirror blocks stacked with a zero coupling between
+    them (Cantoni and Butler, Linear Algebra Appl. 13, 1976). With N = 2m the
+    symmetric block is the leading m x m block with ``J_m`` added to its last
+    diagonal entry and the antisymmetric block the same with ``J_m``
+    subtracted; with N = 2m + 1 the symmetric block is the leading
+    (m+1)-block with its last coupling scaled by sqrt 2 and the antisymmetric
+    block the leading m x m block."""
     from scipy.linalg.lapack import dsterf
 
-    from pstchain.spectral import SMALL_CHAIN_CUT, _fold
+    from pstchain.spectral import SMALL_CHAIN_CUT
 
-    if diag.size <= SMALL_CHAIN_CUT:
+    n = diag.size
+    if n <= SMALL_CHAIN_CUT:
         return np.linalg.eigvalsh(tridiagonal_dense(off, diag))
-    lam, info = dsterf(*(_fold(diag, off) or (diag, off)))
+    if diag.tobytes() == diag[::-1].tobytes() and off.tobytes() == off[::-1].tobytes():
+        m = n // 2
+        s = n - m       # the size of the symmetric block
+        fdiag = np.concatenate((diag[:s], diag[:m]))
+        foff = np.concatenate((off[:s - 1], (0.0,), off[:m - 1]))
+        if n % 2:
+            foff[m - 1] *= math.sqrt(2.0)
+        else:
+            fdiag[m - 1] += off[m - 1]
+            fdiag[n - 1] -= off[m - 1]
+        diag, off = fdiag, foff
+    lam, info = dsterf(diag, off)
     if info:
         raise np.linalg.LinAlgError(f"LAPACK sterf did not converge (info {info})")
     return lam

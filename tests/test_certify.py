@@ -351,8 +351,9 @@ _ABOVE_CUT = SMALL_CHAIN_CUT + 2
 def test_exactly_mirror_chain_reaches_the_solvers_folded(lapack_solves):
     """diagonalize solves the eigenvalues at once and the eigenvectors on
     their first read; a decomposition whose eigenvectors are not read solves
-    the eigenvalues alone. The chain carries a field, so both solvers get
-    the whole fold."""
+    the eigenvalues alone. The chain carries a field, so it has no chiral
+    block, and both solvers get the whole operator with the chain's own
+    couplings, none of them zero."""
     n = _ABOVE_CUT
     spec = chain(analytic_chain(n).couplings, [0.5] * n)
     diagonalize(replace(spec)).eigenvectors
@@ -360,25 +361,24 @@ def test_exactly_mirror_chain_reaches_the_solvers_folded(lapack_solves):
     vector_solves, value_solves = lapack_solves
     assert (vector_solves, value_solves) == ([n], [n, n])
     for off in vector_solves.offdiagonals + value_solves.offdiagonals:
-        assert np.flatnonzero(off == 0.0).tolist() == [n // 2 - 1]
+        assert np.array_equal(off, spec.coupling_array()) and off.min() > 0.0
 
 
 def test_even_zero_field_mirror_chain_reaches_sterf_as_one_block(lapack_solves):
-    """The chiral fold: sterf solves the symmetric mirror block alone, n/2
-    rows coupled by the chain's own couplings, while stevd still gets the
-    whole fold. A zero-field mirror chain of odd length keeps the whole fold
-    for both."""
+    """The chiral block: sterf solves the symmetric mirror block alone, n/2
+    rows coupled by the chain's own couplings, while stevd gets the whole
+    operator. A zero-field mirror chain of odd length reaches sterf whole."""
     n = _ABOVE_CUT
     diagonalize(analytic_chain(n)).eigenvectors
     diagonalize(analytic_chain(n)).eigenvalues
     vector_solves, value_solves = lapack_solves
     assert (vector_solves, value_solves) == ([n], [n // 2, n // 2])
-    assert np.flatnonzero(vector_solves.offdiagonals[0] == 0.0).tolist() == [n // 2 - 1]
+    assert np.array_equal(vector_solves.offdiagonals[0], analytic_chain(n).coupling_array())
     for off in value_solves.offdiagonals:
         assert np.array_equal(off, analytic_chain(n).coupling_array()[:n // 2 - 1])
     diagonalize(analytic_chain(n + 1)).eigenvalues
     assert value_solves[2:] == [n + 1]
-    assert np.flatnonzero(value_solves.offdiagonals[2] == 0.0).tolist() == [n // 2]
+    assert np.array_equal(value_solves.offdiagonals[2], analytic_chain(n + 1).coupling_array())
 
 
 @pytest.mark.parametrize("spec", [sequential_storage_chain(_ABOVE_CUT),
@@ -936,12 +936,22 @@ def _decomposition():
      "max_denominator must be a positive integer"),
     (lambda: certify_pst(analytic_chain(9), max_denominator=2.5),
      "max_denominator must be a positive integer"),
+    (lambda: amplifier_sim(analytic_chain(6), -1, [0.0]),
+     r"wall index must be an integer in 0\.\.6"),
+    (lambda: amplifier_sim(analytic_chain(6), 99, [0.0]),
+     r"wall index must be an integer in 0\.\.6"),
+    (lambda: amplifier_sim(analytic_chain(6), 2.5, [0.0]),
+     r"wall index must be an integer in 0\.\.6"),
+    (lambda: end_weights([0.0, _NAN, 2.0]), "spectrum must be finite"),
+    (lambda: end_weights([0.0, math.inf]), "spectrum must be finite"),
 ], ids=["gamma", "gamma-inf", "propagate", "propagate-times", "evolve_slater",
         "two_boson_transfer", "amplifier_sim", "bath_transfer_amplitude", "rate-t0-nan",
         "rate-t0-negative", "certify-max-den-0", "certify-max-den-negative",
-        "certify-max-den-fraction"])
+        "certify-max-den-fraction", "amplifier-wall-negative", "amplifier-wall-past-n",
+        "amplifier-wall-fraction", "end-weights-nan", "end-weights-inf"])
 def test_times_and_limits_out_of_range_raise_value_error(call, message):
-    """Each of these once returned NaN, a meaningless report or an unrelated
-    error (ZeroDivisionError for a zero max_denominator)."""
+    """Each of these once returned NaN, a meaningless report or state or an
+    unrelated error (ZeroDivisionError for a zero max_denominator, IndexError
+    for a wall past N)."""
     with pytest.raises(ValueError, match=message):
         call()

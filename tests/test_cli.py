@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -461,7 +462,7 @@ _SOLVERS = re.compile(r"\b(dsterf|dstevd|eigh_tridiagonal|eigvalsh_tridiagonal|s
 
 
 def test_only_spectral_names_the_tridiagonal_solvers():
-    """The solver rules, the mirror fold and the chiral fold among them, have
+    """The solver rules, the chiral block and the mirror stop among them, have
     one copy: no module but spectral names LAPACK's tridiagonal solvers,
     scipy's wrappers of them or the Newton step."""
     for name, text in _library_sources():
@@ -469,6 +470,28 @@ def test_only_spectral_names_the_tridiagonal_solvers():
             assert _SOLVERS.search(text) is None, (name, _SOLVERS.search(text))
     assert _SOLVERS.search("from scipy.linalg.lapack import dsterf")
     assert _SOLVERS.search("lam = sturm_newton(diag, off, lam, error)")
+
+
+_SOLVER_INTERNALS = {"_fold", "_unfold", "_chiral_block", "_eigenvalue_solve",
+                     "_eigenvector_solve", "_of_tridiagonal", "sturm_newton"}
+
+
+def _spectral_names(text):
+    """The names a module's source imports from ``pstchain.spectral``."""
+    return {alias.name for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ImportFrom) and node.module == "pstchain.spectral"
+            for alias in node.names}
+
+
+def test_oracles_import_no_solver_internals():
+    """The test oracles solve with their own code, so a fault in the
+    library's solver rules cannot reach both sides of a comparison; the sign
+    convention and the size of the cut are shared on purpose."""
+    with open(os.path.join(os.path.dirname(__file__), "oracles.py")) as f:
+        names = _spectral_names(f.read())
+    assert not names & _SOLVER_INTERNALS, names & _SOLVER_INTERNALS
+    assert _spectral_names("from pstchain.spectral import _fix_signs, _fold\n") == {
+        "_fix_signs", "_fold"}
 
 
 _FLOOR = re.compile(r"\b1(\.0)?\s*-\s*1e-0?8\b")

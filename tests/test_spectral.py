@@ -15,10 +15,10 @@ from pstchain import spectral
 from pstchain.spectral import (SMALL_CHAIN_CUT, _phase_sum, end_products,
                                pair_weights, sturm_newton)
 
-from oracles import (dense_decomposition, eager_decomposition, end_products_full, expm_evolve,
-                     folded_eigenvalues, log_abs_derivatives, phase_sum_direct,
-                     random_pst_chain, sturm_newton_full, tridiagonal_dense,
-                     unfolded_decomposition, unfolded_eigenvalues)
+from oracles import (dense_decomposition, end_products_full, expm_evolve, folded_eigenvalues,
+                     log_abs_derivatives, phase_sum_direct, random_pst_chain,
+                     sturm_newton_full, tridiagonal_dense, unfolded_decomposition,
+                     unfolded_eigenvalues)
 
 
 def test_two_level_eigenvalues():
@@ -443,7 +443,7 @@ def _random_mirror_chains(sizes):
 
 
 random_mirror_chains = _random_mirror_chains(st.integers(2, 40))
-# above SMALL_CHAIN_CUT, where LAPACK solves the fold
+# above SMALL_CHAIN_CUT, where LAPACK solves them
 long_mirror_chains = _random_mirror_chains(st.integers(SMALL_CHAIN_CUT + 1,
                                                        SMALL_CHAIN_CUT + 40))
 lattice_chains = st.builds(
@@ -493,7 +493,7 @@ def test_mirror_chains_have_alternating_eigenvectors(spec):
         assert abs(arrival) >= 1.0 - ARRIVAL_TOL
 
 
-# --- the two-block fold of mirror-symmetric chains ----------------------------
+# --- mirror-symmetric chains ------------------------------------------------
 
 def _cut(spec, k):
     """The chain with coupling ``k`` and its mirror image set to zero."""
@@ -549,8 +549,8 @@ around_the_cut = st.sampled_from(list(range(2, 13)) + [SMALL_CHAIN_CUT - 1, SMAL
 @example(2, SMALL_CHAIN_CUT, False, True)
 def test_solves_either_side_of_the_cut_match_the_unfolded_lapack_oracle(seed, n, mirror,
                                                                           fields):
-    """Dense numpy.linalg solves at or below the cut and LAPACK solves of the
-    fold above it give the eigenvalues of one unfolded sterf solve within
+    """Dense numpy.linalg solves at or below the cut and LAPACK solves above
+    it give the eigenvalues of one unfolded sterf solve within
     2 N eps ||T||_inf, the resolved eigenvector columns of one unfolded stevd
     solve within 1e-9, and end products that match the eigenvector end rows
     within 1e-13 max(1, 2 / smallest gap)."""
@@ -679,6 +679,30 @@ def test_chiral_fold_keeps_the_verdicts_of_the_fold(monkeypatch, spec):
         assert abs(got.t0 - want.t0) <= 16 * np.spacing(want.t0)
 
 
+def _with_field(n, field):
+    """The analytic chain of n sites with ``field`` on every site."""
+    return chain(analytic_chain(n).couplings, [field] * n)
+
+
+@pytest.mark.parametrize("spec", [
+    analytic_chain(SMALL_CHAIN_CUT + 1), analytic_chain(SMALL_CHAIN_CUT + 3), analytic_chain(1001),
+    _with_field(SMALL_CHAIN_CUT + 2, 0.25), _with_field(1000, 0.25),
+    near_uniform_chain(201, 0.5)[0], random_pst_chain(np.random.default_rng(23), 201),
+], ids=["analytic-129", "analytic-131", "analytic-1001", "field-130", "field-1000",
+        "near-uniform-201", "odd-gap-201"])
+def test_whole_operator_solve_keeps_the_verdicts_of_the_two_block_fold(monkeypatch, spec):
+    """Mirror chains with no chiral block reach sterf whole; verdict and
+    reason are those of the solve of both mirror blocks stacked, and a
+    perfect chain keeps its t0 to 16 ulp."""
+    with monkeypatch.context() as patched:
+        patched.setattr(spectral, "_eigenvalue_solve", folded_eigenvalues)
+        want = certify_pst(replace(spec))
+    got = certify_pst(replace(spec))
+    assert (got.verdict, got.reason) == (want.verdict, want.reason)
+    if want.perfect:
+        assert abs(got.t0 - want.t0) <= 16 * np.spacing(want.t0)
+
+
 # --- eigenvalues at once, eigenvectors on first read ---------------------------
 
 @settings(max_examples=60, deadline=None)
@@ -687,12 +711,12 @@ def test_chiral_fold_keeps_the_verdicts_of_the_fold(monkeypatch, spec):
 @example(1, 300, False, False)
 @example(2, SMALL_CHAIN_CUT, True, True)
 def test_lazy_decomposition_matches_the_eager_oracle(seed, n, mirror, fields):
-    """The eager oracle is the LAPACK stevd solve above the cut, which the
-    first read must give bit for bit, and the sign-fixed dense
-    numpy.linalg.eigh solve at or below it, which must also match the LAPACK
-    one on resolved columns."""
+    """The eager oracle is one LAPACK stevd solve of the whole operator above
+    the cut, which the first read must give bit for bit, mirror symmetric or
+    not, and the sign-fixed dense numpy.linalg.eigh solve at or below it,
+    which must also match the LAPACK one on resolved columns."""
     spec = _random_chain(seed, n, mirror, fields)
-    lam, vec, _ = eager_decomposition(spec)
+    lam, vec = unfolded_decomposition(spec)
     if n <= SMALL_CHAIN_CUT:
         lapack_vec = vec
         lam, vec = dense_decomposition(spec)
