@@ -158,11 +158,15 @@ def _cmd_simulate(args, manifest):
     sd = diagonalize(spec)
     times = np.linspace(0.0, ns.tmax, ns.steps + 1)
     amps = gamma(sd, ns.source, ns.target, times)
+    peak = float(np.max(np.abs(amps) ** 2))
+    # gamma's rounding bound with sum |w_k| <= 1; a peak below its square has no time
+    scale = abs(ns.tmax) * float(np.max(np.abs(sd.eigenvalues)))
+    noise = 8.0 * (scale + spec.n) * np.finfo(float).eps
     summary = {
         "source": ns.source,
         "target": ns.target,
-        "peak_abs2": float(np.max(np.abs(amps) ** 2)),
-        "peak_time": float(times[int(np.argmax(np.abs(amps)))]),
+        "peak_abs2": peak,
+        "peak_time": float(times[int(np.argmax(np.abs(amps)))]) if peak > noise ** 2 else None,
     }
     if ns.out:
         manifest.write_csv(ns.out, ["t", "re", "im", "abs2"],

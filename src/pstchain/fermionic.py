@@ -250,8 +250,6 @@ def entanglement_generation(spec: ChainSpec, t: float | None = None) -> Entangle
     n = spec.n
     if t is None:
         t = cert.t0
-    if not math.isfinite(t):
-        raise ValueError("time must be finite")
     u1 = amplitude_profile(cert.spectrum, 1, t)
     un = amplitude_profile(cert.spectrum, n, t)
     single = 0.5 * (u1 + un)

@@ -19,11 +19,12 @@ orthogonally similar to the direct sum of two m x m tridiagonal blocks, one
 acting on the symmetric and one on the antisymmetric vectors (Cantoni and
 Butler, Linear Algebra Appl. 13, 1976), and the sublattice sign flip
 ``diag((-1)^i)`` turns the symmetric block into minus the antisymmetric one.
-Above the cut the eigenvalues of such a chain come from the symmetric block
-alone, :func:`_chiral_block`, as its moduli and their negatives; the spectrum
-is then exactly antisymmetric, and the Newton step and the end products run
-on its nonnegative half and are mirrored. Every other eigenvalue solve above
-the cut, and every eigenvector solve, takes the whole operator.
+Above the cut such a chain is solved as the symmetric block alone,
+:func:`_chiral_block`: its eigenvalues are found and refined on the block,
+and their moduli and the negatives of those are the spectrum, exactly
+antisymmetric, whose end products are summed on its nonnegative half and
+mirrored. Every other eigenvalue solve, and every eigenvector solve, takes
+the whole operator.
 
 A :class:`ChainSpec` is solved once per object: its first :func:`diagonalize`
 keeps the decomposition on the chain, and every later call, from
@@ -236,13 +237,14 @@ def diagonalize(operator) -> SpectralDecomposition:
     the chain does (N^2 floats).
 
     A tridiagonal operator gets its eigenvalues at once, from
-    :func:`_of_tridiagonal`, and its eigenvectors on their first
-    read, from :func:`_eigenvector_solve`: ``numpy.linalg.eigh`` of the dense
-    matrix up to ``SMALL_CHAIN_CUT`` sites, and above it LAPACK ``stevd``
-    (divide and conquer, O(N^3) in the worst case) on the whole operator,
-    whether or not its eigenvalues came from :func:`_chiral_block`. The
-    residual is checked against the eigenvalues handed out at once; those of
-    the eigenvector solve are dropped. :func:`gamma` between the end sites of a
+    :func:`_of_tridiagonal`, which solves and refines its chiral block above
+    ``SMALL_CHAIN_CUT`` sites if it has one, and the whole operator
+    otherwise. Its eigenvectors come on their first read, from
+    :func:`_eigenvector_solve`: ``numpy.linalg.eigh`` of the dense matrix up
+    to the cut, and above it LAPACK ``stevd`` (divide and conquer, O(N^3) in
+    the worst case) on the whole operator. The residual is checked against
+    the eigenvalues handed out at once; those of the eigenvector solve are
+    dropped. :func:`gamma` between the end sites of a
     chain with positive couplings reads no eigenvectors (see
     :func:`pair_weights`), so above the cut it costs O(N^2) time and O(N)
     memory in all. A dense operator is solved at once by
@@ -295,25 +297,14 @@ def _tridiagonal_eigenvectors(diag: np.ndarray, off: np.ndarray, eigenvalues: np
 def _eigenvalue_solve(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of ``tridiag(off, diag, off)``, N >= 2, as the
     solver returns them: ``numpy.linalg.eigvalsh`` of the dense matrix up to
-    ``SMALL_CHAIN_CUT`` sites, LAPACK ``sterf`` (O(N^2) time, O(N) memory)
-    above it, on the whole matrix or on its :func:`_chiral_block`.
-
-    An exactly mirror-symmetric matrix of even N = 2m with an all-zero
-    diagonal has an antisymmetric block that the sign flip ``diag((-1)^i)``
-    maps to minus the symmetric one, so above the cut ``sterf`` solves the
-    symmetric block alone (eigenvalues ``s``) and the eigenvalues are
-    ``pos = sort(|s|)`` and their negatives, ``concatenate((-pos[::-1], pos))``,
-    exactly antisymmetric."""
+    ``SMALL_CHAIN_CUT`` rows, LAPACK ``sterf`` (O(N^2) time, O(N) memory)
+    above it."""
     if diag.size <= SMALL_CHAIN_CUT:
         return np.linalg.eigvalsh(_tridiagonal_dense(diag, off))
     from scipy.linalg.lapack import dsterf
-    block = _chiral_block(diag, off)
-    lam, info = dsterf(*(block or (diag, off)))
+    lam, info = dsterf(diag, off)
     if info:
         raise np.linalg.LinAlgError(f"LAPACK sterf did not converge (info {info})")
-    if block is not None:
-        pos = np.sort(np.abs(lam))
-        lam = np.concatenate((-pos[::-1], pos))
     return lam
 
 
@@ -335,24 +326,25 @@ def _of_tridiagonal(diag: np.ndarray, off: np.ndarray) -> SpectralDecomposition:
     """The decomposition of ``tridiag(off, diag, off)``, holding the ascending
     eigenvalues :func:`diagonalize` hands out at once.
 
-    They come from :func:`_eigenvalue_solve`: dense ``numpy.linalg.eigvalsh``
-    up to ``SMALL_CHAIN_CUT`` sites, and above it LAPACK ``sterf``, O(N^2) in
-    time and O(N) in memory, on the whole matrix, or on its
-    :func:`_chiral_block` if it is exactly mirror symmetric with even N and
-    an all-zero diagonal, one N/2 problem whose moduli and their negatives
-    are the spectrum. Either way they carry an absolute error of order
-    ``N * eps * max|T|``. Where that error could reach ``NEWTON_GATE`` of the
-    smallest gap, the eigenvalues get one :func:`sturm_newton` step of at
-    most that size, whose recurrence runs to the centre only on a
-    mirror-symmetric operator and which steps only the nonnegative half of
-    an exactly antisymmetric spectrum.
+    Above ``SMALL_CHAIN_CUT`` sites a matrix with a :func:`_chiral_block` is
+    solved as that N/2-row block, and any other matrix whole. The solved
+    matrix's eigenvalues ``s`` come from :func:`_eigenvalue_solve`, with an
+    absolute error of order ``N * eps * max|T|``. Where that error could reach
+    ``NEWTON_GATE`` of the smallest gap of the spectrum, ``s`` gets one
+    :func:`sturm_newton` step of at most that size on the same matrix. The
+    spectrum of a chiral block is ``sort(|s|)`` and its negatives (see
+    :func:`_chiral_spectrum`), exactly antisymmetric; of a whole matrix, ``s``.
     """
     scale = _max_abs(diag, off)
-    lam = diag.copy() if diag.size == 1 else _eigenvalue_solve(diag, off)
+    block = _chiral_block(diag, off) if diag.size > SMALL_CHAIN_CUT else None
+    solved = block or (diag, off)
+    s = diag.copy() if diag.size == 1 else _eigenvalue_solve(*solved)
+    lam = _chiral_spectrum(s) if block else s
     gaps = lam[1:] - lam[:-1]
     error = diag.size * _EPS * scale
     if diag.size > 1 and error > NEWTON_GATE * float(gaps.min()):
-        lam = sturm_newton(diag, off, lam, error)
+        s = sturm_newton(*solved, s, error)
+        lam = _chiral_spectrum(s) if block else s
         gaps = lam[1:] - lam[:-1]
     gaps.flags.writeable = False
     sd = SpectralDecomposition(lam, None, None)
@@ -360,64 +352,46 @@ def _of_tridiagonal(diag: np.ndarray, off: np.ndarray) -> SpectralDecomposition:
     return sd
 
 
+def _chiral_spectrum(s: np.ndarray) -> np.ndarray:
+    """The spectrum of a matrix from the eigenvalues ``s`` of its
+    :func:`_chiral_block`: ``pos = sort(|s|)`` and its negatives, ascending
+    and exactly antisymmetric."""
+    pos = np.sort(np.abs(s))
+    return np.concatenate((-pos[::-1], pos))
+
+
 def sturm_newton(diag: np.ndarray, off: np.ndarray, eigenvalues,
                  max_step: float) -> np.ndarray:
     """One Newton step ``lambda - p(lambda) / p'(lambda)`` on the characteristic
     polynomial of ``tridiag(off, diag, off)``, for every eigenvalue at once.
 
-    ``p'/p`` is the sum of ``d_i'/d_i`` over the pivots of the Sturm (LDL^T)
-    recurrence ``d_i = (B_i - lambda) - J_{i-1}^2 / d_{i-1}``, O(N) per
-    eigenvalue. On an operator equal to its mirror image bitwise (the test of
-    :func:`_is_mirror`) ``p`` is the product of the characteristic
-    polynomials of the two mirror blocks (Cantoni and Butler), which share the
-    pivots up to the centre, so the recurrence stops there:
-    ``p = P_{m-1}^2 (d_m - J_m)(d_m + J_m)`` for N = 2m and
-    ``p = P_m^2 ((B_{m+1} - lambda) - 2 J_m^2 / d_m)`` for N = 2m + 1,
-    ``P_k`` the product of the first k pivots.
-
-    On an all-zero diagonal ``p(-lambda) = (-1)^N p(lambda)``, and every pivot
-    at ``-lambda`` is minus the one at ``lambda``, bitwise, so
-    ``step(-lambda) = -step(lambda)``; an exactly antisymmetric spectrum
-    (``lam == -lam[::-1]`` bitwise, which holds for even N only) is stepped on
-    its nonnegative half and mirrored. The step is guarded: an eigenvalue
-    moves only where the step is finite and at most ``max_step``, and the
-    eigenvalues are returned unchanged if the whole refined spectrum,
-    including the centre gap of a mirrored one, is not strictly ascending.
+    ``p'/p`` is the sum of ``d_i'/d_i`` over the N pivots of the Sturm
+    (LDL^T) recurrence ``d_i = (B_i - lambda) - J_{i-1}^2 / d_{i-1}``, O(N) per
+    eigenvalue. The step is guarded: an eigenvalue moves only where the step
+    is finite and at most ``max_step``, and the eigenvalues are returned
+    unchanged if the refined ones are not strictly ascending.
     """
-    n = diag.size
-    mirror = n > 1 and _is_mirror(diag, off)
-    stop = n // 2 if mirror else n      # the last pivot the recurrence makes
     b2 = off ** 2
     lam = np.asarray(eigenvalues, dtype=float)
-    chiral = not diag.any() and _is_antisymmetric(lam)
-    x = lam[n // 2:] if chiral else lam     # the eigenvalues stepped
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = diag[0] - x
-        dd = np.full_like(x, -1.0)          # d_1' = -1
-        total = np.zeros_like(x)            # the sum of d_i'/d_i before pivot ``stop``
-        ratio = np.empty_like(x)
-        r = np.empty_like(x)
-        for a, bb in zip(diag[1:stop].tolist(), b2[:stop - 1].tolist()):
+        d = diag[0] - lam
+        dd = np.full_like(lam, -1.0)        # d_1' = -1
+        total = np.zeros_like(lam)          # the sum of d_i'/d_i
+        ratio = np.empty_like(lam)
+        r = np.empty_like(lam)
+        for a, bb in zip(diag[1:].tolist(), b2.tolist()):
             np.divide(dd, d, out=ratio)
             total += ratio
             np.divide(bb, d, out=r)
             np.multiply(r, ratio, out=dd)   # d_i' = J^2 d_{i-1}' / d_{i-1}^2 - 1
             dd -= 1.0
-            np.subtract(a, x, out=d)
+            np.subtract(a, lam, out=d)
             d -= r
-        if mirror and n % 2 == 0:           # the blocks' last pivots d_m -+ J_m
-            total = 2.0 * total + dd / (d - off[stop - 1]) + dd / (d + off[stop - 1])
-        else:
-            np.divide(dd, d, out=ratio)
-            total += ratio
-            if mirror:                      # the centre pivot, coupled by sqrt 2 J_m
-                np.divide(2.0 * b2[stop - 1], d, out=r)
-                total = 2.0 * total + (r * ratio - 1.0) / ((diag[stop] - x) - r)
+        np.divide(dd, d, out=ratio)
+        total += ratio
         step = 1.0 / total
     ok = np.isfinite(step) & (np.abs(step) <= max_step)
-    refined = np.where(ok, x - step, x)
-    if chiral:
-        refined = np.concatenate((-refined[::-1], refined))
+    refined = np.where(ok, lam - step, lam)
     if np.any(np.diff(refined) <= 0):
         return lam
     return refined

@@ -367,8 +367,10 @@ def test_exactly_mirror_chain_reaches_the_solvers_folded(lapack_solves):
 def test_even_zero_field_mirror_chain_reaches_sterf_as_one_block(lapack_solves):
     """The chiral block: sterf solves the symmetric mirror block alone, n/2
     rows coupled by the chain's own couplings, while stevd gets the whole
-    operator. A zero-field mirror chain of odd length reaches sterf whole."""
-    n = _ABOVE_CUT
+    operator. The block is solved by its own size, so it reaches sterf only
+    above twice the cut. A zero-field mirror chain of odd length reaches
+    sterf whole."""
+    n = 2 * SMALL_CHAIN_CUT + 2
     diagonalize(analytic_chain(n)).eigenvectors
     diagonalize(analytic_chain(n)).eigenvalues
     vector_solves, value_solves = lapack_solves
@@ -379,6 +381,18 @@ def test_even_zero_field_mirror_chain_reaches_sterf_as_one_block(lapack_solves):
     diagonalize(analytic_chain(n + 1)).eigenvalues
     assert value_solves[2:] == [n + 1]
     assert np.array_equal(value_solves.offdiagonals[2], analytic_chain(n + 1).coupling_array())
+    diagonalize(analytic_chain(_ABOVE_CUT)).eigenvalues     # its block goes to numpy.linalg
+    assert (vector_solves, value_solves) == ([n], [n // 2, n // 2, n + 1])
+
+
+def test_chiral_chain_refines_its_block(monkeypatch):
+    """The Newton step of an even zero-field mirror chain above the cut runs
+    on the chiral block it solved, 1000 rows of the 2000-site analytic chain."""
+    steps = _counted_solver(monkeypatch, spectral, "sturm_newton")
+    spec = analytic_chain(2000)
+    assert certify_pst(spec).perfect
+    assert steps == [1000]
+    assert np.array_equal(steps.offdiagonals[0], spec.coupling_array()[:999])
 
 
 @pytest.mark.parametrize("spec", [sequential_storage_chain(_ABOVE_CUT),
@@ -512,7 +526,8 @@ def test_design_certify_simulate_solves_once(eigenvalue_solves, tridiagonal_solv
     curve = gamma(diagonalize(spec), 1, n, np.linspace(0.0, 2.0 * cert.t0, 1001))
     timing_window(spec, cert, 1e-3)
     assert abs(curve[500]) >= 1.0 - 1e-9
-    assert (eigenvalue_solves, tridiagonal_solves, end_product_evaluations) == ([n], [], [n])
+    solved = n // 2 if n > SMALL_CHAIN_CUT else n      # the chiral block above the cut
+    assert (eigenvalue_solves, tridiagonal_solves, end_product_evaluations) == ([solved], [], [n])
 
 
 _CERTIFICATE_FIELDS = ("verdict", "reason", "t0", "odd_integers", "worst_gap_residual",
@@ -811,7 +826,7 @@ def test_ten_thousand_sites_certify_in_linear_memory(eigenvalue_solves, tridiago
     assert cert.worst_gap_residual <= 1e-12
     assert abs(cert.arrival_amplitude) >= 1.0 - 1e-10
     assert peak < 100e6
-    assert (eigenvalue_solves, tridiagonal_solves) == ([10 ** 4], [])
+    assert (eigenvalue_solves, tridiagonal_solves) == ([10 ** 4 // 2], [])   # the chiral block
 
 
 def test_perfect_certificate_reports_closed_form_weights():
@@ -852,7 +867,7 @@ def test_certificate_keeps_the_decomposition_it_solved(eigenvalue_solves, tridia
         assert cert.spectrum.eigenvalues is cert.eigenvalues
         if cert.perfect:
             assert cert.arrival_amplitude == gamma(cert.spectrum, 1, spec.n, cert.t0)
-    assert eigenvalue_solves == [spec.n for spec in specs]
+    assert eigenvalue_solves == [2, 64, _ABOVE_CUT // 2, 6]    # the chiral block above the cut
     assert tridiagonal_solves == []
 
 

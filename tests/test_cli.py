@@ -89,6 +89,21 @@ def test_simulate_csv(tmp_path, capsys):
     assert str(chain_file) in manifest["inputs"]
 
 
+def test_simulate_gives_no_peak_time_to_rounding_noise(tmp_path, capsys):
+    """From site 2 to site 200 of the 201-site near-uniform chain, up to t = 4,
+    every amplitude lies below gamma's rounding bound
+    8 (tmax max|lambda| + N) eps, so no time is printed for the peak."""
+    chain_file = tmp_path / "near.json"
+    code, out, _ = run(capsys, "design", "near-uniform", "--n", "201", "--slack", "0.5")
+    chain_file.write_text(out)
+    code, out, err = run(capsys, "simulate", "--chain", str(chain_file), "--source", "2",
+                         "--target", "200", "--tmax", "4")
+    assert code == 0, err
+    summary = json.loads(out)
+    assert summary["peak_abs2"] < 1e-25
+    assert summary["peak_time"] is None
+
+
 def test_unknown_subcommand_exit_64(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 64
@@ -462,9 +477,9 @@ _SOLVERS = re.compile(r"\b(dsterf|dstevd|eigh_tridiagonal|eigvalsh_tridiagonal|s
 
 
 def test_only_spectral_names_the_tridiagonal_solvers():
-    """The solver rules, the chiral block and the mirror stop among them, have
-    one copy: no module but spectral names LAPACK's tridiagonal solvers,
-    scipy's wrappers of them or the Newton step."""
+    """The solver rules, the chiral block among them, have one copy: no module
+    but spectral names LAPACK's tridiagonal solvers, scipy's wrappers of them
+    or the Newton step."""
     for name, text in _library_sources():
         if name != "spectral.py":
             assert _SOLVERS.search(text) is None, (name, _SOLVERS.search(text))
@@ -472,8 +487,9 @@ def test_only_spectral_names_the_tridiagonal_solvers():
     assert _SOLVERS.search("lam = sturm_newton(diag, off, lam, error)")
 
 
-_SOLVER_INTERNALS = {"_fold", "_unfold", "_chiral_block", "_eigenvalue_solve",
-                     "_eigenvector_solve", "_of_tridiagonal", "sturm_newton"}
+_SOLVER_INTERNALS = {"_fold", "_unfold", "_chiral_block", "_chiral_spectrum",
+                     "_eigenvalue_solve", "_eigenvector_solve", "_of_tridiagonal",
+                     "sturm_newton"}
 
 
 def _spectral_names(text):

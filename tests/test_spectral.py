@@ -140,9 +140,9 @@ def test_certificate_eigenvalues_match_the_decomposition():
 
 def test_sturm_newton_refines_to_the_exact_spectrum():
     """The analytic chain has the half-integer (even N) or integer (odd N)
-    spectrum -(N-1)/2 .. (N-1)/2; a field on every site shifts it. Both
-    parities, with and without the field, are mirror chains, so the step
-    runs its recurrence to the centre."""
+    spectrum -(N-1)/2 .. (N-1)/2; a field on every site shifts it. One step
+    from the whole operator's sterf eigenvalues, with both parities and with
+    and without the field, lands within 1e-13 of it."""
     for n, field in ((1000, 0.0), (1001, 0.0), (1000, 0.25), (1001, 0.25)):
         spec = chain(analytic_chain(n).couplings, [field] * n)
         exact = np.arange(n) - (n - 1) / 2.0 + field
@@ -164,7 +164,7 @@ def _random_mirror_chain(n, rng):
     stay extended, so its spectrum keeps gaps of order 1; with strong
     disorder (couplings in [0.5, 1.5]) most chains of a few hundred sites
     localize, and their mirror pairs close to within 1e-9 of the spread,
-    some to a few ulp, where the guard of either step may fire alone."""
+    some to a few ulp."""
     scale = rng.uniform(0.9, 1.1, n // 2)
     fields = rng.uniform(-0.5, 0.5, (n + 1) // 2)
     scale = np.concatenate((scale, scale[::-1][1 - n % 2:]))
@@ -173,13 +173,13 @@ def _random_mirror_chain(n, rng):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(["analytic", "uniform", "odd-gap", "fields", "off-mirror"]),
+@given(st.sampled_from(["analytic", "uniform", "odd-gap", "fields", "disordered", "off-mirror"]),
        st.integers(4, 300), st.integers(0, 2 ** 32 - 1))
-def test_sturm_newton_on_half_the_chain_matches_the_full_recurrence(kind, n, seed):
-    """On a mirror chain the recurrence stops at the centre; the step agrees
-    with the one through all N pivots to 8 ulp of max|lambda|, measured
-    absolutely, so also at the zero eigenvalue of odd N. Off the mirror the
-    step is the full recurrence's, bit for bit."""
+def test_sturm_newton_is_the_full_recurrence(kind, n, seed):
+    """The step runs the Sturm recurrence through every pivot of the matrix
+    it is given, mirror symmetric or not, and equals the oracle's bit for bit.
+    The disordered mirror chains (couplings in [0.5, 1.5], fields in
+    [-0.5, 0.5]) have mirror pairs a few ulp apart."""
     rng = np.random.default_rng(seed)
     if kind == "analytic":
         spec = analytic_chain(n)
@@ -187,6 +187,8 @@ def test_sturm_newton_on_half_the_chain_matches_the_full_recurrence(kind, n, see
         spec = uniform_chain(n)
     elif kind == "odd-gap":
         spec = random_pst_chain(rng, n)
+    elif kind == "disordered":
+        spec = _mirrored(rng.uniform(0.5, 1.5, n // 2), rng.uniform(-0.5, 0.5, (n + 1) // 2), n)
     else:
         spec = _random_mirror_chain(n, rng)
         if kind == "off-mirror":
@@ -197,12 +199,8 @@ def test_sturm_newton_on_half_the_chain_matches_the_full_recurrence(kind, n, see
     assert spectral._is_mirror(diag, off) == (kind != "off-mirror")
     lam = spectral._eigenvalue_solve(diag, off)
     error = n * np.finfo(float).eps * spectral._max_abs(diag, off)
-    half = sturm_newton(diag, off, lam, error)
-    full = sturm_newton_full(diag, off, lam, error)
-    if kind == "off-mirror":
-        assert half.tobytes() == full.tobytes()
-    else:
-        assert np.max(np.abs(half - full)) <= 8 * np.spacing(np.max(np.abs(lam)))
+    got = sturm_newton(diag, off, lam, error)
+    assert got.tobytes() == sturm_newton_full(diag, off, lam, error).tobytes()
 
 
 def test_propagate_identity_at_time_zero():
@@ -615,9 +613,11 @@ def _chiral_chain(kind, m, seed):
 def test_chiral_fold_matches_the_full_spectrum_oracles(kind, m, seed, kappa):
     """Above the cut an even zero-field mirror chain hands out an exactly
     antisymmetric spectrum, within 2 N eps ||T||_inf of one unfolded sterf
-    solve and of the solve of both mirror blocks; its half Newton step agrees
-    with the recurrence through all N pivots on the full spectrum, and its
-    mirrored end products with the sums of every row; the verdict does not
+    solve and of the solve of both mirror blocks. It is the moduli of the
+    eigenvalues of the chiral block, after the oracle's Newton step where the
+    gate opens, and their negatives, bit for bit; a refined spectrum agrees
+    with the oracle's step on the whole spectrum to 8 ulp of max|lambda|. Its
+    end products agree with the sums of every row, and the verdict does not
     depend on the energy scale."""
     spec = _chiral_chain(kind, m, seed)
     n = spec.n
@@ -628,18 +628,23 @@ def test_chiral_fold_matches_the_full_spectrum_oracles(kind, m, seed, kappa):
     assert np.max(np.abs(lam - unfolded_eigenvalues(spec))) <= bound
     assert np.max(np.abs(lam - folded_eigenvalues(diag, off))) <= bound
 
-    raw = spectral._eigenvalue_solve(diag, off)
+    # the chiral block: the leading m rows, with J_m on the last diagonal entry;
+    # folded_eigenvalues solves it as the library does a matrix of m rows
+    block, block_off = np.zeros(m), off[:m - 1]
+    block[-1] = off[m - 1]
+    s = folded_eigenvalues(block, block_off)
+    pos = np.sort(np.abs(s))
     error = n * np.finfo(float).eps * spectral._max_abs(diag, off)
-    half = sturm_newton(diag, off, raw, error)
-    full = sturm_newton_full(diag, off, raw, error)
-    assert half.tobytes() == (-half[::-1]).tobytes()
-    # each step moves an eigenvalue by at most ``error``; where neither guard
-    # returned the input, the steps agree to 8 ulp of max|lambda| on the levels
-    # they resolve (the mirror pairs of disordered chains come within a few ulp)
-    assert np.max(np.abs(half - full)) <= 2.0 * error
-    if not (np.array_equal(half, raw) or np.array_equal(full, raw)):
-        resolved = _resolved(raw)
-        assert np.max(np.abs(half - full)[resolved]) <= 8 * np.spacing(np.max(np.abs(raw)))
+    refined = error > spectral.NEWTON_GATE * np.min(np.diff(np.concatenate((-pos[::-1], pos))))
+    if refined:
+        pos = np.sort(np.abs(sturm_newton_full(block, block_off, s, error)))
+    assert lam.tobytes() == np.concatenate((-pos[::-1], pos)).tobytes()
+    # the mirror pairs of disordered chains come within a few ulp, where the
+    # step on the whole spectrum resolves neither level or fires its guard
+    unfolded = unfolded_eigenvalues(spec)
+    whole = sturm_newton_full(diag, off, unfolded, error)
+    if refined and not np.array_equal(whole, unfolded):
+        assert np.max(np.abs(lam - whole)[_resolved(lam)]) <= 8 * np.spacing(np.max(np.abs(lam)))
 
     gap = float(np.min(np.diff(lam)))
     if gap > 0.0:
@@ -655,10 +660,12 @@ def test_chiral_fold_matches_the_full_spectrum_oracles(kind, m, seed, kappa):
 
 
 def _certify_by_the_fold_oracles(monkeypatch, spec):
-    """The certificate of a fresh copy of ``spec`` with the eigenvalues of
-    both mirror blocks and the end products of every row's sum, as the
-    library took them before the chiral fold."""
+    """The certificate of a fresh copy of ``spec`` solved whole: with the
+    eigenvalues of both mirror blocks, the Newton step on the whole spectrum
+    and the end products of every row's sum, as the library took them before
+    the chiral fold."""
     with monkeypatch.context() as patched:
+        patched.setattr(spectral, "_chiral_block", lambda diag, off: None)
         patched.setattr(spectral, "_eigenvalue_solve", folded_eigenvalues)
         patched.setattr(spectral, "_log_abs_derivatives", log_abs_derivatives)
         return certify_pst(replace(spec))
