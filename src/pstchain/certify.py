@@ -35,8 +35,8 @@ from typing import Iterator
 import numpy as np
 
 from .chain import ChainSpec, mirror_symmetry_check
-from .spectral import (DegenerateSpectrumError, SpectralDecomposition, _has_degenerate_gap,
-                       _log_abs_derivatives, _phase_sum, diagonalize, pair_weights)
+from .spectral import (SpectralDecomposition, _has_degenerate_gap, _log_abs_derivatives,
+                       _phase_sum, diagonalize, pair_weights)
 
 ARRIVAL_TOL = 1e-8
 _MULTIPLIER_GUARD = 1 << 52
@@ -247,17 +247,14 @@ def end_weights(spectrum) -> np.ndarray:
     ``(-1)^n B'(lambda_n)`` carries a constant sign for an ascending
     spectrum, so the weights reduce to normalized reciprocals of
     ``|B'(lambda_n)|``; they are evaluated in log space to keep large
-    spectra inside the floating-point range.
+    spectra inside the floating-point range. A spectrum that is not strictly
+    ascending raises ``DegenerateSpectrumError``.
     """
     lam = np.asarray(spectrum, dtype=float)
     if lam.ndim != 1 or lam.size < 1:
         raise ValueError("spectrum must be a non-empty 1-D sequence")
     if not np.isfinite(lam).all():
         raise ValueError("spectrum must be finite")
-    if np.any(np.diff(lam) <= 0):
-        raise DegenerateSpectrumError("spectrum must be strictly ascending")
-    if lam.size == 1:
-        return np.array([1.0])
     logw = -_log_abs_derivatives(lam)
     logw -= logw.max()
     w = np.exp(logw)

@@ -127,7 +127,22 @@ def chain(couplings, fields=None, statistics: str = "fermionic") -> ChainSpec:
                      statistics=statistics)
 
 
+def _integral(value, name: str) -> int:
+    """``value`` as an ``int`` if it is integral (4 and 4.0 are, 4.5, NaN and
+    "4" are not); anything else raises ``ValueError`` naming it."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return whole
+
+
 def uniform_chain(n: int, coupling: float = 1.0) -> ChainSpec:
+    n = _integral(n, "n")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     return chain([coupling] * (n - 1))
 
 

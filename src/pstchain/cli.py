@@ -46,6 +46,14 @@ EXIT_UNKNOWN_COMMAND = 64
 EXIT_BAD_CHAIN_FILE = 65
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``ValueError``, so they
+    take the one-line validation exit of :func:`main`."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 class _Manifest:
     def __init__(self, argv: list[str]):
         self.argv = list(argv)
@@ -99,7 +107,7 @@ def _cert_dict(cert) -> dict:
 
 
 def _cmd_design(args, manifest):
-    p = argparse.ArgumentParser(prog="pst design")
+    p = _Parser(prog="pst design")
     p.add_argument("kind", choices=["analytic", "storage", "from-spectrum", "near-uniform"])
     p.add_argument("spectrum", nargs="?", help="spectrum JSON file (from-spectrum)")
     p.add_argument("--n", type=int)
@@ -134,7 +142,7 @@ def _require(value, name):
 
 
 def _cmd_certify(args, manifest):
-    p = argparse.ArgumentParser(prog="pst certify")
+    p = _Parser(prog="pst certify")
     p.add_argument("chain")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-den", type=int, default=10 ** 6)
@@ -146,7 +154,7 @@ def _cmd_certify(args, manifest):
 
 
 def _cmd_simulate(args, manifest):
-    p = argparse.ArgumentParser(prog="pst simulate")
+    p = _Parser(prog="pst simulate")
     p.add_argument("--chain", required=True)
     p.add_argument("--source", type=int, default=1)
     p.add_argument("--target", type=int, required=True)
@@ -176,7 +184,7 @@ def _cmd_simulate(args, manifest):
 
 
 def _cmd_fermionic(args, manifest):
-    p = argparse.ArgumentParser(prog="pst fermionic")
+    p = _Parser(prog="pst fermionic")
     p.add_argument("action", choices=["demo"])
     p.add_argument("--protocol", required=True,
                    choices=["entgen", "initfree", "storage", "ising"])
@@ -217,7 +225,7 @@ def _cmd_fermionic(args, manifest):
 
 
 def _cmd_noise(args, manifest):
-    p = argparse.ArgumentParser(prog="pst noise")
+    p = _Parser(prog="pst noise")
     p.add_argument("model", choices=["dephase", "bath"])
     p.add_argument("--chain", required=True)
     p.add_argument("--p", type=float)
@@ -259,7 +267,7 @@ def _cmd_noise(args, manifest):
 
 
 def _cmd_network(args, manifest):
-    p = argparse.ArgumentParser(prog="pst network")
+    p = _Parser(prog="pst network")
     p.add_argument("kind", choices=["product", "hypercube", "star", "theta"])
     p.add_argument("--chain-a")
     p.add_argument("--chain-b")
@@ -313,7 +321,7 @@ def _program_gate(doc) -> np.ndarray:
 
 
 def _cmd_gadget(args, manifest):
-    p = argparse.ArgumentParser(prog="pst gadget")
+    p = _Parser(prog="pst gadget")
     p.add_argument("kind", choices=["amp", "clock"])
     p.add_argument("--chain")
     p.add_argument("--n", type=int)
@@ -361,7 +369,7 @@ def _cmd_gadget(args, manifest):
             spec = analytic_chain(n)
             gates = [_random_unitary(ns.dim, rng) for _ in range(n - 1)]
             psi = np.zeros(ns.dim, dtype=complex)
-            psi[0] = 1.0
+            psi[:1] = 1.0       # ClockProgram refuses a register of dimension 0
         res = clock_computer(ClockProgram(chain=spec, gates=tuple(gates)), psi)
         _emit({"gadget": "clock", "fidelity": res.fidelity, "t0": res.t0,
                "dense_verified": res.dense_verified,
@@ -370,7 +378,7 @@ def _cmd_gadget(args, manifest):
 
 
 def _cmd_report(args, manifest):
-    p = argparse.ArgumentParser(prog="pst report")
+    p = _Parser(prog="pst report")
     p.add_argument("--figure", required=True, choices=["timing", "amplifier"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--slack", type=float, default=0.5)
@@ -392,13 +400,9 @@ def _cmd_report(args, manifest):
         n = ns.n
         analytic = analytic_chain(n)
         uniform = uniform_chain(n)
-        curves = {"analytic": analytic}
-        if n > 3:
-            near, _ = near_uniform_chain(n, ns.slack)
-            cert = certify_pst(near)
-            curves["near_uniform"] = rescale(near, cert.t0 / math.pi)
-        else:
-            curves["near_uniform"] = analytic
+        near, _ = near_uniform_chain(n, ns.slack)
+        curves = {"analytic": analytic,
+                  "near_uniform": rescale(near, certify_pst(near).t0 / math.pi)}
         sd_u = diagonalize(uniform)
         peak = _peak_time(sd_u, n)
         u_scale = peak / math.pi if peak > 0 else 1.0

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .certify import certify_pst
-from .chain import ChainSpec, chain, uniform_chain
+from .chain import ChainSpec, _integral, chain, uniform_chain
 from .spectral import _BLOCK, DegenerateSpectrumError, _tridiagonal_dense, diagonalize
 
 # The finite-difference check of validate_family: the seed of its probe
@@ -54,6 +54,7 @@ def analytic_chain(n: int) -> ChainSpec:
     generator for spin (n-1)/2, with unit-spaced spectrum, so transfer is
     perfect at t0 = pi for every n.
     """
+    n = _integral(n, "n")
     if n < 2:
         raise ValueError("n must be at least 2")
     k = np.arange(1, n)
@@ -68,6 +69,7 @@ def sequential_storage_chain(n: int) -> ChainSpec:
     except full revivals at multiples of 2 t0 = pi, so n qubits can be
     stored sequentially through site 1.
     """
+    n = _integral(n, "n")
     if n < 2:
         raise ValueError("n must be at least 2")
     k = np.arange(1, n)
@@ -139,14 +141,12 @@ def _givens_insertion(lam: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nd
     3.7e-6, ``tol`` 1e-9) needs its gaps to 4e-15.
     """
     n = lam.size
-    if n == 1:      # one pair is its own 1 x 1 matrix
-        return lam.astype(float), np.zeros(0)
     lam = lam.astype(np.longdouble)
     q = q.astype(np.longdouble)
     d = np.zeros(n + 1, np.longdouble)      # d[j] = A[j, j]
     e = np.zeros(n + 1, np.longdouble)      # e[j] = A[j, j + 1]; e[n] stays 0
     bulge = np.zeros(n + 1, np.longdouble)  # bulge[p] = A[p - 1, p + 1], removed by plane p
-    for step in range(3 * n - 3):   # the last chase ends at step 3N - 4
+    for step in range(3 * n - 2):   # step 2N - 2 inserts the last pair; its chase ends by 3N - 3
         i = step // 2 + 1
         if step % 2 == 0 and i <= n:
             top = n - i        # the border moves up one row
@@ -272,6 +272,7 @@ def near_uniform_chain(n: int, slack: float) -> tuple[ChainSpec, float]:
     coupling deviation from 1. If the uniform chain already transfers
     perfectly (n <= 3) it is returned unchanged.
     """
+    n = _integral(n, "n")
     if n < 2:
         raise ValueError("n must be at least 2")
     if not 0.0 < slack <= 1.0:

@@ -104,8 +104,6 @@ def slater_state(vectors, coefficient: complex = 1.0) -> SlaterState:
     if raw.ndim != 2:
         raise ValueError("orbitals must share a common length")
     k, n = raw.shape
-    if k > n:
-        return SlaterState(orbitals=np.zeros((k, n), dtype=complex), coefficient=0.0)
     q = np.zeros((k, n), dtype=complex)
     coef = complex(coefficient)
     for j in range(k):

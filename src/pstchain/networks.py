@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .certify import require_perfect, verify_transfer
-from .chain import ChainSpec, chain
+from .chain import ChainSpec, _integral, chain
 from .spectral import amplitude_profile, diagonalize, propagate
 
 DENSE_CAP = 12  # bounds the hypercube's dimension and the amplifier's 2^N matrix
@@ -182,6 +182,7 @@ def w_phase_rotation(m: int, k: int) -> np.ndarray:
     k != 0 on a two-site-branch star the result no longer couples to the
     hub, so it stays trapped on the leaves under further evolution.
     """
+    m, k = _integral(m, "M"), _integral(k, "k")
     if not 0 <= k < m:
         raise ValueError("k must lie in 0..M-1")
     return np.exp(2j * math.pi * k * np.arange(m) / m)
@@ -354,6 +355,8 @@ class ClockProgram:
         if len(gates) != self.chain.n - 1:
             raise ValueError("need exactly N-1 gates for an N-step clock")
         d = gates[0].shape[0] if gates else 1
+        if d < 1:
+            raise ValueError("gates must act on a register of dimension at least 1")
         for g in gates:
             if g.shape != (d, d):
                 raise ValueError("all gates must act on the same register dimension")

@@ -7,11 +7,12 @@ eigensolver. A chain, the package's one tridiagonal operator, takes a
 dedicated fast path; dense symmetric (or Hermitian, for phased networks)
 operators fall back to a general solver.
 
-A tridiagonal operator of at most ``SMALL_CHAIN_CUT`` sites is solved as a
-dense matrix by ``numpy.linalg``, which every process has loaded already;
-a larger one by LAPACK's tridiagonal routines from ``scipy.linalg``, which is
-imported on the first such solve, since importing it costs about 0.3 s, most
-of the start-up of a process that solves only short chains.
+A tridiagonal matrix of at most ``SMALL_CHAIN_CUT`` rows, a whole operator
+or the block below, is solved as a dense matrix by ``numpy.linalg``, which
+every process has loaded already; a larger one by LAPACK's tridiagonal
+routines from ``scipy.linalg``, which is imported on the first such solve,
+since importing it costs about 0.3 s, most of the start-up of a process that
+solves only short chains.
 
 A chain with zero fields is bipartite, so its spectrum is symmetric about
 zero. An exactly mirror-symmetric (persymmetric) one of even N = 2m is
@@ -19,7 +20,7 @@ orthogonally similar to the direct sum of two m x m tridiagonal blocks, one
 acting on the symmetric and one on the antisymmetric vectors (Cantoni and
 Butler, Linear Algebra Appl. 13, 1976), and the sublattice sign flip
 ``diag((-1)^i)`` turns the symmetric block into minus the antisymmetric one.
-Above the cut such a chain is solved as the symmetric block alone,
+Such a chain, of any length, is solved as the symmetric block alone,
 :func:`_chiral_block`: its eigenvalues are found and refined on the block,
 and their moduli and the negatives of those are the spectrum, exactly
 antisymmetric, whose end products are summed on its nonnegative half and
@@ -49,11 +50,11 @@ DEGENERACY_RTOL = 1e-9
 NEWTON_GATE = 1e-12
 # Largest a-priori relative error of end weights taken from the spectrum.
 END_WEIGHT_RTOL = 1e-6
-# Largest tridiagonal operator solved densely by numpy.linalg. At 128 sites
-# eigvalsh takes 0.7 ms against 0.4 ms for sterf, and eigh 1.2 ms against
-# 0.5 ms for stevd (one BLAS thread); importing scipy.linalg takes 0.3 s, so a
-# process gains unless it makes some 300 such solves. The dense solves grow as
-# N^3: at 256 sites 3.8 and 7.5 ms.
+# Rows of the largest tridiagonal matrix, operator or chiral block, solved
+# densely by numpy.linalg. At 128 rows eigvalsh takes 0.7 ms against 0.4 ms for
+# sterf, and eigh 1.2 ms against 0.5 ms for stevd (one BLAS thread); importing
+# scipy.linalg takes 0.3 s, so a process gains unless it makes some 300 such
+# solves. The dense solves grow as N^3: at 256 rows 3.8 and 7.5 ms.
 SMALL_CHAIN_CUT = 128
 _EPS = float(np.finfo(float).eps)
 # Columns per step of the sign fix and the residual check, and rows per step of
@@ -201,8 +202,7 @@ def _is_mirror(diag: np.ndarray, off: np.ndarray) -> bool:
 
 def _max_abs(diag: np.ndarray, off: np.ndarray) -> float:
     """``max|T|`` of a tridiagonal matrix."""
-    top = float(np.abs(diag).max())
-    return max(top, float(np.abs(off).max())) if off.size else top
+    return float(max(np.abs(diag).max(), np.abs(off).max(initial=0.0)))
 
 
 def _chiral_block(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -237,15 +237,14 @@ def diagonalize(operator) -> SpectralDecomposition:
     the chain does (N^2 floats).
 
     A tridiagonal operator gets its eigenvalues at once, from
-    :func:`_of_tridiagonal`, which solves and refines its chiral block above
-    ``SMALL_CHAIN_CUT`` sites if it has one, and the whole operator
-    otherwise. Its eigenvectors come on their first read, from
-    :func:`_eigenvector_solve`: ``numpy.linalg.eigh`` of the dense matrix up
-    to the cut, and above it LAPACK ``stevd`` (divide and conquer, O(N^3) in
-    the worst case) on the whole operator. The residual is checked against
-    the eigenvalues handed out at once; those of the eigenvector solve are
-    dropped. :func:`gamma` between the end sites of a
-    chain with positive couplings reads no eigenvectors (see
+    :func:`_of_tridiagonal`, which solves and refines its chiral block if it
+    has one, and the whole operator otherwise. Its eigenvectors come on
+    their first read, from :func:`_eigenvector_solve`: ``numpy.linalg.eigh``
+    of the dense matrix up to the cut, and above it LAPACK ``stevd`` (divide
+    and conquer, O(N^3) in the worst case) on the whole operator. The
+    residual is checked against the eigenvalues handed out at once; those of
+    the eigenvector solve are dropped. :func:`gamma` between the end sites of
+    a chain with positive couplings reads no eigenvectors (see
     :func:`pair_weights`), so above the cut it costs O(N^2) time and O(N)
     memory in all. A dense operator is solved at once by
     ``numpy.linalg.eigh``.
@@ -281,7 +280,7 @@ def _tridiagonal_eigenvectors(diag: np.ndarray, off: np.ndarray, eigenvalues: np
     """Sign-fixed eigenvectors of ``tridiag(off, diag, off)``, in the order of
     its ascending ``eigenvalues``, and their residual against them, checked
     against its ``max|T|``, ``scale``."""
-    vec = _fix_signs(np.ones((1, 1)) if diag.size == 1 else _eigenvector_solve(diag, off))
+    vec = _fix_signs(_eigenvector_solve(diag, off))
     # M V from the three diagonals, O(N^2), a block of columns at a time
     residual = 0.0
     for c in range(0, vec.shape[1], _BLOCK):
@@ -295,7 +294,7 @@ def _tridiagonal_eigenvectors(diag: np.ndarray, off: np.ndarray, eigenvalues: np
 
 
 def _eigenvalue_solve(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of ``tridiag(off, diag, off)``, N >= 2, as the
+    """Ascending eigenvalues of ``tridiag(off, diag, off)``, any N, as the
     solver returns them: ``numpy.linalg.eigvalsh`` of the dense matrix up to
     ``SMALL_CHAIN_CUT`` rows, LAPACK ``sterf`` (O(N^2) time, O(N) memory)
     above it."""
@@ -309,7 +308,7 @@ def _eigenvalue_solve(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 
 def _eigenvector_solve(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Eigenvector columns of ``tridiag(off, diag, off)``, N >= 2, in
+    """Eigenvector columns of ``tridiag(off, diag, off)``, any N, in
     ascending order of their eigenvalues and before the sign fix:
     ``numpy.linalg.eigh`` of the dense matrix up to ``SMALL_CHAIN_CUT``
     sites, LAPACK ``stevd`` of the whole matrix above it."""
@@ -326,23 +325,23 @@ def _of_tridiagonal(diag: np.ndarray, off: np.ndarray) -> SpectralDecomposition:
     """The decomposition of ``tridiag(off, diag, off)``, holding the ascending
     eigenvalues :func:`diagonalize` hands out at once.
 
-    Above ``SMALL_CHAIN_CUT`` sites a matrix with a :func:`_chiral_block` is
-    solved as that N/2-row block, and any other matrix whole. The solved
-    matrix's eigenvalues ``s`` come from :func:`_eigenvalue_solve`, with an
-    absolute error of order ``N * eps * max|T|``. Where that error could reach
-    ``NEWTON_GATE`` of the smallest gap of the spectrum, ``s`` gets one
+    A matrix with a :func:`_chiral_block` is solved as that N/2-row block,
+    and any other matrix whole. The solved matrix's eigenvalues ``s`` come
+    from :func:`_eigenvalue_solve`, with an absolute error of order
+    ``N * eps * max|T|``. Where that error could reach ``NEWTON_GATE`` of the
+    smallest gap of the spectrum, ``s`` gets one
     :func:`sturm_newton` step of at most that size on the same matrix. The
     spectrum of a chiral block is ``sort(|s|)`` and its negatives (see
     :func:`_chiral_spectrum`), exactly antisymmetric; of a whole matrix, ``s``.
     """
     scale = _max_abs(diag, off)
-    block = _chiral_block(diag, off) if diag.size > SMALL_CHAIN_CUT else None
+    block = _chiral_block(diag, off)
     solved = block or (diag, off)
-    s = diag.copy() if diag.size == 1 else _eigenvalue_solve(*solved)
+    s = _eigenvalue_solve(*solved)
     lam = _chiral_spectrum(s) if block else s
     gaps = lam[1:] - lam[:-1]
     error = diag.size * _EPS * scale
-    if diag.size > 1 and error > NEWTON_GATE * float(gaps.min()):
+    if error > NEWTON_GATE * float(gaps.min(initial=math.inf)):
         s = sturm_newton(*solved, s, error)
         lam = _chiral_spectrum(s) if block else s
         gaps = lam[1:] - lam[:-1]
@@ -405,12 +404,16 @@ def _is_antisymmetric(lam: np.ndarray) -> bool:
 
 def _log_abs_derivatives(lam: np.ndarray) -> np.ndarray:
     """``sum_{m != k} log|lambda_k - lambda_m|`` for every k, the log of
-    ``|B'(lambda_k)|``, a block of rows at a time.
+    ``|B'(lambda_k)|``, a block of rows at a time; a spectrum that is not
+    strictly ascending raises :class:`DegenerateSpectrumError`, since a
+    repeated eigenvalue makes a term infinite.
 
     Row ``N-1-k`` of an exactly antisymmetric spectrum (see
     :func:`_is_antisymmetric`) holds the terms of row k in another order,
     since ``|-lambda_k - lambda_m| = |lambda_k - lambda_{N-1-m}|``, so only the
     rows ``k >= N/2`` are summed and the others are their mirror."""
+    if (lam[1:] <= lam[:-1]).any():
+        raise DegenerateSpectrumError("spectrum must be strictly ascending")
     n = lam.size
     out = np.empty(n)
     half = n // 2 if _is_antisymmetric(lam) else 0
@@ -433,7 +436,8 @@ def end_products(couplings, eigenvalues) -> np.ndarray:
     Eigenvalue Problem*, ch. 7).
 
     The denominator has the sign ``(-1)^(N-1-k)`` (k 0-based), so the
-    products alternate in sign down the spectrum. Of an exactly
+    products alternate in sign down the spectrum. A spectrum that is not
+    strictly ascending raises :class:`DegenerateSpectrumError`. Of an exactly
     antisymmetric spectrum, such as a :func:`_chiral_block` gives, only the
     log-derivative sums of the nonnegative half are formed (see
     :func:`_log_abs_derivatives`), so ``|v_1k v_Nk|`` is symmetric bitwise.

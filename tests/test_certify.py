@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pstchain import (BathSpec, ClockProgram, QuadraticFermionHamiltonian, amplifier_sim,
                       analytic_chain, basis_slater, bath_transfer_amplitude, certify_pst, chain,
@@ -21,7 +21,8 @@ from pstchain import (BathSpec, ClockProgram, QuadraticFermionHamiltonian, ampli
                       require_perfect,
                       rescale, revival_rate_report, sequential_storage_chain,
                       sequential_storage_sim, star_network, theta_entangler, timing_window,
-                      target_spectrum, two_boson_transfer, uniform_chain, write_chain)
+                      target_spectrum, two_boson_transfer, uniform_chain, w_phase_rotation,
+                      write_chain)
 from pstchain import spectral
 from pstchain.certify import _gap_fractions
 from pstchain.chain import chain_to_dict
@@ -123,6 +124,11 @@ def test_mixed_odd_multipliers_certify():
 
 def test_end_weights_two_levels():
     assert np.allclose(end_weights([-0.5, 0.5]), [0.5, 0.5])
+
+
+@pytest.mark.parametrize("x", [-3.0, 0.0, 2.5])
+def test_end_weights_of_one_level_is_one(x):
+    assert end_weights([x]).tolist() == [1.0]
 
 
 def test_end_weights_analytic_four_matches_eigenvectors():
@@ -386,8 +392,8 @@ def test_even_zero_field_mirror_chain_reaches_sterf_as_one_block(lapack_solves):
 
 
 def test_chiral_chain_refines_its_block(monkeypatch):
-    """The Newton step of an even zero-field mirror chain above the cut runs
-    on the chiral block it solved, 1000 rows of the 2000-site analytic chain."""
+    """The Newton step of an even zero-field mirror chain runs on the chiral
+    block it solved, 1000 rows of the 2000-site analytic chain."""
     steps = _counted_solver(monkeypatch, spectral, "sturm_newton")
     spec = analytic_chain(2000)
     assert certify_pst(spec).perfect
@@ -423,20 +429,33 @@ def numpy_solves(monkeypatch):
     return solves
 
 
-@pytest.mark.parametrize("spec", [analytic_chain(SMALL_CHAIN_CUT),
-                                  sequential_storage_chain(SMALL_CHAIN_CUT)],
-                         ids=["analytic-at-cut", "storage-at-cut"])
-def test_chains_up_to_the_cut_reach_numpy_unfolded(lapack_solves, numpy_solves, spec):
-    """At or below the cut both solves take the whole dense matrix, mirror
-    symmetric or not, and LAPACK's tridiagonal routines are not called."""
+def _symmetric_block_dense(spec):
+    """The dense symmetric mirror block of an even zero-field mirror chain:
+    its leading N/2 sites, with ``J_{N/2}`` on the last field."""
+    m = spec.n // 2
+    return tridiagonal_dense(spec.couplings[:m - 1], [0.0] * (m - 1) + [spec.couplings[m - 1]])
+
+
+@pytest.mark.parametrize("spec, eigenvalue_matrix", [
+    (analytic_chain(SMALL_CHAIN_CUT), _symmetric_block_dense),
+    (sequential_storage_chain(SMALL_CHAIN_CUT), lambda spec: tridiagonal_dense(spec.couplings,
+                                                                               spec.fields)),
+], ids=["analytic-at-cut", "storage-at-cut"])
+def test_chains_up_to_the_cut_reach_numpy_unfolded(lapack_solves, numpy_solves, spec,
+                                                   eigenvalue_matrix):
+    """At or below the cut the eigenvector solve takes the whole dense
+    matrix, and the eigenvalue solve the dense chiral block of an even
+    zero-field mirror chain and the whole matrix of any other; LAPACK's
+    tridiagonal routines are not called."""
     diagonalize(replace(spec)).eigenvectors
     diagonalize(replace(spec)).eigenvalues
     assert lapack_solves == ([], [])
+    solved = eigenvalue_matrix(spec)
     assert [len(a) for a in numpy_solves["eigh"]] == [spec.n]
-    assert [len(a) for a in numpy_solves["eigvalsh"]] == [spec.n, spec.n]
-    dense = tridiagonal_dense(spec.couplings, spec.fields)
-    for a in numpy_solves["eigh"] + numpy_solves["eigvalsh"]:
-        assert np.array_equal(a, dense)
+    assert [len(a) for a in numpy_solves["eigvalsh"]] == [len(solved)] * 2
+    assert np.array_equal(numpy_solves["eigh"][0], tridiagonal_dense(spec.couplings, spec.fields))
+    for a in numpy_solves["eigvalsh"]:
+        assert np.array_equal(a, solved)
 
 
 def _clock():
@@ -467,11 +486,12 @@ def _window():
         "product_network", "chain_from_spectrum+certify_pst", "near_uniform_chain"])
 def test_certified_chain_is_diagonalized_once(tridiagonal_solves, eigenvalue_solves, run,
                                               vector_solves):
-    """The chain is certified from one eigenvalue-only solve; its eigenvectors
-    are computed once, and only by the protocols that propagate states. A
-    designed chain is certified on the solve of the design's residual check."""
+    """The chain is certified from one eigenvalue-only solve, of its 4-row
+    chiral block; its eigenvectors are computed once, and only by the
+    protocols that propagate states. A designed chain is certified on the
+    solve of the design's residual check."""
     run()
-    assert eigenvalue_solves == [8]
+    assert eigenvalue_solves == [4]
     assert tridiagonal_solves == vector_solves
 
 
@@ -481,7 +501,7 @@ def test_a_chain_is_solved_once_per_object(eigenvalue_solves):
     spec = analytic_chain(8)
     assert diagonalize(spec) is diagonalize(spec)
     assert certify_pst(spec).spectrum is diagonalize(spec)
-    assert eigenvalue_solves == [8]
+    assert eigenvalue_solves == [4]     # the chiral block
 
 
 def test_the_decomposition_is_not_part_of_the_chain(eigenvalue_solves, tmp_path):
@@ -498,7 +518,7 @@ def test_the_decomposition_is_not_part_of_the_chain(eigenvalue_solves, tmp_path)
     assert pickle.dumps(solved) == pickle.dumps(fresh)
     for copy in (replace(solved), deepcopy(solved), pickle.loads(pickle.dumps(solved))):
         assert copy == solved and diagonalize(copy) is not diagonalize(solved)
-    assert eigenvalue_solves == [8] * 4
+    assert eigenvalue_solves == [4] * 4
 
 
 @pytest.fixture
@@ -526,8 +546,7 @@ def test_design_certify_simulate_solves_once(eigenvalue_solves, tridiagonal_solv
     curve = gamma(diagonalize(spec), 1, n, np.linspace(0.0, 2.0 * cert.t0, 1001))
     timing_window(spec, cert, 1e-3)
     assert abs(curve[500]) >= 1.0 - 1e-9
-    solved = n // 2 if n > SMALL_CHAIN_CUT else n      # the chiral block above the cut
-    assert (eigenvalue_solves, tridiagonal_solves, end_product_evaluations) == ([solved], [], [n])
+    assert (eigenvalue_solves, tridiagonal_solves, end_product_evaluations) == ([n // 2], [], [n])
 
 
 _CERTIFICATE_FIELDS = ("verdict", "reason", "t0", "odd_integers", "worst_gap_residual",
@@ -602,25 +621,26 @@ _TIMES = np.linspace(0.0, 2.0 * math.pi, 7)
 
 
 @pytest.mark.parametrize("run, solves, eigenvalues", [
-    (lambda: product_network(analytic_chain(8), analytic_chain(6)), [], [8, 6]),
-    (lambda: hypercube(4), [], [2]),
-    (lambda: star_network(analytic_chain(8), 3), [], [8]),
+    (lambda: product_network(analytic_chain(8), analytic_chain(6)), [], [4, 3]),
+    (lambda: hypercube(4), [], [1]),
+    (lambda: star_network(analytic_chain(8), 3), [], [4]),
     (lambda: theta_entangler(analytic_chain(9), 0.3), [9], [9, 9]),
     (lambda: amplifier_sim(analytic_chain(8), 1, _TIMES), [9], [9]),
     (lambda: bath_transfer_amplitude(BathSpec(chain=analytic_chain(8), coupling=1.3),
-                                     _TIMES), [], [8]),
+                                     _TIMES), [], [4]),
     (lambda: two_boson_transfer(chain(analytic_chain(8).couplings, statistics="bosonic"),
-                                (1, 2), (7, 8), math.pi), [8], [8]),
+                                (1, 2), (7, 8), math.pi), [8], [4]),
     (lambda: sequential_storage_sim(sequential_storage_chain(4), [np.array([0.6, 0.8j])] * 3,
                                     "reverse"), [4], [4]),
-    (lambda: ising_from_pst(analytic_chain(6)), [6], [6]),
+    (lambda: ising_from_pst(analytic_chain(6)), [6], [3]),
 ], ids=["product_network", "hypercube", "star_network", "theta_entangler",
         "amplifier_sim", "bath_transfer_amplitude", "two_boson_transfer",
         "sequential_storage_sim", "ising_from_pst"])
 def test_structured_amplitudes_come_from_the_chain(dense_solves, tridiagonal_solves,
                                                    eigenvalue_solves, run, solves, eigenvalues):
     """Each construction reads its amplitude from the chain it is built of:
-    one eigenvalue solve per distinct chain, at most one eigenvector solve,
+    one eigenvalue solve per distinct chain (of its chiral block, if it
+    has one), at most one eigenvector solve,
     and no dense eigensolve. The amplitude at t0 comes from the certificate,
     and the end amplitudes of the bath from the chain's spectrum, with no
     eigenvectors. theta_entangler certifies its base chain and propagates the
@@ -744,16 +764,22 @@ def test_certify_agrees_with_the_eigenvector_oracle(case):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.booleans())
+@example(seed=9405, n=40, mirror=True)
 def test_end_products_match_the_eigenvector_end_rows(seed, n, mirror):
     """v_1k v_Nk = prod J / prod_{m != k} (lambda_k - lambda_m) on any chain
     with positive couplings, mirror symmetric or not. Both sides lose
     accuracy as eps * max|T| / (smallest gap), the eigenvectors of a close
-    pair most of all."""
+    pair most of all. A solved spectrum with an exactly repeated eigenvalue,
+    as the mirrored draw of seed 9405 has, raises DegenerateSpectrumError."""
     rng = np.random.default_rng(seed)
     spec = chain(rng.uniform(0.2, 2.0, n - 1), rng.uniform(-1.5, 1.5, n))
     if mirror:
         spec = _mirrored(spec)
     sd = diagonalize(spec)
+    if np.any(np.diff(sd.eigenvalues) <= 0):
+        with pytest.raises(DegenerateSpectrumError, match="strictly ascending"):
+            end_products(spec.coupling_array(), sd.eigenvalues)
+        return
     want = sd.eigenvectors[0, :] * sd.eigenvectors[-1, :]
     conditioning = max(1.0, 2.0 / float(np.min(np.diff(sd.eigenvalues))))
     assert np.max(np.abs(end_products(spec.coupling_array(), sd.eigenvalues) - want)) < (
@@ -867,7 +893,7 @@ def test_certificate_keeps_the_decomposition_it_solved(eigenvalue_solves, tridia
         assert cert.spectrum.eigenvalues is cert.eigenvalues
         if cert.perfect:
             assert cert.arrival_amplitude == gamma(cert.spectrum, 1, spec.n, cert.t0)
-    assert eigenvalue_solves == [2, 64, _ABOVE_CUT // 2, 6]    # the chiral block above the cut
+    assert eigenvalue_solves == [1, 32, _ABOVE_CUT // 2, 3]    # the chiral blocks
     assert tridiagonal_solves == []
 
 
@@ -959,14 +985,33 @@ def _decomposition():
      r"wall index must be an integer in 0\.\.6"),
     (lambda: end_weights([0.0, _NAN, 2.0]), "spectrum must be finite"),
     (lambda: end_weights([0.0, math.inf]), "spectrum must be finite"),
+    (lambda: analytic_chain(2.5), "n must be an integer, got 2.5"),
+    (lambda: sequential_storage_chain(2.5), "n must be an integer, got 2.5"),
+    (lambda: uniform_chain(0), "n must be at least 1, got 0"),
+    (lambda: uniform_chain(-5), "n must be at least 1, got -5"),
+    (lambda: near_uniform_chain(4.5, 0.5), "n must be an integer, got 4.5"),
+    (lambda: w_phase_rotation(3, 1.5), "k must be an integer, got 1.5"),
+    (lambda: ClockProgram(chain=analytic_chain(3), gates=(np.zeros((0, 0)),) * 2),
+     "register of dimension at least 1"),
 ], ids=["gamma", "gamma-inf", "propagate", "propagate-times", "evolve_slater",
         "two_boson_transfer", "amplifier_sim", "bath_transfer_amplitude", "rate-t0-nan",
         "rate-t0-negative", "certify-max-den-0", "certify-max-den-negative",
         "certify-max-den-fraction", "amplifier-wall-negative", "amplifier-wall-past-n",
-        "amplifier-wall-fraction", "end-weights-nan", "end-weights-inf"])
+        "amplifier-wall-fraction", "end-weights-nan", "end-weights-inf",
+        "analytic-fraction", "storage-fraction", "uniform-zero", "uniform-negative",
+        "near-uniform-fraction", "w-phase-fraction", "clock-empty-register"])
 def test_times_and_limits_out_of_range_raise_value_error(call, message):
-    """Each of these once returned NaN, a meaningless report or state or an
-    unrelated error (ZeroDivisionError for a zero max_denominator, IndexError
-    for a wall past N)."""
+    """Each of these once returned NaN, a meaningless report, state or chain
+    or an unrelated error (ZeroDivisionError for a zero max_denominator,
+    IndexError for a wall past N, TypeError for a fractional near-uniform
+    size)."""
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_integral_sizes_given_as_floats_build_the_same_chain():
+    assert analytic_chain(4.0) == analytic_chain(4)
+    assert sequential_storage_chain(np.float64(5.0)) == sequential_storage_chain(5)
+    assert uniform_chain(np.int64(3)) == uniform_chain(3)
+    assert near_uniform_chain(6.0, 0.5) == near_uniform_chain(6, 0.5)
+    assert w_phase_rotation(3.0, 1.0).tolist() == w_phase_rotation(3, 1).tolist()

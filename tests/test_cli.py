@@ -136,6 +136,27 @@ def test_validation_error_exit_2(capsys):
     assert "error: validation" in err
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["certify"], "the following arguments are required: chain"),
+    (["design", "analytic", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+    (["design", "helical"], "argument kind: invalid choice: 'helical' (choose from "
+                            "'analytic', 'storage', 'from-spectrum', 'near-uniform')"),
+    (["report", "--figure", "timing", "--n", "4", "--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_argument_errors_take_the_validation_exit(capsys, argv, reason):
+    """A usage error is one line on stderr and exit 2, returned by main."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: validation: {reason}\n"
+
+
+def test_subcommand_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["certify", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pst certify")
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "design", "near-uniform", "--n", "6", "--slack", "0.4")
     _, out2, _ = run(capsys, "design", "near-uniform", "--n", "6", "--slack", "0.4")
@@ -215,6 +236,24 @@ def test_gadget_amp_and_clock(tmp_path, capsys):
     code, out, _ = run(capsys, "gadget", "clock", "--n", "3", "--dim", "2", "--seed", "7")
     assert code == 0
     assert json.loads(out)["fidelity"] >= 1.0 - 1e-8
+
+
+def test_gadget_clock_empty_register_exit_2(capsys):
+    code, out, err = run(capsys, "gadget", "clock", "--n", "4", "--dim", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: validation: gates must act on a register of dimension at least 1\n"
+
+
+def test_report_timing_three_site_near_uniform_is_the_analytic_curve(tmp_path, capsys):
+    """The uniform chain of three sites transfers perfectly, and rescaled to
+    t0 = pi it is the analytic chain."""
+    out_csv = tmp_path / "timing3.csv"
+    code, _, _ = run(capsys, "report", "--figure", "timing", "--n", "3", "--steps", "200",
+                     "--out", str(out_csv))
+    assert code == 0
+    rows = out_csv.read_text().splitlines()[1:]
+    data = np.array([[float(x) for x in row.split(",")] for row in rows])
+    assert np.max(np.abs(data[:, 2] - data[:, 3])) <= 1e-14
 
 
 def test_report_timing_two_site_closed_form(tmp_path, capsys):

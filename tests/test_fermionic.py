@@ -44,6 +44,13 @@ def test_exclusion_principle_zero_state():
     assert np.all(slater_to_dense(state) == 0)
 
 
+def test_more_orbitals_than_sites_wedge_to_zero():
+    rng = np.random.default_rng(3)
+    state = slater_state(rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
+    assert state.is_zero
+    assert state.orbitals.shape == (4, 3) and np.all(state.orbitals == 0)
+
+
 def test_exchange_antisymmetry():
     rng = np.random.default_rng(2)
     a = rng.standard_normal(5) + 1j * rng.standard_normal(5)

@@ -21,6 +21,13 @@ from oracles import (dense_decomposition, end_products_full, expm_evolve, folded
                      unfolded_eigenvalues)
 
 
+def test_one_site_decomposition_is_its_field():
+    sd = diagonalize(chain([], [0.7]))
+    assert sd.eigenvalues.tolist() == [0.7]
+    assert sd.eigenvectors.tolist() == [[1.0]]
+    assert sd.residual == 0.0
+
+
 def test_two_level_eigenvalues():
     sd = diagonalize(chain([0.5]))
     assert np.allclose(sd.eigenvalues, [-0.5, 0.5])
@@ -602,6 +609,33 @@ def _chiral_chain(kind, m, seed):
     if kind == "uniform":
         return uniform_chain(n)
     return _odd_gap_chiral_chain(m, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["random", "analytic", "uniform"]), st.integers(1, SMALL_CHAIN_CUT // 2),
+       st.integers(0, 2 ** 32 - 1))
+@example("analytic", 1, 0)
+@example("random", 2, 0)
+@example("uniform", SMALL_CHAIN_CUT // 2, 0)
+def test_even_zero_field_mirror_chains_of_any_length_solve_the_chiral_block(kind, m, seed):
+    """Every even zero-field mirror chain, however short, passes only its
+    m-row chiral block to the eigenvalue solver and hands out an exactly
+    antisymmetric spectrum within 8 N eps max|T| of one unfolded sterf solve."""
+    spec = _chiral_chain(kind, m, seed)
+    sizes = []
+    true_solve = spectral._eigenvalue_solve
+
+    def counted(diag, off):
+        sizes.append(diag.size)
+        return true_solve(diag, off)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(spectral, "_eigenvalue_solve", counted)
+        lam = diagonalize(spec).eigenvalues
+    assert sizes == [m]
+    assert lam.tobytes() == (-lam[::-1]).tobytes()
+    bound = 8 * spec.n * np.finfo(float).eps * max(spec.couplings)
+    assert np.max(np.abs(lam - unfolded_eigenvalues(spec))) <= bound
 
 
 @settings(max_examples=60, deadline=None)
