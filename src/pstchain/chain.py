@@ -31,9 +31,24 @@ class ChainFormatError(ValueError):
     """A chain document does not match the expected schema."""
 
 
+def _floats(values) -> tuple[float, ...] | np.ndarray:
+    """``values`` converted one element at a time to a tuple of floats, or a
+    1-D float64 array as it is: no element of one can fail to convert."""
+    if type(values) is np.ndarray and values.dtype == np.float64 and values.ndim == 1:
+        return values
+    return tuple(map(float, values))
+
+
 def _finite_floats(values, name: str) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
-    if not all(math.isfinite(v) for v in out):
+    """``values`` as a tuple of finite Python floats; a 1-D float64 array is
+    checked and converted in one numpy pass each."""
+    out = _floats(values)
+    if type(out) is tuple:
+        finite = all(map(math.isfinite, out))
+    else:
+        finite = np.isfinite(out).all()
+        out = tuple(out.tolist())
+    if not finite:
         raise ValueError(f"{name} must be finite")
     return out
 
@@ -75,7 +90,7 @@ class ChainSpec:
 
     @property
     def has_zero_coupling(self) -> bool:
-        return any(j == 0.0 for j in self.couplings)
+        return 0.0 in self.couplings    # -0.0 == 0.0
 
     def coupling_array(self) -> np.ndarray:
         return np.asarray(self.couplings, dtype=float)
@@ -118,13 +133,13 @@ class MirrorReport:
 
 
 def chain(couplings, fields=None, statistics: str = "fermionic") -> ChainSpec:
-    """Convenience constructor; ``fields`` defaults to zero."""
-    couplings = tuple(float(j) for j in couplings)
+    """Convenience constructor; ``fields`` defaults to zero. The couplings
+    and then the fields are converted before either is checked, and a
+    float64 array reaches :class:`ChainSpec` unconverted."""
+    couplings = _floats(couplings)
     n = len(couplings) + 1
-    if fields is None:
-        fields = (0.0,) * n
-    return ChainSpec(n=n, couplings=couplings, fields=tuple(float(b) for b in fields),
-                     statistics=statistics)
+    fields = (0.0,) * n if fields is None else _floats(fields)
+    return ChainSpec(n=n, couplings=couplings, fields=fields, statistics=statistics)
 
 
 def _integral(value, name: str) -> int:

@@ -46,12 +46,22 @@ EXIT_UNKNOWN_COMMAND = 64
 EXIT_BAD_CHAIN_FILE = 65
 
 
+class _HelpShown(Exception):
+    """A subcommand's ``--help`` has printed its usage."""
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors raise ``ValueError``, so they
-    take the one-line validation exit of :func:`main`."""
+    take the one-line validation exit of :func:`main`, and whose ``--help``
+    raises :class:`_HelpShown`, so :func:`main` returns 0 for it as for
+    ``pst --help``."""
 
     def error(self, message):
         raise ValueError(message)
+
+    def exit(self, status=0, message=None):
+        # error() raises, so only --help, after printing, gets here
+        raise _HelpShown
 
 
 class _Manifest:
@@ -405,7 +415,6 @@ def _cmd_report(args, manifest):
                   "near_uniform": rescale(near, certify_pst(near).t0 / math.pi)}
         sd_u = diagonalize(uniform)
         peak = _peak_time(sd_u, n)
-        u_scale = peak / math.pi if peak > 0 else 1.0
         grid = np.linspace(0.0, 2.0, ns.steps + 1)
         cols = {"uniform": np.abs(gamma(sd_u, 1, n, grid * peak)) ** 2}
         for name, spec in curves.items():
@@ -453,6 +462,8 @@ def main(argv=None) -> int:
     manifest = _Manifest(argv)
     try:
         return _DISPATCH[sub](rest, manifest)
+    except _HelpShown:
+        return EXIT_OK
     except ChainFormatError as exc:
         print(f"error: bad-chain-file: {exc}", file=sys.stderr)
         return EXIT_BAD_CHAIN_FILE

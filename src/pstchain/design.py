@@ -160,10 +160,14 @@ def _givens_insertion(lam: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nd
         x = e[lo - 1:n - 1:3]
         b = bulge[lo:n:3]
         r = np.hypot(x, b)
-        nonzero = r > 0.0      # where both entries are zero: the identity rotation
-        safe = np.where(nonzero, r, 1.0)
-        c = np.where(nonzero, x / safe, 1.0)
-        s = b / safe
+        if r.min() > 0.0:     # no r is 0 (or NaN), so the guard below is the identity
+            c = x / r
+            s = b / r
+        else:
+            nonzero = r > 0.0  # where both entries are zero: the identity rotation
+            safe = np.where(nonzero, r, 1.0)
+            c = np.where(nonzero, x / safe, 1.0)
+            s = b / safe
         x[...] = r
         p = d[lo:n:3]
         g = d[lo + 1:n + 1:3]
@@ -175,7 +179,8 @@ def _givens_insertion(lam: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nd
         h += cu
         h += cu
         shift = s * h
-        np.subtract(c * h, u, out=u)
+        h *= c
+        np.subtract(h, u, out=u)
         p += shift
         g -= shift
         below = e[lo + 1:n + 1:3]

@@ -37,7 +37,7 @@ from functools import reduce
 import numpy as np
 
 from .certify import require_perfect, verify_transfer
-from .chain import ChainSpec
+from .chain import ChainSpec, _integral
 from .spectral import amplitude_profile, diagonalize, gamma, propagate
 
 REGISTER_CAP = 8  # registers of the largest storage run; its table holds 4^k minors
@@ -119,9 +119,14 @@ def slater_state(vectors, coefficient: complex = 1.0) -> SlaterState:
 
 
 def basis_slater(n: int, sites, coefficient: complex = 1.0) -> SlaterState:
-    """Slater state with excitations on the given 1-based sites, in order."""
+    """Slater state with excitations on the given 1-based sites, in order; a
+    site that is not an integer in 1..n raises ``ValueError``."""
+    n = _integral(n, "n")
     vecs = []
     for s in sites:
+        s = _integral(s, "sites")
+        if not 1 <= s <= n:
+            raise ValueError(f"sites must lie in 1..{n}, got {s}")
         e = np.zeros(n, dtype=complex)
         e[s - 1] = 1.0
         vecs.append(e)

@@ -108,6 +108,7 @@ def hypercube(d: int) -> NetworkSpec:
     gamma(pi)^d of the certified two-site chain (Christandl et al., PRL 92,
     187902, 2004). ``DENSE_CAP`` bounds d, which sets only the size of the
     edge list: no 2^d matrix is built."""
+    d = _integral(d, "d")
     if d < 1:
         raise ValueError("dimension must be at least 1")
     if d > DENSE_CAP:
@@ -143,6 +144,7 @@ def star_network(branch: ChainSpec, m: int) -> StarReport:
     state for M = 2, a W state in general): each leaf carries
     gamma_N(t0) / sqrt(M) of the branch certificate.
     """
+    m = _integral(m, "m")
     if m < 1:
         raise ValueError("need at least one branch")
     cert = require_perfect(branch)

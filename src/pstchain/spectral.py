@@ -366,26 +366,35 @@ def sturm_newton(diag: np.ndarray, off: np.ndarray, eigenvalues,
 
     ``p'/p`` is the sum of ``d_i'/d_i`` over the N pivots of the Sturm
     (LDL^T) recurrence ``d_i = (B_i - lambda) - J_{i-1}^2 / d_{i-1}``, O(N) per
-    eigenvalue. The step is guarded: an eigenvalue moves only where the step
-    is finite and at most ``max_step``, and the eigenvalues are returned
-    unchanged if the refined ones are not strictly ascending.
+    eigenvalue. A pivot whose ``B_i`` is +0.0, as is every pivot of a
+    zero-field chain but the last of its chiral block, takes ``B_i - lambda``
+    from one array formed once, with the same bits. The step is guarded: an
+    eigenvalue moves only where the step is finite and at most ``max_step``,
+    and the eigenvalues are returned unchanged if the refined ones are not
+    strictly ascending.
     """
     b2 = off ** 2
     lam = np.asarray(eigenvalues, dtype=float)
+    rest = diag[1:]
+    plus_zero = (rest == 0.0) & ~np.signbit(rest)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = diag[0] - lam
+        neg = 0.0 - lam                     # B_i - lambda wherever B_i is +0.0
         dd = np.full_like(lam, -1.0)        # d_1' = -1
         total = np.zeros_like(lam)          # the sum of d_i'/d_i
         ratio = np.empty_like(lam)
         r = np.empty_like(lam)
-        for a, bb in zip(diag[1:].tolist(), b2.tolist()):
+        for a, bb, zero in zip(rest.tolist(), b2.tolist(), plus_zero.tolist()):
             np.divide(dd, d, out=ratio)
             total += ratio
             np.divide(bb, d, out=r)
             np.multiply(r, ratio, out=dd)   # d_i' = J^2 d_{i-1}' / d_{i-1}^2 - 1
             dd -= 1.0
-            np.subtract(a, lam, out=d)
-            d -= r
+            if zero:
+                np.subtract(neg, r, out=d)
+            else:
+                np.subtract(a, lam, out=d)
+                d -= r
         np.divide(dd, d, out=ratio)
         total += ratio
         step = 1.0 / total

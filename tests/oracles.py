@@ -350,6 +350,109 @@ def sturm_newton_full(diag, off, eigenvalues, max_step):
     return refined
 
 
+def givens_insertion_guarded(lam, q):
+    """``design._givens_insertion`` with the zero-rotation guard taken on
+    every step: each plane's rotation is formed through ``np.where`` whether
+    or not some ``r`` is 0. The library takes the guard only on a step where
+    some ``r`` is 0 (or NaN), with the same operations in the same order."""
+    n = lam.size
+    lam = lam.astype(np.longdouble)
+    q = q.astype(np.longdouble)
+    d = np.zeros(n + 1, np.longdouble)
+    e = np.zeros(n + 1, np.longdouble)
+    bulge = np.zeros(n + 1, np.longdouble)
+    for step in range(3 * n - 2):
+        i = step // 2 + 1
+        if step % 2 == 0 and i <= n:
+            top = n - i
+            e[top] = q[i - 1]
+            d[top + 1] = lam[i - 1]
+            bulge[top + 1] = e[top + 1]
+            e[top + 1] = 0.0
+        lo = n + 3 + step - 3 * min(i, n)
+        if lo > n - 1:
+            continue
+        x = e[lo - 1:n - 1:3]
+        b = bulge[lo:n:3]
+        r = np.hypot(x, b)
+        nonzero = r > 0.0
+        safe = np.where(nonzero, r, 1.0)
+        c = np.where(nonzero, x / safe, 1.0)
+        s = b / safe
+        x[...] = r
+        p = d[lo:n:3]
+        g = d[lo + 1:n + 1:3]
+        u = e[lo:n:3]
+        h = s * (g - p)
+        cu = c * u
+        h += cu
+        h += cu
+        shift = s * h
+        np.subtract(c * h, u, out=u)
+        p += shift
+        g -= shift
+        below = e[lo + 1:n + 1:3]
+        np.multiply(s, below, out=bulge[lo + 1:n + 1:3])
+        below *= c
+    return d[1:].astype(float), np.abs(e[1:n]).astype(float)
+
+
+def timing_window_bisection(cert, epsilon, grid=4000):
+    """``certify.timing_window`` by the definition, one offset at a time: the
+    first of ``grid`` steps over [0, t0] where either side of
+    ``|gamma_N(t0 -+ delta)|^2``, each side summed from its own exponentials
+    ``exp(-i lambda_k (t0 -+ delta))``, falls below ``1 - epsilon``, then 60
+    bisection steps from one step below it."""
+    lam, products = cert.eigenvalues, cert.end_products
+    t0 = cert.t0
+    level = 1.0 - epsilon
+
+    def height(delta):
+        amps = np.exp(-1j * np.multiply.outer((t0 - delta, t0 + delta), lam)) @ products
+        return float(np.min(np.abs(amps) ** 2))
+
+    if not height(0.0) >= level:
+        return 0.0
+    hi = None
+    for delta in np.linspace(0.0, t0, grid + 1)[1:]:
+        if height(delta) < level:
+            hi = delta
+            break
+    if hi is None:
+        return 2.0 * t0
+    lo = hi - t0 / grid
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if height(mid) >= level:
+            lo = mid
+        else:
+            hi = mid
+    return 2.0 * lo
+
+
+def finite_floats_by_element(values, name):
+    """``chain._finite_floats`` one element at a time, for every input: the
+    conversion the library applies to all but 1-D float64 arrays."""
+    out = tuple(float(v) for v in values)
+    if not all(math.isfinite(v) for v in out):
+        raise ValueError(f"{name} must be finite")
+    return out
+
+
+def chain_by_element(couplings, fields=None):
+    """``(couplings, fields)`` as ``chain()`` stores them, from conversions
+    one element at a time: the couplings first, then the fields, which
+    default to zero, then the checks of ``ChainSpec`` in its order."""
+    couplings = tuple(float(j) for j in couplings)
+    n = len(couplings) + 1
+    fields = (0.0,) * n if fields is None else tuple(float(b) for b in fields)
+    couplings = finite_floats_by_element(couplings, "couplings")
+    fields = finite_floats_by_element(fields, "fields")
+    if len(fields) != n:
+        raise ValueError(f"expected {n} fields, got {len(fields)}")
+    return couplings, fields
+
+
 def unfolded_decomposition(spec):
     """Eigenvalues and eigenvectors of a chain from one LAPACK ``stevd`` solve
     of its whole single-excitation matrix, with the library's sign

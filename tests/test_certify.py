@@ -23,12 +23,13 @@ from pstchain import (BathSpec, ClockProgram, QuadraticFermionHamiltonian, ampli
                       sequential_storage_sim, star_network, theta_entangler, timing_window,
                       target_spectrum, two_boson_transfer, uniform_chain, w_phase_rotation,
                       write_chain)
-from pstchain import spectral
-from pstchain.certify import _gap_fractions
+from pstchain import certify, spectral
+from pstchain.certify import _gap_fractions, _gap_multipliers
 from pstchain.chain import chain_to_dict
 from pstchain.spectral import SMALL_CHAIN_CUT, DegenerateSpectrumError, end_products
 
-from oracles import certify_by_eigenvectors, random_pst_chain, tridiagonal_dense
+from oracles import (certify_by_eigenvectors, phase_sum_direct, random_pst_chain,
+                     timing_window_bisection, tridiagonal_dense)
 
 
 def test_analytic_chain_certifies_with_unit_gaps():
@@ -294,6 +295,112 @@ def test_timing_window_epsilon_validation():
         timing_window(spec, cert, 0.0)
     with pytest.raises(ValueError):
         timing_window(spec, cert, 1.0)
+
+
+def _window_chain(kind, n, seed):
+    """A perfect chain of about ``n`` sites: analytic, odd-gap from the
+    inverse eigenvalue problem, or near-uniform rescaled to t0 = pi."""
+    if kind == "analytic":
+        return analytic_chain(n)
+    if kind == "odd-gap":
+        return random_pst_chain(np.random.default_rng(seed), n)
+    near, _ = near_uniform_chain(n, 0.5)
+    return rescale(near, certify_pst(near).t0 / math.pi)
+
+
+_EPS = np.finfo(float).eps
+
+
+def _window_tolerance(cert, epsilon):
+    """How far two windows computed from differently rounded heights may lie
+    apart, relative to the window. Near its edge the height falls at
+    2 epsilon / delta (the peak is quadratic), so a height error h moves the
+    crossing by h / (2 epsilon) of the window. Rounding moves a height near
+    1 by a few eps, and the phase lambda_k t of each term by
+    eps |lambda_k t|; at the edge the phases have spread by about
+    sqrt(epsilon), so that moves the height by about eps max|lambda| t0
+    sqrt(epsilon)."""
+    phase = float(np.max(np.abs(cert.eigenvalues))) * cert.t0
+    return 1e-12 + 8.0 * _EPS / epsilon * (1.0 + math.sqrt(epsilon) * phase)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["analytic", "odd-gap", "near-uniform"]), st.integers(2, 160),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([1e-6, 1e-3, 0.05, 0.5]))
+def test_timing_window_matches_the_bisection_oracle(kind, n, seed, epsilon):
+    """The chunked scan and the secant find the oracle's window, to the
+    rounding of the heights that decide either (see _window_tolerance)."""
+    spec = _window_chain(kind, n, seed)
+    cert = certify_pst(spec)
+    want = timing_window_bisection(cert, epsilon)
+    got = timing_window(spec, cert, epsilon)
+    assert abs(got - want) <= _window_tolerance(cert, epsilon) * want
+
+
+@pytest.mark.parametrize("kind, n", [("analytic", 2000), ("odd-gap", 1000), ("near-uniform", 200)])
+def test_timing_window_matches_the_bisection_oracle_at_scale(kind, n):
+    spec = _window_chain(kind, n, 26)
+    cert = certify_pst(spec)
+    for epsilon in (1e-6, 1e-3, 0.05):
+        want = timing_window_bisection(cert, epsilon)
+        got = timing_window(spec, cert, epsilon)
+        assert abs(got - want) <= _window_tolerance(cert, epsilon) * want
+
+
+@pytest.mark.parametrize("spec", [analytic_chain(2), analytic_chain(5), analytic_chain(8),
+                                  random_pst_chain(np.random.default_rng(3), 6)],
+                         ids=["analytic-2", "analytic-5", "analytic-8", "odd-gap-6"])
+@pytest.mark.parametrize("epsilon", [1e-6, 1e-3, 0.05, 0.5])
+def test_timing_window_is_the_exact_crossing(spec, epsilon):
+    """Against the crossing of the certificate's own doubles found in 40-digit
+    arithmetic, the window is off by at most the 4 eps / epsilon that the
+    rounding of a height near 1 allows."""
+    mpmath = pytest.importorskip("mpmath")
+    cert = certify_pst(spec)
+    got = timing_window(spec, cert, epsilon)
+    with mpmath.workdps(40):
+        lam = [mpmath.mpf(float(x)) for x in cert.eigenvalues]
+        w = [mpmath.mpf(float(x)) for x in cert.end_products]
+        t0, level = mpmath.mpf(cert.t0), 1 - mpmath.mpf(epsilon)
+
+        def excess(delta):
+            return min(abs(mpmath.fsum(wk * mpmath.expj(-lk * t) for wk, lk in zip(w, lam))) ** 2
+                       for t in (t0 - delta, t0 + delta)) - level
+
+        half = mpmath.findroot(excess, (mpmath.mpf(0.49 * got), mpmath.mpf(0.51 * got)),
+                               solver="anderson")
+        exact = float(2 * half)
+    assert abs(got - exact) <= (1e-13 + 4.0 * _EPS / epsilon) * exact
+
+
+@pytest.mark.parametrize("epsilon", [1e-6, 1e-3, 0.05, 0.5])
+def test_transfer_holds_inside_the_timing_window(epsilon):
+    for spec in (analytic_chain(7), analytic_chain(300), _window_chain("odd-gap", 40, 1),
+                 _window_chain("near-uniform", 30, 0)):
+        cert = certify_pst(spec)
+        w = timing_window(spec, cert, epsilon)
+        times = cert.t0 + 0.5 * w * (1.0 - 1e-6) * np.linspace(-1.0, 1.0, 201)
+        heights = np.abs(phase_sum_direct(cert.eigenvalues, cert.end_products, times)) ** 2
+        assert heights.min() >= 1.0 - epsilon
+
+
+def test_timing_window_of_two_thousand_sites_takes_few_height_evaluations(monkeypatch):
+    """At epsilon = 1e-3 the crossing lies a few grid steps out: a few scan
+    calls and a secant of under ten offsets, against the 66 evaluations of
+    a bisection."""
+    calls = []
+    heights = certify._window_heights
+
+    def counted(lam, sides, deltas):
+        calls.append(len(deltas))
+        return heights(lam, sides, deltas)
+
+    spec = analytic_chain(2000)
+    cert = certify_pst(spec)
+    monkeypatch.setattr(certify, "_window_heights", counted)
+    w = timing_window(spec, cert, 1e-3)
+    assert 0 < len(calls) <= 25
+    assert abs(w - timing_window_bisection(cert, 1e-3)) <= 1e-11 * w
 
 
 # --- one eigensolve per certified chain ---------------------------------------
@@ -798,6 +905,24 @@ def test_gap_fractions_are_limit_denominator(values, max_denominator):
     assert got == [Fraction(v).limit_denominator(max_denominator) for v in values]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(ratios, st.integers(1, 2 ** 60).map(float)), min_size=0, max_size=12),
+       st.integers(1, 10 ** 7))
+def test_gap_multipliers_are_the_fractions_over_their_common_denominator(values, max_denominator):
+    """Where every ratio is near an integer the multipliers are read from
+    np.rint, else from the fractions; either way they are the numerators
+    over the common denominator, or None past the 2^52 guard."""
+    values = [1.0] + values     # the smallest ratio is exactly 1
+    fracs = [Fraction(v).limit_denominator(max_denominator) for v in values]
+    lcm = math.lcm(*(f.denominator for f in fracs))
+    mult = [f.numerator * (lcm // f.denominator) for f in fracs]
+    got = _gap_multipliers(np.asarray(values), max_denominator)
+    if lcm > 2 ** 52 or max(mult) > 2 ** 52:
+        assert got is None
+    else:
+        assert got.tolist() == mult
+
+
 def test_rationalizing_stops_where_the_multiplier_guard_trips(monkeypatch):
     drawn = []
 
@@ -993,18 +1118,27 @@ def _decomposition():
     (lambda: w_phase_rotation(3, 1.5), "k must be an integer, got 1.5"),
     (lambda: ClockProgram(chain=analytic_chain(3), gates=(np.zeros((0, 0)),) * 2),
      "register of dimension at least 1"),
+    (lambda: hypercube(2.5), "d must be an integer, got 2.5"),
+    (lambda: star_network(analytic_chain(4), 2.5), "m must be an integer, got 2.5"),
+    (lambda: basis_slater(4, [1.5]), "sites must be an integer, got 1.5"),
+    (lambda: basis_slater(4.5, [1]), "n must be an integer, got 4.5"),
+    (lambda: basis_slater(4, [2, 0]), r"sites must lie in 1\.\.4, got 0"),
+    (lambda: basis_slater(4, [5]), r"sites must lie in 1\.\.4, got 5"),
 ], ids=["gamma", "gamma-inf", "propagate", "propagate-times", "evolve_slater",
         "two_boson_transfer", "amplifier_sim", "bath_transfer_amplitude", "rate-t0-nan",
         "rate-t0-negative", "certify-max-den-0", "certify-max-den-negative",
         "certify-max-den-fraction", "amplifier-wall-negative", "amplifier-wall-past-n",
         "amplifier-wall-fraction", "end-weights-nan", "end-weights-inf",
         "analytic-fraction", "storage-fraction", "uniform-zero", "uniform-negative",
-        "near-uniform-fraction", "w-phase-fraction", "clock-empty-register"])
+        "near-uniform-fraction", "w-phase-fraction", "clock-empty-register",
+        "hypercube-fraction", "star-fraction", "basis-slater-site-fraction",
+        "basis-slater-n-fraction", "basis-slater-site-zero", "basis-slater-site-past-n"])
 def test_times_and_limits_out_of_range_raise_value_error(call, message):
     """Each of these once returned NaN, a meaningless report, state or chain
     or an unrelated error (ZeroDivisionError for a zero max_denominator,
     IndexError for a wall past N, TypeError for a fractional near-uniform
-    size)."""
+    size, hypercube dimension or star branch count, IndexError for a
+    fractional or past-N Slater site, and site N for site 0)."""
     with pytest.raises(ValueError, match=message):
         call()
 
@@ -1015,3 +1149,11 @@ def test_integral_sizes_given_as_floats_build_the_same_chain():
     assert uniform_chain(np.int64(3)) == uniform_chain(3)
     assert near_uniform_chain(6.0, 0.5) == near_uniform_chain(6, 0.5)
     assert w_phase_rotation(3.0, 1.0).tolist() == w_phase_rotation(3, 1).tolist()
+
+
+def test_integral_network_sizes_and_sites_given_as_floats_are_accepted():
+    assert hypercube(4.0) == hypercube(4)
+    branch = analytic_chain(4)
+    assert star_network(branch, 4.0).network == star_network(branch, 4).network
+    a, b = basis_slater(4.0, [1.0, np.int64(3)]), basis_slater(4, [1, 3])
+    assert a.orbitals.tobytes() == b.orbitals.tobytes() and a.coefficient == b.coefficient

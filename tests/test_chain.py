@@ -1,4 +1,6 @@
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from pstchain import (ChainSpec, HeisenbergSpec, analytic_chain, certify_pst, ch
                       rescale, sequential_storage_chain, uniform_chain, write_chain)
 from pstchain.chain import ChainFormatError
 
-from oracles import heisenberg_dense, one_excitation_block, tridiagonal_dense
+from oracles import (chain_by_element, finite_floats_by_element, heisenberg_dense,
+                     one_excitation_block, tridiagonal_dense)
 
 
 def test_two_site_chain_is_its_matrix():
@@ -169,3 +172,81 @@ def test_invalid_shapes_raise():
         ChainSpec(n=2, couplings=(math.inf,), fields=(0.0, 0.0))
     with pytest.raises(ValueError):
         ChainSpec(n=2, couplings=(1.0,), fields=(0.0, 0.0), statistics="anyonic")
+
+
+_ELEMENTS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+    st.integers(-10 ** 6, 10 ** 6),
+    st.sampled_from([-0.0, 0.0, 1e-320, 1e308, np.float64(-0.0), np.float64(0.25),
+                     np.float32(0.1), np.int64(7), np.float64(np.nan), np.float32(np.inf),
+                     "1.5", "-0", " 2e3 ", "nan", "-inf", "abc", "", 1 + 0j, 2 - 1j,
+                     np.complex128(1 + 0j), None, True]),
+)
+_CONTAINERS = ("list", "tuple", "generator", "float64", "float32", "int64", "float64-reversed")
+
+
+def _container(kind, values):
+    """A fresh container of ``values`` of the given kind, or None where numpy
+    cannot build that array from them."""
+    if kind == "list":
+        return list(values)
+    if kind == "tuple":
+        return tuple(values)
+    if kind == "generator":
+        return (v for v in values)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")    # complex parts and overflow to inf are inputs too
+            arr = np.array(values, dtype=kind.split("-")[0])
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return arr[::-1].copy()[::-1] if kind.endswith("reversed") else arr
+
+
+def _outcome(build):
+    """The bytes and element types of the chain's tuples, or the type of the
+    exception that building it raised."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            couplings, fields = build()
+    except Exception as exc:   # the type is the outcome compared
+        return type(exc)
+    return (struct.pack(f"{len(couplings)}d", *couplings), struct.pack(f"{len(fields)}d", *fields),
+            {type(v) for v in couplings + fields})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ELEMENTS, max_size=6), st.sampled_from(_CONTAINERS),
+       st.one_of(st.none(), st.lists(_ELEMENTS, min_size=1, max_size=7)),
+       st.sampled_from(_CONTAINERS))
+def test_constructors_convert_as_element_by_element(couplings, kind, fields, field_kind):
+    """chain() and ChainSpec store the bytes that converting one element at a
+    time gives, all Python floats, or raise the exception type it raises: on
+    lists, tuples, generators and float64, float32 and int64 arrays of floats,
+    ints, numpy scalars, numeric and other strings, NaN, infinities, complex
+    values, None and bools."""
+    make = lambda: _container(kind, couplings)              # noqa: E731
+    make_fields = lambda: None if fields is None else _container(field_kind, fields)  # noqa: E731
+    if make() is None or (fields is not None and make_fields() is None):
+        return
+
+    def by_chain():
+        spec = chain(make(), make_fields())
+        return spec.couplings, spec.fields
+
+    want = _outcome(lambda: chain_by_element(make(), make_fields()))
+    assert _outcome(by_chain) == want
+
+    n = len(couplings) + 1
+    if fields is not None and len(fields) != n:
+        return
+
+    def by_spec():
+        spec = ChainSpec(n=n, couplings=make(), fields=make_fields() if fields else (0.0,) * n)
+        return spec.couplings, spec.fields
+
+    want = _outcome(lambda: (finite_floats_by_element(make(), "couplings"),
+                             finite_floats_by_element(make_fields() if fields else (0.0,) * n,
+                                                      "fields")))
+    assert _outcome(by_spec) == want

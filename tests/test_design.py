@@ -13,7 +13,8 @@ from pstchain import (analytic_chain, certify_pst, chain_from_spectrum,
 from pstchain.design import ParametrizedFamily, TargetSpectrum, _givens_insertion
 from pstchain.spectral import _is_mirror
 
-from oracles import _lanczos_from_weights, full_chain_from_spectrum, log_end_weights
+from oracles import (_lanczos_from_weights, full_chain_from_spectrum, givens_insertion_guarded,
+                     log_end_weights)
 
 
 # --- analytic family ------------------------------------------------------
@@ -301,6 +302,43 @@ def test_givens_insertion_passes_over_pairs_of_zero_weight():
     assert np.all(np.isfinite(fields)) and np.all(np.isfinite(couplings))
     jacobi = np.diag(fields) + np.diag(couplings, 1) + np.diag(couplings, -1)
     assert np.max(np.abs(np.linalg.eigvalsh(jacobi) - lam)) < 1e-14
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(0.05, 3.0), min_size=0, max_size=80), st.floats(-5.0, 5.0),
+       st.lists(st.integers(0, 80), max_size=4), st.integers(0, 2 ** 32 - 1))
+def test_givens_insertion_is_the_guarded_chase_bitwise(gaps, offset, zeros, seed):
+    """The chase takes its zero-rotation guard only where some r is 0, and is
+    bitwise the chase that takes it on every step; weight vectors with exact
+    zeros take the guard."""
+    lam = offset + np.concatenate(([0.0], np.cumsum(gaps)))
+    q = np.random.default_rng(seed).uniform(0.01, 1.0, lam.size)
+    q[[z % lam.size for z in zeros]] = 0.0
+    got = _givens_insertion(lam, q)
+    want = givens_insertion_guarded(lam, q)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_givens_insertion_takes_the_guard_where_some_rotation_is_zero(monkeypatch):
+    """Leading zero weights reach planes where r is 0 (see the test above), so
+    the guarded branch runs and gives the guarded chase's bytes."""
+    wheres = []
+    real_where = np.where
+
+    def counted(*args):
+        wheres.append(1)
+        return real_where(*args)
+
+    lam = np.array([-2.0, -0.5, 0.3, 1.0, 2.5, 3.0])
+    q = np.array([0.0, 0.0, 0.5, 0.5, 0.5, 0.5])
+    want = givens_insertion_guarded(lam, q)
+    monkeypatch.setattr(np, "where", counted)
+    got = _givens_insertion(lam, q)
+    assert wheres
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    wheres.clear()
+    _givens_insertion(lam, np.full(6, 0.5))
+    assert not wheres
 
 
 def test_givens_insertion_of_one_pair_is_its_eigenvalue():

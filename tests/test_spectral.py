@@ -210,6 +210,35 @@ def test_sturm_newton_is_the_full_recurrence(kind, n, seed):
     assert got.tobytes() == sturm_newton_full(diag, off, lam, error).tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 300), st.sampled_from(["zero", "signed-zero", "chiral-block"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_sturm_newton_on_zero_fields_is_the_full_recurrence(n, kind, seed):
+    """Pivots whose field is +0.0 take ``B_i - lambda`` from one array formed
+    once; the step equals the oracle's bit for bit on zero-field chains, on
+    the chiral block of one (all +0.0 but its last field), and on chains whose
+    fields are +0.0 and -0.0: at their eigenvalues, and with no bound on the
+    step at +0.0 and -0.0, where the sign of ``B_i - lambda`` follows that of
+    ``B_i``."""
+    rng = np.random.default_rng(seed)
+    off = rng.uniform(0.5, 1.5, n - 1)
+    diag = np.zeros(n)
+    if kind == "signed-zero":
+        diag[rng.random(n) < 0.5] = -0.0
+    elif kind == "chiral-block":
+        diag[-1] = off[-1]
+        off = off[:-1]
+        diag = diag[1:]
+    if diag.size < 1:
+        return
+    lam = spectral._eigenvalue_solve(diag, off)
+    error = diag.size * np.finfo(float).eps * spectral._max_abs(diag, off)
+    for probe, bound in ((lam, error), ([0.0], math.inf), ([-0.0], math.inf),
+                         ([-0.0, 0.7], math.inf)):
+        got = sturm_newton(diag, off, probe, bound)
+        assert got.tobytes() == sturm_newton_full(diag, off, probe, bound).tobytes()
+
+
 def test_propagate_identity_at_time_zero():
     sd = diagonalize(analytic_chain(5))
     v = np.arange(1.0, 6.0) + 1j
