@@ -257,14 +257,14 @@ def amplifier_sim(spec_or_couplings, input_state, times) -> AmplifierResult:
 
     Walls |~n> = 1^n 0^(N-n) form a ladder the Hamiltonian hops along with
     the chain couplings, so a one-site signal |~1> grows to the fully
-    flipped |~N> at t0. The ladder 0..N is the zero-field chain on walls
-    1..N plus the decoupled empty wall 0: the zero-field chain with
-    couplings (0, J_1..J_{N-1}). ``input_state`` is a wall index (0..N)
-    or an (N+1)-vector of wall amplitudes.
+    flipped |~N> at t0. The ladder 0..N is the chain on walls 1..N, evolved
+    through its own decomposition (of ``chain(couplings)`` for raw couplings),
+    plus the decoupled empty wall 0, which keeps its amplitude.
+    ``input_state`` is a wall index (0..N) or an (N+1)-vector of wall amplitudes.
     """
     j = amplifier_couplings(spec_or_couplings)
     n = j.size + 1
-    ladder = chain((0.0, *j))
+    spec = spec_or_couplings if isinstance(spec_or_couplings, ChainSpec) else chain(j)
     if np.isscalar(input_state):
         if not (isinstance(input_state, numbers.Integral) and 0 <= input_state <= n):
             raise ValueError(f"wall index must be an integer in 0..{n}")
@@ -277,7 +277,8 @@ def amplifier_sim(spec_or_couplings, input_state, times) -> AmplifierResult:
         if not np.all(np.isfinite(psi0)):
             raise ValueError("wall amplitudes must be finite")
     times = np.asarray(times, dtype=float)
-    amps = propagate(diagonalize(ladder), psi0, np.atleast_1d(times))
+    moving = propagate(diagonalize(spec), psi0[1:], np.atleast_1d(times))
+    amps = np.column_stack((np.full(moving.shape[0], psi0[0]), moving))
     probs = np.abs(amps) ** 2
     walls = np.arange(n + 1)
     return AmplifierResult(

@@ -3,16 +3,11 @@ propagation.
 
 The spectral form ``exp(-i H t) = V exp(-i L t) V^dag`` is exact, so all
 transfer amplitudes produced here are limited only by the accuracy of the
-eigensolver. A chain, the package's one tridiagonal operator, takes a
-dedicated fast path; dense symmetric (or Hermitian, for phased networks)
-operators fall back to a general solver.
-
-A tridiagonal matrix of at most ``SMALL_CHAIN_CUT`` rows, a whole operator
-or the block below, is solved as a dense matrix by ``numpy.linalg``, which
-every process has loaded already; a larger one by LAPACK's tridiagonal
-routines from ``scipy.linalg``, which is imported on the first such solve,
-since importing it costs about 0.3 s, most of the start-up of a process that
-solves only short chains.
+eigensolver. A chain, the package's one tridiagonal operator, and the block
+below, of any size, are solved by LAPACK ``sterf`` or ``stevd`` from scipy's
+extension ``scipy.linalg._flapack``, which :func:`_lapack` loads alone in about
+4 ms (importing ``scipy.linalg`` costs a process 0.2-0.3 s); dense symmetric
+(or Hermitian, for phased networks) operators go to ``numpy.linalg.eigh``.
 
 A chain with zero fields is bipartite, so its spectrum is symmetric about
 zero. An exactly mirror-symmetric (persymmetric) one of even N = 2m is
@@ -36,8 +31,12 @@ weights once they are computed. Nothing else is cached.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -50,12 +49,6 @@ DEGENERACY_RTOL = 1e-9
 NEWTON_GATE = 1e-12
 # Largest a-priori relative error of end weights taken from the spectrum.
 END_WEIGHT_RTOL = 1e-6
-# Rows of the largest tridiagonal matrix, operator or chiral block, solved
-# densely by numpy.linalg. At 128 rows eigvalsh takes 0.7 ms against 0.4 ms for
-# sterf, and eigh 1.2 ms against 0.5 ms for stevd (one BLAS thread); importing
-# scipy.linalg takes 0.3 s, so a process gains unless it makes some 300 such
-# solves. The dense solves grow as N^3: at 256 rows 3.8 and 7.5 ms.
-SMALL_CHAIN_CUT = 128
 _EPS = float(np.finfo(float).eps)
 # Columns per step of the sign fix and the residual check, and rows per step of
 # the log-derivative sums. Whole-matrix temporaries would add several N x N
@@ -239,15 +232,12 @@ def diagonalize(operator) -> SpectralDecomposition:
     A tridiagonal operator gets its eigenvalues at once, from
     :func:`_of_tridiagonal`, which solves and refines its chiral block if it
     has one, and the whole operator otherwise. Its eigenvectors come on
-    their first read, from :func:`_eigenvector_solve`: ``numpy.linalg.eigh``
-    of the dense matrix up to the cut, and above it LAPACK ``stevd`` (divide
-    and conquer, O(N^3) in the worst case) on the whole operator. The
-    residual is checked against the eigenvalues handed out at once; those of
-    the eigenvector solve are dropped. :func:`gamma` between the end sites of
-    a chain with positive couplings reads no eigenvectors (see
-    :func:`pair_weights`), so above the cut it costs O(N^2) time and O(N)
-    memory in all. A dense operator is solved at once by
-    ``numpy.linalg.eigh``.
+    their first read, from :func:`_eigenvector_solve`, LAPACK ``stevd``
+    (divide and conquer, O(N^3) in the worst case) on the whole operator, and
+    their residual is checked against the eigenvalues handed out at once.
+    :func:`gamma` between the end sites of a chain with positive couplings
+    reads no eigenvectors (see :func:`pair_weights`), so it costs O(N^2) time
+    and O(N) memory in all. A dense operator is solved at once.
     """
     if isinstance(operator, ChainSpec):
         sd = getattr(operator, "_decomposition", None)
@@ -293,32 +283,41 @@ def _tridiagonal_eigenvectors(diag: np.ndarray, off: np.ndarray, eigenvalues: np
     return vec, _checked(residual, scale)
 
 
-def _eigenvalue_solve(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of ``tridiag(off, diag, off)``, any N, as the
-    solver returns them: ``numpy.linalg.eigvalsh`` of the dense matrix up to
-    ``SMALL_CHAIN_CUT`` rows, LAPACK ``sterf`` (O(N^2) time, O(N) memory)
-    above it."""
-    if diag.size <= SMALL_CHAIN_CUT:
-        return np.linalg.eigvalsh(_tridiagonal_dense(diag, off))
-    from scipy.linalg.lapack import dsterf
-    lam, info = dsterf(diag, off)
+def _lapack():
+    """scipy's f2py module ``scipy.linalg._flapack``, if loaded; else its file in
+    scipy's ``linalg`` directory, found without importing scipy (or ImportError),
+    run and registered, so that a later ``import scipy.linalg`` takes it too."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        where = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin), "linalg")
+        spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+        if spec is None:
+            raise ImportError(f"no LAPACK extension _flapack in {where}", name=name)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def _tridiagonal_lapack(routine: str, diag: np.ndarray, off: np.ndarray) -> list:
+    """The outputs but ``info`` of LAPACK ``routine`` on ``tridiag(off, diag,
+    off)``. The f2py wrappers take max(N - 1, 1) couplings, so a one-row
+    matrix gets one zero coupling, which LAPACK does not read."""
+    *out, info = getattr(_lapack(), routine)(diag, off if off.size else np.zeros(1))
     if info:
-        raise np.linalg.LinAlgError(f"LAPACK sterf did not converge (info {info})")
-    return lam
+        raise np.linalg.LinAlgError(f"LAPACK {routine[1:]} did not converge (info {info})")
+    return out
+
+
+def _eigenvalue_solve(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of ``tridiag(off, diag, off)``, any N, from LAPACK
+    ``sterf`` (O(N^2) time, O(N) memory)."""
+    return _tridiagonal_lapack("dsterf", diag, off)[0]
 
 
 def _eigenvector_solve(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Eigenvector columns of ``tridiag(off, diag, off)``, any N, in
-    ascending order of their eigenvalues and before the sign fix:
-    ``numpy.linalg.eigh`` of the dense matrix up to ``SMALL_CHAIN_CUT``
-    sites, LAPACK ``stevd`` of the whole matrix above it."""
-    if diag.size <= SMALL_CHAIN_CUT:
-        return np.linalg.eigh(_tridiagonal_dense(diag, off))[1]
-    from scipy.linalg.lapack import dstevd
-    _, vec, info = dstevd(diag, off)
-    if info:
-        raise np.linalg.LinAlgError(f"LAPACK stevd did not converge (info {info})")
-    return vec
+    """Eigenvector columns of ``tridiag(off, diag, off)``, any N, from LAPACK
+    ``stevd``, ascending by eigenvalue and before the sign fix."""
+    return _tridiagonal_lapack("dstevd", diag, off)[1]
 
 
 def _of_tridiagonal(diag: np.ndarray, off: np.ndarray) -> SpectralDecomposition:

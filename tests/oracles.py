@@ -456,8 +456,7 @@ def chain_by_element(couplings, fields=None):
 def unfolded_decomposition(spec):
     """Eigenvalues and eigenvectors of a chain from one LAPACK ``stevd`` solve
     of its whole single-excitation matrix, with the library's sign
-    convention: the way the library solves the eigenvectors of every chain
-    above ``SMALL_CHAIN_CUT`` sites."""
+    convention: the way the library solves the eigenvectors of every chain."""
     from pstchain.spectral import _fix_signs
 
     lam, vec = scipy.linalg.eigh_tridiagonal(spec.field_array(), spec.coupling_array(),
@@ -467,8 +466,8 @@ def unfolded_decomposition(spec):
 
 def dense_decomposition(spec):
     """Eigenvalues and sign-fixed eigenvectors of a chain from
-    ``numpy.linalg.eigh`` of its dense single-excitation matrix, the way the
-    library solves chains of at most ``SMALL_CHAIN_CUT`` sites."""
+    ``numpy.linalg.eigh`` of its dense single-excitation matrix, a solver the
+    library does not use for a chain."""
     from pstchain.spectral import _fix_signs
 
     lam, vec = np.linalg.eigh(tridiagonal_dense(spec.couplings, spec.fields))
@@ -485,7 +484,7 @@ def unfolded_eigenvalues(spec):
 def folded_eigenvalues(diag, off):
     """Ascending eigenvalues of ``tridiag(off, diag, off)``, N >= 2, the way the
     library solved them before the chiral block: ``numpy.linalg.eigvalsh`` of
-    the dense matrix up to ``SMALL_CHAIN_CUT`` sites, and above it one LAPACK
+    the dense matrix up to 128 sites, and above it one LAPACK
     ``sterf`` solve of the matrix itself or, if it equals its mirror image
     bitwise, of both its mirror blocks stacked with a zero coupling between
     them (Cantoni and Butler, Linear Algebra Appl. 13, 1976). With N = 2m the
@@ -496,10 +495,8 @@ def folded_eigenvalues(diag, off):
     block the leading m x m block."""
     from scipy.linalg.lapack import dsterf
 
-    from pstchain.spectral import SMALL_CHAIN_CUT
-
     n = diag.size
-    if n <= SMALL_CHAIN_CUT:
+    if n <= 128:
         return np.linalg.eigvalsh(tridiagonal_dense(off, diag))
     if diag.tobytes() == diag[::-1].tobytes() and off.tobytes() == off[::-1].tobytes():
         m = n // 2

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from pstchain import (BathSpec, ClockProgram, QuadraticFermionHamiltonian, amplifier_sim,
@@ -26,10 +25,10 @@ from pstchain import (BathSpec, ClockProgram, QuadraticFermionHamiltonian, ampli
 from pstchain import certify, spectral
 from pstchain.certify import _gap_fractions, _gap_multipliers
 from pstchain.chain import chain_to_dict
-from pstchain.spectral import SMALL_CHAIN_CUT, DegenerateSpectrumError, end_products
+from pstchain.spectral import DegenerateSpectrumError, end_products
 
 from oracles import (certify_by_eigenvectors, phase_sum_direct, random_pst_chain,
-                     timing_window_bisection, tridiagonal_dense)
+                     timing_window_bisection)
 
 
 def test_analytic_chain_certifies_with_unit_gaps():
@@ -431,23 +430,23 @@ def _counted_solver(monkeypatch, module, name):
 @pytest.fixture
 def tridiagonal_solves(monkeypatch):
     """Sizes of the matrices passed to the tridiagonal eigenvector solver,
-    ``numpy.linalg.eigh`` or LAPACK ``stevd`` by size."""
+    LAPACK ``stevd``."""
     return _counted_solver(monkeypatch, spectral, "_eigenvector_solve")
 
 
 @pytest.fixture
 def eigenvalue_solves(monkeypatch):
     """Sizes of the matrices passed to the eigenvalue-only tridiagonal solver,
-    ``numpy.linalg.eigvalsh`` or LAPACK ``sterf`` by size."""
+    LAPACK ``sterf``."""
     return _counted_solver(monkeypatch, spectral, "_eigenvalue_solve")
 
 
 @pytest.fixture
 def lapack_solves(monkeypatch):
     """Sizes and off-diagonals of the matrices passed to LAPACK ``stevd`` and
-    ``sterf``, the solvers above ``SMALL_CHAIN_CUT``."""
-    return (_counted_solver(monkeypatch, scipy.linalg.lapack, "dstevd"),
-            _counted_solver(monkeypatch, scipy.linalg.lapack, "dsterf"))
+    ``sterf`` in the module the library loads them from."""
+    return (_counted_solver(monkeypatch, spectral._lapack(), "dstevd"),
+            _counted_solver(monkeypatch, spectral._lapack(), "dsterf"))
 
 
 def _nudged(spec):
@@ -458,16 +457,13 @@ def _nudged(spec):
     return chain(j, spec.fields)
 
 
-_ABOVE_CUT = SMALL_CHAIN_CUT + 2
-
-
 def test_exactly_mirror_chain_reaches_the_solvers_folded(lapack_solves):
     """diagonalize solves the eigenvalues at once and the eigenvectors on
     their first read; a decomposition whose eigenvectors are not read solves
     the eigenvalues alone. The chain carries a field, so it has no chiral
     block, and both solvers get the whole operator with the chain's own
     couplings, none of them zero."""
-    n = _ABOVE_CUT
+    n = 130
     spec = chain(analytic_chain(n).couplings, [0.5] * n)
     diagonalize(replace(spec)).eigenvectors
     diagonalize(replace(spec)).eigenvalues
@@ -480,10 +476,8 @@ def test_exactly_mirror_chain_reaches_the_solvers_folded(lapack_solves):
 def test_even_zero_field_mirror_chain_reaches_sterf_as_one_block(lapack_solves):
     """The chiral block: sterf solves the symmetric mirror block alone, n/2
     rows coupled by the chain's own couplings, while stevd gets the whole
-    operator. The block is solved by its own size, so it reaches sterf only
-    above twice the cut. A zero-field mirror chain of odd length reaches
-    sterf whole."""
-    n = 2 * SMALL_CHAIN_CUT + 2
+    operator. A zero-field mirror chain of odd length reaches sterf whole."""
+    n = 258
     diagonalize(analytic_chain(n)).eigenvectors
     diagonalize(analytic_chain(n)).eigenvalues
     vector_solves, value_solves = lapack_solves
@@ -494,8 +488,6 @@ def test_even_zero_field_mirror_chain_reaches_sterf_as_one_block(lapack_solves):
     diagonalize(analytic_chain(n + 1)).eigenvalues
     assert value_solves[2:] == [n + 1]
     assert np.array_equal(value_solves.offdiagonals[2], analytic_chain(n + 1).coupling_array())
-    diagonalize(analytic_chain(_ABOVE_CUT)).eigenvalues     # its block goes to numpy.linalg
-    assert (vector_solves, value_solves) == ([n], [n // 2, n // 2, n + 1])
 
 
 def test_chiral_chain_refines_its_block(monkeypatch):
@@ -508,8 +500,7 @@ def test_chiral_chain_refines_its_block(monkeypatch):
     assert np.array_equal(steps.offdiagonals[0], spec.coupling_array()[:999])
 
 
-@pytest.mark.parametrize("spec", [sequential_storage_chain(_ABOVE_CUT),
-                                  _nudged(analytic_chain(_ABOVE_CUT))],
+@pytest.mark.parametrize("spec", [sequential_storage_chain(130), _nudged(analytic_chain(130))],
                          ids=["storage", "nudged-analytic"])
 def test_other_chains_reach_the_solvers_unfolded(lapack_solves, spec):
     # a chain is solved once per object, so each call gets its own equal chain
@@ -536,33 +527,27 @@ def numpy_solves(monkeypatch):
     return solves
 
 
-def _symmetric_block_dense(spec):
-    """The dense symmetric mirror block of an even zero-field mirror chain:
-    its leading N/2 sites, with ``J_{N/2}`` on the last field."""
-    m = spec.n // 2
-    return tridiagonal_dense(spec.couplings[:m - 1], [0.0] * (m - 1) + [spec.couplings[m - 1]])
-
-
-@pytest.mark.parametrize("spec, eigenvalue_matrix", [
-    (analytic_chain(SMALL_CHAIN_CUT), _symmetric_block_dense),
-    (sequential_storage_chain(SMALL_CHAIN_CUT), lambda spec: tridiagonal_dense(spec.couplings,
-                                                                               spec.fields)),
-], ids=["analytic-at-cut", "storage-at-cut"])
-def test_chains_up_to_the_cut_reach_numpy_unfolded(lapack_solves, numpy_solves, spec,
-                                                   eigenvalue_matrix):
-    """At or below the cut the eigenvector solve takes the whole dense
-    matrix, and the eigenvalue solve the dense chiral block of an even
-    zero-field mirror chain and the whole matrix of any other; LAPACK's
-    tridiagonal routines are not called."""
+@pytest.mark.parametrize("spec", [
+    chain([], [0.7]), chain([0.5]), chain([0.5], [0.1, -0.2]), analytic_chain(3),
+    analytic_chain(128), sequential_storage_chain(128),
+], ids=["one-site", "two-site", "two-site-fields", "analytic-3", "analytic-128", "storage-128"])
+def test_chains_of_every_size_reach_lapack_and_not_numpy(lapack_solves, numpy_solves, spec):
+    """Every chain, of one site or many, reaches stevd whole and sterf as its
+    chiral block if it has one and whole otherwise, with its own couplings; a
+    one-row matrix, the one-site chain or the chiral block of a zero-field
+    two-site chain, gets one zero coupling, the least the wrappers take.
+    numpy.linalg's solvers are not called."""
     diagonalize(replace(spec)).eigenvectors
     diagonalize(replace(spec)).eigenvalues
-    assert lapack_solves == ([], [])
-    solved = eigenvalue_matrix(spec)
-    assert [len(a) for a in numpy_solves["eigh"]] == [spec.n]
-    assert [len(a) for a in numpy_solves["eigvalsh"]] == [len(solved)] * 2
-    assert np.array_equal(numpy_solves["eigh"][0], tridiagonal_dense(spec.couplings, spec.fields))
-    for a in numpy_solves["eigvalsh"]:
-        assert np.array_equal(a, solved)
+    off = spec.coupling_array()
+    block = spectral._chiral_block(spec.field_array(), off)
+    rows = spec.n // 2 if block else spec.n
+    vector_solves, value_solves = lapack_solves
+    assert (vector_solves, value_solves) == ([spec.n], [rows, rows])
+    assert vector_solves.offdiagonals[0].tolist() == (off.tolist() or [0.0])
+    for solved in value_solves.offdiagonals:
+        assert solved.tolist() == (off[:rows - 1].tolist() or [0.0])
+    assert numpy_solves == {"eigh": [], "eigvalsh": []}
 
 
 def _clock():
@@ -642,7 +627,7 @@ def end_product_evaluations(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("n", [8, _ABOVE_CUT])
+@pytest.mark.parametrize("n", [8, 130])
 def test_design_certify_simulate_solves_once(eigenvalue_solves, tridiagonal_solves,
                                              end_product_evaluations, n):
     """Certify, a gamma_N curve on diagonalize(spec) and the timing window
@@ -671,10 +656,10 @@ def _answers(spec, sd, times):
 
 
 order_cases = st.one_of(
-    st.builds(analytic_chain, st.sampled_from([2, 3, 8, 64, SMALL_CHAIN_CUT, _ABOVE_CUT, 200])),
+    st.builds(analytic_chain, st.sampled_from([2, 3, 8, 64, 128, 130, 200])),
     st.builds(lambda seed, n: random_pst_chain(np.random.default_rng(seed), n),
               st.integers(0, 2 ** 32 - 1),
-              st.integers(2, 24) | st.integers(SMALL_CHAIN_CUT + 1, SMALL_CHAIN_CUT + 40)))
+              st.integers(2, 24) | st.integers(129, 168)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -696,31 +681,16 @@ def test_answers_do_not_depend_on_what_was_read_before(spec):
 
 @pytest.fixture
 def dense_solves(monkeypatch):
-    """Sizes of the matrices passed to numpy's dense Hermitian eigensolvers,
-    other than by the tridiagonal solvers of ``spectral``, which take short
-    chains densely."""
+    """Sizes of the matrices passed to numpy's dense Hermitian eigensolvers."""
     sizes = []
-    in_chain_solve = []
     for name in ("eigh", "eigvalsh"):
         true_solver = getattr(np.linalg, name)
 
         def counted(a, *args, _solver=true_solver, **kwargs):
-            if not in_chain_solve:
-                sizes.append(np.shape(a)[0])
+            sizes.append(np.shape(a)[0])
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    for name in ("_eigenvalue_solve", "_eigenvector_solve"):
-        true_solver = getattr(spectral, name)
-
-        def chain_solve(diag, off, _solver=true_solver):
-            in_chain_solve.append(len(diag))
-            try:
-                return _solver(diag, off)
-            finally:
-                in_chain_solve.pop()
-
-        monkeypatch.setattr(spectral, name, chain_solve)
     return sizes
 
 
@@ -732,7 +702,7 @@ _TIMES = np.linspace(0.0, 2.0 * math.pi, 7)
     (lambda: hypercube(4), [], [1]),
     (lambda: star_network(analytic_chain(8), 3), [], [4]),
     (lambda: theta_entangler(analytic_chain(9), 0.3), [9], [9, 9]),
-    (lambda: amplifier_sim(analytic_chain(8), 1, _TIMES), [9], [9]),
+    (lambda: amplifier_sim(analytic_chain(8), 1, _TIMES), [8], [4]),
     (lambda: bath_transfer_amplitude(BathSpec(chain=analytic_chain(8), coupling=1.3),
                                      _TIMES), [], [4]),
     (lambda: two_boson_transfer(chain(analytic_chain(8).couplings, statistics="bosonic"),
@@ -1012,13 +982,13 @@ def test_certificate_keeps_the_decomposition_it_solved(eigenvalue_solves, tridia
     """Where pair_weights takes the end weights from the spectrum, the
     certificate's spectrum is the one decomposition it solved, and its arrival
     is gamma's on that decomposition, bit for bit, with no eigenvectors read."""
-    specs = (analytic_chain(2), analytic_chain(64), analytic_chain(_ABOVE_CUT), uniform_chain(6))
+    specs = (analytic_chain(2), analytic_chain(64), analytic_chain(130), uniform_chain(6))
     for spec in specs:
         cert = certify_pst(spec)
         assert cert.spectrum.eigenvalues is cert.eigenvalues
         if cert.perfect:
             assert cert.arrival_amplitude == gamma(cert.spectrum, 1, spec.n, cert.t0)
-    assert eigenvalue_solves == [1, 32, _ABOVE_CUT // 2, 3]    # the chiral blocks
+    assert eigenvalue_solves == [1, 32, 65, 3]    # the chiral blocks
     assert tridiagonal_solves == []
 
 

@@ -442,38 +442,66 @@ run('gadget-amp', 'gadget', 'amp', '--n', '100', '--out', 'amp.csv')
 for protocol, n in (('entgen', '8'), ('initfree', '6'), ('storage', '5'), ('ising', '4')):
     run('demo-' + protocol, 'fermionic', 'demo', '--protocol', protocol, '--n', n,
         '--seed', '3')
+run('certify-1000', 'certify', 'a1000.json')
 before = solved()
 print('solved-64', 0, *loaded(), file=sys.stderr)
-run('certify-1000', 'certify', 'a1000.json')
+import scipy.linalg
+from pstchain import spectral
+print('same-solver', 0, scipy.linalg.lapack.dsterf is spectral._lapack().dsterf,
+      scipy.linalg.lapack.dstevd is spectral._lapack().dstevd, file=sys.stderr)
 print('same-bytes', 0, solved() == before, 'scipy.linalg' in sys.modules, file=sys.stderr)
 """
 
 
-def test_import_and_design_do_not_load_scipy_linalg(tmp_path):
-    """scipy.linalg is most of the start-up of a pst process. Chains of at
-    most SMALL_CHAIN_CUT sites are solved by numpy.linalg, so only a command
-    that solves a longer chain imports scipy, and what it imported does not
-    change a later solve of a short chain."""
+def _probe(code, cwd):
+    """``label: (word, word)`` from the ``label 0 word word`` lines a probe
+    prints to stderr, in a fresh process."""
     import pstchain
 
     root = os.path.dirname(os.path.dirname(pstchain.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (root, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env, cwd=tmp_path,
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
                          check=True, capture_output=True, text=True)
     states = {}
     for line in out.stderr.splitlines():
         words = line.split()
         if len(words) == 4 and words[1] == "0":
             states[words[0]] = (words[2], words[3])
-    small = ["import", "design-analytic", "design-analytic-1000", "design-storage",
-             "design-near-uniform", "certify-64", "simulate", "noise-dephase", "noise-bath",
-             "report-timing", "gadget-amp", "demo-entgen", "demo-initfree", "demo-storage",
-             "demo-ising", "solved-64"]
-    assert {label: states.get(label) for label in small} == {
-        label: ("False", "False") for label in small}
-    assert states["certify-1000"] == ("True", "True")
+    return states
+
+
+def test_no_pst_command_loads_scipy_linalg(tmp_path):
+    """scipy.linalg is most of the start-up of a process that imports it.
+    Every chain, of any length, is solved by the LAPACK extension the
+    library loads alone, so no pst command, certify of a 1000-site chain
+    included, imports scipy or scipy.linalg. A later import of scipy.linalg
+    takes the same module, and a solve after it gives the same bytes."""
+    states = _probe(_SCIPY_PROBE, tmp_path)
+    commands = ["import", "design-analytic", "design-analytic-1000", "design-storage",
+                "design-near-uniform", "certify-64", "simulate", "noise-dephase", "noise-bath",
+                "report-timing", "gadget-amp", "demo-entgen", "demo-initfree", "demo-storage",
+                "demo-ising", "certify-1000", "solved-64"]
+    assert {label: states.get(label) for label in commands} == {
+        label: ("False", "False") for label in commands}
+    assert states["same-solver"] == ("True", "True")
     assert states["same-bytes"] == ("True", "True")
+
+
+def test_loader_takes_scipy_linalg_flapack_once_it_is_imported(tmp_path):
+    code = """
+import sys
+import numpy as np
+import scipy.linalg
+from pstchain import analytic_chain, diagonalize, spectral
+print('same-module', 0, spectral._lapack() is scipy.linalg._flapack,
+      spectral._lapack() is sys.modules['scipy.linalg._flapack'], file=sys.stderr)
+lam = diagonalize(analytic_chain(8)).eigenvalues
+print('solved', 0, max(abs(lam - (np.arange(8) - 3.5))) < 1e-13, True, file=sys.stderr)
+"""
+    states = _probe(code, tmp_path)
+    assert states["same-module"] == ("True", "True")
+    assert states["solved"] == ("True", "True")
 
 
 def _library_sources():
@@ -513,23 +541,25 @@ def test_only_spectral_makes_a_decomposition():
             assert "_decomposition" not in text, name
 
 
-_SOLVERS = re.compile(r"\b(dsterf|dstevd|eigh_tridiagonal|eigvalsh_tridiagonal|sturm_newton)\b")
+_SOLVERS = re.compile(r"\b(dsterf|dstevd|eigh_tridiagonal|eigvalsh_tridiagonal|sturm_newton"
+                      r"|_flapack)\b")
 
 
 def test_only_spectral_names_the_tridiagonal_solvers():
     """The solver rules, the chiral block among them, have one copy: no module
-    but spectral names LAPACK's tridiagonal solvers, scipy's wrappers of them
-    or the Newton step."""
+    but spectral names LAPACK's tridiagonal solvers, scipy's wrappers of them,
+    the private extension they live in or the Newton step."""
     for name, text in _library_sources():
         if name != "spectral.py":
             assert _SOLVERS.search(text) is None, (name, _SOLVERS.search(text))
     assert _SOLVERS.search("from scipy.linalg.lapack import dsterf")
+    assert _SOLVERS.search('name = "scipy.linalg._flapack"')
     assert _SOLVERS.search("lam = sturm_newton(diag, off, lam, error)")
 
 
 _SOLVER_INTERNALS = {"_fold", "_unfold", "_chiral_block", "_chiral_spectrum",
                      "_eigenvalue_solve", "_eigenvector_solve", "_of_tridiagonal",
-                     "sturm_newton"}
+                     "_lapack", "_tridiagonal_lapack", "sturm_newton"}
 
 
 def _spectral_names(text):
@@ -542,7 +572,7 @@ def _spectral_names(text):
 def test_oracles_import_no_solver_internals():
     """The test oracles solve with their own code, so a fault in the
     library's solver rules cannot reach both sides of a comparison; the sign
-    convention and the size of the cut are shared on purpose."""
+    convention is shared on purpose."""
     with open(os.path.join(os.path.dirname(__file__), "oracles.py")) as f:
         names = _spectral_names(f.read())
     assert not names & _SOLVER_INTERNALS, names & _SOLVER_INTERNALS

@@ -1,4 +1,8 @@
+import importlib.machinery
+import importlib.util
 import math
+import re
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -9,11 +13,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from pstchain import (HeisenbergSpec, analytic_chain, amplitude_profile, certify_pst, chain,
                       chain_from_spectrum, diagonalize, gamma, is_degenerate, near_uniform_chain,
-                      propagate, rescale, target_spectrum, uniform_chain)
+                      propagate, rescale, sequential_storage_chain, target_spectrum,
+                      uniform_chain)
 from pstchain.certify import ARRIVAL_TOL
 from pstchain import spectral
-from pstchain.spectral import (SMALL_CHAIN_CUT, _phase_sum, end_products,
-                               pair_weights, sturm_newton)
+from pstchain.spectral import _phase_sum, end_products, pair_weights, sturm_newton
 
 from oracles import (dense_decomposition, end_products_full, expm_evolve, folded_eigenvalues,
                      log_abs_derivatives, phase_sum_direct, random_pst_chain,
@@ -139,7 +143,7 @@ def test_certificate_eigenvalues_match_the_decomposition():
     after the solve carries its eigenvalues bit for bit, perfect or not."""
     for spec in (analytic_chain(2), analytic_chain(64), uniform_chain(5),
                  chain([0.9, 1.3, 0.9], [0.2, -1.0, -1.0, 0.2]),
-                 analytic_chain(SMALL_CHAIN_CUT + 2), uniform_chain(SMALL_CHAIN_CUT + 2)):
+                 analytic_chain(130), uniform_chain(130)):
         cert = certify_pst(spec)
         assert cert.eigenvalues.tobytes() == diagonalize(spec).eigenvalues.tobytes()
     assert diagonalize(chain([], [0.7])).eigenvalues.tolist() == [0.7]    # nothing to certify
@@ -477,9 +481,7 @@ def _random_mirror_chains(sizes):
 
 
 random_mirror_chains = _random_mirror_chains(st.integers(2, 40))
-# above SMALL_CHAIN_CUT, where LAPACK solves them
-long_mirror_chains = _random_mirror_chains(st.integers(SMALL_CHAIN_CUT + 1,
-                                                       SMALL_CHAIN_CUT + 40))
+long_mirror_chains = _random_mirror_chains(st.integers(129, 168))
 lattice_chains = st.builds(
     lambda seed, n: random_pst_chain(np.random.default_rng(seed), n),
     st.integers(0, 2 ** 32 - 1), st.integers(2, 40))
@@ -561,7 +563,7 @@ def test_folded_solves_match_the_unfolded_oracle(spec):
         2 * spec.n * np.finfo(float).eps * _row_sum_norm(spec))
 
 
-# --- the two solvers, either side of SMALL_CHAIN_CUT ---------------------------
+# --- one solver at every size ---------------------------------------------------
 
 def _random_chain(seed, n, mirror, fields):
     """A chain of n sites with couplings in [0.2, 2] and, if ``fields``,
@@ -572,22 +574,17 @@ def _random_chain(seed, n, mirror, fields):
     return _mirrored(j, b, n) if mirror else chain(j, b)
 
 
-around_the_cut = st.sampled_from(list(range(2, 13)) + [SMALL_CHAIN_CUT - 1, SMALL_CHAIN_CUT,
-                                                       SMALL_CHAIN_CUT + 1])
-
-
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), around_the_cut, st.booleans(), st.booleans())
-@example(0, SMALL_CHAIN_CUT, True, True)
-@example(1, SMALL_CHAIN_CUT + 1, True, False)
-@example(2, SMALL_CHAIN_CUT, False, True)
-def test_solves_either_side_of_the_cut_match_the_unfolded_lapack_oracle(seed, n, mirror,
-                                                                          fields):
-    """Dense numpy.linalg solves at or below the cut and LAPACK solves above
-    it give the eigenvalues of one unfolded sterf solve within
-    2 N eps ||T||_inf, the resolved eigenvector columns of one unfolded stevd
-    solve within 1e-9, and end products that match the eigenvector end rows
-    within 1e-13 max(1, 2 / smallest gap)."""
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 160), st.booleans(), st.booleans())
+@example(0, 128, True, True)
+@example(1, 129, True, False)
+@example(2, 128, False, True)
+def test_solves_of_every_size_match_the_unfolded_lapack_oracle(seed, n, mirror, fields):
+    """The library's solves, of the chiral block or of the whole operator,
+    give the eigenvalues of one unfolded sterf solve within 2 N eps
+    ||T||_inf, the resolved eigenvector columns of one unfolded stevd solve
+    within 1e-9, and end products that match the eigenvector end rows within
+    1e-13 max(1, 2 / smallest gap)."""
     spec = _random_chain(seed, n, mirror, fields)
     lam, vec = unfolded_decomposition(spec)
     sd = diagonalize(spec)
@@ -601,6 +598,51 @@ def test_solves_either_side_of_the_cut_match_the_unfolded_lapack_oracle(seed, n,
         want = vec[0] * vec[-1]
         got = end_products(spec.coupling_array(), sd.eigenvalues)
         assert np.max(np.abs(got - want)) < 1e-13 * max(1.0, 2.0 / gap)
+
+
+def _chain_of_kind(kind, n, seed, fields):
+    """A chain of n sites: the analytic or the storage chain (the bare site if
+    n = 1), or a seeded random chain in or out of mirror order; with
+    ``fields``, seeded fields, in mirror order but on the storage chain."""
+    if kind in ("analytic", "storage"):
+        design = analytic_chain if kind == "analytic" else sequential_storage_chain
+        couplings = design(n).couplings if n > 1 else ()
+        return chain(couplings, _random_chain(seed, n, kind == "analytic", fields).fields)
+    return _random_chain(seed, n, kind == "mirror", fields)
+
+
+@pytest.mark.parametrize("kind", ["analytic", "storage", "mirror", "off-mirror"])
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 130), st.integers(0, 2 ** 32 - 1), st.booleans())
+@example(1, 0, False)
+@example(1, 0, True)
+@example(2, 0, False)
+@example(2, 0, True)
+def test_every_size_is_solved_within_the_dense_numpy_solve(kind, n, seed, fields):
+    """LAPACK solves chains of every size, the one-site chain and the two-site
+    chains among them; numpy.linalg, which the library never calls for a
+    chain, solves the dense matrix as an independent oracle. The eigenvalues
+    lie within 8 N eps max|T| of its eigvalsh, and the eigenvectors pass the
+    residual bound of diagonalize, 1e-10 max|T|."""
+    spec = _chain_of_kind(kind, n, seed, fields)
+    dense = tridiagonal_dense(spec.couplings, spec.fields)
+    scale = spectral._max_abs(spec.field_array(), spec.coupling_array())
+    sd = diagonalize(spec)
+    assert np.max(np.abs(sd.eigenvalues - np.linalg.eigvalsh(dense))) <= (
+        8 * n * np.finfo(float).eps * scale)
+    vec = sd.eigenvectors
+    assert np.max(np.abs(dense @ vec - vec * sd.eigenvalues)) <= 1e-10 * scale
+    assert sd.residual <= 1e-10 * scale
+
+
+def test_lapack_loader_names_the_directory_it_searched(monkeypatch, tmp_path):
+    """With no LAPACK extension where scipy should be, the loader raises
+    ImportError; it has no other path to a solver."""
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: importlib.machinery.ModuleSpec(
+        name, None, origin=str(tmp_path / "__init__.py")))
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        spectral._lapack()
 
 
 def test_decomposition_keeps_the_residual_it_was_checked_by():
@@ -641,11 +683,11 @@ def _chiral_chain(kind, m, seed):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(["random", "analytic", "uniform"]), st.integers(1, SMALL_CHAIN_CUT // 2),
+@given(st.sampled_from(["random", "analytic", "uniform"]), st.integers(1, 64),
        st.integers(0, 2 ** 32 - 1))
 @example("analytic", 1, 0)
 @example("random", 2, 0)
-@example("uniform", SMALL_CHAIN_CUT // 2, 0)
+@example("uniform", 64, 0)
 def test_even_zero_field_mirror_chains_of_any_length_solve_the_chiral_block(kind, m, seed):
     """Every even zero-field mirror chain, however short, passes only its
     m-row chiral block to the eigenvalue solver and hands out an exactly
@@ -669,12 +711,12 @@ def test_even_zero_field_mirror_chains_of_any_length_solve_the_chiral_block(kind
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["random", "analytic", "uniform", "odd-gap"]),
-       st.integers(SMALL_CHAIN_CUT // 2 + 1, 200), st.integers(0, 2 ** 32 - 1),
+       st.integers(65, 200), st.integers(0, 2 ** 32 - 1),
        st.sampled_from([0.3, 3.0, 7.5]))
 @example("analytic", 500, 0, 3.0)
 @example("odd-gap", 1000, 1, 0.3)
 def test_chiral_fold_matches_the_full_spectrum_oracles(kind, m, seed, kappa):
-    """Above the cut an even zero-field mirror chain hands out an exactly
+    """An even zero-field mirror chain of over 128 sites hands out an exactly
     antisymmetric spectrum, within 2 N eps ||T||_inf of one unfolded sterf
     solve and of the solve of both mirror blocks. It is the moduli of the
     eigenvalues of the chiral block, after the oracle's Newton step where the
@@ -735,7 +777,7 @@ def _certify_by_the_fold_oracles(monkeypatch, spec):
 
 
 @pytest.mark.parametrize("spec", [
-    analytic_chain(SMALL_CHAIN_CUT + 2), analytic_chain(1000), uniform_chain(SMALL_CHAIN_CUT + 2),
+    analytic_chain(130), analytic_chain(1000), uniform_chain(130),
     near_uniform_chain(200, 0.5)[0], _odd_gap_chiral_chain(100, 7), _odd_gap_chiral_chain(500, 8),
 ], ids=["analytic-130", "analytic-1000", "uniform-130", "near-uniform-200", "odd-gap-200",
         "odd-gap-1000"])
@@ -755,8 +797,8 @@ def _with_field(n, field):
 
 
 @pytest.mark.parametrize("spec", [
-    analytic_chain(SMALL_CHAIN_CUT + 1), analytic_chain(SMALL_CHAIN_CUT + 3), analytic_chain(1001),
-    _with_field(SMALL_CHAIN_CUT + 2, 0.25), _with_field(1000, 0.25),
+    analytic_chain(129), analytic_chain(131), analytic_chain(1001),
+    _with_field(130, 0.25), _with_field(1000, 0.25),
     near_uniform_chain(201, 0.5)[0], random_pst_chain(np.random.default_rng(23), 201),
 ], ids=["analytic-129", "analytic-131", "analytic-1001", "field-130", "field-1000",
         "near-uniform-201", "odd-gap-201"])
@@ -779,19 +821,17 @@ def test_whole_operator_solve_keeps_the_verdicts_of_the_two_block_fold(monkeypat
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 300), st.booleans(), st.booleans())
 @example(0, 300, True, True)
 @example(1, 300, False, False)
-@example(2, SMALL_CHAIN_CUT, True, True)
+@example(2, 128, True, True)
 def test_lazy_decomposition_matches_the_eager_oracle(seed, n, mirror, fields):
-    """The eager oracle is one LAPACK stevd solve of the whole operator above
-    the cut, which the first read must give bit for bit, mirror symmetric or
-    not, and the sign-fixed dense numpy.linalg.eigh solve at or below it,
-    which must also match the LAPACK one on resolved columns."""
+    """The eager oracle is one LAPACK stevd solve of the whole operator, which
+    the first read must give bit for bit at every size, mirror symmetric or
+    not; the sign-fixed dense numpy.linalg.eigh solve, an independent
+    solver, must match it on resolved columns."""
     spec = _random_chain(seed, n, mirror, fields)
     lam, vec = unfolded_decomposition(spec)
-    if n <= SMALL_CHAIN_CUT:
-        lapack_vec = vec
-        lam, vec = dense_decomposition(spec)
-        error = np.max(np.abs(vec - lapack_vec), axis=0)
-        assert np.all(error[_resolved(lam)] <= 1e-9)
+    dense_lam, dense_vec = dense_decomposition(spec)
+    error = np.max(np.abs(dense_vec - vec), axis=0)
+    assert np.all(error[_resolved(dense_lam)] <= 1e-9)
     sd = diagonalize(spec)
     values = sd.eigenvalues.tobytes()
     assert np.max(np.abs(sd.eigenvalues - lam)) <= 2 * n * np.finfo(float).eps * (
@@ -823,7 +863,7 @@ def no_eigenvector_solve(monkeypatch):
         raise AssertionError("an eigenvector solve was made")
 
     monkeypatch.setattr(spectral, "_eigenvector_solve", refuse)
-    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", refuse)
+    monkeypatch.setattr(spectral._lapack(), "dstevd", refuse)
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
 
 
