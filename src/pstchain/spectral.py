@@ -289,7 +289,10 @@ def _lapack():
     run and registered, so that a later ``import scipy.linalg`` takes it too."""
     name = "scipy.linalg._flapack"
     if name not in sys.modules:
-        where = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin), "linalg")
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None:
+            raise ImportError(f"no scipy package, whose {name} holds LAPACK", name="scipy")
+        where = os.path.join(os.path.dirname(scipy.origin), "linalg")
         spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
         if spec is None:
             raise ImportError(f"no LAPACK extension _flapack in {where}", name=name)

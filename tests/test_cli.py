@@ -392,8 +392,8 @@ def test_report_amplifier_manifest_flag(tmp_path, capsys):
 
 
 def test_import_does_not_load_scipy_sparse():
-    # every pst process pays for what `import pstchain` loads; scipy.sparse is
-    # needed only by the amplifier's 2^N check, which imports it itself
+    # every pst process pays for what `import pstchain` loads; no module of the
+    # library needs scipy.sparse
     import pstchain
 
     root = os.path.dirname(os.path.dirname(pstchain.__file__))
@@ -504,6 +504,21 @@ print('solved', 0, max(abs(lam - (np.arange(8) - 3.5))) < 1e-13, True, file=sys.
     assert states["solved"] == ("True", "True")
 
 
+def test_loader_without_scipy_raises_import_error(tmp_path):
+    code = """
+import importlib.util, sys
+find_spec = importlib.util.find_spec
+importlib.util.find_spec = lambda name, package=None: (
+    None if name == 'scipy' else find_spec(name, package))
+from pstchain import analytic_chain, diagonalize
+try:
+    diagonalize(analytic_chain(8))
+except ImportError as exc:
+    print('import-error', 0, exc.name, 'scipy' in str(exc), file=sys.stderr)
+"""
+    assert _probe(code, tmp_path)["import-error"] == ("scipy", "True")
+
+
 def _library_sources():
     """``(file name, text)`` of every module of the library."""
     import pstchain
@@ -555,6 +570,37 @@ def test_only_spectral_names_the_tridiagonal_solvers():
     assert _SOLVERS.search("from scipy.linalg.lapack import dsterf")
     assert _SOLVERS.search('name = "scipy.linalg._flapack"')
     assert _SOLVERS.search("lam = sturm_newton(diag, off, lam, error)")
+
+
+def _scipy_sites(text):
+    """``(name of the top-level statement, node type)`` of every import, name,
+    attribute or string other than a docstring in the source that names scipy."""
+    tree = ast.parse(text)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)}
+    words = {ast.Import: lambda n: " ".join(a.name for a in n.names),
+             ast.ImportFrom: lambda n: n.module or "", ast.Name: lambda n: n.id,
+             ast.Attribute: lambda n: n.attr,
+             ast.Constant: lambda n: n.value if isinstance(n.value, str) else ""}
+    return [(getattr(top, "name", type(top).__name__), type(node).__name__)
+            for top in tree.body for node in ast.walk(top)
+            if type(node) in words and id(node) not in docstrings
+            and re.search(r"\bscipy\b", words[type(node)](node))]
+
+
+def test_only_the_loader_names_scipy():
+    """scipy.linalg and scipy.sparse are most of the start-up of a process that
+    imports them, so no module imports scipy: the one piece of code in the
+    library that names it is spectral's loader of the LAPACK extension."""
+    sites = {(name, top) for name, text in _library_sources()
+             for top, _ in _scipy_sites(text)}
+    assert sites == {("spectral.py", "_lapack")}, sites
+    assert [top for top, _ in _scipy_sites(
+        '"""scipy in a docstring"""\nimport scipy.linalg\n'
+        'def f():\n    """scipy"""\n    from scipy.sparse import csr_matrix\n'
+        'def g():\n    return importlib.util.find_spec("scipy")\n')] == ["Import", "f", "g"]
 
 
 _SOLVER_INTERNALS = {"_fold", "_unfold", "_chiral_block", "_chiral_spectrum",

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,8 +11,9 @@ from pstchain import (ClockProgram, NetworkSpec, amplifier_sim, analytic_chain,
                       network_operator, product_network, rescale, spectral, star_network,
                       theta_entangler)
 from pstchain.networks import DENSE_CAP
-from pstchain.networks import (amplifier_dense_check, amplifier_dense_hamiltonian,
-                               clock_hamiltonian, w_phase_rotation, wall_basis_vector)
+from pstchain.networks import (BitFlipOperator, amplifier_dense_check,
+                               amplifier_dense_hamiltonian, clock_hamiltonian, lanczos_evolve,
+                               w_phase_rotation, wall_basis_vector)
 
 from oracles import amplifier_dense, expm_evolve, star_symmetric_sector, tridiagonal_dense
 
@@ -272,7 +276,9 @@ def test_amplifier_dense_hamiltonian_matches_pauli_construction():
     for n in range(3, 8):
         j = rng.uniform(0.3, 1.5, n - 1)
         h = amplifier_dense_hamiltonian(j)
-        assert h.format == "csr"
+        assert isinstance(h, BitFlipOperator)
+        assert h.coef.shape == (n - 1, 1 << n)
+        assert list(h.flips) == [1 << (n - m) for m in range(2, n + 1)]
         assert np.max(np.abs(h.toarray() - amplifier_dense(j))) < 1e-14
 
 
@@ -286,6 +292,102 @@ def test_amplifier_dense_closure():
         image = h @ wall_basis_vector(n, w)
         residue = image - ladder.T @ (ladder.conj() @ image)
         assert np.max(np.abs(residue)) < 1e-12
+
+
+def _ladder(n):
+    return (1 << n) - (1 << (n - np.arange(n + 1)))
+
+
+def test_lanczos_state_matches_the_dense_oracle_on_every_amplitude():
+    """The Lanczos state over all 2^N amplitudes, not only the wall ladder,
+    against the matrix exponential of the Pauli construction."""
+    rng = np.random.default_rng(2028)
+    for n in range(3, 9):
+        j = rng.uniform(0.3, 1.5, n - 1)
+        dense = amplifier_dense(j)
+        times = np.sort(rng.uniform(0.0, 3.0 * math.pi, 4))
+        for wall in range(n + 1):
+            start = wall_basis_vector(n, wall)
+            psi, beta = lanczos_evolve(amplifier_dense_hamiltonian(j), start.real, times)
+            assert beta < 1e-14
+            for i, t in enumerate(times):
+                assert np.max(np.abs(psi[i] - expm_evolve(dense, start, t))) < 1e-12, (n, wall, t)
+
+
+def _leaky(eps):
+    """The amplifier Hamiltonian plus eps X_N on every pair of states that are
+    not both walls: a term with no matrix element inside the ladder."""
+    true_build = amplifier_dense_hamiltonian
+
+    def build(j):
+        h = true_build(j)
+        n = len(j) + 1
+        extra = np.full(1 << n, eps)
+        extra[_ladder(n)[-2:]] = 0.0  # X_N maps wall N to wall N - 1
+        return BitFlipOperator(np.vstack([h.coef, extra]), np.append(h.flips, 1))
+    return build
+
+
+def test_amplifier_dense_check_counts_a_leak_out_of_the_ladder(monkeypatch):
+    import pstchain.networks as networks
+
+    spec = analytic_chain(6)
+    times = np.asarray([0.7, 1.9, 3.0])
+    start = wall_basis_vector(6, 1)
+    for eps in (0.0, 1e-3):
+        monkeypatch.setattr(networks, "amplifier_dense_hamiltonian", _leaky(eps))
+        h = networks.amplifier_dense_hamiltonian(spec.coupling_array())
+        assert np.max(np.abs(h.toarray() - h.toarray().T)) == 0.0
+        exact = [expm_evolve(h.toarray(), start, t) for t in times]
+        outside = max(1.0 - float(np.sum(np.abs(psi[_ladder(6)]) ** 2)) for psi in exact)
+        worst = amplifier_dense_check(spec, 1, times)
+        if eps == 0.0:
+            assert worst < 1e-12
+        else:
+            assert outside > 1e-7
+            assert worst >= outside - 1e-15  # the two weights agree up to rounding
+
+
+def test_amplifier_dense_check_within_1e_12_on_analytic_and_random_chains():
+    rng = np.random.default_rng(31)
+    for n in range(2, DENSE_CAP + 1):
+        times = np.sort(rng.uniform(0.0, 3.0 * math.pi, 3))
+        assert amplifier_dense_check(analytic_chain(n), 1, times) < 1e-12, n
+        j = rng.uniform(0.3, 1.5, n - 1)
+        for wall in (0, 1, n // 2, n):
+            assert amplifier_dense_check(j, wall, times) < 1e-12, (n, wall)
+
+
+def test_amplifier_dense_check_refuses_bad_input():
+    spec = analytic_chain(6)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            amplifier_dense_check(spec, 1, np.asarray([0.5, t]))
+    for wall in (-1, 7, 1.5):
+        with pytest.raises(ValueError, match="wall index"):
+            amplifier_dense_check(spec, wall, np.asarray([0.5]))
+    with pytest.raises(ValueError, match="dense cap"):
+        amplifier_dense_check(np.ones(DENSE_CAP), 1, np.asarray([0.5]))
+
+
+def test_amplifier_dense_check_loads_no_scipy_sparse_or_linalg():
+    """The 2^N check runs on numpy alone: a fresh process that runs it has
+    loaded neither scipy.sparse nor scipy.linalg (the LAPACK extension that
+    spectral loads from its file is allowed)."""
+    import pstchain
+
+    root = os.path.dirname(os.path.dirname(pstchain.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, math, numpy as np\n"
+            "from pstchain import analytic_chain\n"
+            "from pstchain.networks import amplifier_dense_check\n"
+            "worst = amplifier_dense_check(analytic_chain(10), 1, np.linspace(0, math.pi, 5))\n"
+            "print(worst < 1e-12, *(m in sys.modules for m in\n"
+            "      ('scipy.sparse', 'scipy.sparse.linalg', 'scipy.linalg')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.split() == ["True", "False", "False", "False"]
 
 
 def test_amplifier_superposition_input():
