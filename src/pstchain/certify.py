@@ -34,7 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .chain import ChainSpec, mirror_symmetry_check
+from .chain import ChainSpec, _integral, mirror_symmetry_check
 from .spectral import (_EPS, SpectralDecomposition, _has_degenerate_gap,
                        _log_abs_derivatives, _phase_sum, diagonalize, pair_weights)
 
@@ -294,6 +294,7 @@ def revival_rate_report(eigenvalues, weights, t0: float, M: int) -> RateReport:
     achievable iff all class sums are equal. The verdict is cross-checked
     against gamma_1 summed over the spectrum at the sub-multiple times.
     """
+    M = _integral(M, "M")
     if M < 1:
         raise ValueError("M must be a positive integer")
     if not 0.0 < t0 < math.inf:
@@ -396,6 +397,8 @@ def timing_window(spec: ChainSpec, cert: PstCertificate, epsilon: float) -> floa
     """
     if not cert.perfect:
         raise ValueError("timing window requires a perfect certificate")
+    if cert.chain != spec:
+        raise ValueError("the certificate is for another chain")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     lam, t0 = cert.eigenvalues, cert.t0

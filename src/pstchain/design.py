@@ -87,10 +87,11 @@ def _spectrum_array(values) -> np.ndarray:
 @dataclass(frozen=True)
 class TargetSpectrum:
     """Strictly ascending target eigenvalues, optionally antisymmetric
-    (lambda_n = -lambda_{N+1-n}), which forces zero fields on the result."""
+    (lambda_n = -lambda_{N+1-n}), which forces zero fields on the result;
+    ``antisymmetric=None`` detects it, to 1e-12 of the spread."""
 
     eigenvalues: tuple[float, ...]
-    antisymmetric: bool = False
+    antisymmetric: bool | None = False
 
     def __post_init__(self):
         lam = _spectrum_array(self.eigenvalues)
@@ -99,19 +100,16 @@ class TargetSpectrum:
             raise ValueError("target spectrum needs at least two eigenvalues")
         if np.any(np.diff(lam) <= 0):
             raise DegenerateSpectrumError("target spectrum must be strictly ascending")
-        if self.antisymmetric:
-            spread = lam[-1] - lam[0]
-            if np.max(np.abs(lam + lam[::-1])) > 1e-12 * spread:
-                raise ValueError("spectrum does not satisfy lambda_n = -lambda_{N+1-n}")
+        antisymmetric = bool(np.max(np.abs(lam + lam[::-1])) <= 1e-12 * (lam[-1] - lam[0]))
+        if self.antisymmetric is None:
+            object.__setattr__(self, "antisymmetric", antisymmetric)
+        elif self.antisymmetric and not antisymmetric:
+            raise ValueError("spectrum does not satisfy lambda_n = -lambda_{N+1-n}")
 
 
 def target_spectrum(values, antisymmetric: bool | None = None) -> TargetSpectrum:
     """Build a target spectrum, auto-detecting antisymmetry when unspecified."""
-    lam = _spectrum_array(values)
-    if antisymmetric is None:
-        spread = lam[-1] - lam[0] if lam.size > 1 else 1.0
-        antisymmetric = bool(np.max(np.abs(lam + lam[::-1])) <= 1e-12 * max(spread, 1e-300))
-    return TargetSpectrum(eigenvalues=tuple(lam), antisymmetric=antisymmetric)
+    return TargetSpectrum(eigenvalues=values, antisymmetric=antisymmetric)
 
 
 def _givens_insertion(lam: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

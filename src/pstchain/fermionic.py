@@ -503,8 +503,8 @@ def two_boson_transfer(spec: ChainSpec, source_pair, target_pair, t: float) -> c
         raise ValueError("two-boson transfer requires bosonic statistics "
                          "(fermions pick up exchange signs; use evolve_slater)")
     n = spec.n
-    i, j = source_pair
-    k, l = target_pair
+    i, j = (_integral(s, "sites") for s in source_pair)
+    k, l = (_integral(s, "sites") for s in target_pair)
     if not all(1 <= s <= n for s in (i, j, k, l)):
         raise ValueError(f"sites must lie in 1..{n}")
     u = propagate(diagonalize(spec), np.eye(n)[:, [i - 1, j - 1]], t)
@@ -572,15 +572,10 @@ def bogoliubov_modes(h: QuadraticFermionHamiltonian) -> BogoliubovModes:
     is a right singular vector and its chi row the matching left one, over
     sqrt 2: (A - B) eta = mu chi and (A + B) chi = mu eta, so (eta; chi) is
     an eigenvector of the block matrix with eigenvalue mu >= 0, zero modes
-    included. Modes ascend in energy, and each is signed so that the first
-    significant entry of its eta row is positive.
+    included. Modes ascend in energy.
     """
     u, mu, vt = np.linalg.svd(h.a - h.b)
     eta, chi = vt[::-1] / math.sqrt(2.0), u.T[::-1] / math.sqrt(2.0)
-    mags = np.abs(eta)
-    first = np.argmax(mags > 1e-8 * mags.max(axis=1, keepdims=True), axis=1)
-    sign = np.sign(eta[np.arange(h.n), first])[:, None]
-    eta, chi = sign * eta, sign * chi
     gram_plus = eta @ eta.T + chi @ chi.T
     gram_minus = eta @ eta.T - chi @ chi.T
     if (np.max(np.abs(gram_plus - np.eye(h.n))) > 1e-10

@@ -40,7 +40,7 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import ChainSpec, _integral
 
 SYMMETRY_TOL = 1e-12
 DEGENERACY_RTOL = 1e-9
@@ -50,8 +50,8 @@ NEWTON_GATE = 1e-12
 # Largest a-priori relative error of end weights taken from the spectrum.
 END_WEIGHT_RTOL = 1e-6
 _EPS = float(np.finfo(float).eps)
-# Columns per step of the sign fix and the residual check, and rows per step of
-# the log-derivative sums. Whole-matrix temporaries would add several N x N
+# Columns per step of the residual check, and rows per step of the
+# log-derivative sums. Whole-matrix temporaries would add several N x N
 # arrays to each call, and how much of that the allocator keeps resident
 # depends on the order of earlier calls; blocks keep them at N x 128.
 _BLOCK = 128
@@ -64,8 +64,6 @@ class DegenerateSpectrumError(ValueError):
 class SpectralDecomposition:
     """Ascending eigenvalues and orthonormal eigenvector columns.
 
-    The sign convention (first significant component of each eigenvector is
-    real positive) makes end amplitudes reproducible across platforms.
     ``residual`` is the ``max|M v - lambda v|`` that the eigenvectors were
     checked by, against ``eigenvalues``.
 
@@ -164,20 +162,6 @@ class SpectralDecomposition:
         return products
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Give each column the sign convention in place, a block of columns at a time."""
-    for c in range(0, vectors.shape[1], _BLOCK):
-        block = vectors[:, c:c + _BLOCK]
-        mags = np.abs(block)
-        first = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
-        pivot = block[first, np.arange(block.shape[1])]
-        if np.iscomplexobj(block):
-            block *= np.conj(pivot) / np.abs(pivot)
-        else:
-            block *= np.where(pivot < 0, -1.0, 1.0)
-    return vectors
-
-
 def _tridiagonal_dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """``tridiag(off, diag, off)`` as a dense array."""
     n = diag.size
@@ -253,7 +237,6 @@ def diagonalize(operator) -> SpectralDecomposition:
     if np.max(np.abs(dense - dense.conj().T)) > SYMMETRY_TOL * max(1.0, scale):
         raise ValueError("operator is not symmetric/Hermitian")
     lam, vec = np.linalg.eigh(dense)
-    vec = _fix_signs(vec)
     residual = _checked(float(np.max(np.abs(dense @ vec - vec * lam[None, :]))), scale)
     return SpectralDecomposition(np.ascontiguousarray(lam, dtype=float), vec, residual)
 
@@ -267,10 +250,10 @@ def _checked(residual: float, scale: float) -> float:
 
 def _tridiagonal_eigenvectors(diag: np.ndarray, off: np.ndarray, eigenvalues: np.ndarray,
                               scale: float) -> tuple[np.ndarray, float]:
-    """Sign-fixed eigenvectors of ``tridiag(off, diag, off)``, in the order of
-    its ascending ``eigenvalues``, and their residual against them, checked
+    """Eigenvectors of ``tridiag(off, diag, off)``, in the order of its
+    ascending ``eigenvalues``, and their residual against them, checked
     against its ``max|T|``, ``scale``."""
-    vec = _fix_signs(_eigenvector_solve(diag, off))
+    vec = _eigenvector_solve(diag, off)
     # M V from the three diagonals, O(N^2), a block of columns at a time
     residual = 0.0
     for c in range(0, vec.shape[1], _BLOCK):
@@ -319,7 +302,7 @@ def _eigenvalue_solve(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 def _eigenvector_solve(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Eigenvector columns of ``tridiag(off, diag, off)``, any N, from LAPACK
-    ``stevd``, ascending by eigenvalue and before the sign fix."""
+    ``stevd``, ascending by eigenvalue."""
     return _tridiagonal_lapack("dstevd", diag, off)[1]
 
 
@@ -559,6 +542,7 @@ def pair_weights(sd: SpectralDecomposition, source: int, target: int) -> np.ndar
     smallest gap is too small for the products, reads the eigenvectors.
     """
     n = sd.dimension
+    source, target = _integral(source, "sites"), _integral(target, "sites")
     if not (1 <= source <= n and 1 <= target <= n):
         raise ValueError(f"sites must lie in 1..{n}")
     if (sd._tridiagonal is not None and {source, target} <= {1, n}
@@ -599,6 +583,7 @@ def gamma(sd: SpectralDecomposition, source: int, target: int, t):
 
 def amplitude_profile(sd: SpectralDecomposition, source: int, t: float) -> np.ndarray:
     """All site amplitudes at time t for an excitation starting on ``source``."""
+    source = _integral(source, "sites")
     if not 1 <= source <= sd.dimension:
         raise ValueError(f"sites must lie in 1..{sd.dimension}")
     e = np.zeros(sd.dimension, dtype=complex)

@@ -455,23 +455,17 @@ def chain_by_element(couplings, fields=None):
 
 def unfolded_decomposition(spec):
     """Eigenvalues and eigenvectors of a chain from one LAPACK ``stevd`` solve
-    of its whole single-excitation matrix, with the library's sign
-    convention: the way the library solves the eigenvectors of every chain."""
-    from pstchain.spectral import _fix_signs
-
-    lam, vec = scipy.linalg.eigh_tridiagonal(spec.field_array(), spec.coupling_array(),
-                                             lapack_driver="stevd")
-    return lam, _fix_signs(vec)
+    of its whole single-excitation matrix, as LAPACK returns them: the way the
+    library solves the eigenvectors of every chain."""
+    return scipy.linalg.eigh_tridiagonal(spec.field_array(), spec.coupling_array(),
+                                         lapack_driver="stevd")
 
 
 def dense_decomposition(spec):
-    """Eigenvalues and sign-fixed eigenvectors of a chain from
-    ``numpy.linalg.eigh`` of its dense single-excitation matrix, a solver the
-    library does not use for a chain."""
-    from pstchain.spectral import _fix_signs
-
-    lam, vec = np.linalg.eigh(tridiagonal_dense(spec.couplings, spec.fields))
-    return lam, _fix_signs(vec)
+    """Eigenvalues and eigenvectors of a chain from ``numpy.linalg.eigh`` of
+    its dense single-excitation matrix, a solver the library does not use for
+    a chain; each column's sign is LAPACK's."""
+    return np.linalg.eigh(tridiagonal_dense(spec.couplings, spec.fields))
 
 
 def unfolded_eigenvalues(spec):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pstchain import (BathSpec, ClockProgram, QuadraticFermionHamiltonian, amplifier_sim,
-                      analytic_chain, basis_slater, bath_transfer_amplitude, certify_pst, chain,
+                      amplitude_profile, analytic_chain, basis_slater, bath_transfer_amplitude, certify_pst, chain,
                       chain_from_spectrum, clock_computer,
                       dephasing_avg_fidelity, diagonalize, end_weights,
                       entanglement_distribution_sim, entanglement_generation, evolve_slater,
@@ -25,7 +25,7 @@ from pstchain import (BathSpec, ClockProgram, QuadraticFermionHamiltonian, ampli
 from pstchain import certify, spectral
 from pstchain.certify import _gap_fractions, _gap_multipliers
 from pstchain.chain import chain_to_dict
-from pstchain.spectral import DegenerateSpectrumError, end_products
+from pstchain.spectral import DegenerateSpectrumError, end_products, pair_weights
 
 from oracles import (certify_by_eigenvectors, phase_sum_direct, random_pst_chain,
                      timing_window_bisection)
@@ -1094,6 +1094,17 @@ def _decomposition():
     (lambda: basis_slater(4.5, [1]), "n must be an integer, got 4.5"),
     (lambda: basis_slater(4, [2, 0]), r"sites must lie in 1\.\.4, got 0"),
     (lambda: basis_slater(4, [5]), r"sites must lie in 1\.\.4, got 5"),
+    (lambda: gamma(_decomposition(), 2.5, 3, 1.0), "sites must be an integer, got 2.5"),
+    (lambda: gamma(_decomposition(), 1, 6.5, [0.0, 1.0]), "sites must be an integer, got 6.5"),
+    (lambda: pair_weights(_decomposition(), "1", 6), "sites must be an integer, got '1'"),
+    (lambda: amplitude_profile(_decomposition(), 1.5, 1.0), "sites must be an integer, got 1.5"),
+    (lambda: two_boson_transfer(chain(analytic_chain(6).couplings, statistics="bosonic"),
+                                (1, 2), (5.5, 6), 1.0), "sites must be an integer, got 5.5"),
+    (lambda: revival_rate_report([0.0, 1.0, 2.0], [0.3, 0.4, 0.3], math.pi, 2.5),
+     "M must be an integer, got 2.5"),
+    (lambda: rate_condition(certify_pst(analytic_chain(6)), 2.5), "M must be an integer, got 2.5"),
+    (lambda: timing_window(analytic_chain(8), certify_pst(analytic_chain(6)), 1e-3),
+     "the certificate is for another chain"),
 ], ids=["gamma", "gamma-inf", "propagate", "propagate-times", "evolve_slater",
         "two_boson_transfer", "amplifier_sim", "bath_transfer_amplitude", "rate-t0-nan",
         "rate-t0-negative", "certify-max-den-0", "certify-max-den-negative",
@@ -1102,13 +1113,18 @@ def _decomposition():
         "analytic-fraction", "storage-fraction", "uniform-zero", "uniform-negative",
         "near-uniform-fraction", "w-phase-fraction", "clock-empty-register",
         "hypercube-fraction", "star-fraction", "basis-slater-site-fraction",
-        "basis-slater-n-fraction", "basis-slater-site-zero", "basis-slater-site-past-n"])
+        "basis-slater-n-fraction", "basis-slater-site-zero", "basis-slater-site-past-n",
+        "gamma-site-fraction", "gamma-end-site-fraction", "pair-weights-site-string",
+        "amplitude-profile-site-fraction", "two-boson-site-fraction", "rate-report-m-fraction",
+        "rate-condition-m-fraction", "timing-window-other-chain"])
 def test_times_and_limits_out_of_range_raise_value_error(call, message):
     """Each of these once returned NaN, a meaningless report, state or chain
     or an unrelated error (ZeroDivisionError for a zero max_denominator,
     IndexError for a wall past N, TypeError for a fractional near-uniform
     size, hypercube dimension or star branch count, IndexError for a
-    fractional or past-N Slater site, and site N for site 0)."""
+    fractional or past-N Slater site, and site N for site 0; IndexError for
+    a fractional site of an amplitude, TypeError for a fractional rate order,
+    and another chain's window for a certificate of another chain)."""
     with pytest.raises(ValueError, match=message):
         call()
 
@@ -1127,3 +1143,17 @@ def test_integral_network_sizes_and_sites_given_as_floats_are_accepted():
     assert star_network(branch, 4.0).network == star_network(branch, 4).network
     a, b = basis_slater(4.0, [1.0, np.int64(3)]), basis_slater(4, [1, 3])
     assert a.orbitals.tobytes() == b.orbitals.tobytes() and a.coefficient == b.coefficient
+
+
+def test_integral_sites_and_rate_orders_given_as_floats_are_accepted():
+    sd, times = _decomposition(), np.linspace(0.0, 3.0, 7)
+    assert gamma(sd, 2.0, 3, times).tobytes() == gamma(sd, 2, 3, times).tobytes()
+    assert gamma(sd, 1, np.float64(6.0), 1.0) == gamma(sd, 1, 6, 1.0)
+    assert (amplitude_profile(sd, 2.0, 1.0).tobytes()
+            == amplitude_profile(sd, 2, 1.0).tobytes())
+    bosons = chain(analytic_chain(6).couplings, statistics="bosonic")
+    assert (two_boson_transfer(bosons, (1.0, 2), (5, np.int64(6)), 1.0)
+            == two_boson_transfer(bosons, (1, 2), (5, 6), 1.0))
+    cert = certify_pst(analytic_chain(6))
+    assert rate_condition(cert, 2.0).residue_sums.tolist() == (
+        rate_condition(cert, 2).residue_sums.tolist())

@@ -296,6 +296,15 @@ def test_gadget_amp_rejects_bad_chains(tmp_path, capsys):
         assert err.startswith("error: validation: ")
 
 
+def test_design_from_an_empty_spectrum_exit_2(tmp_path, capsys):
+    spec_file = tmp_path / "s.json"
+    spec_file.write_text('{"eigenvalues": []}')
+    code, out, err = run(capsys, "design", "from-spectrum", str(spec_file))
+    assert code == 2, err
+    assert out == ""
+    assert err == "error: validation: target spectrum needs at least two eigenvalues\n"
+
+
 def test_design_from_spectrum_list_document_exit_2(tmp_path, capsys):
     spec_file = tmp_path / "s.json"
     spec_file.write_text("[-1.5, -0.5, 0.5, 1.5]")
@@ -617,13 +626,12 @@ def _spectral_names(text):
 
 def test_oracles_import_no_solver_internals():
     """The test oracles solve with their own code, so a fault in the
-    library's solver rules cannot reach both sides of a comparison; the sign
-    convention is shared on purpose."""
+    library's solver rules cannot reach both sides of a comparison."""
     with open(os.path.join(os.path.dirname(__file__), "oracles.py")) as f:
         names = _spectral_names(f.read())
     assert not names & _SOLVER_INTERNALS, names & _SOLVER_INTERNALS
-    assert _spectral_names("from pstchain.spectral import _fix_signs, _fold\n") == {
-        "_fix_signs", "_fold"}
+    assert _spectral_names("from pstchain.spectral import _checked, _fold\n") == {
+        "_checked", "_fold"}
 
 
 _FLOOR = re.compile(r"\b1(\.0)?\s*-\s*1e-0?8\b")

@@ -11,7 +11,7 @@ from pstchain import (analytic_chain, certify_pst, chain_from_spectrum,
                       nnn_coupling_family, sequential_storage_chain, target_spectrum,
                       uniform_chain, validate_family)
 from pstchain.design import ParametrizedFamily, TargetSpectrum, _givens_insertion
-from pstchain.spectral import _is_mirror
+from pstchain.spectral import DegenerateSpectrumError, _is_mirror
 
 from oracles import (_lanczos_from_weights, full_chain_from_spectrum, givens_insertion_guarded,
                      log_end_weights)
@@ -85,6 +85,36 @@ def test_storage_input_amplitude_zeros():
 def test_target_spectrum_must_be_one_dimensional_and_finite(build):
     with pytest.raises(ValueError, match="1-D sequence of finite numbers"):
         build()
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: target_spectrum([]), ValueError, "needs at least two eigenvalues"),
+    (lambda: target_spectrum(np.array([0.5])), ValueError, "needs at least two eigenvalues"),
+    (lambda: target_spectrum([0.5], antisymmetric=True), ValueError,
+     "needs at least two eigenvalues"),
+    (lambda: TargetSpectrum(()), ValueError, "needs at least two eigenvalues"),
+    (lambda: target_spectrum([-1.0, 1.0, 0.5]), DegenerateSpectrumError, "strictly ascending"),
+    (lambda: target_spectrum([1.0, 1.0], antisymmetric=True), DegenerateSpectrumError,
+     "strictly ascending"),
+    (lambda: target_spectrum([-1.0, 0.0, 2.0], antisymmetric=True), ValueError,
+     "does not satisfy"),
+    (lambda: TargetSpectrum((-1.0, 0.0, 2.0), antisymmetric=True), ValueError,
+     "does not satisfy"),
+], ids=["empty", "one", "one-antisymmetric", "empty-type", "unsorted", "repeated",
+        "not-antisymmetric", "not-antisymmetric-type"])
+def test_target_spectrum_checks_size_then_order_then_antisymmetry(build, error, message):
+    """An empty spectrum once raised numpy's error for a reduction over zero
+    entries, from the antisymmetry test that ran before the size check."""
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_target_spectrum_detects_antisymmetry_to_its_tolerance():
+    assert target_spectrum([-1.0, 0.0, 1.0]).antisymmetric is True
+    assert target_spectrum([-1.0, 1e-13, 1.0]).antisymmetric is True
+    assert target_spectrum([-1.0, 1e-11, 1.0]).antisymmetric is False
+    assert target_spectrum([-1.0, 0.0, 1.0], antisymmetric=False).antisymmetric is False
+    assert TargetSpectrum((-1.0, 0.0, 1.0)).antisymmetric is False
 
 
 def test_reconstruct_two_levels():
