@@ -174,8 +174,10 @@ def certify_pst(spec: ChainSpec, tol: float = 1e-9,
     fraction rationalization of gap ratios. The eigenvalues are those of
     :func:`diagonalize`: where their a-priori error ``N * eps * max|T|`` could
     reach ``1e-12`` of the smallest gap, they have had one Newton step on the
-    characteristic polynomial. End weights that fail the orthogonality check
-    of :func:`pair_weights` raise ``ArithmeticError``.
+    characteristic polynomial, from the ``sterf`` solve or, on a designed
+    chain, from its design spectrum once Sturm counts have checked it. End
+    weights that fail the orthogonality check of :func:`pair_weights` raise
+    ``ArithmeticError``.
     """
     if spec.n < 2:
         raise ValueError("transfer needs at least two sites")

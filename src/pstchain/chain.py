@@ -154,11 +154,31 @@ def _integral(value, name: str) -> int:
     return whole
 
 
+def _designed(spec: ChainSpec, eigenvalues) -> ChainSpec:
+    """``spec``, carrying the ascending spectrum it was designed for.
+
+    The spectrum is kept on the chain outside its fields, as
+    ``spectral.diagonalize`` keeps a solved chain's decomposition, so
+    equality, hashing, ``repr``, pickles, chain files and
+    ``dataclasses.replace`` do not see it. ``diagonalize`` starts from it
+    where it can check it on the chain's own matrix, and otherwise solves the
+    chain as it would without it. A float array is kept as it is, made
+    read-only."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    lam.flags.writeable = False
+    object.__setattr__(spec, "_design_spectrum", lam)
+    return spec
+
+
 def uniform_chain(n: int, coupling: float = 1.0) -> ChainSpec:
+    """``n`` sites coupled by ``coupling`` with zero fields; designed for the
+    spectrum ``2 J cos(k pi / (n + 1))``, k = 1..n, sorted."""
     n = _integral(n, "n")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    return chain([coupling] * (n - 1))
+    spec = chain([coupling] * (n - 1))
+    j = spec.couplings[0] if n > 1 else 0.0     # one site has no coupling to check
+    return _designed(spec, np.sort(2.0 * j * np.cos(np.arange(1, n + 1) * math.pi / (n + 1))))
 
 
 def rescale(spec: ChainSpec, kappa: float) -> ChainSpec:

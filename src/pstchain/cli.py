@@ -139,8 +139,11 @@ def _cmd_design(args, manifest):
         manifest.add_input(ns.spectrum)
         if not isinstance(doc, dict) or not isinstance(doc.get("eigenvalues"), list):
             raise ValueError("spectrum file must hold a JSON object with an eigenvalues list")
-        spec = chain_from_spectrum(
-            target_spectrum(doc["eigenvalues"], doc.get("antisymmetric")))
+        antisymmetric = doc.get("antisymmetric")
+        if antisymmetric is not None and not isinstance(antisymmetric, bool):
+            raise ValueError(f"antisymmetric must be true, false or null, got "
+                             f"{json.dumps(antisymmetric)}")
+        spec = chain_from_spectrum(target_spectrum(doc["eigenvalues"], antisymmetric))
     _emit(chain_to_dict(spec))
     return EXIT_OK
 

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .certify import certify_pst
-from .chain import ChainSpec, _integral, chain, uniform_chain
+from .chain import ChainSpec, _designed, _integral, chain, uniform_chain
 from .spectral import _BLOCK, DegenerateSpectrumError, _tridiagonal_dense, diagonalize
 
 # The finite-difference check of validate_family: the seed of its probe
@@ -51,19 +51,20 @@ def analytic_chain(n: int) -> ChainSpec:
     """Couplings J_k = sqrt(k (n-k)) / 2 with zero fields.
 
     The single-excitation matrix is the angular-momentum x-rotation
-    generator for spin (n-1)/2, with unit-spaced spectrum, so transfer is
-    perfect at t0 = pi for every n.
+    generator for spin (n-1)/2, with unit-spaced spectrum k - (n-1)/2,
+    k = 0..n-1, which the chain carries as its design spectrum, so transfer
+    is perfect at t0 = pi for every n.
     """
     n = _integral(n, "n")
     if n < 2:
         raise ValueError("n must be at least 2")
     k = np.arange(1, n)
-    return chain(0.5 * np.sqrt(k * (n - k)))
+    return _designed(chain(0.5 * np.sqrt(k * (n - k))), np.arange(0.5 * (1 - n), 0.5 * n))
 
 
 def sequential_storage_chain(n: int) -> ChainSpec:
     """Non-symmetric chain with equal end weights 1/n and spectrum
-    -n+1, -n+3, ..., n-1.
+    -n+1, -n+3, ..., n-1, which it carries as its design spectrum.
 
     The input amplitude gamma_1 vanishes at every multiple of t_r = pi/n
     except full revivals at multiples of 2 t0 = pi, so n qubits can be
@@ -74,7 +75,7 @@ def sequential_storage_chain(n: int) -> ChainSpec:
         raise ValueError("n must be at least 2")
     k = np.arange(1, n)
     j_sq = k ** 2 * (n - k) * (n + k) / ((2 * k - 1.0) * (2 * k + 1.0))
-    return chain(np.sqrt(j_sq))
+    return _designed(chain(np.sqrt(j_sq)), np.arange(1.0 - n, n, 2.0))
 
 
 def _spectrum_array(values) -> np.ndarray:
@@ -206,8 +207,10 @@ def chain_from_spectrum(target: TargetSpectrum) -> ChainSpec:
     precision, builds that block in O(N^2) time and O(N) memory. The chain is
     the half and its mirror, exactly mirror symmetric. No end weight of the
     whole chain is formed, so there is no refusal for end weights that
-    underflow. The result is verified by its eigenvalues; an antisymmetric
-    target must give vanishing fields, which are then set to zero.
+    underflow. The result carries the target as its design spectrum, and is
+    verified by its eigenvalues, which :func:`diagonalize` refines from the
+    target where the target passes its checks; an antisymmetric target must
+    give vanishing fields, which are then set to zero.
     """
     lam = np.asarray(target.eigenvalues, dtype=float)
     n = lam.size
@@ -244,7 +247,7 @@ def chain_from_spectrum(target: TargetSpectrum) -> ChainSpec:
         if worst > 1e-9 * spread:
             raise ReconstructionError(f"fields failed to vanish (max {worst:.3e})")
         fields = np.zeros_like(fields)
-    result = chain(couplings, fields)
+    result = _designed(chain(couplings, fields), lam)
     achieved = diagonalize(result).eigenvalues
     residual = float(np.max(np.abs(achieved - lam)))
     if residual > 1e-8 * max(1.0, spread):
@@ -271,9 +274,10 @@ def near_uniform_chain(n: int, slack: float) -> tuple[ChainSpec, float]:
     upper half is snapped, onto the integers (odd N) or half-integers (even
     N) whose integer parts alternate in parity, the first odd for odd N and
     the nearest for even N, ties toward the centre; antisymmetry is restored
-    by reflection so the fields vanish. Returns the chain and the largest
-    coupling deviation from 1. If the uniform chain already transfers
-    perfectly (n <= 3) it is returned unchanged.
+    by reflection so the fields vanish. Returns the chain, which carries the
+    snapped spectrum as its design spectrum (see :func:`chain_from_spectrum`),
+    and the largest coupling deviation from 1. If the uniform chain already
+    transfers perfectly (n <= 3) it is returned unchanged.
     """
     n = _integral(n, "n")
     if n < 2:

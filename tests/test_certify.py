@@ -442,6 +442,13 @@ def eigenvalue_solves(monkeypatch):
 
 
 @pytest.fixture
+def design_passes(monkeypatch):
+    """Sizes and off-diagonals of the matrices passed to the pass that refines
+    and checks a design spectrum in place of ``sterf``."""
+    return _counted_solver(monkeypatch, spectral, "_design_pass")
+
+
+@pytest.fixture
 def lapack_solves(monkeypatch):
     """Sizes and off-diagonals of the matrices passed to LAPACK ``stevd`` and
     ``sterf`` in the module the library loads them from."""
@@ -473,31 +480,43 @@ def test_exactly_mirror_chain_reaches_the_solvers_folded(lapack_solves):
         assert np.array_equal(off, spec.coupling_array()) and off.min() > 0.0
 
 
-def test_even_zero_field_mirror_chain_reaches_sterf_as_one_block(lapack_solves):
+def test_even_zero_field_mirror_chain_reaches_sterf_as_one_block(lapack_solves, design_passes):
     """The chiral block: sterf solves the symmetric mirror block alone, n/2
     rows coupled by the chain's own couplings, while stevd gets the whole
-    operator. A zero-field mirror chain of odd length reaches sterf whole."""
+    operator. A zero-field mirror chain of odd length reaches sterf whole.
+    The chains are copies, which carry no design spectrum; the designed
+    chains reach the design pass in place of sterf, with the same matrices."""
     n = 258
-    diagonalize(analytic_chain(n)).eigenvectors
-    diagonalize(analytic_chain(n)).eigenvalues
+    diagonalize(replace(analytic_chain(n))).eigenvectors
+    diagonalize(replace(analytic_chain(n))).eigenvalues
     vector_solves, value_solves = lapack_solves
     assert (vector_solves, value_solves) == ([n], [n // 2, n // 2])
     assert np.array_equal(vector_solves.offdiagonals[0], analytic_chain(n).coupling_array())
     for off in value_solves.offdiagonals:
         assert np.array_equal(off, analytic_chain(n).coupling_array()[:n // 2 - 1])
-    diagonalize(analytic_chain(n + 1)).eigenvalues
+    diagonalize(replace(analytic_chain(n + 1))).eigenvalues
     assert value_solves[2:] == [n + 1]
     assert np.array_equal(value_solves.offdiagonals[2], analytic_chain(n + 1).coupling_array())
+    diagonalize(analytic_chain(n)).eigenvalues
+    diagonalize(analytic_chain(n + 1)).eigenvalues
+    assert (value_solves[3:], design_passes) == ([], [n // 2, n + 1])
+    block_off, whole_off = design_passes.offdiagonals
+    assert np.array_equal(block_off, analytic_chain(n).coupling_array()[:n // 2 - 1])
+    assert np.array_equal(whole_off, analytic_chain(n + 1).coupling_array())
 
 
-def test_chiral_chain_refines_its_block(monkeypatch):
+def test_chiral_chain_refines_its_block(monkeypatch, design_passes):
     """The Newton step of an even zero-field mirror chain runs on the chiral
-    block it solved, 1000 rows of the 2000-site analytic chain."""
+    block it solved, 1000 rows of the 2000-site analytic chain: the step of
+    the design pass on the designed chain, and sturm_newton's on a copy,
+    which carries no design spectrum."""
     steps = _counted_solver(monkeypatch, spectral, "sturm_newton")
     spec = analytic_chain(2000)
     assert certify_pst(spec).perfect
-    assert steps == [1000]
-    assert np.array_equal(steps.offdiagonals[0], spec.coupling_array()[:999])
+    assert certify_pst(replace(spec)).perfect
+    assert (design_passes, steps) == ([1000], [1000])
+    for off in design_passes.offdiagonals + steps.offdiagonals:
+        assert np.array_equal(off, spec.coupling_array()[:999])
 
 
 @pytest.mark.parametrize("spec", [sequential_storage_chain(130), _nudged(analytic_chain(130))],
@@ -598,7 +617,8 @@ def test_a_chain_is_solved_once_per_object(eigenvalue_solves):
 
 def test_the_decomposition_is_not_part_of_the_chain(eigenvalue_solves, tmp_path):
     """Equality, hashing, repr, chain files and pickles see the fields alone,
-    and replace, copy and pickle make an equal chain that is not yet solved."""
+    and replace, copy and pickle make an equal chain that is not yet solved
+    and carries no design spectrum."""
     solved, fresh = analytic_chain(8), analytic_chain(8)
     before = (repr(solved), hash(solved), chain_to_dict(solved))
     diagonalize(solved).eigenvectors
@@ -610,7 +630,9 @@ def test_the_decomposition_is_not_part_of_the_chain(eigenvalue_solves, tmp_path)
     assert pickle.dumps(solved) == pickle.dumps(fresh)
     for copy in (replace(solved), deepcopy(solved), pickle.loads(pickle.dumps(solved))):
         assert copy == solved and diagonalize(copy) is not diagonalize(solved)
+        assert not hasattr(copy, "_design_spectrum")    # nor the design spectrum
     assert eigenvalue_solves == [4] * 4
+    assert solved._design_spectrum.tolist() == [-3.5, -2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 3.5]
 
 
 @pytest.fixture
@@ -934,7 +956,8 @@ def test_refined_gap_residual_is_no_larger_than_the_full_eigensolve(n, full_solv
     assert cert.worst_gap_residual <= full_solve_residual
 
 
-def test_ten_thousand_sites_certify_in_linear_memory(eigenvalue_solves, tridiagonal_solves):
+def test_ten_thousand_sites_certify_in_linear_memory(design_passes, eigenvalue_solves,
+                                                    tridiagonal_solves):
     spec = analytic_chain(10 ** 4)
     tracemalloc.start()
     try:
@@ -947,7 +970,8 @@ def test_ten_thousand_sites_certify_in_linear_memory(eigenvalue_solves, tridiago
     assert cert.worst_gap_residual <= 1e-12
     assert abs(cert.arrival_amplitude) >= 1.0 - 1e-10
     assert peak < 100e6
-    assert (eigenvalue_solves, tridiagonal_solves) == ([10 ** 4 // 2], [])   # the chiral block
+    # one pass over the chiral block, from the design spectrum
+    assert (design_passes, eigenvalue_solves, tridiagonal_solves) == ([10 ** 4 // 2], [], [])
 
 
 def test_perfect_certificate_reports_closed_form_weights():

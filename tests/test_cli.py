@@ -305,6 +305,32 @@ def test_design_from_an_empty_spectrum_exit_2(tmp_path, capsys):
     assert err == "error: validation: target spectrum needs at least two eigenvalues\n"
 
 
+@pytest.mark.parametrize("value", ['"no"', '"false"', "0", "1", "[]", "{}"])
+def test_design_from_spectrum_antisymmetric_must_be_a_boolean_exit_2(tmp_path, capsys, value):
+    spec_file = tmp_path / "s.json"
+    spec_file.write_text(f'{{"eigenvalues": [-1.5, -0.5, 0.5, 1.5], "antisymmetric": {value}}}')
+    code, out, err = run(capsys, "design", "from-spectrum", str(spec_file))
+    assert code == 2, err
+    assert out == ""
+    assert err == (f"error: validation: antisymmetric must be true, false or null, "
+                   f"got {json.dumps(json.loads(value))}\n")
+
+
+@pytest.mark.parametrize("value", ["true", "false", "null", None])
+def test_design_from_spectrum_takes_a_boolean_or_null_antisymmetric(tmp_path, capsys, value):
+    """true forces zero fields; false, null and a missing key take the general
+    reconstruction of this antisymmetric spectrum, or detect it."""
+    doc = '{"eigenvalues": [-1.5, -0.5, 0.5, 1.5]' + (
+        "" if value is None else f', "antisymmetric": {value}') + "}"
+    spec_file = tmp_path / "s.json"
+    spec_file.write_text(doc)
+    code, out, err = run(capsys, "design", "from-spectrum", str(spec_file))
+    assert code == 0, err
+    fields = json.loads(out)["fields"]
+    assert max(map(abs, fields)) < 1e-12
+    assert (fields == [0, 0, 0, 0]) == (value in ("true", "null", None))
+
+
 def test_design_from_spectrum_list_document_exit_2(tmp_path, capsys):
     spec_file = tmp_path / "s.json"
     spec_file.write_text("[-1.5, -0.5, 0.5, 1.5]")

@@ -598,15 +598,25 @@ def test_two_boson_rejects_sites_outside_the_chain(source, target):
 # --- Bogoliubov ------------------------------------------------------------------
 
 def test_bogoliubov_number_conserving_reduces_to_spectrum():
-    spec = analytic_chain(4)
-    h1 = tridiagonal_dense(spec.couplings, spec.fields)
-    modes = bogoliubov_modes(QuadraticFermionHamiltonian(a=h1, b=np.zeros((4, 4))))
-    lam = diagonalize(spec).eigenvalues
-    assert np.allclose(modes.energies, np.sort(np.abs(lam)), atol=1e-12)
-    # eta rows are the eigenvectors up to the 1/sqrt(2) pairing weight
-    for mu, eta in zip(modes.energies, modes.eta):
-        idx = int(np.argmin(np.abs(np.abs(lam) - mu)))
-        assert np.linalg.norm(eta) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-10)
+    """With no pairing the modes are the single-particle levels: energies
+    |lambda|, and eta rows that, times sqrt 2, are unit vectors in the span
+    of the eigenvectors whose eigenvalues have that modulus. With a field of
+    0.25 each modulus is one eigenvalue's, so the row is that eigenvector up
+    to sign; the zero-field chain's moduli come in pairs +-lambda, and the
+    SVD may return any unit vector of the pair's span."""
+    for field in (0.0, 0.25):
+        spec = chain(analytic_chain(4).couplings, [field] * 4)
+        h1 = tridiagonal_dense(spec.couplings, spec.fields)
+        modes = bogoliubov_modes(QuadraticFermionHamiltonian(a=h1, b=np.zeros((4, 4))))
+        sd = diagonalize(spec)
+        lam = sd.eigenvalues
+        assert np.allclose(modes.energies, np.sort(np.abs(lam)), atol=1e-12)
+        for mu, eta in zip(modes.energies, modes.eta):
+            idx = np.flatnonzero(np.abs(np.abs(lam) - mu) < 1e-9)
+            assert idx.size == (2 if field == 0.0 else 1)
+            assert np.linalg.norm(eta) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-10)
+            overlaps = math.sqrt(2.0) * sd.eigenvectors[:, idx].T @ eta
+            assert np.linalg.norm(overlaps) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_bogoliubov_single_site():

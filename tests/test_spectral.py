@@ -16,6 +16,7 @@ from pstchain import (HeisenbergSpec, analytic_chain, amplitude_profile, certify
                       propagate, rescale, sequential_storage_chain, target_spectrum,
                       uniform_chain)
 from pstchain.certify import ARRIVAL_TOL
+from pstchain.chain import _designed
 from pstchain import spectral
 from pstchain.spectral import _phase_sum, end_products, pair_weights, sturm_newton
 
@@ -659,19 +660,29 @@ def _chiral_chain(kind, m, seed):
 def test_even_zero_field_mirror_chains_of_any_length_solve_the_chiral_block(kind, m, seed):
     """Every even zero-field mirror chain, however short, passes only its
     m-row chiral block to the eigenvalue solver and hands out an exactly
-    antisymmetric spectrum within 8 N eps max|T| of one unfolded sterf solve."""
+    antisymmetric spectrum within 8 N eps max|T| of one unfolded sterf solve.
+    The solver is the design pass on a designed chain where the Newton gate
+    opens on the gaps of its design spectrum, and sterf otherwise."""
     spec = _chiral_chain(kind, m, seed)
-    sizes = []
-    true_solve = spectral._eigenvalue_solve
+    sizes = {"_eigenvalue_solve": [], "_design_pass": []}
 
-    def counted(diag, off):
-        sizes.append(diag.size)
-        return true_solve(diag, off)
+    def counted(name):
+        true_solve = getattr(spectral, name)
+
+        def solve(diag, off, *args):
+            sizes[name].append(diag.size)
+            return true_solve(diag, off, *args)
+        return solve
 
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(spectral, "_eigenvalue_solve", counted)
+        for name in sizes:
+            patched.setattr(spectral, name, counted(name))
         lam = diagonalize(spec).eigenvalues
-    assert sizes == [m]
+    design = getattr(spec, "_design_spectrum", None)
+    error = spec.n * np.finfo(float).eps * max(spec.couplings)
+    gated = design is not None and error > spectral.NEWTON_GATE * np.min(np.diff(design))
+    assert sizes == ({"_eigenvalue_solve": [], "_design_pass": [m]} if gated
+                     else {"_eigenvalue_solve": [m], "_design_pass": []})
     assert lam.tobytes() == (-lam[::-1]).tobytes()
     bound = 8 * spec.n * np.finfo(float).eps * max(spec.couplings)
     assert np.max(np.abs(lam - unfolded_eigenvalues(spec))) <= bound
@@ -686,20 +697,27 @@ def test_even_zero_field_mirror_chains_of_any_length_solve_the_chiral_block(kind
 def test_chiral_fold_matches_the_full_spectrum_oracles(kind, m, seed, kappa):
     """An even zero-field mirror chain of over 128 sites hands out an exactly
     antisymmetric spectrum, within 2 N eps ||T||_inf of one unfolded sterf
-    solve and of the solve of both mirror blocks. It is the moduli of the
-    eigenvalues of the chiral block, after the oracle's Newton step where the
-    gate opens, and their negatives, bit for bit; a refined spectrum agrees
-    with the oracle's step on the whole spectrum to 8 ulp of max|lambda|. Its
-    end products agree with the sums of every row, and the verdict does not
-    depend on the energy scale."""
+    solve and of the solve of both mirror blocks. Solved by sterf, as a copy
+    with no design spectrum is, it is the moduli of the eigenvalues of the
+    chiral block, after the oracle's Newton step where the gate opens, and
+    their negatives, bit for bit; a refined spectrum agrees with the oracle's
+    step on the whole spectrum to 8 ulp of max|lambda|. A designed chain's
+    spectrum is within N eps max|T| of its copy's. Its end products agree
+    with the sums of every row, and the verdict does not depend on the energy
+    scale."""
     spec = _chiral_chain(kind, m, seed)
     n = spec.n
     diag, off = spec.field_array(), spec.coupling_array()
-    lam = diagonalize(spec).eigenvalues
+    lam = diagonalize(replace(spec)).eigenvalues
+    designed = diagonalize(spec).eigenvalues
+    error = n * np.finfo(float).eps * spectral._max_abs(diag, off)
+    assert designed.tobytes() == (-designed[::-1]).tobytes()
+    assert np.max(np.abs(designed - lam)) <= error
     assert lam.tobytes() == (-lam[::-1]).tobytes()
     bound = 2 * n * np.finfo(float).eps * _row_sum_norm(spec)
-    assert np.max(np.abs(lam - unfolded_eigenvalues(spec))) <= bound
-    assert np.max(np.abs(lam - folded_eigenvalues(diag, off))) <= bound
+    for got in (lam, designed):
+        assert np.max(np.abs(got - unfolded_eigenvalues(spec))) <= bound
+        assert np.max(np.abs(got - folded_eigenvalues(diag, off))) <= bound
 
     # the chiral block: the leading m rows, with J_m on the last diagonal entry;
     # folded_eigenvalues solves it as the library does a matrix of m rows
@@ -707,7 +725,6 @@ def test_chiral_fold_matches_the_full_spectrum_oracles(kind, m, seed, kappa):
     block[-1] = off[m - 1]
     s = folded_eigenvalues(block, block_off)
     pos = np.sort(np.abs(s))
-    error = n * np.finfo(float).eps * spectral._max_abs(diag, off)
     refined = error > spectral.NEWTON_GATE * np.min(np.diff(np.concatenate((-pos[::-1], pos))))
     if refined:
         pos = np.sort(np.abs(sturm_newton_full(block, block_off, s, error)))
@@ -962,3 +979,267 @@ def test_amplitudes_of_a_hermitian_operator_do_not_depend_on_eigenvector_phases(
     assert np.max(np.abs(propagate(phased, block, t) - propagate(sd, block, t))) <= bound
     grid = np.linspace(0.0, 20.0, 41)
     assert np.max(np.abs(gamma(phased, 1, n, grid) - gamma(sd, 1, n, grid))) <= bound
+
+
+# --- designed chains: the design spectrum in place of sterf --------------------
+
+def _odd_gap_chain(n, seed):
+    """The zero-field mirror chain of n sites designed from a seeded
+    antisymmetric spectrum whose gaps are 1 or 3 (for odd n, 0 and values
+    whose gaps, the one from 0 included, are 1 or 3): perfect at t0 = pi."""
+    if n % 2 == 0:
+        return _odd_gap_chiral_chain(n // 2, seed)
+    rng = np.random.default_rng(seed)
+    pos = np.cumsum(1 + 2 * rng.integers(0, 2, n // 2)).astype(float)
+    return chain_from_spectrum(target_spectrum(np.concatenate((-pos[::-1], [0.0], pos)),
+                                               antisymmetric=True))
+
+
+_DESIGNERS = {
+    "analytic": analytic_chain,
+    "uniform": uniform_chain,
+    "storage": sequential_storage_chain,
+    "odd-gap": lambda n: _odd_gap_chain(n, n),
+    "lattice": lambda n: random_pst_chain(np.random.default_rng(n), n),
+    "near-uniform": lambda n: near_uniform_chain(n, 0.5)[0],
+}
+
+
+def _step_bound(spec):
+    """``N eps max|T|``, the a-priori error of the eigenvalues and the bound
+    on their Newton step."""
+    return spec.n * np.finfo(float).eps * spectral._max_abs(spec.field_array(),
+                                                            spec.coupling_array())
+
+
+def _refuse_sterf(diag, off):
+    raise AssertionError(f"sterf solved {diag.size} rows of a designed chain")
+
+
+def _gate_opens(spec):
+    """Whether the Newton gate opens on the gaps of the chain's design spectrum."""
+    return _step_bound(spec) > spectral.NEWTON_GATE * np.min(np.diff(spec._design_spectrum))
+
+
+@pytest.mark.parametrize("kind, n", [
+    ("analytic", 136), ("analytic", 201), ("analytic", 1000), ("analytic", 1001),
+    ("uniform", 52), ("uniform", 61), ("uniform", 100), ("uniform", 1000), ("uniform", 1001),
+    ("uniform", 1008), ("uniform", 2000),
+    ("storage", 136), ("storage", 201), ("storage", 1001),
+    ("odd-gap", 200), ("odd-gap", 201), ("lattice", 200), ("lattice", 201),
+    ("near-uniform", 100), ("near-uniform", 101),
+])
+def test_designed_chains_solve_no_sterf_where_the_gate_opens(monkeypatch, kind, n):
+    """Every designer attaches the spectrum it designed the chain for, and
+    where the Newton gate opens on its gaps, diagonalize checks and refines
+    it with no sterf solve, even or odd N, and uniform chains with N + 1
+    prime (53, 101, 1009) or not (62, 1001, 1002, 2001). A designer whose
+    closed form breaks fails here, where diagonalize would fall back to sterf
+    unseen. The eigenvalues lie within N eps max|T| of those of the sterf
+    path, which a copy of the chain, with no design spectrum, takes."""
+    with monkeypatch.context() as patched:
+        patched.setattr(spectral, "_eigenvalue_solve", _refuse_sterf)
+        spec = _DESIGNERS[kind](n)
+        lam = diagonalize(spec).eigenvalues
+    assert spec.n == n and _gate_opens(spec)
+    assert np.max(np.abs(lam - diagonalize(replace(spec)).eigenvalues)) <= _step_bound(spec)
+
+
+def _set(lam, k, value):
+    lam = lam.copy()
+    lam[k] = value
+    return lam
+
+
+# each maps a design spectrum, an index into the values the pass starts from
+# and the step bound to a corrupted design spectrum
+_CORRUPTIONS = {
+    "shift-by-a-gap": lambda lam, k, bound: _set(lam, k, lam[k] + (lam[k + 1] - lam[k])),
+    "drop": lambda lam, k, bound: np.delete(lam, k),
+    "duplicate": lambda lam, k, bound: np.insert(lam, k, lam[k]),
+    "duplicate-in-place": lambda lam, k, bound: np.insert(lam, k, lam[k])[:-1],
+    "nan": lambda lam, k, bound: _set(lam, k, math.nan),
+    "offset-one": lambda lam, k, bound: _set(lam, k, lam[k] + 2.0 * bound),
+    "offset-all": lambda lam, k, bound: lam + 2.0 * bound,
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+@pytest.mark.parametrize("kind, n", [("analytic", 1000), ("storage", 1000), ("uniform", 1001)],
+                         ids=["chiral-block", "whole", "whole-odd"])
+def test_a_corrupted_design_spectrum_falls_back_to_sterf(monkeypatch, corruption, kind, n):
+    """A design spectrum that is not the chain's (a value moved by a gap or
+    by twice the step bound, a value dropped, duplicated or NaN, or every
+    value offset by twice the step bound) sends the chain to sterf, and its
+    eigenvalues are those of the chain with no design spectrum, bit for bit.
+    Index 501 is odd, so the chiral block starts from it."""
+    spec = _DESIGNERS[kind](n)
+    corrupted = _designed(replace(spec), _CORRUPTIONS[corruption](
+        np.array(spec._design_spectrum), n // 2 + 1, _step_bound(spec)))
+    sizes = []
+    true_solve = spectral._eigenvalue_solve
+
+    def counted(diag, off):
+        sizes.append(diag.size)
+        return true_solve(diag, off)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(spectral, "_eigenvalue_solve", counted)
+        got = diagonalize(corrupted).eigenvalues
+    assert sizes == [n // 2 if kind == "analytic" else n]
+    assert got.tobytes() == diagonalize(replace(spec)).eigenvalues.tobytes()
+
+
+@pytest.mark.parametrize("kind, n", [("analytic", 1000), ("storage", 1000), ("uniform", 1001)])
+def test_a_design_off_by_less_than_the_step_bound_is_refined(monkeypatch, kind, n):
+    """The fallback above is the checks' doing: every value offset by a
+    quarter of the step bound is still refined, with no sterf, to within the
+    bound of the sterf path."""
+    spec = _DESIGNERS[kind](n)
+    bound = _step_bound(spec)
+    shifted = _designed(replace(spec), spec._design_spectrum + 0.25 * bound)
+    with monkeypatch.context() as patched:
+        patched.setattr(spectral, "_eigenvalue_solve", _refuse_sterf)
+        got = diagonalize(shifted).eigenvalues
+    assert np.max(np.abs(got - diagonalize(replace(spec)).eigenvalues)) <= bound
+
+
+def test_the_design_pass_refuses_two_start_values_on_one_eigenvalue():
+    """Start values that each lie within rounding of an eigenvalue, two of
+    them of the same one, pass the step bound, but not the Sturm counts:
+    one eigenvalue lies between no pair of separators."""
+    spec = uniform_chain(300)
+    diag, off = spec.field_array(), spec.coupling_array()
+    lam = unfolded_eigenvalues(spec)
+    bound = _step_bound(spec)
+    assert spectral._design_pass(diag, off, lam, bound) is not None
+    for k in (0, 150, 298):
+        start = lam.copy()
+        start[k], start[k + 1] = lam[k] - 1e-14, lam[k] + 1e-14
+        assert spectral._design_pass(diag, off, start, bound) is None
+
+
+def test_each_check_of_the_design_pass_refuses_on_its_own(monkeypatch):
+    """The Sturm counts, the step bound and the intervals each refuse a start
+    that the other two let through: counts a sweep reports off by one, and
+    start values 0.45 of the unit gap high on the analytic chain, whose
+    eigenvalues then still lie between their separators: their Newton steps
+    of about 2 gaps break the step bound, and under an infinite bound land
+    outside their intervals. A NaN pivot counts as -1, a zero one by its
+    sign."""
+    spec = analytic_chain(300)
+    diag, off = spec.field_array(), spec.coupling_array()
+    lam = unfolded_eigenvalues(spec)
+    bound = _step_bound(spec)
+    assert spectral._design_pass(diag, off, lam, bound) is not None
+    assert spectral._design_pass(diag, off, lam, math.inf) is not None
+    assert spectral._design_pass(diag, off, lam[:-1], bound) is None     # not every eigenvalue
+    high = lam + 0.45
+    assert spectral._design_pass(diag, off, high, bound) is None         # the step bound
+    assert spectral._design_pass(diag, off, high, math.inf) is None      # the intervals
+    true_sweep = spectral._sturm_sweep
+
+    def miscounted(*args):
+        total, count = true_sweep(*args)
+        count[150] += 1
+        return total, count
+
+    with monkeypatch.context() as patched:
+        patched.setattr(spectral, "_sturm_sweep", miscounted)
+        assert spectral._design_pass(diag, off, lam, bound) is None      # the counts
+    # a zero coupling and a zero pivot give 0/0: the count is -1, not a number of pivots
+    total, count = spectral._sturm_sweep(np.zeros(3), np.array([0.0, 1.0]),
+                                         np.array([0.0, 0.5]), 0)
+    assert count.tolist() == [-1, 2] and total.size == 0     # eigenvalues -1, 0, 1
+    # zero pivots count by their sign bit: at 0, between the two halves of the
+    # spectrum of an even zero-field chain whose fields are +0.0 or -0.0
+    for zero in (0.0, -0.0):
+        assert spectral._sturm_sweep(np.full(6, zero), np.ones(5), np.zeros(1), 0)[1] == [3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["uniform", "disordered", "fields", "chiral-block"]), st.integers(2, 300),
+       st.integers(0, 2 ** 32 - 1))
+def test_sturm_counts_are_the_numbers_of_eigenvalues_below(kind, n, seed):
+    """At points a hundred step bounds from every eigenvalue, the number of
+    negative pivots is the number of eigenvalues of the unfolded sterf solve
+    below the point, and counting points behind the refined ones leaves the
+    refined ones' sums bit for bit as sturm_newton has them."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        spec = uniform_chain(n)
+    elif kind == "disordered":
+        spec = _mirrored(rng.uniform(0.5, 1.5, n // 2), np.zeros((n + 1) // 2), n)
+    else:
+        spec = _random_mirror_chain(n, rng)
+    diag, off = spec.field_array(), spec.coupling_array()
+    if kind == "chiral-block" and n >= 4:
+        m = n // 2
+        diag, off = np.zeros(m), off[:m - 1]
+        diag[-1] = spec.couplings[m - 1]
+    lam = np.linalg.eigvalsh(tridiagonal_dense(off, diag))
+    points = rng.uniform(lam[0] - 1.0, lam[-1] + 1.0, 64)
+    bound = diag.size * np.finfo(float).eps * spectral._max_abs(diag, off)
+    points = points[np.min(np.abs(np.subtract.outer(points, lam)), axis=1) > 100 * bound]
+    total, count = spectral._sturm_sweep(diag, off, np.concatenate((lam, points)), lam.size)
+    assert count.tolist() == np.searchsorted(lam, points).tolist()
+    alone, none = spectral._sturm_sweep(diag, off, lam, lam.size)
+    assert total.tobytes() == alone.tobytes() and none.size == 0
+
+
+def _certificate_agrees(spec):
+    """The certificate of a designed chain has the verdict, reason and odd
+    integers of a copy with no design spectrum, and t0 within 1e-14."""
+    got, want = certify_pst(spec), certify_pst(replace(spec))
+    assert (got.verdict, got.reason, got.odd_integers) == (want.verdict, want.reason,
+                                                         want.odd_integers)
+    if want.perfect:
+        assert got.t0 == pytest.approx(want.t0, rel=1e-14)
+
+
+@pytest.mark.parametrize("kind, n", [
+    ("analytic", 4000), ("uniform", 4000), ("odd-gap", 4000), ("lattice", 4001),
+    ("near-uniform", 2000), ("near-uniform", 2001),
+])
+def test_large_designed_chains_keep_the_sterf_verdicts(kind, n):
+    spec = _DESIGNERS[kind](n)
+    assert _gate_opens(spec)
+    _certificate_agrees(spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_DESIGNERS)), st.integers(2, 700))
+@example("uniform", 2)
+@example("analytic", 2)
+def test_designed_chains_keep_the_sterf_verdicts(kind, n):
+    """Designed and undesigned, every chain of N = 2..700 gets the same
+    verdict, reason and odd integers, and t0 to 1e-14, whether or not the
+    gate opens (N up to 4000 above)."""
+    _certificate_agrees(_DESIGNERS[kind](n))
+
+
+def _mpmath_eigenvalues(spec):
+    """The eigenvalues of the chain's matrix by mpmath's dense symmetric
+    solver at 34 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(34):
+        a = mpmath.zeros(spec.n, spec.n)
+        for i, b in enumerate(spec.fields):
+            a[i, i] = mpmath.mpf(b)
+        for i, j in enumerate(spec.couplings):
+            a[i, i + 1] = a[i + 1, i] = mpmath.mpf(j)
+        return sorted(mpmath.eigsy(a, eigvals_only=True)), mpmath
+
+
+@pytest.mark.parametrize("kind, n", [("uniform", 61), ("uniform", 64), ("near-uniform", 50),
+                                     ("lattice", 80), ("odd-gap", 94)])
+def test_designed_eigenvalues_are_within_the_step_bound_of_mpmath(kind, n):
+    """At sizes where the gate opens on the design, N <= 100, the refined
+    eigenvalues lie within N eps max|T| of mpmath's at 34 digits, as those
+    of the sterf path do."""
+    spec = _DESIGNERS[kind](n)
+    assert _gate_opens(spec)
+    exact, mpmath = _mpmath_eigenvalues(spec)
+    bound = _step_bound(spec)
+    for lam in (diagonalize(spec).eigenvalues, diagonalize(replace(spec)).eigenvalues):
+        assert max(abs(mpmath.mpf(float(x)) - e) for x, e in zip(lam, exact)) <= bound
