@@ -182,10 +182,16 @@ def uniform_chain(n: int, coupling: float = 1.0) -> ChainSpec:
 
 
 def rescale(spec: ChainSpec, kappa: float) -> ChainSpec:
-    """Scale all energies by ``kappa``; every transfer time scales as 1/kappa."""
-    return replace(spec,
-                   couplings=tuple(kappa * j for j in spec.couplings),
-                   fields=tuple(kappa * b for b in spec.fields))
+    """Scale all energies by ``kappa``; every transfer time scales as 1/kappa.
+    A designed chain's design spectrum is scaled with it (and reversed for a
+    negative ``kappa``, so it stays ascending)."""
+    scaled = replace(spec,
+                     couplings=tuple(kappa * j for j in spec.couplings),
+                     fields=tuple(kappa * b for b in spec.fields))
+    design = getattr(spec, "_design_spectrum", None)
+    if design is None:
+        return scaled
+    return _designed(scaled, kappa * (design[::-1] if kappa < 0 else design))
 
 
 def heisenberg_to_h1(h: HeisenbergSpec) -> ChainSpec:

@@ -138,7 +138,24 @@ def _givens_insertion(lam: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nd
     in double precision that moves the edge eigenvalues of a 2000-site
     near-uniform chain by 8e-15, while certifying it on its lattice (unit
     3.7e-6, ``tol`` 1e-9) needs its gaps to 4e-15.
+
+    A rotation whose coupling and bulge are both zero is the identity.
+    The chase runs with no test for it, and such a rotation divides 0 by 0,
+    so its NaN reaches the fields; only then does the chase run again, with
+    the guard that forms it as the identity. The result is bitwise that of
+    the guarded chase.
     """
+    with np.errstate(invalid="ignore"):
+        fields, couplings = _givens_chase(lam, q, False)
+    if np.isnan(fields).any() or np.isnan(couplings).any():
+        fields, couplings = _givens_chase(lam, q, True)
+    return fields, couplings
+
+
+def _givens_chase(lam: np.ndarray, q: np.ndarray, guarded: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The chase of :func:`_givens_insertion`; where ``guarded``, a step on
+    which some ``r`` is 0 (or NaN) forms the rotation there as the
+    identity."""
     n = lam.size
     lam = lam.astype(np.longdouble)
     q = q.astype(np.longdouble)
@@ -159,7 +176,7 @@ def _givens_insertion(lam: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nd
         x = e[lo - 1:n - 1:3]
         b = bulge[lo:n:3]
         r = np.hypot(x, b)
-        if r.min() > 0.0:     # no r is 0 (or NaN), so the guard below is the identity
+        if not guarded or r.min() > 0.0:
             c = x / r
             s = b / r
         else:

@@ -58,6 +58,7 @@ NEWTON_GATE = 1e-12
 # Largest a-priori relative error of end weights taken from the spectrum.
 END_WEIGHT_RTOL = 1e-6
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 # Columns per step of the residual check, and rows per step of the
 # log-derivative sums. Whole-matrix temporaries would add several N x N
 # arrays to each call, and how much of that the allocator keeps resident
@@ -337,8 +338,10 @@ def _of_tridiagonal(diag: np.ndarray, off: np.ndarray,
 
     ``design``, the ascending spectrum a designer built the matrix for, is
     used where the gate opens on its gaps: :func:`_design_pass` steps from it
-    (from its alternate values from the top, those of the symmetric mirror
-    block, for a chiral block) and checks it by Sturm counts, with no
+    (for a chiral block, from the values of the block: the alternate values
+    from the top where its last diagonal entry ``J_m`` is positive, as in a
+    chain with positive couplings, and the others where it is negative, as
+    in one rescaled by a negative factor) and checks it by Sturm counts, with no
     ``sterf``. Otherwise (no design, the gate shut on the design's gaps, or a
     failed check) ``s`` comes from :func:`_eigenvalue_solve`, with an
     absolute error of order ``error``, and gets :func:`sturm_newton`'s step
@@ -353,7 +356,10 @@ def _of_tridiagonal(diag: np.ndarray, off: np.ndarray,
     s = None
     if (design is not None
             and error > NEWTON_GATE * float((design[1:] - design[:-1]).min(initial=math.inf))):
-        s = _design_pass(*solved, design[1::2] if block else design, error)
+        start = design
+        if block:   # the top value and every second one below it, or the others where J_m < 0
+            start = design[1::2] if block[0][-1] > 0.0 else design[::2]
+        s = _design_pass(*solved, start, error)
     unrefined = s is None
     if unrefined:
         s = _eigenvalue_solve(*solved)
@@ -516,22 +522,51 @@ def _log_abs_derivatives(lam: np.ndarray) -> np.ndarray:
     Row ``N-1-k`` of an exactly antisymmetric spectrum (see
     :func:`_is_antisymmetric`) holds the terms of row k in another order,
     since ``|-lambda_k - lambda_m| = |lambda_k - lambda_{N-1-m}|``, so only the
-    rows ``k >= N/2`` are summed and the others are their mirror."""
+    rows ``k >= N/2`` are summed and the others are their mirror. With ``mu``
+    the nonnegative half, the terms of such a row pair up:
+    ``sum_{m != k} log|(mu_k - mu_m)(mu_k + mu_m)| + log|2 mu_k|``, an
+    (N/2) x (N/2) table of one log per product, half the logs of the N/2 x N
+    table of differences. Where some product might not be a normal double
+    (``max mu >= 2^510``, or ``min(2 mu_0, g (mu_0 + mu_1))`` below twice the
+    smallest normal, ``g`` the smallest gap of ``mu``), the rows take one log
+    per difference instead."""
     if (lam[1:] <= lam[:-1]).any():
         raise DegenerateSpectrumError("spectrum must be strictly ascending")
     n = lam.size
     out = np.empty(n)
     half = n // 2 if _is_antisymmetric(lam) else 0
-    for r in range(half, n, _BLOCK):
-        rows = lam[r:r + _BLOCK]
-        diff = np.subtract.outer(rows, lam)
-        diff.ravel()[r::n + 1] = 1.0        # the entries m = k
-        np.abs(diff, out=diff)
-        np.log(diff, out=diff)
-        out[r:r + rows.size] = np.sum(diff, axis=1)
+    mu = lam[half:]
+    if half and _products_are_normal(mu):
+        for r in range(0, half, _BLOCK):
+            rows = mu[r:r + _BLOCK]
+            table = np.subtract.outer(rows, mu)
+            table *= np.add.outer(rows, mu)
+            table.ravel()[r::half + 1] = 2.0 * rows     # the entries m = k: |2 mu_k|
+            np.abs(table, out=table)
+            np.log(table, out=table)
+            out[half + r:half + r + rows.size] = np.sum(table, axis=1)
+    else:
+        for r in range(half, n, _BLOCK):
+            rows = lam[r:r + _BLOCK]
+            diff = np.subtract.outer(rows, lam)
+            diff.ravel()[r::n + 1] = 1.0        # the entries m = k
+            np.abs(diff, out=diff)
+            np.log(diff, out=diff)
+            out[r:r + rows.size] = np.sum(diff, axis=1)
     if half:                            # an antisymmetric spectrum has even N = 2 half
         out[:half] = out[half:][::-1]
     return out
+
+
+def _products_are_normal(mu: np.ndarray) -> bool:
+    """Whether every ``|(mu_k - mu_m)(mu_k + mu_m)|``, m != k, and every
+    ``2 mu_k`` of the ascending positive ``mu`` is a normal double: each is at
+    least ``min(2 mu_0, g (mu_0 + mu_1))`` and below ``2 max(mu)^2``, with
+    ``g`` the smallest gap; a factor 2 of headroom covers their rounding."""
+    lowest = 2.0 * float(mu[0])
+    if mu.size > 1:
+        lowest = min(lowest, float((mu[1:] - mu[:-1]).min()) * float(mu[0] + mu[1]))
+    return lowest >= 2.0 * _TINY and float(mu[-1]) < 2.0 ** 510
 
 
 def end_products(couplings, eigenvalues) -> np.ndarray:
@@ -544,8 +579,10 @@ def end_products(couplings, eigenvalues) -> np.ndarray:
     products alternate in sign down the spectrum. A spectrum that is not
     strictly ascending raises :class:`DegenerateSpectrumError`. Of an exactly
     antisymmetric spectrum, such as a :func:`_chiral_block` gives, only the
-    log-derivative sums of the nonnegative half are formed (see
-    :func:`_log_abs_derivatives`), so ``|v_1k v_Nk|`` is symmetric bitwise.
+    log-derivative sums of the nonnegative half are formed, from one log
+    per product of a difference and a sum of its values (see
+    :func:`_log_abs_derivatives`), and mirrored, so ``|v_1k v_Nk|`` is
+    symmetric bitwise.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     products = np.exp(np.sum(np.log(couplings)) - _log_abs_derivatives(lam))
@@ -580,6 +617,11 @@ def propagate(sd: SpectralDecomposition, v, t) -> np.ndarray:
     ``v`` of shape (n,) or (n, k) (one state per column) at a scalar ``t``,
     or ``v`` of shape (n,) at a 1-D array of times, one row per time. A
     time that is not finite raises ``ValueError``.
+
+    On an evenly spaced grid the T x N phases are the products of the rows
+    of :func:`_grid_tables`, O(N) exponentials and T N multiplications; other
+    arrays of times take one exponential per time and eigenvalue. Either
+    rounds differently from the scalar path, in the last bits.
     """
     _require_finite_times(t)
     v = np.asarray(v, dtype=complex)
@@ -595,42 +637,77 @@ def propagate(sd: SpectralDecomposition, v, t) -> np.ndarray:
     times = np.asarray(t, dtype=float)
     if v.shape != (n,) or times.ndim != 1:
         raise ValueError(f"an array of times needs one amplitude vector of length {n}")
-    # rounds differently from the scalar path, in the last bit; the written
-    # amplifier curves come from this product and the dephasing curve from that one
     coeff = vec.conj().T @ v
-    return np.exp(-1j * np.multiply.outer(times, sd.eigenvalues)) * coeff[None, :] @ vec.T
+    tables = _grid_tables(sd.eigenvalues, coeff, times)
+    if tables is None:
+        phases = np.exp(-1j * np.multiply.outer(times, sd.eigenvalues)) * coeff
+    else:
+        outer, inner = tables
+        phases = (outer[:, None, :] * inner[None, :, :]).reshape(-1, n)[:times.size]
+    return phases @ vec.T
+
+
+def _grid_tables(lam: np.ndarray, weights, t: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The phase tables of a 1-D array ``t`` of T >= 2 finite times that are
+    evenly spaced to within rounding (``|t_j - t_0 - j D| <= 4 eps max|t|``,
+    ``D = (t_{T-1} - t_0) / (T - 1)``), or ``None`` for any other ``t``.
+
+    With ``j = a B + b`` and ``B = ceil(sqrt(T))``, they are
+    ``outer[a, k] = w_k exp(-i lambda_k t_0) Z_k^a`` (A = ceil(T / B) rows)
+    and ``inner[b, k] = z_k^b`` (B rows), with ``z = exp(-i lambda D)`` and
+    ``Z = exp(-i lambda B D)``, so ``outer[a] * inner[b]`` is
+    ``w exp(-i lambda t_j)``. The three exponentials per eigenvalue are the
+    only ones taken; :func:`_powers` fills the rows by multiplication.
+    """
+    count = t.size
+    if t.ndim != 1 or count < 2:
+        return None
+    step = (t[-1] - t[0]) / (count - 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        dev = np.max(np.abs(t - (t[0] + np.arange(count) * step)))
+    # NaN in dev fails the comparison, so non-finite times are summed directly
+    if not dev <= 4.0 * _EPS * max(abs(t[0]), abs(t[-1])):
+        return None
+    cols = math.isqrt(count - 1) + 1       # ceil(sqrt(T)) for T >= 2
+    z, big_z, start = np.exp(-1j * np.multiply.outer((step, cols * step, t[0]), lam))
+    inner = _powers(1.0, z, cols)
+    outer = _powers(weights * start, big_z, -(-count // cols))
+    return outer, inner
+
+
+def _powers(first, base: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` rows ``first * base^j``, j = 0..count-1, filled by
+    doubling: rows [h, 2h) are rows [0, h) times ``base^h``, which comes from
+    ``base`` by squaring. That is one product per row and log2(count)
+    squarings; row j carries about j times the relative error of ``base``,
+    plus about ``3 j eps`` from the products, which hold the modulus of a
+    unit ``base`` only to rounding."""
+    table = np.empty((count, base.size), dtype=complex)
+    table[0] = first
+    h = 1
+    while h < count:
+        if h > 1:
+            base = base * base
+        np.multiply(table[:min(h, count - h)], base, out=table[h:2 * h])
+        h *= 2
+    return table
 
 
 def _phase_sum(lam, weights, times) -> np.ndarray:
     """``sum_k w_k exp(-i lambda_k t)`` for every time in ``times``, in its shape.
 
-    A 1-D array of T >= 2 finite times that are evenly spaced to within
-    rounding (``|t_j - t_0 - j D| <= 4 eps max|t|``) is evaluated from two
-    small tables. With ``j = a B + b`` and ``B = ceil(sqrt(T))``, the tables
-    are ``E[b, k] = exp(-i lambda_k b D)`` (B x N) and
-    ``F[a, k] = w_k exp(-i lambda_k t_{aB})`` (A x N), and the sums are the
-    entries of the one product ``F E^T``, read row by row. That takes
-    (A + B) N ~ 2 sqrt(T) N exponentials in place of T N, and builds no
-    T x N array. ``F`` takes its phases from the grid's own times, so only the
-    short offsets ``b D`` carry the rounding of ``D``. Any other ``times`` (a
-    scalar, a multi-dimensional array, uneven or non-finite times) is summed
-    directly, one exponential per time and eigenvalue.
+    An evenly spaced 1-D grid of T >= 2 times is the one complex matrix
+    product ``outer inner^T`` of its :func:`_grid_tables`, read row by row:
+    3N exponentials and about 2 sqrt(T) N products fill the tables, and no
+    T x N array is built. Any other ``times`` (a scalar, a
+    multi-dimensional array, uneven or non-finite times) is summed directly,
+    one exponential per time and eigenvalue.
     """
     t = np.asarray(times, dtype=float)
-    count = t.size
-    if t.ndim == 1 and count >= 2:
-        step = (t[-1] - t[0]) / (count - 1)
-        j = np.arange(count)
-        with np.errstate(invalid="ignore", over="ignore"):
-            dev = np.max(np.abs(t - (t[0] + j * step)))
-        tol = 4.0 * np.finfo(float).eps * max(abs(t[0]), abs(t[-1]))
-        # NaN in dev fails the comparison, so non-finite times are summed directly
-        if dev <= tol:
-            cols = math.isqrt(count - 1) + 1       # ceil(sqrt(T)) for T >= 2
-            inner = np.exp(-1j * np.multiply.outer(j[:cols] * step, lam))
-            outer = np.exp(-1j * np.multiply.outer(t[::cols], lam))
-            outer *= weights
-            return (outer @ inner.T).ravel()[:count]
+    tables = _grid_tables(lam, weights, t)
+    if tables is not None:
+        outer, inner = tables
+        return (outer @ inner.T).ravel()[:t.size]
     return np.exp(-1j * np.multiply.outer(t, lam)) @ weights
 
 
@@ -674,12 +751,17 @@ def gamma(sd: SpectralDecomposition, source: int, target: int, t):
     for the end pairs of a chain with positive couplings, so those
     amplitudes need no eigenvectors.
 
-    For given eigenvalues and weights the absolute error grows like
-    ``(max|t| max|lambda| + N) eps sum_k |w_k|`` and stays below 8 times that;
-    ``w_k`` are the products of the two sites' eigenvector entries
-    (``sum |w_k| <= 1``) and ``eps`` is the machine epsilon of doubles. The
-    first term is the rounding of the phases ``lambda_k t`` and dominates at
-    large ``t``: at ``max|t| max|lambda| = 1e7`` it is about 2e-9. Weights
+    For given eigenvalues and weights the absolute error over T times grows
+    like ``(max|t| max|lambda| + N + sqrt T) eps sum_k |w_k|`` and stays below
+    8 times that; ``w_k`` are the products of the two sites' eigenvector
+    entries (``sum |w_k| <= 1``) and ``eps`` is the machine epsilon of
+    doubles. The first term is the rounding of the phases ``lambda_k t`` and
+    dominates at large ``t``: at ``max|t| max|lambda| = 1e7`` it is about
+    2e-9. The second is the rounding of the sum over the spectrum. The third
+    is the drift of the powers that fill the phase tables of an evenly
+    spaced grid (see :func:`_powers`): a row j takes about j times the
+    rounding of its base, and no row is further than about sqrt T from the
+    start of its table. Weights
     from the spectrum add at most ``rho sum_k |w_k|``, with their a-priori
     relative error ``rho = 8 (1 + ln N) N eps max|T| / (smallest gap)``, at
     most ``END_WEIGHT_RTOL``; they pass the orthogonality check of

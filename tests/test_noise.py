@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pstchain import (BathSpec, analytic_chain, bath_model, bath_transfer_amplitude,
-                      certify_pst, chain, dephasing_avg_fidelity, diagonalize,
-                      uniform_chain)
+from pstchain import (BathSpec, amplitude_profile, analytic_chain, bath_model,
+                      bath_transfer_amplitude, certify_pst, chain, dephasing_avg_fidelity,
+                      diagonalize, uniform_chain)
 
 from oracles import (bath_amplitude_blocks, bath_dense, expm_evolve, random_pst_chain,
                      raw_bath_dense, tridiagonal_dense)
@@ -87,17 +87,39 @@ def test_dephasing_closed_form_matches_oracle_random():
         assert rep.lower_bound - 1e-12 <= rep.avg_fidelity <= rep.upper_bound + 1e-12
 
 
-def test_dephasing_array_of_kicks_matches_scalar_calls_bitwise():
+def _fourth_sums_kick_by_kick(spec, kicks):
+    """sum_n |gamma_n(t)|^4 at each kick, one amplitude profile at a time: the
+    library's curve before it propagated the kicks a block at a time."""
+    sd = certify_pst(spec).spectrum
+    return np.array([np.sum(np.abs(amplitude_profile(sd, 1, t)) ** 4) for t in kicks])
+
+
+@pytest.mark.parametrize("kicks", [np.linspace(0.0, math.pi, 201),
+                                   np.array([0.0, 0.3, 2.9, 1.1, math.pi])],
+                         ids=["even", "uneven"])
+def test_dephasing_array_of_kicks_matches_the_per_kick_loop(kicks):
+    """An array of kicks, on an even grid or not, gives the fidelities of one
+    scalar call per kick and of the per-kick loop, to 1e-13."""
     spec = analytic_chain(64)
-    kicks = np.linspace(0.0, math.pi, 201)
     rep = dephasing_avg_fidelity(spec, 0.15, kicks)
     assert rep.avg_fidelity.shape == rep.gamma_fourth_sum.shape == kicks.shape
     assert np.array_equal(rep.t, kicks)
+    assert np.max(np.abs(rep.gamma_fourth_sum - _fourth_sums_kick_by_kick(spec, kicks))) < 1e-13
     for i, t in enumerate(kicks):
         one = dephasing_avg_fidelity(spec, 0.15, t)
-        assert rep.avg_fidelity[i] == one.avg_fidelity
-        assert rep.gamma_fourth_sum[i] == one.gamma_fourth_sum
+        assert abs(rep.avg_fidelity[i] - one.avg_fidelity) < 1e-13
+        assert abs(rep.gamma_fourth_sum[i] - one.gamma_fourth_sum) < 1e-13
         assert (rep.lower_bound, rep.upper_bound) == (one.lower_bound, one.upper_bound)
+
+
+def test_dephasing_curve_of_a_long_chain_matches_the_per_kick_loop():
+    """2001 kicks over a 1000-site chain, propagated in blocks, against the
+    per-kick loop at every 50th kick, in every block."""
+    spec = analytic_chain(1000)
+    kicks = np.linspace(0.0, certify_pst(spec).t0, 2001)
+    rep = dephasing_avg_fidelity(spec, 0.3, kicks)
+    want = _fourth_sums_kick_by_kick(spec, kicks[::50])
+    assert np.max(np.abs(rep.gamma_fourth_sum[::50] - want)) < 1e-13
 
 
 def test_dephasing_validates_inputs():

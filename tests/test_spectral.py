@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pstchain import (HeisenbergSpec, analytic_chain, amplitude_profile, certify_pst, chain,
                       chain_from_spectrum, diagonalize, gamma, is_degenerate, near_uniform_chain,
@@ -337,9 +337,10 @@ def test_propagate_batched_shapes_match_the_scalar_path(params, t, seed):
 
 def _phase_bound(lam, w, t):
     """The error bound documented on ``gamma``:
-    8 (max|t| max|lambda| + N) eps sum|w|."""
+    8 (max|t| max|lambda| + N + sqrt T) eps sum|w|."""
     phase = float(np.max(np.abs(t), initial=0.0)) * np.max(np.abs(lam))
-    return 8.0 * (phase + lam.size) * np.finfo(float).eps * np.sum(np.abs(w))
+    return (8.0 * (phase + lam.size + math.sqrt(np.size(t))) * np.finfo(float).eps
+            * np.sum(np.abs(w)))
 
 
 # a grid is (T, first time, last time); linspace makes it descending when last < first
@@ -412,6 +413,135 @@ def test_other_times_are_summed_directly(t):
     else:
         with pytest.raises(ValueError, match="times must be finite"):
             gamma(sd, 2, 4, t)
+
+
+# a grid of 2 to 1e5 times, (T, first time, last time), with times up to 1e4
+long_grids = st.tuples(st.sampled_from([2, 3, 1001, 100_000]) | st.integers(2, 100_000),
+                       st.floats(-1e4, 1e4), st.floats(-1e4, 1e4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(long_grids, st.floats(-3.0, 3.0), st.integers(1, 16), st.integers(0, 2 ** 32 - 1))
+@example((100_000, 0.0, 1.0), -3.0, 2, 0)       # tiny phases: the drift of the powers shows
+@example((100_000, -1e4, 1e4), 3.0, 16, 1)
+@example((100_000, 1e4, 0.0), 0.0, 16, 2)
+@example((2, -1e4, 1e4), 3.0, 5, 3)
+@example((3, 1e4, 9999.0), -3.0, 5, 4)
+def test_phase_tables_meet_the_documented_bound_on_long_grids(grid, exponent, n, seed):
+    """The phase tables, filled by multiplication, against a direct sum in
+    extended precision, on grids of 2 to 1e5 times up to 1e4 and eigenvalues
+    of moduli from 1e-3 to 1e3: within the bound documented on ``gamma``,
+    whose sqrt T term covers the drift of the powers."""
+    count, first, last = grid
+    t = np.linspace(first, last, count)
+    rng = np.random.default_rng(seed)
+    lam = 10.0 ** exponent * rng.uniform(-1.0, 1.0, n)
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    got = _phase_sum(lam, w, t)
+    assert np.max(np.abs(got - phase_sum_direct(lam, w, t))) <= _phase_bound(lam, w, t)
+
+
+@pytest.mark.parametrize("t", [np.array([0.0, 1.0, 2.5, 2.75]), nearly_even],
+                         ids=["uneven", "nearly-even"])
+def test_propagate_sums_uneven_times_directly(t):
+    """An uneven grid takes one exponential per time and eigenvalue in
+    propagate too, bit for bit."""
+    sd = diagonalize(chain([0.7, 1.1, 0.4], [0.1, -0.2, 0.3, 0.0]))
+    v = np.array([0.2, 0.5j, -0.3, 0.6])
+    coeff = sd.eigenvectors.T @ v
+    direct = np.exp(-1j * np.multiply.outer(t, sd.eigenvalues)) * coeff @ sd.eigenvectors.T
+    assert propagate(sd, v, t).tobytes() == direct.tobytes()
+
+
+def _count_elements(monkeypatch, name):
+    """Record the size of the first argument of every call of ``np.<name>``."""
+    sizes = []
+    real = getattr(np, name)
+
+    def counted(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, name, counted)
+    return sizes
+
+
+def test_an_even_grid_takes_three_exponentials_per_eigenvalue(monkeypatch):
+    """gamma over an evenly spaced 1001-point grid passes 3N elements to
+    np.exp in all, and propagate over it as many; an uneven grid of the
+    same length, T N."""
+    sd = diagonalize(analytic_chain(2000))
+    w = pair_weights(sd, 1, 2000)       # the end products, once per decomposition
+    small = diagonalize(analytic_chain(200))
+    small.eigenvectors
+    grid = np.linspace(0.0, math.pi, 1001)
+    sizes = _count_elements(monkeypatch, "exp")
+    gamma(sd, 1, 2000, grid)
+    assert sum(sizes) <= 3 * 2000 + 8
+    sizes.clear()
+    propagate(small, np.eye(200)[0], grid)
+    assert sum(sizes) <= 3 * 200 + 8
+    sizes.clear()
+    uneven = grid.copy()
+    uneven[500] += 1e-6
+    _phase_sum(sd.eigenvalues, w, uneven)
+    assert sum(sizes) == grid.size * 2000
+
+
+def test_antisymmetric_log_sums_take_one_log_per_product(monkeypatch):
+    """An exactly antisymmetric spectrum takes (N/2)^2 logs; one whose
+    products could leave the normal doubles takes the N/2 x N logs of its
+    differences, as does the nonnegative half of no other spectrum."""
+    lam = diagonalize(analytic_chain(1000)).eigenvalues
+    sizes = _count_elements(monkeypatch, "log")
+    spectral._log_abs_derivatives(lam)
+    assert sum(sizes) == 500 ** 2
+    sizes.clear()
+    spectral._log_abs_derivatives(1e160 * lam)
+    assert sum(sizes) == 500 * 1000
+    sizes.clear()
+    spectral._log_abs_derivatives(lam + 0.25)
+    assert sum(sizes) == 1000 ** 2
+
+
+def _log_abs_derivatives_mp(lam):
+    """The log-derivative sums of ``lam`` at 34 digits, and the sums of the
+    moduli of their terms."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(34):
+        x = [mpmath.mpf(float(v)) for v in lam]
+        sums, sizes = [], []
+        for k, xk in enumerate(x):
+            terms = [mpmath.log(abs(xk - xm)) for m, xm in enumerate(x) if m != k]
+            sums.append(float(mpmath.fsum(terms)))
+            sizes.append(float(mpmath.fsum(abs(term) for term in terms)))
+    return np.array(sums), np.array(sizes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 50), st.sampled_from([-160.0, -150.0, 150.0, 155.0]) | st.floats(-150, 150),
+       st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+@example(40, -160.0, 0.5, 0)    # products below the normal doubles: the differences' logs
+@example(40, 155.0, 0.0, 1)     # products above them
+@example(40, 150.0, 0.5, 2)
+@example(40, -150.0, 0.0, 3)
+@example(1, 0.0, 0.0, 4)
+def test_log_sums_of_antisymmetric_spectra_match_mpmath(m, exponent, clustered, seed):
+    """The log-derivative sums of an antisymmetric spectrum of N = 2m <= 100
+    values of moduli near 10^exponent, a share ``clustered`` of its gaps a
+    1e-12 part of the values, are finite and within 4 eps of the sum of the
+    moduli of their terms of 34-digit sums; summed over every row, one log
+    per difference, the library's sums came within 1.9 eps of it."""
+    rng = np.random.default_rng(seed)
+    steps = rng.uniform(0.5, 2.0, m)
+    steps[rng.random(m) < clustered] = 1e-12 * (m + 1)
+    mu = 10.0 ** exponent * np.cumsum(steps)
+    lam = np.concatenate((-mu[::-1], mu))
+    assume(np.all(np.diff(lam) > 0.0))
+    got = spectral._log_abs_derivatives(lam)
+    want, size = _log_abs_derivatives_mp(lam)
+    assert np.isfinite(got).all()
+    assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * size)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1043,6 +1173,20 @@ def test_designed_chains_solve_no_sterf_where_the_gate_opens(monkeypatch, kind, 
         lam = diagonalize(spec).eigenvalues
     assert spec.n == n and _gate_opens(spec)
     assert np.max(np.abs(lam - diagonalize(replace(spec)).eigenvalues)) <= _step_bound(spec)
+
+
+@pytest.mark.parametrize("design, n, kappa", [(analytic_chain, 2000, 0.5),
+                                               (uniform_chain, 1000, -2.0)],
+                         ids=["analytic-half", "uniform-negative"])
+def test_a_rescaled_designed_chain_keeps_its_design(monkeypatch, design, n, kappa):
+    """rescale scales the design spectrum with the chain, reversed for a
+    negative kappa, so the rescaled chain is solved with no sterf, within
+    N eps max|T| of a copy with no design spectrum."""
+    scaled = rescale(design(n), kappa)
+    with monkeypatch.context() as patched:
+        patched.setattr(spectral, "_eigenvalue_solve", _refuse_sterf)
+        lam = diagonalize(scaled).eigenvalues
+    assert np.max(np.abs(lam - diagonalize(replace(scaled)).eigenvalues)) <= _step_bound(scaled)
 
 
 def _set(lam, k, value):
