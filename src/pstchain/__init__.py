@@ -16,7 +16,7 @@ from .design import (DesignError, NewtonResult, ParametrizedFamily,
                      ReconstructionError, TargetSpectrum, analytic_chain,
                      chain_from_spectrum, coupling_family, near_uniform_chain,
                      newton_iep, nnn_coupling_family, sequential_storage_chain,
-                     target_spectrum, validate_family)
+                     target_spectrum)
 from .fermionic import (BogoliubovModes, QuadraticFermionHamiltonian, SlaterState,
                         basis_slater, bell_fidelity_curve, bogoliubov_modes,
                         entanglement_distribution_sim, entanglement_generation,

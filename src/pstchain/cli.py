@@ -179,21 +179,33 @@ def _cmd_simulate(args, manifest):
     sd = diagonalize(spec)
     times = np.linspace(0.0, ns.tmax, ns.steps + 1)
     amps = gamma(sd, ns.source, ns.target, times)
-    peak = float(np.max(np.abs(amps) ** 2))
-    # gamma's rounding bound with sum |w_k| <= 1; a peak below its square has no time
-    scale = abs(ns.tmax) * float(np.max(np.abs(sd.eigenvalues)))
-    noise = 8.0 * (scale + spec.n) * np.finfo(float).eps
+    peak, peak_time, noise = _first_peak(times, np.abs(amps) ** 2, sd.eigenvalues)
     summary = {
         "source": ns.source,
         "target": ns.target,
         "peak_abs2": peak,
-        "peak_time": float(times[int(np.argmax(np.abs(amps)))]) if peak > noise ** 2 else None,
+        # a peak below the square of the amplitudes' rounding has no time
+        "peak_time": peak_time if peak > noise ** 2 else None,
     }
     if ns.out:
         manifest.write_csv(ns.out, ["t", "re", "im", "abs2"],
                            [times, amps.real, amps.imag, np.abs(amps) ** 2])
     _emit(summary)
     return EXIT_OK
+
+
+def _first_peak(times: np.ndarray, probability: np.ndarray,
+                eigenvalues: np.ndarray) -> tuple[float, float, float]:
+    """The largest ``probability`` = |a|^2 over ``times``, the first time
+    within rounding of it, and gamma's rounding bound on a with sum |w_k| <= 1,
+    8 (max|t| max|lambda| + N + sqrt T) eps. |a|^2 <= 1 errs by at most twice
+    that, so peaks equal to rounding give the earliest time, whatever their
+    last bits."""
+    scale = float(np.max(np.abs(times))) * float(np.max(np.abs(eigenvalues)))
+    noise = 8.0 * (scale + eigenvalues.size + math.sqrt(times.size)) * np.finfo(float).eps
+    peak = float(np.max(probability))
+    first = int(np.argmax(probability >= peak - 2.0 * noise))
+    return peak, float(times[first]), noise
 
 
 def _cmd_fermionic(args, manifest):
@@ -360,9 +372,10 @@ def _cmd_gadget(args, manifest):
                 ns.out, ["t", "target_probability", "mean_signal", "majority_probability"],
                 [times, res.target_probability, res.mean_signal,
                  res.majority_probability])
-        _emit({"gadget": "amp", "n": spec.n,
-               "peak_probability": float(np.max(res.target_probability)),
-               "peak_time": float(times[int(np.argmax(res.target_probability))])})
+        peak, peak_time, _ = _first_peak(times, res.target_probability,
+                                         diagonalize(spec).eigenvalues)
+        _emit({"gadget": "amp", "n": spec.n, "peak_probability": peak,
+               "peak_time": peak_time})
     else:
         if ns.program:
             with open(ns.program, "r", encoding="utf-8") as fh:

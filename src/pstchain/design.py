@@ -16,19 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .certify import certify_pst
 from .chain import ChainSpec, _designed, _integral, chain, uniform_chain
-from .spectral import _BLOCK, DegenerateSpectrumError, _tridiagonal_dense, diagonalize
-
-# The finite-difference check of validate_family: the seed of its probe
-# points, its central-difference step and the largest error it allows.
-FD_SEED = 0
-FD_STEP = 1e-6
-FD_TOL = 1e-5
+from .spectral import _BLOCK, DegenerateSpectrumError, diagonalize
 
 
 class ReconstructionError(ValueError):
@@ -332,70 +325,69 @@ def near_uniform_chain(n: int, slack: float) -> tuple[ChainSpec, float]:
 
 @dataclass(frozen=True)
 class ParametrizedFamily:
-    """Symmetric single-excitation matrix H(r) with analytic derivatives.
+    """Real symmetric N x N matrices H(r) = sum_i r_i (E_{a_i b_i} + E_{b_i a_i}),
+    one symmetric pair of entries per parameter.
 
-    ``evaluate(r)`` returns the matrix, ``derivative(r, i)`` its partial
-    with respect to parameter i.
+    ``entries`` holds the 0-based ``(a_i, b_i)`` of parameter i, with
+    ``a_i < b_i``, each pair once and inside the matrix (else ``ValueError``).
+    H is linear in r, so its derivative along r_i is the pair itself, and
+    :meth:`jacobian` needs no derivative matrices.
     """
 
     dimension: int
-    n_params: int
-    evaluate: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray, int], np.ndarray]
+    entries: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        n = _integral(self.dimension, "dimension")
+        if n < 1:
+            raise ValueError("dimension must be at least 1")
+        try:
+            entries = tuple((_integral(a, "entries"), _integral(b, "entries"))
+                            for a, b in self.entries)
+        except TypeError:
+            raise ValueError("entries must be a sequence of (row, col) pairs") from None
+        if not all(0 <= a < b < n for a, b in entries):
+            raise ValueError(f"entries must have 0 <= row < col < {n}")
+        if len(set(entries)) != len(entries):
+            raise ValueError("entries must be distinct")
+        object.__setattr__(self, "dimension", n)
+        object.__setattr__(self, "entries", entries)
+
+    @property
+    def n_params(self) -> int:
+        return len(self.entries)
+
+    def evaluate(self, r) -> np.ndarray:
+        """H(r) as a dense array."""
+        r = np.asarray(r, dtype=float)
+        if r.shape != (self.n_params,):
+            raise ValueError(f"r must hold {self.n_params} parameters")
+        rows, cols = self._pattern()
+        m = np.zeros((self.dimension, self.dimension))
+        m[rows, cols] = r
+        m[cols, rows] = r
+        return m
+
+    def jacobian(self, u: np.ndarray) -> np.ndarray:
+        """Derivatives of the eigenvalues of H along r, at eigenvector
+        columns ``u``: column i is the diagonal of U^T E_i U, which is
+        2 U[a_i, :] U[b_i, :], O(N) a parameter."""
+        rows, cols = self._pattern()
+        return 2.0 * (u[rows] * u[cols]).T
+
+    def _pattern(self) -> tuple[np.ndarray, np.ndarray]:
+        pattern = np.array(self.entries, dtype=int).reshape(-1, 2)
+        return pattern[:, 0], pattern[:, 1]
 
 
 def coupling_family(n: int) -> ParametrizedFamily:
     """Tridiagonal family parametrized by its n-1 couplings; fields fixed at 0."""
-
-    def evaluate(r: np.ndarray) -> np.ndarray:
-        return _tridiagonal_dense(np.zeros(n), r)
-
-    def derivative(r: np.ndarray, i: int) -> np.ndarray:
-        m = np.zeros((n, n))
-        m[i, i + 1] = 1.0
-        m[i + 1, i] = 1.0
-        return m
-
-    return ParametrizedFamily(dimension=n, n_params=n - 1,
-                              evaluate=evaluate, derivative=derivative)
+    return ParametrizedFamily(dimension=n, entries=tuple((k, k + 1) for k in range(n - 1)))
 
 
 def nnn_coupling_family(n: int) -> ParametrizedFamily:
     """Couplings plus a single next-nearest coupling between sites 1 and 3."""
-
-    base = coupling_family(n)
-
-    def evaluate(r: np.ndarray) -> np.ndarray:
-        m = base.evaluate(r[: n - 1])
-        m[0, 2] = m[2, 0] = r[n - 1]
-        return m
-
-    def derivative(r: np.ndarray, i: int) -> np.ndarray:
-        if i < n - 1:
-            return base.derivative(r[: n - 1], i)
-        m = np.zeros((n, n))
-        m[0, 2] = m[2, 0] = 1.0
-        return m
-
-    return ParametrizedFamily(dimension=n, n_params=n,
-                              evaluate=evaluate, derivative=derivative)
-
-
-def validate_family(family: ParametrizedFamily, r0) -> None:
-    """Check the analytic derivatives against central finite differences of
-    step ``FD_STEP`` to within ``FD_TOL``, at three points drawn about ``r0``
-    from a generator seeded with ``FD_SEED``, the same points on every run."""
-    rng = np.random.default_rng(FD_SEED)
-    r0 = np.asarray(r0, dtype=float)
-    for _ in range(3):
-        r = r0 + 0.05 * rng.standard_normal(family.n_params)
-        for i in range(family.n_params):
-            e = np.zeros(family.n_params)
-            e[i] = FD_STEP
-            fd = (family.evaluate(r + e) - family.evaluate(r - e)) / (2.0 * FD_STEP)
-            err = np.max(np.abs(fd - family.derivative(r, i)))
-            if err > FD_TOL:
-                raise ValueError(f"derivative {i} fails finite-difference check ({err:.3e})")
+    return ParametrizedFamily(dimension=n, entries=coupling_family(n).entries + ((0, 2),))
 
 
 @dataclass(frozen=True)
@@ -408,22 +400,28 @@ class NewtonResult:
 
 def newton_iep(family: ParametrizedFamily, target: TargetSpectrum, r0,
                max_iter: int = 50, tol: float = 1e-10) -> NewtonResult:
-    """Newton iteration driving the spectrum of H(r) onto the target.
+    """Newton iteration driving the spectrum of H(r) onto the target
+    (Friedland, Nocedal and Overton, SIAM J. Numer. Anal. 24, 1987, Method I).
 
     Each step solves M dr = b where b holds the eigenvalue errors and
     column i of M is the diagonal of U^T (dH/dr_i) U in the current
-    eigenbasis; eigenvector corrections drop out of the diagonal. The
-    linear solve is least-squares (mirror-symmetric families are
-    rank-deficient but consistent). A step that increases the residual is
-    halved up to 10 times; two consecutive increases abort.
+    eigenbasis, exact from the family's entries at O(N) a parameter
+    (:meth:`ParametrizedFamily.jacobian`); eigenvector corrections drop out
+    of the diagonal. The linear solve is least-squares (mirror-symmetric
+    families are rank-deficient but consistent). A step that increases the
+    residual is halved up to 10 times; two consecutive increases abort.
+    A target whose size is not the family's dimension, or an ``r0`` that
+    is not ``n_params`` finite numbers, raises ``ValueError`` before any
+    solve.
     """
-    validate_family(family, r0)
     lam_target = np.asarray(target.eigenvalues, dtype=float)
     if lam_target.size != family.dimension:
         raise ValueError("target size must match the family dimension")
-    r = np.asarray(r0, dtype=float).copy()
-    if r.size != family.n_params:
+    r = np.array(r0, dtype=float)
+    if r.shape != (family.n_params,):
         raise ValueError("r0 size must match the family parameter count")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("r0 must be finite")
 
     def residual_of(params: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         sd = diagonalize(family.evaluate(params))
@@ -435,10 +433,7 @@ def newton_iep(family: ParametrizedFamily, target: TargetSpectrum, r0,
     iterations = 0
     while res > tol and iterations < max_iter:
         b = lam_target - lam
-        m = np.empty((family.dimension, family.n_params))
-        for i in range(family.n_params):
-            m[:, i] = np.einsum("ij,jk,ik->i", u.T, family.derivative(r, i), u.T)
-        dr, _, rank, sv = np.linalg.lstsq(m, b, rcond=None)
+        dr, _, rank, sv = np.linalg.lstsq(family.jacobian(u), b, rcond=None)
         if not np.all(np.isfinite(dr)) or rank == 0:
             cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else math.inf
             raise SingularSystemError(f"linear system unusable (cond ~ {cond:.3e})")

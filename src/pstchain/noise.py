@@ -17,11 +17,7 @@ import numpy as np
 
 from .certify import require_perfect
 from .chain import ChainSpec, _finite_floats
-from .spectral import _phase_sum, diagonalize, gamma, pair_weights, propagate
-
-# Kicks per propagation of a dephasing curve: each gives a kicks x N complex
-# array of profiles, so a long curve takes no more memory than one block.
-_KICK_BLOCK = 128
+from .spectral import _BLOCK, _phase_sum, diagonalize, gamma, pair_weights, propagate
 
 
 @dataclass(frozen=True)
@@ -67,9 +63,9 @@ def dephasing_avg_fidelity(spec: ChainSpec, p: float, t) -> DephasingReport:
         t = kicks
         flat = kicks.ravel()
         s4 = np.empty(flat.size)
-        for c in range(0, flat.size, _KICK_BLOCK):
-            profiles = propagate(cert.spectrum, e1, flat[c:c + _KICK_BLOCK])
-            s4[c:c + _KICK_BLOCK] = np.sum(np.abs(profiles) ** 4, axis=1)
+        for c in range(0, flat.size, _BLOCK):
+            profiles = propagate(cert.spectrum, e1, flat[c:c + _BLOCK])
+            s4[c:c + _BLOCK] = np.sum(np.abs(profiles) ** 4, axis=1)
         s4 = s4.reshape(kicks.shape)
     # single division keeps the p = 0, 1 endpoints exact in floating point
     avg = (3.0 - 2.0 * p * (2.0 - p) + 2.0 * p * (1.0 - p) * s4) / 3.0

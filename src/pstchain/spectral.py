@@ -59,10 +59,11 @@ NEWTON_GATE = 1e-12
 END_WEIGHT_RTOL = 1e-6
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-# Columns per step of the residual check, and rows per step of the
-# log-derivative sums. Whole-matrix temporaries would add several N x N
-# arrays to each call, and how much of that the allocator keeps resident
-# depends on the order of earlier calls; blocks keep them at N x 128.
+# Columns per step of the residual check, rows per step of the log-derivative
+# sums and kicks per propagation of a dephasing curve. Whole-matrix
+# temporaries would add several N x N arrays to each call, and how much of
+# that the allocator keeps resident depends on the order of earlier calls;
+# blocks keep them at N x 128.
 _BLOCK = 128
 
 
@@ -171,16 +172,6 @@ class SpectralDecomposition:
         return products
 
 
-def _tridiagonal_dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """``tridiag(off, diag, off)`` as a dense array."""
-    n = diag.size
-    dense = np.zeros((n, n))
-    dense.flat[::n + 1] = diag
-    dense.flat[1::n + 1] = off
-    dense.flat[n::n + 1] = off
-    return dense
-
-
 def _is_mirror(diag: np.ndarray, off: np.ndarray) -> bool:
     """Whether a tridiagonal matrix equals its mirror image bitwise."""
     return diag.tobytes() == diag[::-1].tobytes() and off.tobytes() == off[::-1].tobytes()
@@ -211,7 +202,8 @@ def diagonalize(operator) -> SpectralDecomposition:
 
     Accepts a :class:`ChainSpec`, whose fields and couplings are the
     diagonal and off-diagonal of a tridiagonal operator (fast path), or a
-    dense symmetric/Hermitian array; anything else raises ``ValueError``.
+    dense symmetric/Hermitian array with finite entries; anything else
+    raises ``ValueError``.
     The residual ``max|M v - lambda v|`` is checked against
     ``1e-10 * max|M|`` and kept on the result.
 
@@ -252,6 +244,8 @@ def diagonalize(operator) -> SpectralDecomposition:
     dense = np.asarray(operator)
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise ValueError("operator must be a square matrix")
+    if not np.all(np.isfinite(dense)):
+        raise ValueError("operator entries must be finite")
     scale = np.max(np.abs(dense))
     if np.max(np.abs(dense - dense.conj().T)) > SYMMETRY_TOL * max(1.0, scale):
         raise ValueError("operator is not symmetric/Hermitian")
@@ -262,7 +256,7 @@ def diagonalize(operator) -> SpectralDecomposition:
 
 def _checked(residual: float, scale: float) -> float:
     """The residual of an eigensolve, if it is at most ``1e-10 * scale``."""
-    if residual > 1e-10 * max(scale, 1e-300):
+    if not residual <= 1e-10 * max(scale, 1e-300):
         raise ArithmeticError(f"eigendecomposition residual {residual:.3e} too large")
     return residual
 

@@ -557,6 +557,19 @@ def tridiagonal_dense(couplings, fields):
     return h
 
 
+def einsum_jacobian(entries, u):
+    """Derivatives of the eigenvalues of sum_i r_i (E_ab + E_ba) at eigenvector
+    columns ``u``: column i the diagonal of U^T (dH/dr_i) U, with the derivative
+    formed as a dense matrix, O(N^3) a column."""
+    n = u.shape[0]
+    m = np.empty((n, len(entries)))
+    for i, (a, b) in enumerate(entries):
+        d = np.zeros((n, n))
+        d[a, b] = d[b, a] = 1.0
+        m[:, i] = np.einsum("ij,jk,ik->i", u.T, d, u.T)
+    return m
+
+
 def bath_dense(couplings, fields, g):
     """2N x 2N one-excitation operator of a chain with one bath spin per
     site, each coupled with strength g: system sites first, then baths."""

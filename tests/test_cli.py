@@ -92,7 +92,7 @@ def test_simulate_csv(tmp_path, capsys):
 def test_simulate_gives_no_peak_time_to_rounding_noise(tmp_path, capsys):
     """From site 2 to site 200 of the 201-site near-uniform chain, up to t = 4,
     every amplitude lies below gamma's rounding bound
-    8 (tmax max|lambda| + N) eps, so no time is printed for the peak."""
+    8 (tmax max|lambda| + N + sqrt T) eps, so no time is printed for the peak."""
     chain_file = tmp_path / "near.json"
     code, out, _ = run(capsys, "design", "near-uniform", "--n", "201", "--slack", "0.5")
     chain_file.write_text(out)
@@ -237,6 +237,16 @@ def test_gadget_amp_and_clock(tmp_path, capsys):
     code, out, _ = run(capsys, "gadget", "clock", "--n", "3", "--dim", "2", "--seed", "7")
     assert code == 0
     assert json.loads(out)["fidelity"] >= 1.0 - 1e-8
+
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_gadget_amp_peak_time_is_the_first_peak(capsys, n):
+    """Up to 4 t0 the target probability peaks at t0 = pi/2 and 3 t0, both
+    at 1 to rounding; the printed time is the first, whatever their last
+    bits (the larger of the two was at 3 t0 for n = 6 and 12)."""
+    code, out, err = run(capsys, "gadget", "amp", "--n", str(n))
+    assert code == 0, err
+    assert json.loads(out)["peak_time"] == 1.5707963267948968
 
 
 def test_gadget_clock_empty_register_exit_2(capsys):
@@ -570,6 +580,14 @@ def test_library_reads_no_environment_variables():
     run does not depend on the environment it starts in."""
     for name, text in _library_sources():
         assert "os.environ" not in text and "getenv" not in text, name
+
+
+def test_only_the_cli_draws_random_numbers():
+    """No library result depends on a hidden seed: only the command line,
+    which draws from its --seed, names np.random."""
+    for name, text in _library_sources():
+        if name != "cli.py":
+            assert "np.random" not in text and "numpy.random" not in text, name
 
 
 _MEMO = re.compile(r"\b(lru_cache|functools\.cache)\b|from functools import[^\n]*\bcache\b"

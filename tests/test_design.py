@@ -9,12 +9,12 @@ from pstchain import (analytic_chain, certify_pst, chain_from_spectrum,
                       coupling_family, diagonalize, end_weights, gamma,
                       mirror_symmetry_check, near_uniform_chain, newton_iep,
                       nnn_coupling_family, sequential_storage_chain, target_spectrum,
-                      uniform_chain, validate_family)
+                      uniform_chain)
 from pstchain.design import ParametrizedFamily, TargetSpectrum, _givens_insertion
 from pstchain.spectral import DegenerateSpectrumError, _is_mirror
 
-from oracles import (_lanczos_from_weights, full_chain_from_spectrum, givens_insertion_guarded,
-                     log_end_weights)
+from oracles import (_lanczos_from_weights, einsum_jacobian, full_chain_from_spectrum,
+                     givens_insertion_guarded, log_end_weights, tridiagonal_dense)
 
 
 # --- analytic family ------------------------------------------------------
@@ -506,21 +506,67 @@ def test_newton_quadratic_convergence():
         assert r_next < 0.1 * r_k
 
 
-def test_validate_family_checks_the_same_points_on_every_run():
-    base = coupling_family(4)
-    points = ([], [])
-    for seen in points:
-        family = ParametrizedFamily(
-            dimension=4, n_params=3, derivative=base.derivative,
-            evaluate=lambda r, _seen=seen: _seen.append(r.copy()) or base.evaluate(r))
-        validate_family(family, np.ones(3))
-    assert len(points[0]) == len(points[1]) == 3 * 3 * 2    # draws x parameters x sides
-    assert all(np.array_equal(a, b) for a, b in zip(*points))
+# --- families as entry patterns --------------------------------------------
+
+def test_families_build_their_matrices_from_their_entries():
+    r = np.array([0.3, -1.2, 0.8, 2.5])
+    assert coupling_family(5).entries == ((0, 1), (1, 2), (2, 3), (3, 4))
+    assert coupling_family(5).n_params == 4
+    assert np.array_equal(coupling_family(5).evaluate(r), tridiagonal_dense(r, np.zeros(5)))
+    nnn = nnn_coupling_family(5)
+    assert nnn.entries[-1] == (0, 2) and nnn.n_params == 5
+    expected = tridiagonal_dense(r, np.zeros(5))
+    expected[0, 2] = expected[2, 0] = 0.15
+    assert np.array_equal(nnn.evaluate(np.append(r, 0.15)), expected)
+    with pytest.raises(ValueError, match="parameters"):
+        nnn.evaluate(r)
+    with pytest.raises(ValueError, match="col < 2"):
+        nnn_coupling_family(2)
 
 
-def test_validate_family_catches_wrong_derivative():
-    base = coupling_family(3)
-    bad = ParametrizedFamily(dimension=3, n_params=2, evaluate=base.evaluate,
-                             derivative=lambda r, i: 2.0 * base.derivative(r, i))
+@pytest.mark.parametrize("dimension, entries", [
+    (3, ((1, 0),)),            # row > col
+    (3, ((1, 1),)),            # a diagonal entry
+    (3, ((0, 3),)),            # out of range
+    (3, ((-1, 1),)),
+    (3, ((0, 1), (0, 1))),     # the same pair twice
+    (3, ((0, 1.5),)),
+    (3, ((0,),)),
+    (3, (0, 1)),
+    (3, None),
+    (0, ()),
+    (2.5, ((0, 1),)),
+])
+def test_family_refuses_bad_entries(dimension, entries):
     with pytest.raises(ValueError):
-        validate_family(bad, np.ones(2))
+        ParametrizedFamily(dimension=dimension, entries=entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 64), seed=st.integers(0, 2 ** 32 - 1), nnn=st.booleans())
+def test_pattern_jacobian_is_the_einsum_jacobian_bitwise(n, seed, nnn):
+    """2 U[a, :] U[b, :] is the diagonal of U^T (E_ab + E_ba) U with no other
+    term: the dense form adds only exact zeros to the same two products."""
+    family = (nnn_coupling_family if nnn else coupling_family)(n)
+    r = np.random.default_rng(seed).uniform(-1.5, 1.5, family.n_params)
+    u = diagonalize(family.evaluate(r)).eigenvectors
+    assert np.array_equal(family.jacobian(u), einsum_jacobian(family.entries, u))
+
+
+@pytest.mark.parametrize("r0, match", [
+    ([1.0, math.nan, 1.0], "finite"),
+    ([1.0, math.inf, 1.0], "finite"),
+    ([1.0, 1.0], "r0 size"),
+    ([[1.0, 1.0, 1.0]], "r0 size"),
+])
+def test_newton_checks_r0_before_any_solve(monkeypatch, r0, match):
+    monkeypatch.setattr("pstchain.design.diagonalize", None)
+    target = target_spectrum([-1.5, -0.5, 0.5, 1.5])
+    with pytest.raises(ValueError, match=match):
+        newton_iep(coupling_family(4), target, r0)
+
+
+def test_newton_checks_the_target_size_before_any_solve(monkeypatch):
+    monkeypatch.setattr("pstchain.design.diagonalize", None)
+    with pytest.raises(ValueError, match="target size"):
+        newton_iep(coupling_family(4), target_spectrum([-1.0, 0.0, 1.0]), np.ones(3))

@@ -89,6 +89,21 @@ def test_dense_input_requires_symmetry():
         diagonalize(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.nan)])
+def test_dense_input_refuses_non_finite_entries(bad):
+    """A non-finite entry would pass the symmetry test and the residual check,
+    which compare with '>', and give NaN eigenvalues and a NaN residual."""
+    dense = np.array([[bad, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        diagonalize(dense)
+
+
+def test_a_nan_residual_fails_its_check():
+    with pytest.raises(ArithmeticError, match="residual"):
+        spectral._checked(math.nan, 1.0)
+    assert spectral._checked(1e-11, 1.0) == 1e-11
+
+
 def test_diagonalize_takes_a_chain_or_a_square_array_only():
     heisenberg = HeisenbergSpec(n=2, couplings=(1.0,), anisotropies=(0.5,), fields=(0.0, 0.0))
     for operator in (heisenberg, np.array([0.0, 1.0]), np.zeros((2, 3)), None):
