@@ -174,8 +174,8 @@ def certify_pst(spec: ChainSpec, tol: float = 1e-9,
     fraction rationalization of gap ratios. The eigenvalues are those of
     :func:`diagonalize`: where their a-priori error ``N * eps * max|T|`` could
     reach ``1e-12`` of the smallest gap, they have had one Newton step on the
-    characteristic polynomial, from the ``sterf`` solve or, on a designed
-    chain, from its design spectrum once Sturm counts have checked it. End
+    characteristic polynomial, each where Sturm counts give it an eigenvalue
+    of its own, from a designed chain's design spectrum or from ``sterf``. End
     weights that fail the orthogonality check of :func:`pair_weights` raise
     ``ArithmeticError``.
     """

@@ -70,7 +70,7 @@ class ChainSpec:
     statistics: str = "fermionic"
 
     def __post_init__(self):
-        n = int(self.n)
+        n = _integral(self.n, "n")
         if n < 1:
             raise ValueError("chain needs at least one site")
         object.__setattr__(self, "n", n)
@@ -110,6 +110,7 @@ class HeisenbergSpec:
     fields: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integral(self.n, "n"))
         object.__setattr__(self, "couplings", _finite_floats(self.couplings, "couplings"))
         object.__setattr__(self, "anisotropies", _finite_floats(self.anisotropies, "anisotropies"))
         object.__setattr__(self, "fields", _finite_floats(self.fields, "fields"))

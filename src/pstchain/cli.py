@@ -91,6 +91,17 @@ class _Manifest:
                                                       encoding="utf-8")
 
 
+def _steps(text: str) -> int:
+    """A ``--steps`` value: the number of intervals of a time grid, at least 1."""
+    try:
+        steps = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if steps < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {steps}")
+    return steps
+
+
 def _emit(doc) -> None:
     sys.stdout.write(serialize.dumps(doc) + "\n")
 
@@ -172,7 +183,7 @@ def _cmd_simulate(args, manifest):
     p.add_argument("--source", type=int, default=1)
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--tmax", type=float, required=True)
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--steps", type=_steps, default=1000)
     p.add_argument("--out")
     ns = p.parse_args(args)
     spec = _load_chain(ns.chain, manifest)
@@ -257,7 +268,7 @@ def _cmd_noise(args, manifest):
     p.add_argument("--t", type=float)
     p.add_argument("--G", type=float)
     p.add_argument("--tmax", type=float)
-    p.add_argument("--steps", type=int, default=400)
+    p.add_argument("--steps", type=_steps, default=400)
     p.add_argument("--out")
     ns = p.parse_args(args)
     spec = _load_chain(ns.chain, manifest)
@@ -352,7 +363,7 @@ def _cmd_gadget(args, manifest):
     p.add_argument("--n", type=int)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--tmax", type=float)
-    p.add_argument("--steps", type=int, default=400)
+    p.add_argument("--steps", type=_steps, default=400)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--program")
     p.add_argument("--out")
@@ -408,7 +419,7 @@ def _cmd_report(args, manifest):
     p.add_argument("--figure", required=True, choices=["timing", "amplifier"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--slack", type=float, default=0.5)
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--steps", type=_steps, default=1000)
     p.add_argument("--out")
     ns = p.parse_args(args)
     if ns.figure == "amplifier":

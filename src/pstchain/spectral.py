@@ -22,13 +22,13 @@ antisymmetric, whose end products are summed on its nonnegative half and
 mirrored. Every other eigenvalue solve, and every eigenvector solve, takes
 the whole operator.
 
-A designed chain carries the spectrum its designer built it for. Where the
-Newton step would run anyway, that spectrum replaces ``sterf``:
-:func:`_design_pass` runs the Sturm recurrence that gives the Newton step
-once over the design values and the points that separate them, whose Sturm
-counts check that each value has its own eigenvalue (Barth, Martin and
-Wilkinson, Numer. Math. 9, 1967). A design the chain's matrix does not bear
-out is set aside, and the chain is solved as one without it.
+Where eigenvalues need a Newton step, :func:`sturm_newton` takes it from
+start values with one run of the Sturm recurrence, and accepts a value's
+step only where Sturm counts give it an eigenvalue of its own (Barth, Martin
+and Wilkinson, Numer. Math. 9, 1967). A designed chain carries the spectrum
+its designer built it for, which replaces ``sterf`` as the start where every
+value is accepted; a design the chain's matrix does not bear out is set
+aside, and the chain is solved as one without it.
 
 A :class:`ChainSpec` is solved once per object: its first :func:`diagonalize`
 keeps the decomposition on the chain, and every later call, from
@@ -216,8 +216,9 @@ def diagonalize(operator) -> SpectralDecomposition:
 
     A tridiagonal operator gets its eigenvalues at once, from
     :func:`_of_tridiagonal`, which solves and refines its chiral block if it
-    has one, and the whole operator otherwise; a designed chain, where the
-    Newton gate opens on its design spectrum, refines and checks that
+    has one, and the whole operator otherwise, each refined by
+    :func:`sturm_newton` where the Newton gate opens; a designed chain, where
+    the gate opens on its design spectrum, starts the step from that
     spectrum in place of the ``sterf`` solve. So the eigenvalues of a
     designed chain can differ in the last bits from those of an equal chain
     without a design spectrum, such as a copy or a chain read from a file:
@@ -328,18 +329,18 @@ def _of_tridiagonal(diag: np.ndarray, off: np.ndarray,
     and any other matrix whole; the solved matrix's eigenvalues are ``s``.
     Their a-priori error ``error = N * eps * max|T|`` gates a Newton step:
     where it could reach ``NEWTON_GATE`` of the smallest gap of the spectrum,
-    ``s`` gets one Newton step of at most ``error`` on the same matrix.
+    ``s`` gets :func:`sturm_newton`'s step of at most ``error`` on that matrix.
 
     ``design``, the ascending spectrum a designer built the matrix for, is
-    used where the gate opens on its gaps: :func:`_design_pass` steps from it
-    (for a chiral block, from the values of the block: the alternate values
-    from the top where its last diagonal entry ``J_m`` is positive, as in a
-    chain with positive couplings, and the others where it is negative, as
-    in one rescaled by a negative factor) and checks it by Sturm counts, with no
-    ``sterf``. Otherwise (no design, the gate shut on the design's gaps, or a
-    failed check) ``s`` comes from :func:`_eigenvalue_solve`, with an
-    absolute error of order ``error``, and gets :func:`sturm_newton`'s step
-    where the gate opens on the gaps of its spectrum. The spectrum of a
+    the start where the gate opens on its gaps (for a chiral block, the
+    values of the block: the alternate values from the top where its last
+    diagonal entry ``J_m`` is positive, as in a chain with positive
+    couplings, and the others where it is negative, as in one rescaled by a
+    negative factor), and ``s`` is its step, with no ``sterf``, where every
+    value is accepted. Otherwise (no design, the gate shut on the design's
+    gaps, or a value not accepted) ``s`` comes from :func:`_eigenvalue_solve`,
+    with an absolute error of order ``error``, and gets the step where the
+    gate opens on the gaps of its spectrum. The spectrum of a
     chiral block is ``sort(|s|)`` and its negatives (see
     :func:`_chiral_spectrum`), exactly antisymmetric; of a whole matrix, ``s``.
     """
@@ -347,22 +348,22 @@ def _of_tridiagonal(diag: np.ndarray, off: np.ndarray,
     block = _chiral_block(diag, off)
     solved = block or (diag, off)
     error = diag.size * _EPS * scale
-    s = None
+    lam = None
     if (design is not None
             and error > NEWTON_GATE * float((design[1:] - design[:-1]).min(initial=math.inf))):
         start = design
         if block:   # the top value and every second one below it, or the others where J_m < 0
             start = design[1::2] if block[0][-1] > 0.0 else design[::2]
-        s = _design_pass(*solved, start, error)
-    unrefined = s is None
-    if unrefined:
+        s, accepted = sturm_newton(*solved, start, error)
+        if accepted.all():
+            lam = _chiral_spectrum(s) if block else s
+    if lam is None:
         s = _eigenvalue_solve(*solved)
-    lam = _chiral_spectrum(s) if block else s
-    gaps = lam[1:] - lam[:-1]
-    if unrefined and error > NEWTON_GATE * float(gaps.min(initial=math.inf)):
-        s = sturm_newton(*solved, s, error)
         lam = _chiral_spectrum(s) if block else s
-        gaps = lam[1:] - lam[:-1]
+        if error > NEWTON_GATE * float((lam[1:] - lam[:-1]).min(initial=math.inf)):
+            s = sturm_newton(*solved, s, error)[0]
+            lam = _chiral_spectrum(s) if block else s
+    gaps = lam[1:] - lam[:-1]
     gaps.flags.writeable = False
     sd = SpectralDecomposition(lam, None, None)
     sd._tridiagonal, sd._scale, sd._gaps = (diag, off), scale, gaps
@@ -432,50 +433,35 @@ def _sturm_sweep(diag: np.ndarray, off: np.ndarray, points: np.ndarray,
     return total, count
 
 
-def sturm_newton(diag: np.ndarray, off: np.ndarray, eigenvalues,
-                 max_step: float) -> np.ndarray:
+def sturm_newton(diag: np.ndarray, off: np.ndarray, start,
+                 max_step: float) -> tuple[np.ndarray, np.ndarray]:
     """One Newton step ``lambda - p(lambda) / p'(lambda)`` on the characteristic
-    polynomial of ``tridiag(off, diag, off)``, for every eigenvalue at once,
-    with ``p'/p`` from :func:`_sturm_sweep`. The step is guarded: an
-    eigenvalue moves only where the step is finite and at most ``max_step``,
-    and the eigenvalues are returned unchanged if the refined ones are not
-    strictly ascending.
-    """
-    lam = np.asarray(eigenvalues, dtype=float)
-    with np.errstate(divide="ignore"):
-        step = 1.0 / _sturm_sweep(diag, off, lam, lam.size)[0]
-    ok = np.isfinite(step) & (np.abs(step) <= max_step)
-    refined = np.where(ok, lam - step, lam)
-    if np.any(np.diff(refined) <= 0):
-        return lam
-    return refined
-
-
-def _design_pass(diag: np.ndarray, off: np.ndarray, start: np.ndarray,
-                 max_step: float) -> np.ndarray | None:
-    """The ascending eigenvalues of ``tridiag(off, diag, off)`` refined from
-    the ``start`` values a design gives for them, or ``None`` where the
-    matrix does not bear them out.
+    polynomial of ``tridiag(off, diag, off)`` from each of its ascending
+    eigenvalues' ``start`` values, and which steps are ``accepted``: the
+    refined value where accepted, the start value elsewhere.
 
     One :func:`_sturm_sweep` runs over the m start values and the m + 1
     points that separate them: the midpoints of neighbours, and half the
-    outer gaps beyond the ends. It gives the Newton step at each start value
-    and the Sturm count at each separator. A floating-point count is exact
-    for a matrix a few rounding errors away, so counts of exactly 0..m put
-    one eigenvalue between each pair of neighbouring separators. The refined
-    values are accepted only where, in addition, every step is finite and at
-    most ``max_step`` and every refined value lies strictly inside its own
-    interval. A start value that is an eigenvalue of a leading block, to the
-    bit, makes a pivot zero and its step NaN: 0 on a zero-field chain of odd
-    length, or two values of ``uniform_chain(1000)``. Those values are
-    stepped again from one unit in the last place of the largest start value
-    higher, a point as good to start from and off the leading blocks'
-    eigenvalues.
+    outer gaps beyond the ends. It gives ``p'/p`` at each start value and the
+    Sturm count at each separator. A floating-point count is exact for a
+    matrix a few rounding errors away (Barth, Martin and Wilkinson, Numer.
+    Math. 9, 1967), so counts of k and k + 1 at the separators around value
+    k put one eigenvalue between them. Value k is accepted where they do, its
+    step is finite and at most ``max_step``, and the refined value lies
+    strictly inside its interval. Two equal start values share no interval,
+    so neither is accepted; a size other than N, fewer than two values or a
+    NaN among them accept none. A start value that is an eigenvalue of a
+    leading block, to the bit, makes a pivot zero and its step NaN: 0 on a
+    zero-field chain of odd length, or two values of ``uniform_chain(1000)``.
+    Those values are stepped again from one unit in the last place of the
+    largest start value higher, a point as good to start from and off the
+    leading blocks' eigenvalues.
     """
+    start = np.asarray(start, dtype=float)
     m = start.size
+    if m != diag.size or m < 2 or np.isnan(start).any():
+        return start, np.zeros(m, dtype=bool)
     gaps = start[1:] - start[:-1]
-    if m != diag.size or m < 2 or not gaps.min() > 0.0:    # a NaN fails here too
-        return None
     points = np.empty(2 * m + 1)
     points[:m] = start
     sep = points[m:]
@@ -483,8 +469,6 @@ def _design_pass(diag: np.ndarray, off: np.ndarray, start: np.ndarray,
     sep[0] = start[0] - 0.5 * gaps[0]
     sep[-1] = start[-1] + 0.5 * gaps[-1]
     total, count = _sturm_sweep(diag, off, points, m)
-    if not np.array_equal(count, np.arange(m + 1)):
-        return None
     at = start
     with np.errstate(divide="ignore"):
         step = 1.0 / total
@@ -494,11 +478,13 @@ def _design_pass(diag: np.ndarray, off: np.ndarray, start: np.ndarray,
             at[retry] += np.spacing(np.abs(start).max())
             step[retry] = 1.0 / _sturm_sweep(diag, off, at[retry], int(retry.sum()))[0]
     refined = at - step
-    if not (np.abs(step) <= max_step).all():    # NaN fails here too
-        return None
-    if not ((sep[:-1] < refined) & (refined < sep[1:])).all():
-        return None
-    return refined
+    below = np.arange(m)
+    accepted = ((count[:-1] == below) & (count[1:] == below + 1)
+                & (np.abs(step) <= max_step)            # NaN fails here too
+                & (sep[:-1] < refined) & (refined < sep[1:]))
+    accepted[:-1] &= gaps > 0.0
+    accepted[1:] &= gaps > 0.0
+    return np.where(accepted, refined, start), accepted
 
 
 def _is_antisymmetric(lam: np.ndarray) -> bool:

@@ -326,28 +326,58 @@ def full_chain_from_spectrum(lam, antisymmetric):
     return 0.5 * (fields + fields[::-1]), 0.5 * (couplings + couplings[::-1])
 
 
-def sturm_newton_full(diag, off, eigenvalues, max_step):
-    """``spectral.sturm_newton`` with the Sturm recurrence run over all N
-    pivots, mirror-symmetric operator or not: the step the library took
-    before it stopped the recurrence at the centre of a mirror chain."""
+def sturm_full(diag, off, points):
+    """``p'/p`` and the number of negative pivots (by sign bit; -1 where a
+    pivot is NaN) of ``tridiag(off, diag, off)`` at each point, from the
+    Sturm recurrence run over all N pivots."""
     b2 = off ** 2
-    lam = np.asarray(eigenvalues, dtype=float)
+    x = np.asarray(points, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = diag[0] - lam
+        d = diag[0] - x
         ratio = -1.0 / d
         total = ratio.copy()
+        count = np.signbit(d).astype(int)
         for a, bb in zip(diag[1:], b2):
             r = bb / d
             dd = r * ratio - 1.0
-            d = (a - lam) - r
+            d = (a - x) - r
             ratio = dd / d
             total += ratio
-        step = 1.0 / total
-    ok = np.isfinite(step) & (np.abs(step) <= max_step)
-    refined = np.where(ok, lam - step, lam)
-    if np.any(np.diff(refined) <= 0):
-        return lam
-    return refined
+            count += np.signbit(d)
+    count[np.isnan(d)] = -1
+    return total, count
+
+
+def sturm_newton_full(diag, off, start, max_step):
+    """``spectral.sturm_newton``, value by value, with the Sturm recurrence
+    run over all N pivots, mirror-symmetric operator or not: value k takes
+    its Newton step (retried one ulp of ``max|start|`` higher where it is not
+    finite) where the counts at the separators around it are k and k + 1,
+    the step is at most ``max_step``, the refined value lies strictly between
+    the separators and neither neighbour equals it. Returns the values and
+    which were refined."""
+    lam = np.array(start, dtype=float)
+    m = lam.size
+    values, accepted = lam.copy(), np.zeros(m, dtype=bool)
+    if m != len(diag) or m < 2 or np.isnan(lam).any():
+        return values, accepted
+    gaps = np.diff(lam)
+    sep = np.concatenate(([lam[0] - 0.5 * gaps[0]], lam[:-1] + 0.5 * gaps,
+                          [lam[-1] + 0.5 * gaps[-1]]))
+    count = sturm_full(diag, off, sep)[1]
+    at = lam.copy()
+    with np.errstate(divide="ignore"):
+        step = 1.0 / sturm_full(diag, off, lam)[0]
+        for k in np.flatnonzero(~np.isfinite(step)):
+            at[k] = lam[k] + np.spacing(np.abs(lam).max())
+            step[k] = 1.0 / sturm_full(diag, off, at[k:k + 1])[0][0]
+    for k in range(m):
+        refined = at[k] - step[k]
+        if (count[k] == k and count[k + 1] == k + 1 and abs(step[k]) <= max_step
+                and sep[k] < refined < sep[k + 1]
+                and (k == 0 or gaps[k - 1] > 0.0) and (k == m - 1 or gaps[k] > 0.0)):
+            values[k], accepted[k] = refined, True
+    return values, accepted
 
 
 def givens_insertion_guarded(lam, q):

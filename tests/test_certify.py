@@ -442,10 +442,10 @@ def eigenvalue_solves(monkeypatch):
 
 
 @pytest.fixture
-def design_passes(monkeypatch):
-    """Sizes and off-diagonals of the matrices passed to the pass that refines
-    and checks a design spectrum in place of ``sterf``."""
-    return _counted_solver(monkeypatch, spectral, "_design_pass")
+def newton_steps(monkeypatch):
+    """Sizes and off-diagonals of the matrices passed to the Newton step,
+    which starts from a design spectrum in place of ``sterf``."""
+    return _counted_solver(monkeypatch, spectral, "sturm_newton")
 
 
 @pytest.fixture
@@ -480,12 +480,13 @@ def test_exactly_mirror_chain_reaches_the_solvers_folded(lapack_solves):
         assert np.array_equal(off, spec.coupling_array()) and off.min() > 0.0
 
 
-def test_even_zero_field_mirror_chain_reaches_sterf_as_one_block(lapack_solves, design_passes):
+def test_even_zero_field_mirror_chain_reaches_sterf_as_one_block(lapack_solves, newton_steps):
     """The chiral block: sterf solves the symmetric mirror block alone, n/2
     rows coupled by the chain's own couplings, while stevd gets the whole
     operator. A zero-field mirror chain of odd length reaches sterf whole.
-    The chains are copies, which carry no design spectrum; the designed
-    chains reach the design pass in place of sterf, with the same matrices."""
+    The chains are copies, which carry no design spectrum, and each goes on
+    to the Newton step; the designed chains reach the Newton step alone,
+    with no sterf, with the same matrices."""
     n = 258
     diagonalize(replace(analytic_chain(n))).eigenvectors
     diagonalize(replace(analytic_chain(n))).eigenvalues
@@ -499,23 +500,24 @@ def test_even_zero_field_mirror_chain_reaches_sterf_as_one_block(lapack_solves, 
     assert np.array_equal(value_solves.offdiagonals[2], analytic_chain(n + 1).coupling_array())
     diagonalize(analytic_chain(n)).eigenvalues
     diagonalize(analytic_chain(n + 1)).eigenvalues
-    assert (value_solves[3:], design_passes) == ([], [n // 2, n + 1])
-    block_off, whole_off = design_passes.offdiagonals
+    assert newton_steps[:3] == [n // 2, n // 2, n + 1]
+    assert (value_solves[3:], newton_steps[3:]) == ([], [n // 2, n + 1])
+    block_off, whole_off = newton_steps.offdiagonals[3:]
     assert np.array_equal(block_off, analytic_chain(n).coupling_array()[:n // 2 - 1])
     assert np.array_equal(whole_off, analytic_chain(n + 1).coupling_array())
 
 
-def test_chiral_chain_refines_its_block(monkeypatch, design_passes):
+def test_chiral_chain_refines_its_block(eigenvalue_solves, newton_steps):
     """The Newton step of an even zero-field mirror chain runs on the chiral
-    block it solved, 1000 rows of the 2000-site analytic chain: the step of
-    the design pass on the designed chain, and sturm_newton's on a copy,
-    which carries no design spectrum."""
-    steps = _counted_solver(monkeypatch, spectral, "sturm_newton")
+    block it solved, 1000 rows of the 2000-site analytic chain: from the
+    design spectrum on the designed chain, and from sterf on a copy, which
+    carries no design spectrum."""
     spec = analytic_chain(2000)
     assert certify_pst(spec).perfect
+    assert eigenvalue_solves == []
     assert certify_pst(replace(spec)).perfect
-    assert (design_passes, steps) == ([1000], [1000])
-    for off in design_passes.offdiagonals + steps.offdiagonals:
+    assert (eigenvalue_solves, newton_steps) == ([1000], [1000, 1000])
+    for off in eigenvalue_solves.offdiagonals + newton_steps.offdiagonals:
         assert np.array_equal(off, spec.coupling_array()[:999])
 
 
@@ -956,7 +958,7 @@ def test_refined_gap_residual_is_no_larger_than_the_full_eigensolve(n, full_solv
     assert cert.worst_gap_residual <= full_solve_residual
 
 
-def test_ten_thousand_sites_certify_in_linear_memory(design_passes, eigenvalue_solves,
+def test_ten_thousand_sites_certify_in_linear_memory(newton_steps, eigenvalue_solves,
                                                     tridiagonal_solves):
     spec = analytic_chain(10 ** 4)
     tracemalloc.start()
@@ -970,8 +972,8 @@ def test_ten_thousand_sites_certify_in_linear_memory(design_passes, eigenvalue_s
     assert cert.worst_gap_residual <= 1e-12
     assert abs(cert.arrival_amplitude) >= 1.0 - 1e-10
     assert peak < 100e6
-    # one pass over the chiral block, from the design spectrum
-    assert (design_passes, eigenvalue_solves, tridiagonal_solves) == ([10 ** 4 // 2], [], [])
+    # one Newton step over the chiral block, from the design spectrum
+    assert (newton_steps, eigenvalue_solves, tridiagonal_solves) == ([10 ** 4 // 2], [], [])
 
 
 def test_perfect_certificate_reports_closed_form_weights():

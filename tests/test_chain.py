@@ -174,6 +174,29 @@ def test_invalid_shapes_raise():
         ChainSpec(n=2, couplings=(1.0,), fields=(0.0, 0.0), statistics="anyonic")
 
 
+
+def test_chain_sizes_must_be_integers():
+    """A chain's n is an integer: 4.7 and "4" raise instead of becoming 4,
+    and an integral float or numpy integer is kept as the int it equals."""
+    for n in (4.7, "4", math.nan, None):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            ChainSpec(n=n, couplings=(1.0,) * 3, fields=(0.0,) * 4)
+    for n in (4.0, np.int64(4)):
+        spec = ChainSpec(n=n, couplings=(1.0,) * 3, fields=(0.0,) * 4)
+        assert type(spec.n) is int and spec.n == 4
+
+
+def test_heisenberg_sizes_must_be_integers():
+    """HeisenbergSpec keeps n as an int, not the float it was given, and
+    refuses one that is not integral."""
+    spec = HeisenbergSpec(n=4.0, couplings=(1.0,) * 3, anisotropies=(0.0,) * 3,
+                          fields=(0.0,) * 4)
+    assert type(spec.n) is int and spec.n == 4
+    for n in (4.5, "4"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            HeisenbergSpec(n=n, couplings=(1.0,) * 3, anisotropies=(0.0,) * 3,
+                           fields=(0.0,) * 4)
+
 _ELEMENTS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, width=64),
     st.integers(-10 ** 6, 10 ** 6),

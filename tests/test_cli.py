@@ -150,6 +150,29 @@ def test_argument_errors_take_the_validation_exit(capsys, argv, reason):
     assert err == f"error: validation: {reason}\n"
 
 
+@pytest.mark.parametrize("steps", ["-1", "0"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--target", "4", "--tmax", "6.3"],
+    ["noise", "dephase", "--p", "0.1"],
+    ["noise", "bath", "--G", "0.1", "--tmax", "6.3"],
+    ["report", "--figure", "timing", "--n", "4"],
+    ["gadget", "amp", "--n", "4"],
+], ids=["simulate", "dephase", "bath", "report", "gadget"])
+def test_steps_below_one_take_the_validation_exit(tmp_path, capsys, argv, steps):
+    """Every command with a time grid refuses fewer than one step at parse
+    time, naming --steps, and writes no curve."""
+    from pstchain import analytic_chain, write_chain
+
+    path = tmp_path / "chain.json"
+    write_chain(analytic_chain(4), path)
+    out_csv = tmp_path / "curve.csv"
+    if argv[0] in ("simulate", "noise"):
+        argv = argv + ["--chain", str(path)]
+    code, out, err = run(capsys, *argv, "--steps", steps, "--out", str(out_csv))
+    assert (code, out) == (2, "")
+    assert err == f"error: validation: argument --steps: must be at least 1, got {steps}\n"
+    assert not out_csv.exists()
+
 def test_subcommand_help_exits_zero(capsys):
     """``--help`` of a subcommand returns 0 from main, as ``pst --help`` does,
     with the subcommand's usage on stdout and nothing on stderr."""
@@ -623,6 +646,25 @@ def test_only_spectral_names_the_tridiagonal_solvers():
     assert _SOLVERS.search("from scipy.linalg.lapack import dsterf")
     assert _SOLVERS.search('name = "scipy.linalg._flapack"')
     assert _SOLVERS.search("lam = sturm_newton(diag, off, lam, error)")
+
+
+def _callers(text, callee):
+    """The names of the top-level statements of a module's source that call
+    ``callee``, by name or as an attribute."""
+    return {getattr(top, "name", type(top).__name__) for top in ast.parse(text).body
+            for node in ast.walk(top) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == callee}
+
+
+def test_only_sturm_newton_runs_the_sturm_recurrence():
+    """The Newton step has one acceptance rule, whatever it starts from: no
+    function but sturm_newton runs the Sturm recurrence."""
+    callers = {(name, top) for name, text in _library_sources()
+               for top in _callers(text, "_sturm_sweep")}
+    assert callers == {("spectral.py", "sturm_newton")}, callers
+    assert _callers("def f(x):\n    return spectral._sturm_sweep(d, o, x, 0)\n"
+                    "def g(x):\n    return _sturm_sweep(d, o, x, 0)[0]\n"
+                    "def h(x):\n    return _sturm_sweep\n", "_sturm_sweep") == {"f", "g"}
 
 
 def _scipy_sites(text):

@@ -22,7 +22,7 @@ from pstchain.spectral import _phase_sum, end_products, pair_weights, sturm_newt
 
 from oracles import (dense_decomposition, end_products_full, expm_evolve, folded_eigenvalues,
                      log_abs_derivatives, phase_sum_direct, random_pst_chain,
-                     sturm_newton_full, tridiagonal_dense, unfolded_decomposition,
+                     sturm_full, sturm_newton_full, tridiagonal_dense, unfolded_decomposition,
                      unfolded_eigenvalues)
 
 
@@ -139,20 +139,31 @@ def test_sturm_newton_refines_to_the_exact_spectrum():
     """The analytic chain has the half-integer (even N) or integer (odd N)
     spectrum -(N-1)/2 .. (N-1)/2; a field on every site shifts it. One step
     from the whole operator's sterf eigenvalues, with both parities and with
-    and without the field, lands within 1e-13 of it."""
+    and without the field, is accepted for every eigenvalue and lands within
+    1e-13 of it."""
     for n, field in ((1000, 0.0), (1001, 0.0), (1000, 0.25), (1001, 0.25)):
         spec = chain(analytic_chain(n).couplings, [field] * n)
         exact = np.arange(n) - (n - 1) / 2.0 + field
         diag, off = spec.field_array(), spec.coupling_array()
         lam = unfolded_eigenvalues(spec)
         bound = n * np.finfo(float).eps * max(spec.couplings)
-        refined = sturm_newton(diag, off, lam, bound)
+        refined, accepted = sturm_newton(diag, off, lam, bound)
+        assert accepted.all()
         assert np.max(np.abs(refined - exact)) < 0.1 * np.max(np.abs(lam - exact))
         assert np.max(np.abs(refined - exact)) < 1e-13
-        # the guard: no eigenvalue moves further than the step bound
-        assert np.array_equal(sturm_newton(diag, off, lam, 0.0), lam)
+        # the step bound: no eigenvalue moves further than it
+        assert np.array_equal(sturm_newton(diag, off, lam, 0.0)[0], lam)
         # the gate is open here: the error bound is 1e-10 of the unit gap
         assert np.max(np.abs(diagonalize(spec).eigenvalues - exact)) < 1e-13
+    # a start value that is an eigenvalue of a leading block, to the bit, makes
+    # a pivot zero and its step NaN: 0 on a zero-field chain of odd length;
+    # stepped again from one ulp higher, it is accepted and lands back on 0
+    spec = analytic_chain(1001)
+    diag, off = spec.field_array(), spec.coupling_array()
+    exact = np.arange(1001) - 500.0
+    assert np.isnan(spectral._sturm_sweep(diag, off, exact[500:501], 1)[0]).all()
+    refined, accepted = sturm_newton(diag, off, exact, _step_bound(spec))
+    assert accepted.all() and refined[500] == 0.0
 
 
 def _random_mirror_chain(n, rng):
@@ -174,9 +185,10 @@ def _random_mirror_chain(n, rng):
        st.integers(4, 300), st.integers(0, 2 ** 32 - 1))
 def test_sturm_newton_is_the_full_recurrence(kind, n, seed):
     """The step runs the Sturm recurrence through every pivot of the matrix
-    it is given, mirror symmetric or not, and equals the oracle's bit for bit.
-    The disordered mirror chains (couplings in [0.5, 1.5], fields in
-    [-0.5, 0.5]) have mirror pairs a few ulp apart."""
+    it is given, mirror symmetric or not, and its values and the ones it
+    accepts equal the oracle's bit for bit. The disordered mirror chains
+    (couplings in [0.5, 1.5], fields in [-0.5, 0.5]) have mirror pairs a few
+    ulp apart, or equal."""
     rng = np.random.default_rng(seed)
     if kind == "analytic":
         spec = analytic_chain(n)
@@ -185,7 +197,7 @@ def test_sturm_newton_is_the_full_recurrence(kind, n, seed):
     elif kind == "odd-gap":
         spec = random_pst_chain(rng, n)
     elif kind == "disordered":
-        spec = _mirrored(rng.uniform(0.5, 1.5, n // 2), rng.uniform(-0.5, 0.5, (n + 1) // 2), n)
+        spec = _disordered_mirror_chain(n, seed)
     else:
         spec = _random_mirror_chain(n, rng)
         if kind == "off-mirror":
@@ -196,8 +208,10 @@ def test_sturm_newton_is_the_full_recurrence(kind, n, seed):
     assert spectral._is_mirror(diag, off) == (kind != "off-mirror")
     lam = spectral._eigenvalue_solve(diag, off)
     error = n * np.finfo(float).eps * spectral._max_abs(diag, off)
-    got = sturm_newton(diag, off, lam, error)
-    assert got.tobytes() == sturm_newton_full(diag, off, lam, error).tobytes()
+    values, accepted = sturm_newton(diag, off, lam, error)
+    want, want_accepted = sturm_newton_full(diag, off, lam, error)
+    assert values.tobytes() == want.tobytes()
+    assert accepted.tolist() == want_accepted.tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -207,9 +221,9 @@ def test_sturm_newton_on_zero_fields_is_the_full_recurrence(n, kind, seed):
     """Pivots whose field is +0.0 take ``B_i - lambda`` from one array formed
     once; the step equals the oracle's bit for bit on zero-field chains, on
     the chiral block of one (all +0.0 but its last field), and on chains whose
-    fields are +0.0 and -0.0: at their eigenvalues, and with no bound on the
-    step at +0.0 and -0.0, where the sign of ``B_i - lambda`` follows that of
-    ``B_i``."""
+    fields are +0.0 and -0.0, from their eigenvalues; and so do the sweep's
+    sums and counts at +0.0 and -0.0, where the sign of ``B_i - lambda``
+    follows that of ``B_i``."""
     rng = np.random.default_rng(seed)
     off = rng.uniform(0.5, 1.5, n - 1)
     diag = np.zeros(n)
@@ -223,10 +237,15 @@ def test_sturm_newton_on_zero_fields_is_the_full_recurrence(n, kind, seed):
         return
     lam = spectral._eigenvalue_solve(diag, off)
     error = diag.size * np.finfo(float).eps * spectral._max_abs(diag, off)
-    for probe, bound in ((lam, error), ([0.0], math.inf), ([-0.0], math.inf),
-                         ([-0.0, 0.7], math.inf)):
-        got = sturm_newton(diag, off, probe, bound)
-        assert got.tobytes() == sturm_newton_full(diag, off, probe, bound).tobytes()
+    values, accepted = sturm_newton(diag, off, lam, error)
+    want, want_accepted = sturm_newton_full(diag, off, lam, error)
+    assert values.tobytes() == want.tobytes()
+    assert accepted.tolist() == want_accepted.tolist()
+    for probe in ([0.0], [-0.0], [-0.0, 0.7]):
+        probe = np.array(probe)
+        total, count = sturm_full(diag, off, probe)
+        assert spectral._sturm_sweep(diag, off, probe, probe.size)[0].tobytes() == total.tobytes()
+        assert spectral._sturm_sweep(diag, off, probe, 0)[1].tolist() == count.tolist()
 
 
 def test_propagate_identity_at_time_zero():
@@ -806,10 +825,12 @@ def test_even_zero_field_mirror_chains_of_any_length_solve_the_chiral_block(kind
     """Every even zero-field mirror chain, however short, passes only its
     m-row chiral block to the eigenvalue solver and hands out an exactly
     antisymmetric spectrum within 8 N eps max|T| of one unfolded sterf solve.
-    The solver is the design pass on a designed chain where the Newton gate
-    opens on the gaps of its design spectrum, and sterf otherwise."""
+    On a designed chain where the Newton gate opens on the gaps of its design
+    spectrum, the block goes to the Newton step alone, with no sterf; on any
+    other, to sterf, and to the step where the gate opens on sterf's
+    spectrum."""
     spec = _chiral_chain(kind, m, seed)
-    sizes = {"_eigenvalue_solve": [], "_design_pass": []}
+    sizes = {"_eigenvalue_solve": [], "sturm_newton": []}
 
     def counted(name):
         true_solve = getattr(spectral, name)
@@ -826,8 +847,10 @@ def test_even_zero_field_mirror_chains_of_any_length_solve_the_chiral_block(kind
     design = getattr(spec, "_design_spectrum", None)
     error = spec.n * np.finfo(float).eps * max(spec.couplings)
     gated = design is not None and error > spectral.NEWTON_GATE * np.min(np.diff(design))
-    assert sizes == ({"_eigenvalue_solve": [], "_design_pass": [m]} if gated
-                     else {"_eigenvalue_solve": [m], "_design_pass": []})
+    if gated:
+        assert sizes == {"_eigenvalue_solve": [], "sturm_newton": [m]}
+    else:
+        assert sizes["_eigenvalue_solve"] == [m] and sizes["sturm_newton"] in ([], [m])
     assert lam.tobytes() == (-lam[::-1]).tobytes()
     bound = 8 * spec.n * np.finfo(float).eps * max(spec.couplings)
     assert np.max(np.abs(lam - unfolded_eigenvalues(spec))) <= bound
@@ -846,7 +869,8 @@ def test_chiral_fold_matches_the_full_spectrum_oracles(kind, m, seed, kappa):
     with no design spectrum is, it is the moduli of the eigenvalues of the
     chiral block, after the oracle's Newton step where the gate opens, and
     their negatives, bit for bit; a refined spectrum agrees with the oracle's
-    step on the whole spectrum to 8 ulp of max|lambda|. A designed chain's
+    step on the whole spectrum to 8 ulp of max|lambda| on every level that
+    step accepts and an eigenvector solve resolves. A designed chain's
     spectrum is within N eps max|T| of its copy's. Its end products agree
     with the sums of every row, and the verdict does not depend on the energy
     scale."""
@@ -872,14 +896,14 @@ def test_chiral_fold_matches_the_full_spectrum_oracles(kind, m, seed, kappa):
     pos = np.sort(np.abs(s))
     refined = error > spectral.NEWTON_GATE * np.min(np.diff(np.concatenate((-pos[::-1], pos))))
     if refined:
-        pos = np.sort(np.abs(sturm_newton_full(block, block_off, s, error)))
+        pos = np.sort(np.abs(sturm_newton_full(block, block_off, s, error)[0]))
     assert lam.tobytes() == np.concatenate((-pos[::-1], pos)).tobytes()
     # the mirror pairs of disordered chains come within a few ulp, where the
-    # step on the whole spectrum resolves neither level or fires its guard
-    unfolded = unfolded_eigenvalues(spec)
-    whole = sturm_newton_full(diag, off, unfolded, error)
-    if refined and not np.array_equal(whole, unfolded):
-        assert np.max(np.abs(lam - whole)[_resolved(lam)]) <= 8 * np.spacing(np.max(np.abs(lam)))
+    # step on the whole spectrum resolves neither level, or accepts neither
+    whole, accepted = sturm_newton_full(diag, off, unfolded_eigenvalues(spec), error)
+    if refined:
+        deviation = np.abs(lam - whole)[accepted & _resolved(lam)]
+        assert np.max(deviation, initial=0.0) <= 8 * np.spacing(np.max(np.abs(lam)))
 
     gap = float(np.min(np.diff(lam)))
     if gap > 0.0:
@@ -1263,39 +1287,49 @@ def test_a_design_off_by_less_than_the_step_bound_is_refined(monkeypatch, kind, 
     assert np.max(np.abs(got - diagonalize(replace(spec)).eigenvalues)) <= bound
 
 
-def test_the_design_pass_refuses_two_start_values_on_one_eigenvalue():
+def test_sturm_newton_refuses_two_start_values_on_one_eigenvalue():
     """Start values that each lie within rounding of an eigenvalue, two of
     them of the same one, pass the step bound, but not the Sturm counts:
-    one eigenvalue lies between no pair of separators."""
+    one eigenvalue lies between no pair of separators, so at most one of the
+    two is accepted, and every value whose separators the two do not move
+    is."""
     spec = uniform_chain(300)
     diag, off = spec.field_array(), spec.coupling_array()
     lam = unfolded_eigenvalues(spec)
     bound = _step_bound(spec)
-    assert spectral._design_pass(diag, off, lam, bound) is not None
+    assert sturm_newton(diag, off, lam, bound)[1].all()
     for k in (0, 150, 298):
         start = lam.copy()
         start[k], start[k + 1] = lam[k] - 1e-14, lam[k] + 1e-14
-        assert spectral._design_pass(diag, off, start, bound) is None
+        accepted = sturm_newton(diag, off, start, bound)[1]
+        assert not accepted[k:k + 2].all()
+        assert accepted[:max(k - 1, 0)].all() and accepted[k + 3:].all()
 
 
-def test_each_check_of_the_design_pass_refuses_on_its_own(monkeypatch):
+def test_each_check_of_sturm_newton_refuses_on_its_own(monkeypatch):
     """The Sturm counts, the step bound and the intervals each refuse a start
-    that the other two let through: counts a sweep reports off by one, and
-    start values 0.45 of the unit gap high on the analytic chain, whose
-    eigenvalues then still lie between their separators: their Newton steps
-    of about 2 gaps break the step bound, and under an infinite bound land
-    outside their intervals. A NaN pivot counts as -1, a zero one by its
+    that the other two let through: counts a sweep reports off by one, which
+    refuse the two values beside that separator and no other, and start
+    values 0.45 of the unit gap high on the analytic chain, whose eigenvalues
+    then still lie between their separators: their Newton steps break the
+    step bound, and under an infinite bound those of the middle of the band,
+    about 2 gaps, land outside their intervals. Too few values, or a NaN
+    among them, accept none. A NaN pivot counts as -1, a zero one by its
     sign."""
     spec = analytic_chain(300)
     diag, off = spec.field_array(), spec.coupling_array()
     lam = unfolded_eigenvalues(spec)
     bound = _step_bound(spec)
-    assert spectral._design_pass(diag, off, lam, bound) is not None
-    assert spectral._design_pass(diag, off, lam, math.inf) is not None
-    assert spectral._design_pass(diag, off, lam[:-1], bound) is None     # not every eigenvalue
+    assert sturm_newton(diag, off, lam, bound)[1].all()
+    assert sturm_newton(diag, off, lam, math.inf)[1].all()
+    for start in (lam[:-1], _set(lam, 7, math.nan), lam[:1]):
+        values, accepted = sturm_newton(diag, off, start, bound)
+        assert values.tobytes() == start.tobytes() and not accepted.any()
     high = lam + 0.45
-    assert spectral._design_pass(diag, off, high, bound) is None         # the step bound
-    assert spectral._design_pass(diag, off, high, math.inf) is None      # the intervals
+    sep = np.concatenate(([high[0] - 0.5], 0.5 * (high[:-1] + high[1:]), [high[-1] + 0.5]))
+    assert spectral._sturm_sweep(diag, off, sep, 0)[1].tolist() == list(range(301))
+    assert not sturm_newton(diag, off, high, bound)[1].any()                # the step bound
+    assert not sturm_newton(diag, off, high, math.inf)[1][100:200].any()    # the intervals
     true_sweep = spectral._sturm_sweep
 
     def miscounted(*args):
@@ -1305,7 +1339,9 @@ def test_each_check_of_the_design_pass_refuses_on_its_own(monkeypatch):
 
     with monkeypatch.context() as patched:
         patched.setattr(spectral, "_sturm_sweep", miscounted)
-        assert spectral._design_pass(diag, off, lam, bound) is None      # the counts
+        values, accepted = sturm_newton(diag, off, lam, bound)      # the counts
+    assert np.flatnonzero(~accepted).tolist() == [149, 150]
+    assert values[149:151].tobytes() == lam[149:151].tobytes()
     # a zero coupling and a zero pivot give 0/0: the count is -1, not a number of pivots
     total, count = spectral._sturm_sweep(np.zeros(3), np.array([0.0, 1.0]),
                                          np.array([0.0, 0.5]), 0)
@@ -1344,6 +1380,73 @@ def test_sturm_counts_are_the_numbers_of_eigenvalues_below(kind, n, seed):
     assert count.tolist() == np.searchsorted(lam, points).tolist()
     alone, none = spectral._sturm_sweep(diag, off, lam, lam.size)
     assert total.tobytes() == alone.tobytes() and none.size == 0
+
+
+def _disordered_mirror_chain(n, seed):
+    """A mirror chain of n sites with seeded couplings in [0.5, 1.5] and
+    fields in [-0.5, 0.5]. Most such chains of a few hundred sites localize,
+    and their mirror pairs close to within 1e-9 of the spread, some to a few
+    ulp, where sterf can return the two levels equal."""
+    rng = np.random.default_rng([n, seed])
+    return _mirrored(rng.uniform(0.5, 1.5, n // 2), rng.uniform(-0.5, 0.5, (n + 1) // 2), n)
+
+
+def _sterf_step(spec):
+    """sturm_newton's values and the ones it accepts, from the sterf
+    eigenvalues of the whole chain, with the step bound N eps max|T|."""
+    diag, off = spec.field_array(), spec.coupling_array()
+    return sturm_newton(diag, off, spectral._eigenvalue_solve(diag, off), _step_bound(spec))
+
+
+@pytest.mark.parametrize("n, seed", [(20, 0), (37, 1), (50, 2), (64, 3), (81, 4), (100, 5)])
+def test_accepted_steps_on_disordered_chains_are_within_a_few_ulp_of_mpmath(n, seed):
+    """Against mpmath's eigenvalues at 34 digits, every value sturm_newton
+    accepts on a disordered mirror chain lies within 4 ulp of max|lambda|,
+    and every value, accepted or kept from sterf, within N eps max|T|."""
+    spec = _disordered_mirror_chain(n, seed)
+    values, accepted = _sterf_step(spec)
+    exact, mpmath = _mpmath_eigenvalues(spec)
+    error = np.array([float(abs(mpmath.mpf(float(x)) - e)) for x, e in zip(values, exact)])
+    assert accepted.any()
+    assert np.max(error[accepted]) <= 4 * np.spacing(np.max(np.abs(values)))
+    assert np.max(error) <= _step_bound(spec)
+
+
+@pytest.mark.parametrize("n", [200, 211, 224, 237, 250, 263, 276, 289, 300])
+def test_close_pairs_leave_the_other_eigenvalues_refined(n):
+    """On a disordered mirror chain of 200-300 sites, whose close pairs no
+    separator isolates, the Newton step still refines at least 70% of the
+    eigenvalues, and diagonalize hands out exactly those values."""
+    spec = _disordered_mirror_chain(n, 0)
+    values, accepted = _sterf_step(spec)
+    assert accepted.mean() >= 0.7
+    assert diagonalize(spec).eigenvalues.tobytes() == values.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_DESIGNERS)), st.integers(136, 700))
+@example("analytic", 1000)
+@example("uniform", 1001)
+def test_designed_eigenvalues_are_the_oracle_step_from_the_design(kind, n):
+    """Where the gate opens on its design spectrum, a designed chain's
+    eigenvalues are the oracle's step from that spectrum, with every value
+    accepted, bit for bit: on the chiral block from its alternate values from
+    the top, mirrored, or on the whole chain."""
+    spec = _DESIGNERS[kind](n)
+    assert _gate_opens(spec)
+    diag, off = spec.field_array(), spec.coupling_array()
+    design = np.array(spec._design_spectrum)
+    chiral = n % 2 == 0 and not diag.any() and spectral._is_mirror(diag, off)
+    if chiral:
+        m = n // 2
+        diag, off, design = np.zeros(m), off[:m - 1], design[1::2]
+        diag[-1] = spec.couplings[m - 1]
+    values, accepted = sturm_newton_full(diag, off, design, _step_bound(spec))
+    assert accepted.all()
+    if chiral:
+        pos = np.sort(np.abs(values))
+        values = np.concatenate((-pos[::-1], pos))
+    assert diagonalize(spec).eigenvalues.tobytes() == values.tobytes()
 
 
 def _certificate_agrees(spec):
